@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md §6.
+"""Ablation benchmarks for the attack's design choices.
 
 These targets quantify how the breach (root-mean-square estimation error and
 rank correlation of the adversary's income estimates) depends on:

@@ -4,7 +4,7 @@ The paper's experiments use a proprietary dataset "collected from a real-life
 enterprise (a public university)" containing faculty salaries (sensitive) and
 performance-review numbers (non-sensitive), together with the faculty's web
 pages as the auxiliary channel.  Neither is published, so this generator
-produces a calibrated synthetic equivalent (DESIGN.md §4):
+produces a calibrated synthetic equivalent:
 
 * every faculty member has a **rank** (assistant / associate / full professor),
   a **department**, **years of service**, and three **performance review

@@ -69,9 +69,10 @@ def default_setup(
     """The default experimental setup mirroring Section VI.A.
 
     A synthetic faculty population (the paper's proprietary dataset is
-    substituted, see DESIGN.md §4), its matching simulated web corpus, and an
-    attack that fuses the released review scores with the harvested
-    web attributes through a Mamdani system with monotone domain rules.
+    substituted, see :mod:`repro.data.faculty`), its matching simulated web
+    corpus, and an attack that fuses the released review scores with the
+    harvested web attributes through a Mamdani system with monotone domain
+    rules.
 
     The population is deliberately department-sized (60 faculty by default):
     the paper sweeps k up to 16 on a single institution's salary data, a

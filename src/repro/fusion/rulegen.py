@@ -3,8 +3,7 @@
 The paper's adversary writes the knowledge rules by hand from domain
 understanding ("a CEO with large property holdings sits in the High income
 class").  To run the attack at scale — and to study how sensitive the breach
-is to the quality of the rule base (DESIGN.md ablation §6) — two automatic
-rule sources are provided:
+is to the quality of the rule base — two automatic rule sources are provided:
 
 * :func:`monotone_rules` — the domain-knowledge surrogate.  For every input
   variable the adversary declares a *direction* (+1: larger values mean larger

@@ -1,9 +1,10 @@
 """Zero-order Sugeno (Takagi-Sugeno-Kang) inference engine.
 
 The paper uses Mamdani inference; the Sugeno engine is provided as an ablation
-alternative for the fusion system (DESIGN.md §6).  A zero-order Sugeno rule
-asserts a crisp consequent value instead of a fuzzy term; the system output is
-the firing-strength-weighted average of the consequent values::
+alternative for the fusion system (see the README's *Batch fusion engine*
+section).  A zero-order Sugeno rule asserts a crisp consequent value instead
+of a fuzzy term; the system output is the firing-strength-weighted average of
+the consequent values::
 
     output = sum(strength_i * value_i) / sum(strength_i)
 

@@ -12,9 +12,10 @@ production-shaped service:
 * :mod:`repro.service.cache` — the two-tier (LRU + disk-spill) result cache
   with single-flight computation, the mechanism behind exactly-once work
   under concurrent identical requests;
-* :mod:`repro.service.codec` — the array-native spill container: large
-  cached artifacts serialize as aligned column buffers and load back as
-  zero-copy views over one shared memory mapping;
+* :mod:`repro.service.codec` — the one on-disk format, the array-native
+  ``.npc`` container: cached artifacts and stored datasets serialize as a
+  JSON manifest plus aligned column buffers and load back as zero-copy
+  views over one shared memory mapping;
 * :mod:`repro.service.jobs` — the bounded worker pool running FRED sweeps
   as pollable jobs;
 * :mod:`repro.service.jobstore` — the spill-dir-backed shared job records

@@ -8,16 +8,16 @@ two tiers:
 
 * an **in-process LRU** bounded by entry count (the hot tier every request
   hits first);
-* an optional **on-disk spill** directory holding entries keyed by the
-  sha256 of the cache key, so results survive LRU eviction and process
-  restarts.  Large array-bearing values (release tables, rendered CSV
-  bytes, estimate vectors) spill through the structured container codec
-  (:mod:`repro.service.codec`) and load back as zero-copy views over one
-  memory mapping; everything else spills as a pickled ``(key, value)``
-  pair.  Writes are atomic (temp file + rename) either way, so the spill
-  directory can be *shared between worker processes* — the multi-process
-  HTTP front uses it as the common cache tier, with cross-process races
-  reduced to harmless double-writes of identical content.
+* an optional **on-disk spill** directory holding one ``<sha256>.npc``
+  container (:mod:`repro.service.codec`) per entry, named by the sha256 of
+  the cache key, so results survive LRU eviction and process restarts.
+  Array payloads load back as zero-copy views over one memory mapping.
+  Values the codec cannot express stay in the memory tier only.  Writes
+  are atomic (temp file + rename) and nothing is ever unpickled, so the
+  spill directory can be *shared between worker processes* — the
+  multi-process HTTP front uses it as the common cache tier, with
+  cross-process races reduced to harmless double-writes of identical
+  content.
 
 The spill directory is optionally garbage-collected: give the cache a
 ``max_spill_bytes`` / ``max_spill_entries`` budget and the least recently
@@ -40,20 +40,20 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, TypeVar
 
 from repro.exceptions import ServiceError
-from repro.service.codec import SPILL_CONTAINER_SUFFIX, decode_entry, encode_entry
+from repro.service.codec import (
+    SPILL_CONTAINER_SUFFIX,
+    decode_entry,
+    encode_entry,
+    read_key,
+)
 
 __all__ = ["TwoTierCache"]
-
-#: Spill suffixes subject to garbage collection (other files — the dataset
-#: store subdirectory, in-flight temp files — are never touched).
-_SPILL_SUFFIXES = (".pkl", SPILL_CONTAINER_SUFFIX)
 
 T = TypeVar("T")
 
@@ -83,12 +83,10 @@ class TwoTierCache:
         entry is evicted first.  Evicted entries remain retrievable from the
         spill directory when one is configured.
     spill_dir:
-        Optional directory for the persistent tier.  Entries are stored
-        under the sha256 of the key — as a structured array container
-        (``.npc``) when the value is large and array-bearing, as a pickled
-        ``(key, value)`` pair (``.pkl``) otherwise — and written atomically
-        (temp file + rename), so concurrent writers and abrupt shutdowns
-        never leave a torn entry.
+        Optional directory for the persistent tier.  Each entry is one
+        ``.npc`` container named by the sha256 of the key, written
+        atomically (temp file + rename), so concurrent writers and abrupt
+        shutdowns never leave a torn entry.
     max_spill_bytes / max_spill_entries:
         Optional garbage-collection budget for the spill directory.  After
         each spill write, the least recently used files (by mtime; loads
@@ -230,11 +228,10 @@ class TwoTierCache:
 
         Appending rows to a dataset supersedes its fingerprint; this removes
         every artifact derived from it — in-memory entries plus spilled
-        containers and pickled pairs (both codec twins) — so no worker
-        sharing the spill directory can serve a stale artifact for it.
-        Spilled keys are read from the container manifest (cheap) or the
-        pickled pair; unreadable files are left alone.  Returns the number
-        of entries removed (a memory+spill pair counts once per tier form).
+        containers — so no worker sharing the spill directory can serve a
+        stale artifact for it.  Spilled keys are read from the container
+        manifests alone (no value is decoded); unreadable files are left
+        alone.  Returns the number of entries removed, counted once per tier.
         """
         removed = 0
         with self._lock:
@@ -246,39 +243,14 @@ class TwoTierCache:
             for key in stale:
                 del self._memory[key]
             removed += len(stale)
-        if self._spill_dir is not None:
-            seen: set[Path] = set()
-            try:
-                children = list(self._spill_dir.iterdir())
-            except OSError:
-                children = []
-            for child in children:
-                if child.suffix not in _SPILL_SUFFIXES or not child.is_file():
-                    continue
-                base = child.with_suffix("")
-                if base in seen:
-                    continue
-                seen.add(base)
-                key = self._spilled_key(child)
-                if isinstance(key, tuple) and fingerprint in key:
-                    base.with_suffix(".pkl").unlink(missing_ok=True)
-                    base.with_suffix(SPILL_CONTAINER_SUFFIX).unlink(missing_ok=True)
-                    removed += 1
+        for path in self._spill_files():
+            key = read_key(path)
+            if key is not None and fingerprint in key:
+                path.unlink(missing_ok=True)
+                removed += 1
         with self._lock:
             self._invalidations += removed
         return removed
-
-    def _spilled_key(self, path: Path) -> object | None:
-        """The cache key stored in one spill file, or ``None`` if unreadable."""
-        if path.suffix == SPILL_CONTAINER_SUFFIX:
-            ok, key, _ = decode_entry(path)
-            return key if ok else None
-        try:
-            with path.open("rb") as handle:
-                key, _ = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ValueError):
-            return None
-        return key
 
     # Internals -----------------------------------------------------------------
 
@@ -292,36 +264,46 @@ class TwoTierCache:
     def _spill_path(self, key: CacheKey) -> Path:
         digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
         assert self._spill_dir is not None
-        return self._spill_dir / f"{digest}.pkl"
+        return self._spill_dir / f"{digest}{SPILL_CONTAINER_SUFFIX}"
+
+    def _spill_files(self) -> list[Path]:
+        """The top-level container files of the spill directory.
+
+        Subdirectories hold durable state that the cache never touches —
+        ``datasets/`` (the dataset store) and ``jobs/`` (the cross-worker job
+        records, with their own retention in
+        :class:`~repro.service.jobstore.JobStore`) — and in-flight temp files
+        carry another suffix.
+        """
+        if self._spill_dir is None:
+            return []
+        try:
+            return [
+                child
+                for child in self._spill_dir.iterdir()
+                if child.suffix == SPILL_CONTAINER_SUFFIX and child.is_file()
+            ]
+        except OSError:
+            return []
 
     def _spill(self, key: CacheKey, value: object) -> None:
-        """Persist an entry: container when it pays off, pickle otherwise.
+        """Persist an entry as one container (best-effort).
 
-        Best-effort — any failure leaves the memory tier as the only copy.
-        The twin file of the *other* codec is removed on success so a
-        re-spill never leaves two generations answering for one key.
+        Any failure — including a value with no container encoding
+        (:class:`TypeError`) — leaves the memory tier as the only copy.
         """
         if self._spill_dir is None:
             return
         path = self._spill_path(key)
-        container = path.with_suffix(SPILL_CONTAINER_SUFFIX)
         temp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
         try:
-            payload = encode_entry(key, value)
-            if payload is not None:
-                temp.write_bytes(payload)
-                os.replace(temp, container)
-                path.unlink(missing_ok=True)
-                with self._lock:
-                    self._container_spills += 1
-            else:
-                with temp.open("wb") as handle:
-                    pickle.dump((key, value), handle, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(temp, path)
-                container.unlink(missing_ok=True)
+            temp.write_bytes(encode_entry(key, value))
+            os.replace(temp, path)
+            with self._lock:
+                self._container_spills += 1
             self._collect_spill()
-        except (OSError, pickle.PicklingError, TypeError, ValueError):
-            temp.unlink(missing_ok=True)  # spill is best-effort; memory tier holds the value
+        except (OSError, TypeError, ValueError):
+            temp.unlink(missing_ok=True)  # the memory tier holds the value
 
     def _load_spilled(self, key: CacheKey) -> tuple[bool, object | None]:
         """Load the spilled entry for ``key`` as a ``(found, value)`` pair.
@@ -335,17 +317,8 @@ class TwoTierCache:
         if self._spill_dir is None:
             return False, None
         path = self._spill_path(key)
-        container = path.with_suffix(SPILL_CONTAINER_SUFFIX)
-        ok, stored_key, value = decode_entry(container)
-        if ok and stored_key == key:
-            self._touch(container)
-            return True, value
-        try:
-            with path.open("rb") as handle:
-                stored_key, value = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ValueError):
-            return False, None
-        if stored_key != key:  # sha collision or foreign file: ignore
+        ok, stored_key, value = decode_entry(path)
+        if not ok or stored_key != key:  # miss, corrupt, or sha collision
             return False, None
         self._touch(path)
         return True, value
@@ -360,21 +333,15 @@ class TwoTierCache:
     def _collect_spill(self) -> None:
         """Evict least-recently-used spill files until the budget holds.
 
-        Only *top-level* ``.pkl``/``.npc`` cache files are LRU candidates:
-        subdirectories of the spill dir hold durable state that eviction must
-        never un-exist — ``datasets/`` (the dataset store) and ``jobs/`` (the
-        cross-worker job records, which have their own terminal-status
-        retention in :class:`~repro.service.jobstore.JobStore`).
+        Only the top-level cache containers are LRU candidates (see
+        :meth:`_spill_files`): eviction never un-exists a stored dataset or
+        a job record.
         """
-        if self._spill_dir is None:
-            return
         if self._max_spill_bytes is None and self._max_spill_entries is None:
             return
         entries: list[tuple[float, int, Path]] = []
         total = 0
-        for child in self._spill_dir.iterdir():
-            if child.suffix not in _SPILL_SUFFIXES or not child.is_file():
-                continue
+        for child in self._spill_files():
             try:
                 stat = child.stat()
             except OSError:

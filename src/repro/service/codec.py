@@ -1,11 +1,10 @@
-"""Array-native spill container for cached service artifacts.
+"""The service's one on-disk format: the array-native ``.npc`` container.
 
-The two-tier cache used to pickle every spilled value.  For the artifacts the
-serving tier actually caches — anonymized release tables, their rendered CSV
-bytes, per-record attack estimate vectors, FRED sweep summaries — pickling
-means rebuilding millions of Python objects on every load in every worker
-process.  This module provides a structured alternative: one flat container
-file whose large payloads are stored as raw, 64-byte-aligned array segments.
+Every spilled cache entry and every stored dataset is one container file.
+For the artifacts the serving tier caches — anonymized release tables, their
+rendered CSV bytes, per-record attack estimate vectors, FRED sweep summaries —
+the container stores large payloads as raw, 64-byte-aligned array segments
+behind a JSON manifest.
 
 Loading maps the file **once** (``np.memmap(path, mode="r")``) and hands out
 zero-copy views into the mapping:
@@ -22,12 +21,12 @@ zero-copy views into the mapping:
 Because the segments live in ordinary files, the mapping is shared between
 the pre-fork worker processes of :class:`~repro.service.http.ServiceServer`:
 every worker reads the same physical pages instead of holding a private
-pickled replica.
+replica.
 
-Values the structured encoders do not cover (or odd leaves inside covered
-values) fall back to pickle — either a pickle segment inside the container or
-the cache's plain ``.pkl`` spill for values that are not worth a container at
-all (:func:`encode_entry` returns ``None`` for those).
+Nothing in a container is executable: the manifest is JSON and segments are
+raw numbers, text or bytes.  Values the encoders do not cover raise
+:class:`TypeError` from :func:`encode_entry`; the cache then keeps them in
+its memory tier only.
 
 Container layout
 ----------------
@@ -36,61 +35,55 @@ Container layout
     magic "#repro-npc1\\n"  | uint32 manifest length | manifest JSON | pad
     segment 0 (64-byte aligned) | segment 1 | ...
 
-The manifest holds the (pickled) cache key's segment index, a JSON tree
-describing how to reassemble the value, and one ``(dtype, shape, offset,
-nbytes)`` record per segment.  Writers are atomic at the caller (temp file +
-``os.replace``), so a torn container can never be observed under its final
-name; :func:`decode_entry` additionally treats any malformed container as a
-cache miss rather than an error.
+The manifest holds the cache key (a JSON list, restored as a tuple), a JSON
+tree describing how to reassemble the value, and one ``(dtype, shape,
+offset, nbytes)`` record per segment.  :func:`read_key` reads the key from
+the manifest alone, without decoding the value.  Writers are atomic at the
+caller (temp file + ``os.replace``), so a torn container can never be
+observed under its final name; :func:`decode_entry` additionally treats any
+malformed container as a cache miss rather than an error.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import math
-import pickle
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from repro.dataset.generalization import SUPPRESSED, Interval, Suppressed
+from repro.dataset.generalization import SUPPRESSED, CategorySet, Interval, Suppressed
 from repro.dataset.schema import Attribute, AttributeKind, AttributeRole, Schema
 from repro.dataset.table import Table
 
-__all__ = [
-    "encode_entry",
-    "decode_entry",
-    "encodable_cells",
-    "SPILL_CONTAINER_SUFFIX",
-    "SPILL_MIN_CELLS",
-]
+__all__ = ["encode_entry", "decode_entry", "read_key", "SPILL_CONTAINER_SUFFIX"]
 
-#: File suffix of container spills (pickle spills keep ``.pkl``).
+#: File suffix of container files.
 SPILL_CONTAINER_SUFFIX = ".npc"
-
-#: Values holding fewer array-encodable cells than this spill as pickle —
-#: below it the container bookkeeping costs more than it saves.
-SPILL_MIN_CELLS = 2048
 
 #: Leaf lists shorter than this are inlined in the manifest instead of
 #: getting their own segment.
 _MIN_SEGMENT_ITEMS = 16
 
 _MAGIC = b"#repro-npc1\n"
+_VERSION = 2
 _ALIGN = 64
 
-#: Object-column cell tags of the ``tagged`` encoding.
+#: Object-column cell tags of the ``col-tagged`` encoding.
 _TAG_NONE = 0
 _TAG_INT = 1
 _TAG_FLOAT = 2
 _TAG_INTERVAL = 3
 _TAG_SUPPRESSED = 4
+_TAG_SIDE = 5  # str, big int and CategorySet cells, held in a JSON side list
 
 #: Largest integer magnitude stored through the float64 payload lanes of the
-#: ``tagged`` encoding without precision loss.
+#: ``col-tagged`` encoding without precision loss.
 _EXACT_INT = 2**53
+
+#: What a malformed, truncated or foreign file raises while being read.
+_MALFORMED = (OSError, ValueError, KeyError, IndexError, TypeError)
 
 
 class _Writer:
@@ -121,19 +114,18 @@ class _Writer:
         return self.add(np.frombuffer(payload, dtype=np.uint8))
 
 
-def _json_safe(value: object) -> bool:
-    """Whether a scalar survives a JSON round trip exactly."""
-    if value is None or isinstance(value, (bool, str)):
-        return True
-    if isinstance(value, int):
-        return True
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return False
+def _json_leaf(value: object) -> bool:
+    """Whether a scalar round-trips exactly through Python's ``json``.
+
+    That covers every int and float: ``json`` writes NaN, ±inf and -0.0 and
+    reads them back, and its ints are unbounded.
+    """
+    return value is None or isinstance(value, (bool, int, float, str))
 
 
-def _pickle_node(writer: _Writer, value: object) -> dict[str, object]:
-    return {"t": "pickle", "i": writer.add_bytes(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))}
+def _fits_unicode(values: list) -> bool:
+    """Whether a ``U`` segment keeps these strings (it strips trailing NULs)."""
+    return "\x00" not in "".join(values)
 
 
 def _encode_listlike(writer: _Writer, values: list | tuple) -> dict[str, object]:
@@ -143,24 +135,25 @@ def _encode_listlike(writer: _Writer, values: list | tuple) -> dict[str, object]
         if all(type(v) is float for v in values):
             return {"t": f"{kind}-seg", "i": writer.add(np.asarray(values, dtype=np.float64))}
         if all(type(v) is int for v in values):
-            array = np.asarray(values, dtype=object)
             try:
-                return {"t": f"{kind}-seg", "i": writer.add(array.astype(np.int64))}
-            except (OverflowError, TypeError, ValueError):
+                array = np.asarray(values, dtype=object).astype(np.int64)
+                return {"t": f"{kind}-seg", "i": writer.add(array)}
+            except OverflowError:
                 pass
-        if all(type(v) is str for v in values):
+        if all(type(v) is str for v in values) and _fits_unicode(values):
             return {"t": f"{kind}-seg", "i": writer.add(np.asarray(values, dtype="U"))}
     return {"t": kind, "items": [_encode_node(writer, v) for v in values]}
 
 
 def _encode_object_column(writer: _Writer, array: np.ndarray) -> dict[str, object]:
-    """One object storage column: ``U`` strings, tagged cells, or pickle."""
+    """One object storage column: a ``U`` segment or tagged cells."""
     values = list(array)
-    if all(type(v) is str for v in values):
+    if all(type(v) is str for v in values) and _fits_unicode(values):
         return {"t": "col-str", "i": writer.add(np.asarray(values, dtype="U"))}
 
     tags = np.empty(len(values), dtype=np.uint8)
     payload = np.zeros((len(values), 2), dtype=np.float64)
+    side: list[object] = []
     for row, value in enumerate(values):
         if value is None:
             tags[row] = _TAG_NONE
@@ -176,9 +169,18 @@ def _encode_object_column(writer: _Writer, array: np.ndarray) -> dict[str, objec
         elif type(value) is float:
             tags[row] = _TAG_FLOAT
             payload[row, 0] = value
-        else:  # CategorySet, big ints, exotic cells: exact bytes via pickle
-            return {"t": "col-pickle", "i": writer.add_bytes(pickle.dumps(values, protocol=pickle.HIGHEST_PROTOCOL))}
-    return {"t": "col-tagged", "tags": writer.add(tags), "values": writer.add(payload)}
+        elif isinstance(value, CategorySet):
+            tags[row] = _TAG_SIDE
+            side.append([list(value.members), value.label])
+        elif _json_leaf(value):
+            tags[row] = _TAG_SIDE
+            side.append(value)
+        else:
+            raise TypeError(f"no container encoding for a {type(value).__name__} cell")
+    node = {"t": "col-tagged", "tags": writer.add(tags), "values": writer.add(payload)}
+    if side:
+        node["side"] = writer.add_bytes(json.dumps(side).encode("utf-8"))
+    return node
 
 
 def _encode_table(writer: _Writer, table: Table) -> dict[str, object]:
@@ -221,69 +223,36 @@ def _encode_node(writer: _Writer, value: object) -> dict[str, object]:
         if rendered is not None:
             node["csv"] = writer.add_bytes(bytes(rendered))
         return node
-    if isinstance(value, np.ndarray):
-        if value.dtype == object:
-            return _pickle_node(writer, value)
+    if isinstance(value, np.ndarray) and not value.dtype.hasobject:
         return {"t": "ndarray", "i": writer.add(value)}
     if isinstance(value, (bytes, bytearray, memoryview)):
         return {"t": "bytes", "i": writer.add_bytes(bytes(value))}
     if isinstance(value, dict):
-        if all(type(k) is str for k in value):
-            return {
-                "t": "dict",
-                "keys": list(value.keys()),
-                "values": [_encode_node(writer, v) for v in value.values()],
-            }
-        return _pickle_node(writer, value)
+        return {
+            "t": "dict",
+            "keys": [_encode_node(writer, k) for k in value],
+            "values": [_encode_node(writer, v) for v in value.values()],
+        }
     if isinstance(value, (list, tuple)):
         return _encode_listlike(writer, value)
-    if _json_safe(value):
+    if _json_leaf(value):
         return {"t": "json", "v": value}
-    return _pickle_node(writer, value)
+    raise TypeError(f"no container encoding for {type(value).__name__}")
 
 
-def encodable_cells(value: object) -> int:
-    """A cheap lower bound on the array-encodable cells inside ``value``.
+def encode_entry(key: tuple, value: object) -> bytes:
+    """Serialize ``(key, value)`` as one container.
 
-    The cache uses this to decide whether a value deserves a container
-    (``>= SPILL_MIN_CELLS``) or should just be pickled.  The estimate only
-    descends into the container types the encoder handles structurally.
+    ``key`` must be a flat tuple of JSON scalars; it is written into the
+    manifest.  Raises :class:`TypeError` when the key or some part of the
+    value has no container encoding.
     """
-    from repro.service.core import ReleaseArtifact
-
-    if isinstance(value, Table):
-        return value.num_rows * max(value.num_columns, 1)
-    if isinstance(value, ReleaseArtifact):
-        rendered = value.csv_bytes_cache
-        return encodable_cells(value.peek_table()) + (len(rendered) if rendered else 0)
-    if isinstance(value, np.ndarray):
-        return int(value.size)
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        return len(value)
-    if isinstance(value, dict):
-        return sum(encodable_cells(v) for v in value.values())
-    if isinstance(value, (list, tuple)):
-        if all(isinstance(v, (int, float, str)) for v in value):
-            return len(value)
-        return sum(encodable_cells(v) for v in value)
-    return 0
-
-
-def encode_entry(key: tuple, value: object, force: bool = False) -> bytes | None:
-    """Serialize ``(key, value)`` as a container, or ``None`` to use pickle.
-
-    ``None`` means the value is not worth a container (too few array-encodable
-    cells); it never means failure — any value *can* be containerized because
-    odd leaves fall back to embedded pickle segments.  ``force`` skips the
-    size heuristic (the shared dataset store wants a container regardless).
-    """
-    if not force and encodable_cells(value) < SPILL_MIN_CELLS:
-        return None
+    if not isinstance(key, tuple) or not all(_json_leaf(part) for part in key):
+        raise TypeError(f"container keys are flat tuples of JSON scalars, got {key!r}")
     writer = _Writer()
-    key_index = writer.add_bytes(pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL))
     root = _encode_node(writer, value)
     manifest = json.dumps(
-        {"version": 1, "key": key_index, "root": root, "segments": writer.records},
+        {"version": _VERSION, "key": list(key), "root": root, "segments": writer.records},
         separators=(",", ":"),
     ).encode("utf-8")
 
@@ -324,8 +293,6 @@ class _Reader:
         kind = node["t"]
         if kind == "json":
             return node["v"]
-        if kind == "pickle":
-            return pickle.loads(self.raw(node["i"]))
         if kind == "bytes":
             # Zero-copy: a memoryview over the mapping, sliceable for
             # chunked streaming without materializing the payload.
@@ -341,7 +308,7 @@ class _Reader:
             return tuple(items) if kind == "tuple" else items
         if kind == "dict":
             return {
-                key: self.decode(item)
+                self.decode(key): self.decode(item)
                 for key, item in zip(node["keys"], node["values"])
             }
         if kind == "table":
@@ -368,19 +335,15 @@ class _Reader:
             return self.segment(node["i"])  # zero-copy view of the mapping
         if kind == "col-str":
             return self.segment(node["i"]).astype(object)
-        if kind == "col-pickle":
-            values = pickle.loads(self.raw(node["i"]))
-            array = np.empty(len(values), dtype=object)
-            array[:] = values
-            return array
         if kind == "col-tagged":
+            side = json.loads(self.raw(node["side"])) if "side" in node else []
             return self._decode_tagged(
-                self.segment(node["tags"]), self.segment(node["values"])
+                self.segment(node["tags"]), self.segment(node["values"]), side
             )
         raise ValueError(f"unknown container column type: {kind!r}")
 
     @staticmethod
-    def _decode_tagged(tags: np.ndarray, payload: np.ndarray) -> np.ndarray:
+    def _decode_tagged(tags: np.ndarray, payload: np.ndarray, side: list) -> np.ndarray:
         out = np.empty(tags.shape[0], dtype=object)
         # Identical (low, high) pairs share one Interval object, restoring the
         # per-equivalence-class object sharing of the original release column
@@ -388,6 +351,7 @@ class _Reader:
         intervals: dict[tuple[float, float], Interval] = {}
         tag_list = tags.tolist()
         payload_list = payload.tolist()
+        side_row = 0
         for row, tag in enumerate(tag_list):
             if tag == _TAG_NONE:
                 out[row] = None
@@ -397,6 +361,11 @@ class _Reader:
                 out[row] = payload_list[row][0]
             elif tag == _TAG_SUPPRESSED:
                 out[row] = SUPPRESSED
+            elif tag == _TAG_SIDE:
+                cell = side[side_row]
+                side_row += 1
+                # JSON lists only ever hold CategorySet cells (members, label).
+                out[row] = CategorySet(cell[0], label=cell[1]) if isinstance(cell, list) else cell
             else:
                 bounds = (payload_list[row][0], payload_list[row][1])
                 interval = intervals.get(bounds)
@@ -429,6 +398,28 @@ class _Reader:
         )
 
 
+def _open(path: str | Path) -> tuple[np.ndarray, dict, int]:
+    """Map a container: ``(mapping, manifest, segment base)``; raises if malformed."""
+    mapping = np.memmap(path, dtype=np.uint8, mode="r")
+    if bytes(mapping[: len(_MAGIC)]) != _MAGIC:
+        raise ValueError("not a container")
+    length_end = len(_MAGIC) + 4
+    manifest_length = int.from_bytes(bytes(mapping[len(_MAGIC):length_end]), "big")
+    header_end = length_end + manifest_length
+    manifest = json.loads(bytes(mapping[length_end:header_end]).decode("utf-8"))
+    if manifest.get("version") != _VERSION:
+        raise ValueError("unsupported container version")
+    return mapping, manifest, header_end + (-header_end) % _ALIGN
+
+
+def read_key(path: str | Path) -> tuple | None:
+    """The key of a container, read from its manifest alone, or ``None``."""
+    try:
+        return tuple(_open(path)[1]["key"])
+    except _MALFORMED:
+        return None
+
+
 def decode_entry(path: str | Path) -> tuple[bool, tuple | None, object | None]:
     """Load a container written by :func:`encode_entry`.
 
@@ -438,24 +429,10 @@ def decode_entry(path: str | Path) -> tuple[bool, tuple | None, object | None]:
     file; unlinking the file later (garbage collection, eviction) is safe —
     the mapping keeps the data alive until the views are released.
     """
-    path = Path(path)
     try:
-        mapping = np.memmap(path, dtype=np.uint8, mode="r")
-        header = bytes(mapping[: len(_MAGIC)])
-        if header != _MAGIC:
-            return False, None, None
-        length_end = len(_MAGIC) + 4
-        manifest_length = int.from_bytes(bytes(mapping[len(_MAGIC):length_end]), "big")
-        manifest = json.loads(
-            bytes(mapping[length_end : length_end + manifest_length]).decode("utf-8")
-        )
-        if manifest.get("version") != 1:
-            return False, None, None
-        header_end = length_end + manifest_length
-        base = header_end + (-header_end) % _ALIGN
-        reader = _Reader(mapping, base, manifest["segments"])
-        key = pickle.loads(reader.raw(manifest["key"]))
-        value = reader.decode(manifest["root"])
+        mapping, manifest, base = _open(path)
+        key = tuple(manifest["key"])
+        value = _Reader(mapping, base, manifest["segments"]).decode(manifest["root"])
         return True, key, value
-    except (OSError, ValueError, KeyError, IndexError, TypeError, EOFError, pickle.UnpicklingError, json.JSONDecodeError):
+    except _MALFORMED:
         return False, None, None

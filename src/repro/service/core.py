@@ -182,10 +182,6 @@ class ReleaseArtifact:
             return self._rows
         return self.table.num_rows
 
-    def peek_table(self) -> Table:
-        """The table, forcing materialization (used by the spill codec)."""
-        return self.table
-
     @property
     def csv_bytes_cache(self) -> bytes | memoryview | None:
         """The cached CSV encoding if one exists, without rendering."""
@@ -225,30 +221,6 @@ class ReleaseArtifact:
             f"ReleaseArtifact(dataset={self.dataset!r}, algorithm={self.algorithm!r}, "
             f"k={self.k}, style={self.style!r}, classes={len(self.class_sizes)})"
         )
-
-    def __getstate__(self) -> dict[str, object]:
-        # Pickle (the cache's fallback spill codec) materializes the table and
-        # detaches the CSV bytes from any memory mapping they may view.
-        return {
-            "dataset": self.dataset,
-            "algorithm": self.algorithm,
-            "k": self.k,
-            "style": self.style,
-            "class_sizes": self.class_sizes,
-            "table": self.table,
-            "csv": bytes(self._csv) if self._csv is not None else None,
-        }
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.dataset = state["dataset"]
-        self.algorithm = state["algorithm"]
-        self.k = state["k"]
-        self.style = state["style"]
-        self.class_sizes = state["class_sizes"]
-        self._table = state["table"]
-        self._csv = state["csv"]
-        self._rows = state["table"].num_rows
-        self._table_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -414,9 +386,15 @@ class AnonymizationService:
         return info
 
     def _store_dataset(self, fingerprint: str, table: Table, label: str) -> None:
-        """Publish a registered table to the shared on-disk dataset store."""
-        payload = encode_entry((fingerprint, label), table, force=True)
-        assert payload is not None  # force=True always yields a container
+        """Publish a registered table to the shared on-disk dataset store.
+
+        A table holding cells with no container encoding (JSONL list cells)
+        stays process-local: sibling workers do not see it.
+        """
+        try:
+            payload = encode_entry((fingerprint, label), table)
+        except TypeError:
+            return
         path = self._dataset_store / f"{fingerprint}{SPILL_CONTAINER_SUFFIX}"
         temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
@@ -459,9 +437,7 @@ class AnonymizationService:
             return None
         path = self._dataset_store / f"{fingerprint}{SPILL_CONTAINER_SUFFIX}"
         ok, key, value = decode_entry(path)
-        if not ok or not isinstance(value, Table):
-            return None
-        if not isinstance(key, tuple) or not key or key[0] != fingerprint:
+        if not ok or not isinstance(value, Table) or key[:1] != (fingerprint,):
             return None
         label = str(key[1]) if len(key) > 1 else ""
         entry = _DatasetEntry(table=value, label=label)
@@ -774,7 +750,9 @@ class AnonymizationService:
         kernel backend deliberately does not enter the key: the numba and
         numpy kernels are bit-identical (enforced by the backend's load-time
         self-check), so a harvest computed under either backend is valid for
-        both.
+        both.  The harvested record lists have no container encoding, so
+        the memo lives in the memory tier only: loading a spilled harvest
+        costs more than recomputing it.
         """
         source = TableAuxiliarySource(
             table=self.dataset(auxiliary), name_column=name_column

@@ -10,20 +10,18 @@ shared spill directory — and any worker can serve any poll from the shared
 records.
 
 Layout (under the store root, itself a subdirectory of the spill dir so the
-cache's LRU collector — which only touches top-level ``.pkl``/``.npc`` files
-— can never evict a job record)::
+cache's LRU collector — which only touches top-level ``.npc`` files — can
+never evict a job record)::
 
-    jobs/<job-id>.json          the job record (atomic temp-file + rename)
-    jobs/<job-id>.npc | .pkl    the ``done`` result payload (codec container
-                                when it pays off, pickled ``(key, value)``
-                                pair otherwise — the same dual codec the
-                                cache spill uses)
+    jobs/<job-id>.json          the job record, with a ``done`` job's result
+                                inline (atomic temp-file + rename)
     jobs/owners/<pid>           heartbeat file of one owning worker process
 
-Records are written *result first, record second*: a record that claims
-``done`` always finds its payload on disk (crash windows leave a stale
-``running`` record instead, which heartbeat staleness converts to
-``failed``).
+A job's result is the JSON document ``GET /jobs/<id>`` returns anyway, so a
+record that claims ``done`` carries its result in the same atomic write
+(crash windows leave a stale ``running`` record instead, which heartbeat
+staleness converts to ``failed``).  A result that is not JSON publishes a
+``failed`` record saying so.
 
 **Stale-job detection.**  Each owning worker touches its heartbeat file every
 ``heartbeat_seconds`` while its job manager is open.  A reader that finds a
@@ -43,13 +41,11 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import threading
 import time
 from pathlib import Path
 
 from repro.exceptions import ServiceError
-from repro.service.codec import SPILL_CONTAINER_SUFFIX, decode_entry, encode_entry
 
 __all__ = ["JobStore", "TERMINAL_STATUSES"]
 
@@ -108,12 +104,6 @@ class JobStore:
     def _record_path(self, job_id: str) -> Path:
         return self.root / f"{job_id}.json"
 
-    def _result_paths(self, job_id: str) -> tuple[Path, Path]:
-        return (
-            self.root / f"{job_id}{SPILL_CONTAINER_SUFFIX}",
-            self.root / f"{job_id}.pkl",
-        )
-
     def _owner_path(self, owner: int) -> Path:
         return self._owners / str(owner)
 
@@ -155,57 +145,30 @@ class JobStore:
         """Write one lifecycle transition to the shared store (best-effort).
 
         ``snapshot`` is a :meth:`~repro.service.jobs.Job.snapshot` dict; a
-        ``done`` snapshot's ``result`` is written first, through the spill
-        codec, so a reader can never observe ``done`` without its payload.
+        ``done`` snapshot's ``result`` goes into the record itself, so a
+        reader can never observe ``done`` without its payload.
         """
-        record = {
-            key: value for key, value in snapshot.items() if key != "result"
-        }
+        record = dict(snapshot)
         record["owner"] = int(owner)
         record["updated"] = time.time()
         try:
-            if snapshot.get("status") == "done" and "result" in snapshot:
-                self._write_result(str(snapshot["job"]), snapshot["result"])
+            try:
+                payload = json.dumps(record)
+            except (TypeError, ValueError) as exc:
+                record.pop("result", None)
+                record["status"] = "failed"
+                record["error"] = f"the job's result is not JSON: {exc}"
+                payload = json.dumps(record)
             self._write_atomic(
-                self._record_path(str(snapshot["job"])),
-                json.dumps(record).encode("utf-8"),
+                self._record_path(str(snapshot["job"])), payload.encode("utf-8")
             )
             if record["status"] in TERMINAL_STATUSES:
                 self.collect()
-        except (OSError, TypeError, ValueError, pickle.PicklingError):
+        except (OSError, TypeError, ValueError):
             # Publishing is best-effort: the owning process still answers its
             # own polls from memory; a lost record costs cross-worker
             # visibility, never correctness of the local job plane.
             pass
-
-    def _write_result(self, job_id: str, result: object) -> None:
-        container_path, pickle_path = self._result_paths(job_id)
-        key = ("job", job_id, "result")
-        payload = encode_entry(key, result)
-        if payload is not None:
-            self._write_atomic(container_path, payload)
-            pickle_path.unlink(missing_ok=True)
-        else:
-            self._write_atomic(
-                pickle_path,
-                pickle.dumps((key, result), protocol=pickle.HIGHEST_PROTOCOL),
-            )
-            container_path.unlink(missing_ok=True)
-
-    def _load_result(self, job_id: str) -> tuple[bool, object]:
-        container_path, pickle_path = self._result_paths(job_id)
-        key = ("job", job_id, "result")
-        ok, stored_key, value = decode_entry(container_path)
-        if ok and stored_key == key:
-            return True, value
-        try:
-            with pickle_path.open("rb") as handle:
-                stored_key, value = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ValueError):
-            return False, None
-        if stored_key != key:
-            return False, None
-        return True, value
 
     # Reading -------------------------------------------------------------------
 
@@ -239,18 +202,14 @@ class JobStore:
             except (OSError, TypeError, ValueError):
                 pass
             return self._snapshot_from(record)
+        snapshot = self._snapshot_from(record)
         if status == "done" and with_result:
-            found, result = self._load_result(job_id)
-            if not found:
-                record["status"] = "failed"
-                record["error"] = (
-                    "the job finished but its stored result is unreadable"
-                )
-                return self._snapshot_from(record)
-            snapshot = self._snapshot_from(record)
-            snapshot["result"] = result
-            return snapshot
-        return self._snapshot_from(record)
+            if "result" in record:
+                snapshot["result"] = record["result"]
+            else:  # e.g. written by a version that kept results in side files
+                snapshot["status"] = "failed"
+                snapshot["error"] = "the job finished but its record holds no result"
+        return snapshot
 
     @staticmethod
     def _snapshot_from(record: dict[str, object]) -> dict[str, object]:
@@ -295,7 +254,7 @@ class JobStore:
     # Retention -----------------------------------------------------------------
 
     def collect(self) -> int:
-        """Drop terminal records (and results) older than the retention window.
+        """Drop terminal records older than the retention window.
 
         Non-terminal records are never touched — a record can only age out
         *after* it went terminal, so collection can never un-exist a live
@@ -315,7 +274,6 @@ class JobStore:
             if not isinstance(updated, (int, float)) or updated >= horizon:
                 continue
             path.unlink(missing_ok=True)
-            for result_path in self._result_paths(str(record["job"])):
-                result_path.unlink(missing_ok=True)
             removed += 1
         return removed
+

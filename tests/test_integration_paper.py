@@ -3,7 +3,7 @@
 These tests exercise the full pipeline — data generation, web-corpus
 simulation, MDAV anonymization, fusion attack, metrics and the FRED optimizer
 — exactly the way the benchmark harness regenerates the paper's figures, and
-assert the qualitative *shape* claims listed in DESIGN.md §3.
+assert the qualitative *shape* claims of the paper's Section VI.
 """
 
 from __future__ import annotations

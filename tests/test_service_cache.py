@@ -107,8 +107,8 @@ class TestDiskTier:
     def test_corrupt_spill_entry_is_ignored(self, tmp_path):
         cache = TwoTierCache(capacity=4, spill_dir=tmp_path)
         cache.get_or_compute(("k",), lambda: "v")
-        for entry in tmp_path.glob("*.pkl"):
-            entry.write_bytes(b"not a pickle")
+        for entry in tmp_path.glob("*.npc"):
+            entry.write_bytes(b"not a container")
         fresh = TwoTierCache(capacity=4, spill_dir=tmp_path)
         assert fresh.get_or_compute(("k",), lambda: "recomputed") == "recomputed"
 
@@ -207,26 +207,38 @@ class TestContainerSpill:
                 assert np.array_equal(a, b)
         assert second.stats()["disk_hits"] == 1
 
-    def test_small_values_still_spill_as_pickle(self, tmp_path):
+    def test_small_values_spill_as_container(self, tmp_path):
         cache = TwoTierCache(capacity=4, spill_dir=tmp_path)
         cache.get_or_compute(("small",), lambda: {"payload": 1})
-        assert list(tmp_path.glob("*.pkl"))
-        assert not list(tmp_path.glob("*.npc"))
-        assert cache.stats()["container_spills"] == 0
+        assert len(list(tmp_path.glob("*.npc"))) == 1
+        assert not list(tmp_path.glob("*.pkl"))
+        assert cache.stats()["container_spills"] == 1
+        fresh = TwoTierCache(capacity=4, spill_dir=tmp_path)
+        assert fresh.get(("small",)) == {"payload": 1}
 
     def test_respill_drops_the_stale_twin(self, tmp_path):
-        """A key whose value changes codec never leaves both generations."""
+        """A respill replaces the key's one file; no second file ever appears."""
         cache = TwoTierCache(capacity=1, spill_dir=tmp_path)
-        cache.get_or_compute(("k",), lambda: {"payload": 1})  # pickle
+        cache.get_or_compute(("k",), lambda: {"payload": 1})
         cache.get_or_compute(("evict",), lambda: 0)  # push "k" out of memory
-        # Corrupt the pickle so the next lookup recomputes with a big value.
-        for entry in tmp_path.glob("*.pkl"):
-            entry.write_bytes(b"not a pickle")
+        # Corrupt the entry so the next lookup recomputes with a big value.
+        files = sorted(tmp_path.iterdir())
+        for entry in files:
+            entry.write_bytes(b"not a container")
         table = self._big_table()
-        cache.get_or_compute(("k",), lambda: table)  # respills as container
-        digests = {p.stem for p in tmp_path.iterdir() if p.suffix == ".npc"}
-        for digest in digests:
-            assert not (tmp_path / f"{digest}.pkl").exists()
+        cache.get_or_compute(("k",), lambda: table)  # respills in place
+        assert sorted(tmp_path.iterdir()) == files
+        assert all(p.suffix == ".npc" for p in files)
+        fresh = TwoTierCache(capacity=1, spill_dir=tmp_path)
+        assert fresh.get(("k",)).num_rows == table.num_rows
+
+    def test_unencodable_values_stay_in_memory(self, tmp_path):
+        cache = TwoTierCache(capacity=4, spill_dir=tmp_path)
+        value = [object()]
+        assert cache.get_or_compute(("odd",), lambda: value) is value
+        assert cache.get_or_compute(("odd",), lambda: pytest.fail("in memory")) is value
+        assert not list(tmp_path.iterdir())
+        assert cache.stats()["container_spills"] == 0
 
 
 class TestSpillGarbageCollection:
@@ -238,11 +250,11 @@ class TestSpillGarbageCollection:
         for i in range(6):
             cache.get_or_compute(("k", i), lambda i=i: {"payload": i})
             # Distinct mtimes so LRU order is deterministic.
-            for child in tmp_path.glob("*.pkl"):
+            for child in tmp_path.glob("*.npc"):
                 stamp = child.stat().st_mtime
                 os.utime(child, (stamp, stamp))
             time.sleep(0.01)
-        files = list(tmp_path.glob("*.pkl"))
+        files = list(tmp_path.glob("*.npc"))
         assert len(files) == 3
         assert cache.stats()["spill_evictions"] == 3
         # The survivors are the three most recently written entries.

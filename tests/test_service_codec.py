@@ -10,18 +10,12 @@ import pytest
 from repro.dataset.generalization import SUPPRESSED, CategorySet, Interval
 from repro.dataset.io import render_csv
 from repro.dataset.table import Table
-from repro.service.codec import (
-    SPILL_MIN_CELLS,
-    decode_entry,
-    encodable_cells,
-    encode_entry,
-)
+from repro.service.codec import decode_entry, encode_entry, read_key
 from repro.service.core import ReleaseArtifact
 
 
-def _write(tmp_path, key, value, force=True):
-    payload = encode_entry(key, value, force=force)
-    assert payload is not None
+def _write(tmp_path, key, value):
+    payload = encode_entry(key, value)
     path = tmp_path / "entry.npc"
     path.write_bytes(payload)
     return path
@@ -98,9 +92,9 @@ class TestTableRoundTrip:
         path = _write(tmp_path, ("mix",), table)
         _, _, value = decode_entry(path)
         decoded = list(value.column_array("x"))
-        # The big int forces the whole column through the pickle fallback,
-        # which preserves every cell exactly.
+        # The big int rides the JSON side list, which keeps it exact.
         assert decoded == cells
+        assert type(decoded[1]) is int and type(decoded[2]) is float
 
     def test_category_set_cells_survive(self, tmp_path):
         from repro.dataset.schema import Attribute, AttributeKind, AttributeRole, Schema
@@ -204,23 +198,87 @@ class TestGenericValues:
 
 
 class TestHeuristics:
-    def test_small_values_decline_a_container(self):
-        assert encode_entry(("k",), {"a": 1}) is None
-        assert encode_entry(("k",), [1.0] * (SPILL_MIN_CELLS - 1)) is None
+    """There is no size heuristic: every encodable value gets a container."""
+
+    def test_small_values_get_a_container(self, tmp_path):
+        for value in ({"a": 1}, [1.0] * 2047):
+            payload = encode_entry(("k",), value)
+            assert payload.startswith(b"#repro-npc1\n")
+            path = tmp_path / "small.npc"
+            path.write_bytes(payload)
+            assert decode_entry(path) == (True, ("k",), value)
 
     def test_large_values_get_one(self):
-        assert encode_entry(("k",), [1.0] * SPILL_MIN_CELLS) is not None
+        assert encode_entry(("k",), [1.0] * 2048).startswith(b"#repro-npc1\n")
 
-    def test_encodable_cells_counts_tables(self, simple_table):
-        assert (
-            encodable_cells(simple_table)
-            == simple_table.num_rows * simple_table.num_columns
-        )
+    def test_tables_of_any_size_get_a_container(self, simple_table, tmp_path):
+        path = _write(tmp_path, ("k",), simple_table)
+        ok, key, value = decode_entry(path)
+        assert ok and key == ("k",)
+        _tables_equal(simple_table, value)
 
-    def test_force_overrides_the_heuristic(self, tmp_path):
-        path = _write(tmp_path, ("k",), {"a": 1}, force=True)
+    def test_small_value_round_trips(self, tmp_path):
+        path = _write(tmp_path, ("k",), {"a": 1})
         ok, key, value = decode_entry(path)
         assert ok and key == ("k",) and value == {"a": 1}
+
+
+class TestPickleFree:
+    def test_key_lives_in_the_json_manifest(self, tmp_path):
+        key = ("fp", "release", "mdav", 4, "interval", None, 0.5, -0.0, 10**30)
+        path = _write(tmp_path, key, b"payload")
+        assert read_key(path) == key
+        ok, stored, _ = decode_entry(path)
+        assert ok and stored == key and isinstance(stored, tuple)
+        assert str(stored[7]) == "-0.0"
+
+    def test_read_key_decodes_no_value(self, tmp_path, monkeypatch):
+        from repro.service import codec
+
+        path = _write(tmp_path, ("k", 1), {"estimates": [0.5] * 100})
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("read_key must not decode the value")
+
+        monkeypatch.setattr(codec._Reader, "decode", forbidden)
+        assert read_key(path) == ("k", 1)
+
+    def test_json_leaves_round_trip_exactly(self, tmp_path):
+        value = {
+            "nan": float("nan"),
+            "inf": [float("inf"), float("-inf")],
+            "neg_zero": -0.0,
+            "big": 10**40,
+            "neg_big": -(10**25),
+            "flags": (True, False, None),
+        }
+        _, _, decoded = decode_entry(_write(tmp_path, ("j",), value))
+        assert np.isnan(decoded["nan"])
+        assert decoded["inf"] == [float("inf"), float("-inf")]
+        assert str(decoded["neg_zero"]) == "-0.0"
+        assert decoded["big"] == 10**40 and decoded["neg_big"] == -(10**25)
+        assert decoded["flags"] == (True, False, None)
+
+    def test_text_column_with_blanks_and_nul_suffixes(self, tmp_path):
+        from repro.dataset.schema import Attribute, AttributeKind, AttributeRole, Schema
+
+        schema = Schema([Attribute("name", AttributeRole.IDENTIFIER, AttributeKind.TEXT)])
+        for cells in (["ann", None, "bob", None], ["nul\x00", "plain"]):
+            column = np.empty(len(cells), dtype=object)
+            column[:] = cells
+            table = Table._from_arrays(schema, {"name": column}, len(cells))
+            _, _, value = decode_entry(_write(tmp_path, ("t",), table))
+            assert list(value.column_array("name")) == cells
+
+    def test_values_without_an_encoding_raise_type_error(self):
+        from repro.fusion.auxiliary import AuxiliaryRecord
+
+        with pytest.raises(TypeError):
+            encode_entry(("h",), [None, AuxiliaryRecord(name="a", attributes={})])
+        with pytest.raises(TypeError):
+            encode_entry(("o",), np.array([object()], dtype=object))
+        with pytest.raises(TypeError):
+            encode_entry(("nested", ("key",)), b"")
 
 
 class TestResilience:

@@ -18,7 +18,6 @@ import pytest
 
 from repro.exceptions import ServiceError, UnknownJobError
 from repro.service.cache import TwoTierCache
-from repro.service.codec import SPILL_CONTAINER_SUFFIX
 from repro.service.jobs import Job, JobManager
 from repro.service.jobstore import JobStore
 
@@ -44,26 +43,27 @@ class TestJobStoreRoundTrip:
         }
 
     def test_done_result_round_trips_through_the_codec(self, store, tmp_path):
-        result = {"levels": np.arange(4096, dtype=np.float64), "optimal_level": 3}
+        result = {"levels": np.arange(4096, dtype=np.float64).tolist(), "optimal_level": 3}
         store.heartbeat(owner=7)
         store.publish(
             {"job": "job-7-1", "description": "", "status": "done", "result": result},
             owner=7,
         )
-        # The array-bearing payload went through the container codec, not pickle.
-        assert (tmp_path / "jobs" / f"job-7-1{SPILL_CONTAINER_SUFFIX}").exists()
+        # The result is stored inline, as the JSON document it already is.
+        record = json.loads((tmp_path / "jobs" / "job-7-1.json").read_text())
+        assert record["result"] == result
         snapshot = store.load("job-7-1")
         assert snapshot["status"] == "done"
         np.testing.assert_array_equal(snapshot["result"]["levels"], result["levels"])
         assert snapshot["result"]["optimal_level"] == 3
 
-    def test_plain_result_round_trips_through_pickle(self, store, tmp_path):
+    def test_plain_result_round_trips_inline(self, store, tmp_path):
         store.heartbeat(owner=7)
         store.publish(
             {"job": "job-7-2", "description": "", "status": "done", "result": {"ok": 1}},
             owner=7,
         )
-        assert (tmp_path / "jobs" / "job-7-2.pkl").exists()
+        assert [p.name for p in (tmp_path / "jobs").glob("job-7-2*")] == ["job-7-2.json"]
         assert store.load("job-7-2")["result"] == {"ok": 1}
 
     def test_compact_load_skips_the_result(self, store):
@@ -83,17 +83,33 @@ class TestJobStoreRoundTrip:
         assert store.load("job-9-1") is None
         assert store.load("job-9-2") is None
 
-    def test_done_record_with_missing_payload_reports_failed(self, store):
+    def test_done_record_with_missing_payload_reports_failed(self, store, tmp_path):
         store.heartbeat(owner=7)
         store.publish(
             {"job": "job-7-4", "description": "", "status": "done", "result": {"ok": 1}},
             owner=7,
         )
-        for path in store._result_paths("job-7-4"):
-            path.unlink(missing_ok=True)
+        path = tmp_path / "jobs" / "job-7-4.json"
+        record = json.loads(path.read_text())
+        assert record["status"] == "done" and record["result"] == {"ok": 1}
+        # A done record without its result (the older two-file layout kept
+        # results beside the record) must not read as a null result.
+        del record["result"]
+        path.write_text(json.dumps(record))
         snapshot = store.load("job-7-4")
         assert snapshot["status"] == "failed"
-        assert "unreadable" in snapshot["error"]
+        assert "holds no result" in snapshot["error"]
+
+    def test_non_json_result_publishes_a_failed_record(self, store):
+        store.heartbeat(owner=7)
+        store.publish(
+            {"job": "job-7-5", "description": "", "status": "done", "result": object()},
+            owner=7,
+        )
+        snapshot = store.load("job-7-5")
+        assert snapshot["status"] == "failed"
+        assert "not JSON" in snapshot["error"]
+        assert "result" not in snapshot
 
     def test_parameter_validation(self, tmp_path):
         with pytest.raises(ServiceError, match="heartbeat"):
