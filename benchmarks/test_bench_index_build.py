@@ -8,7 +8,7 @@ construction on a 100,000-name corpus (quick mode: 10,000 names, 1.5x) while
 asserting the two builders produce *identical* artifacts: same normalized
 strings, same token matrix, same blocking postings, same perfect-match table.
 
-The second gate pins the ``executor="process"`` FRED fix: the sweep-wide
+The second gate pins the process-pool FRED fix: the sweep-wide
 harvest is serialized to the worker pool **exactly once** (through the pool
 initializer), not once per level — re-pickling the harvest per submitted
 level was the dominant cost of process-pool sweeps.
@@ -242,7 +242,6 @@ def test_process_sweep_pickles_harvest_exactly_once():
         levels=levels,
         stop_below_utility=False,
         parallelism=2,
-        executor="process",
     )
     anonymizer = FREDAnonymizer(source, attack_config, config)
     harvest = _CountingHarvest(anonymizer.harvest(population.private))

@@ -123,22 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--parallelism",
         type=int,
         default=1,
-        help="number of anonymization levels to evaluate concurrently",
-    )
-    fred.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="pool kind for parallel sweeps (process pools benefit from "
-        "--shared-index)",
-    )
-    fred.add_argument(
-        "--shared-index",
-        choices=("auto", "always", "never"),
-        default="auto",
-        help="publish the linkage index to POSIX shared memory for "
-        "--executor process sweeps so workers attach zero-copy instead of "
-        "unpickling private replicas (auto: when shared memory is available)",
+        help="number of worker processes evaluating anonymization levels",
     )
     _add_linkage_arguments(fred)
 
@@ -171,10 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--job-workers", type=int, default=2, help="worker threads for async FRED jobs"
-    )
-    serve.add_argument(
-        "--fred-parallelism", type=int, default=1,
-        help="default per-sweep level parallelism for FRED jobs",
     )
     serve.add_argument(
         "--max-body-mb", type=int, default=64,
@@ -355,8 +336,6 @@ def _command_fred(arguments: argparse.Namespace) -> int:
             objective=WeightedObjective(arguments.protection_weight, arguments.utility_weight),
             stop_below_utility=arguments.utility_threshold is not None,
             parallelism=arguments.parallelism,
-            executor=arguments.executor,
-            shared_index=arguments.shared_index,
         ),
     )
     result = fred.run(private)
@@ -382,7 +361,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         cache_capacity=arguments.cache_size,
         cache_dir=str(cache_dir) if cache_dir is not None else None,
         job_workers=arguments.job_workers,
-        fred_parallelism=arguments.fred_parallelism,
         max_spill_bytes=(
             arguments.max_spill_mb * 1024 * 1024
             if arguments.max_spill_mb is not None

@@ -28,13 +28,13 @@ cells), the fuzzy engines form the ``(N, n_rules)`` firing-strength matrix and
 defuzzify every record in one vectorized pass (see
 :mod:`repro.fusion.attack`, *Batch data layout*).  On top of that, level
 evaluations are **independent jobs**: ``FREDConfig(parallelism=w)`` dispatches
-them across a ``concurrent.futures`` pool (``executor="thread"`` by default;
-``"process"`` for CPU-bound sweeps with picklable anonymizers/sources) and
-merges the results deterministically — outcomes are collected in level order
-and, when ``stop_below_utility`` is set, truncated after the first level whose
-utility falls below ``Tu``, so a parallel sweep returns exactly the outcomes a
-serial sweep would (levels past the stopping point are evaluated
-speculatively and discarded).
+them across a pool of ``w`` worker processes (the anonymizer, auxiliary source
+and attack factory must be picklable) and merges the results
+deterministically — outcomes are collected in level order and, when
+``stop_below_utility`` is set, truncated after the first level whose utility
+falls below ``Tu``, so a parallel sweep returns exactly the outcomes a serial
+sweep would (levels past the stopping point are evaluated speculatively and
+discarded).
 
 Sweep-wide harvest reuse
 ------------------------
@@ -53,8 +53,9 @@ and skip linkage entirely.
 
 from __future__ import annotations
 
+import numbers
 import pickle
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -71,7 +72,6 @@ from repro.exceptions import (
 )
 from repro.fusion.attack import AttackConfig, AttackResult, WebFusionAttack
 from repro.fusion.auxiliary import AuxiliarySource
-from repro.linkage.shm import SharedLinkageIndex, shared_memory_available
 from repro.metrics.dissimilarity import (
     dissimilarity_after_fusion,
     dissimilarity_before_fusion,
@@ -107,31 +107,17 @@ class FREDConfig:
         level whose utility drops below ``Tu``.  When False the whole sweep is
         evaluated regardless.
     parallelism:
-        Number of anonymization levels to evaluate concurrently.  ``1``
-        (the default) keeps the historical serial sweep; larger values
-        dispatch level evaluations across a ``concurrent.futures`` pool with
-        a deterministic merge (see the module docstring).  With
-        ``stop_below_utility`` set, levels past the stopping point may be
-        evaluated speculatively but are discarded from the result.
-    executor:
-        Pool flavour for ``parallelism > 1``: ``"thread"`` (default; the
-        vectorized fusion kernels spend their time in numpy, which releases
-        the GIL) or ``"process"`` (requires the anonymizer, auxiliary source
-        and attack factory to be picklable).
+        Number of worker processes evaluating anonymization levels.  ``1``
+        (the default) keeps the serial sweep; larger values dispatch level
+        evaluations across a process pool with a deterministic merge (see
+        the module docstring).  With ``stop_below_utility`` set, levels past
+        the stopping point may be evaluated speculatively but are discarded
+        from the result.
     reuse_harvest:
         Harvest the auxiliary source once per sweep and share the result
         across every level (the harvest is level-independent; see the module
         docstring).  Disable to re-harvest at every level — only useful for
         adversary ablations whose attack factory varies the source per level.
-    shared_index:
-        How ``executor="process"`` sweeps ship the source's linkage index to
-        the pool.  ``"auto"`` (default) publishes it to one
-        ``multiprocessing.shared_memory`` segment that every worker maps
-        zero-copy (:mod:`repro.linkage.shm`) whenever shared memory is
-        available, falling back to pickled replicas otherwise; ``"always"``
-        insists on the shared segment (raising where shared memory is
-        unavailable); ``"never"`` keeps the historical pickled-replica path.
-        Ignored by thread sweeps (one process, one index already).
     """
 
     levels: tuple[int, ...] = tuple(range(2, 17))
@@ -141,47 +127,30 @@ class FREDConfig:
     anonymizer: BaseAnonymizer = field(default_factory=MDAVAnonymizer)
     stop_below_utility: bool = True
     parallelism: int = 1
-    executor: str = "thread"
     reuse_harvest: bool = True
-    shared_index: str = "auto"
 
     def __post_init__(self) -> None:
         if not self.levels:
             raise FREDConfigurationError("the FRED sweep needs at least one level")
+        if not all(_is_int(k) for k in self.levels):
+            raise FREDConfigurationError("anonymization levels must be integers")
         if any(k < 1 for k in self.levels):
             raise FREDConfigurationError("anonymization levels must be >= 1")
         if list(self.levels) != sorted(self.levels):
             raise FREDConfigurationError("anonymization levels must be ascending")
         if len(set(self.levels)) != len(self.levels):
             raise FREDConfigurationError("anonymization levels must be distinct")
+        if not _is_int(self.parallelism):
+            raise FREDConfigurationError(
+                f"parallelism must be an integer, got {self.parallelism!r}"
+            )
         if self.parallelism < 1:
             raise FREDConfigurationError("parallelism must be >= 1")
-        if self.executor not in ("thread", "process"):
-            raise FREDConfigurationError(
-                f"unknown executor {self.executor!r}; options: ['process', 'thread']"
-            )
-        if self.shared_index not in ("auto", "always", "never"):
-            raise FREDConfigurationError(
-                f"unknown shared_index mode {self.shared_index!r}; "
-                "options: ['always', 'auto', 'never']"
-            )
 
-    def resolved_shared_index(self) -> bool:
-        """Whether a process sweep will publish the index to shared memory.
 
-        ``"always"`` raises here when shared memory is unavailable — failing
-        at configuration-resolution time, not in the middle of the pool.
-        """
-        if self.shared_index == "never":
-            return False
-        if self.shared_index == "always":
-            if not shared_memory_available():
-                raise FREDConfigurationError(
-                    "shared_index='always' but multiprocessing.shared_memory "
-                    "is unavailable on this interpreter"
-                )
-            return True
-        return shared_memory_available()
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is an integer (numpy integers count; bools do not)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -301,7 +270,7 @@ class _DefaultAttackFactory:
     corpus's :class:`~repro.linkage.LinkageIndex` is constructed once and the
     sweep-wide harvest produced through one attack is valid for all of them.
     A module-level class (rather than a closure) so a ``FREDAnonymizer`` stays
-    picklable for ``executor="process"`` sweeps.
+    picklable for process-pool sweeps.
     """
 
     source: AuxiliarySource
@@ -333,7 +302,7 @@ class _HarvestedSource(AuxiliarySource):
         )
 
 
-# Per-process state for `executor="process"` sweeps: the shared sweep context
+# Per-process state for parallel sweeps: the shared sweep context
 # (anonymizer, private table, harvest), unpickled once per worker from the
 # initializer payload instead of once per submitted level.
 _SWEEP_CONTEXT: dict[str, tuple] = {}
@@ -455,8 +424,7 @@ class FREDAnonymizer:
         read-only by every level evaluation.
 
         With ``config.parallelism > 1`` the per-level evaluations — which are
-        independent jobs — run concurrently on a ``concurrent.futures`` pool
-        and are merged deterministically in level order; the utility stopping
+        independent jobs — run concurrently on a process pool and are merged deterministically in level order; the utility stopping
         rule is applied to the merged sequence, so the returned outcomes are
         identical to a serial sweep's.
         """
@@ -499,65 +467,28 @@ class FREDAnonymizer:
         at a level the serial loop would never have reached (e.g. an
         infeasible ``k`` past the utility stop) must not fail the sweep.
         """
-        workers = min(self.config.parallelism, len(levels))
-        pool: Executor
-        if self.config.executor == "process":
-            # Serialize the shared per-sweep state (anonymizer, private table,
-            # harvest) exactly once and ship it through the pool initializer;
-            # per-level submissions then carry only the level number.  The
-            # naive `pool.submit(self.evaluate_level, private, k, harvest)`
-            # re-pickled the whole harvest for every level.
-            ship = self
-            if harvest is not None and isinstance(
-                self._attack_factory, _DefaultAttackFactory
-            ):
-                # Workers only replay the precomputed harvest, so the real
-                # auxiliary corpus (text + linkage index) need not travel.
-                stub = _HarvestedSource(self.source.attribute_names)
-                ship = FREDAnonymizer.__new__(FREDAnonymizer)
-                ship.source = stub
-                ship.attack_config = self.attack_config
-                ship.config = self.config
-                ship._attack_factory = _DefaultAttackFactory(
-                    stub, self.attack_config
-                )
-            publication = None
-            if self.config.resolved_shared_index():
-                index = getattr(ship.source, "linkage_index", None)
-                if index is not None:
-                    # Publish the linkage index to a shared-memory segment:
-                    # the anonymizer then pickles as a ~1 KB manifest and
-                    # every worker attaches zero-copy instead of rebuilding
-                    # the flat buffers from a private replica.
-                    publication = SharedLinkageIndex.publish(index)
-            try:
-                payload = pickle.dumps(
-                    (ship, private, harvest), protocol=pickle.HIGHEST_PROTOCOL
-                )
-                pool = ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_sweep_worker_init,
-                    initargs=(payload,),
-                )
-                with pool:
-                    futures = [
-                        pool.submit(_sweep_worker_evaluate, k) for k in levels
-                    ]
-                    results: list[LevelOutcome | BaseException] = []
-                    for future in futures:
-                        try:
-                            results.append(future.result())
-                        except Exception as error:
-                            results.append(error)
-                    return results
-            finally:
-                if publication is not None:
-                    publication.close()
-        pool = ThreadPoolExecutor(max_workers=workers)
-        with pool:
-            futures = [
-                pool.submit(self.evaluate_level, private, k, harvest) for k in levels
-            ]
+        # Serialize the shared per-sweep state (anonymizer, private table,
+        # harvest) exactly once and ship it through the pool initializer;
+        # per-level submissions then carry only the level number.
+        ship = self
+        if harvest is not None and isinstance(
+            self._attack_factory, _DefaultAttackFactory
+        ):
+            # Workers only replay the precomputed harvest, so the real
+            # auxiliary corpus (text + linkage index) need not travel.
+            stub = _HarvestedSource(self.source.attribute_names)
+            ship = FREDAnonymizer.__new__(FREDAnonymizer)
+            ship.source = stub
+            ship.attack_config = self.attack_config
+            ship.config = self.config
+            ship._attack_factory = _DefaultAttackFactory(stub, self.attack_config)
+        payload = pickle.dumps((ship, private, harvest), protocol=pickle.HIGHEST_PROTOCOL)
+        with ProcessPoolExecutor(
+            max_workers=min(self.config.parallelism, len(levels)),
+            initializer=_sweep_worker_init,
+            initargs=(payload,),
+        ) as pool:
+            futures = [pool.submit(_sweep_worker_evaluate, k) for k in levels]
             results: list[LevelOutcome | BaseException] = []
             for future in futures:
                 try:

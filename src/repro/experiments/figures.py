@@ -137,8 +137,8 @@ class SweepData:
 def run_sweep(setup: ExperimentSetup | None = None, parallelism: int = 1) -> SweepData:
     """Run the k-sweep with the fusion attack simulated at every level.
 
-    ``parallelism > 1`` evaluates the levels concurrently (they are
-    independent jobs); the per-level series are identical either way thanks to
+    ``parallelism > 1`` evaluates the levels concurrently on that many worker
+    processes (they are independent jobs); the per-level series are identical either way thanks to
     FRED's deterministic merge.
     """
     setup = setup or default_setup()

@@ -130,9 +130,8 @@ class AuxiliarySource(abc.ABC):
         """The source's record-linkage index, if it resolves names through one.
 
         Linkage-backed sources override this (building their index if it is
-        lazy), which lets process-pool sweeps publish the index to shared
-        memory (:mod:`repro.linkage.shm`) instead of pickling a replica per
-        worker.  ``None`` means the source has nothing to share.
+        lazy) so callers can inspect or measure the index they resolve names
+        through.  ``None`` means the source resolves names without one.
         """
         return None
 
@@ -336,8 +335,8 @@ class TableAuxiliarySource(AuxiliarySource):
         # Only the exact-lookup mode ever reads the name list / dict, and they
         # duplicate the table's name column — rebuild them on first use
         # instead of eagerly, so a linkage-backed source unpickled into a
-        # process-pool worker (or attached over shared memory) never pays a
-        # per-worker allocation proportional to the corpus.
+        # process-pool worker never pays a per-worker allocation proportional
+        # to the corpus.
         self._names = None
         self._by_name = None
         self._columns = {

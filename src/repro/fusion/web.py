@@ -256,8 +256,7 @@ class SimulatedWebCorpus(AuxiliarySource):
     def linkage_index(self):
         """The corpus's linkage index (built if still lazy).
 
-        Overrides :attr:`AuxiliarySource.linkage_index` so process-pool FRED
-        sweeps can publish the index to shared memory.
+        Overrides :attr:`AuxiliarySource.linkage_index`.
         """
         return self._matcher.index
 

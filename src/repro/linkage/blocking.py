@@ -358,42 +358,16 @@ class BlockingIndex:
             "rows": np.ascontiguousarray(rows, dtype=np.intp),
         }
 
-    @classmethod
-    def _from_flat(
-        cls,
-        scheme: str,
-        qgram_size: int,
-        size: int,
-        keys_joined: str,
-        counts: np.ndarray,
-        rows: np.ndarray,
-    ) -> "BlockingIndex":
-        """Rebuild an index around flat posting buffers without copying them.
-
-        The postings dict holds slices of ``rows`` — pickling
-        (:meth:`__setstate__`) and the shared-memory attach
-        (:mod:`repro.linkage.shm`) both reconstruct this way, so a worker
-        attaching to a shared segment allocates only the (small) dict of
-        views, never the posting rows themselves.
-        """
-        clone = object.__new__(cls)
-        clone.scheme = scheme
-        clone.qgram_size = qgram_size
-        clone._size = size
-        keys = keys_joined.split("\n") if keys_joined else []
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        clone._postings = {
+    def __setstate__(self, state: dict) -> None:
+        # The postings dict holds slices of the flat ``rows`` buffer, so
+        # unpickling allocates only the (small) dict of views, never the
+        # posting rows themselves.
+        self.scheme = state["scheme"]
+        self.qgram_size = state["qgram_size"]
+        self._size = state["size"]
+        keys = state["keys"].split("\n") if state["keys"] else []
+        offsets = np.concatenate(([0], np.cumsum(state["counts"])))
+        rows = state["rows"]
+        self._postings = {
             key: rows[offsets[i] : offsets[i + 1]] for i, key in enumerate(keys)
         }
-        return clone
-
-    def __setstate__(self, state: dict) -> None:
-        rebuilt = BlockingIndex._from_flat(
-            state["scheme"],
-            state["qgram_size"],
-            state["size"],
-            state["keys"],
-            state["counts"],
-            state["rows"],
-        )
-        self.__dict__.update(rebuilt.__dict__)

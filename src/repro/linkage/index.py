@@ -43,7 +43,7 @@ NumPy buffers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -171,7 +171,7 @@ class LinkageIndex:
         threshold: float,
         prefix_scale: float,
         row_offset: int,
-        names_joined: "str | Callable[[], str]",
+        names_joined: str,
         name_offsets: np.ndarray,
         flat_codes: np.ndarray,
         lengths: np.ndarray,
@@ -181,21 +181,13 @@ class LinkageIndex:
         post_rows: np.ndarray,
         post_offsets: np.ndarray,
         blocking: BlockingIndex,
-        codes: np.ndarray | None = None,
-        token_matrix: np.ndarray | None = None,
-        perfect_sorted: tuple[np.ndarray, np.ndarray] | None = None,
-        char_bounds: "tuple[np.ndarray, np.ndarray] | None | object" = _UNSET,
     ) -> None:
         """Adopt the flat buffers and rebuild the derived padded matrices.
 
         The buffers are the index's canonical state (what pickling ships and
         :meth:`shard` slices); everything else — padded code/token matrices,
         the vocabulary dict, the perfect-match table, pruning counts, the
-        materialized name list — is derived, vectorized or lazy.  A
-        shared-memory attach (:mod:`repro.linkage.shm`) passes the padded
-        ``codes`` / ``token_matrix`` as segment views so no worker re-derives
-        them, and ``names_joined`` may be a zero-argument callable decoding
-        the joined corpus text on first use.
+        materialized name list — is derived, vectorized or lazy.
         """
         self.threshold = threshold
         self.prefix_scale = prefix_scale
@@ -206,28 +198,18 @@ class LinkageIndex:
         self._name_offsets = name_offsets
         self._flat_codes = flat_codes
         self._lengths = lengths
-        self._codes = (
-            pad_ragged(flat_codes, lengths, PAD, np.int32) if codes is None else codes
-        )
+        self._codes = pad_ragged(flat_codes, lengths, PAD, np.int32)
         self._vocab = vocab
         self._vocabulary = {token: i for i, token in enumerate(vocab)}
         self._token_ids = token_ids
         self._token_counts = token_counts
-        self._token_matrix = (
-            pad_ragged(token_ids, token_counts, PAD, np.int64)
-            if token_matrix is None
-            else token_matrix
-        )
+        self._token_matrix = pad_ragged(token_ids, token_counts, PAD, np.int64)
         self._token_post_rows = post_rows
         self._token_post_offsets = post_offsets
         self._blocking = blocking
         self._names_list: list[str] | None = None
         self._perfect_cache: dict[bytes, int] | None = None
-        #: Shared-memory form of the perfect-match table (attachers only): a
-        #: byte-lexicographically sorted ``uint8`` key matrix plus the matching
-        #: corpus rows, published once by the segment owner.
-        self._perfect_sorted = perfect_sorted
-        self._char_cache: tuple[np.ndarray, np.ndarray] | None | object = char_bounds
+        self._char_cache: tuple[np.ndarray, np.ndarray] | None | object = _UNSET
         #: Grow-by-doubling capacity buffers backing :meth:`extend`, keyed by
         #: buffer name; reset whenever fresh buffers are adopted.
         self._growable: dict[str, np.ndarray] = {}
@@ -249,22 +231,9 @@ class LinkageIndex:
         """The blocking index (scheme, keys, candidate sets)."""
         return self._blocking
 
-    def _joined_names(self) -> str:
-        """The concatenated corpus names, decoding a lazy blob on first use.
-
-        A shared-memory attach stores the joined text as UTF-8 bytes in the
-        segment and hands ``_names_joined`` as a decode callable — workers
-        that never report a candidate name never pay the private-memory cost
-        of the decoded string.
-        """
-        joined = self._names_joined
-        if not isinstance(joined, str):
-            joined = self._names_joined = joined()
-        return joined
-
     def _materialized_names(self) -> list[str]:
         if self._names_list is None:
-            joined, offsets = self._joined_names(), self._name_offsets
+            joined, offsets = self._names_joined, self._name_offsets
             self._names_list = [
                 joined[int(offsets[i]) : int(offsets[i + 1])]
                 for i in range(offsets.shape[0] - 1)
@@ -275,7 +244,7 @@ class LinkageIndex:
         if self._names_list is not None:
             return self._names_list[row]
         offsets = self._name_offsets
-        return self._joined_names()[int(offsets[row]) : int(offsets[row + 1])]
+        return self._names_joined[int(offsets[row]) : int(offsets[row + 1])]
 
     # Lazy derived state -------------------------------------------------------------
 
@@ -314,22 +283,6 @@ class LinkageIndex:
         ids.sort()
         key = np.full(width, PAD, dtype=np.int64)
         key[: len(ids)] = ids
-        shared = self._perfect_sorted
-        if shared is not None:
-            # Attached over shared memory: binary-search the owner's sorted
-            # key matrix instead of building a private dict per worker.
-            keys, rows = shared
-            target = key.tobytes()
-            lo, hi = 0, keys.shape[0]
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if keys[mid].tobytes() < target:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo < keys.shape[0] and keys[lo].tobytes() == target:
-                return int(rows[lo])
-            return None
         return self._perfect_rows().get(key.tobytes())
 
     def _char_bounds(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -762,19 +715,8 @@ class LinkageIndex:
         re-tokenization or re-sort of the existing rows.  The lazy
         perfect-match and char-bound caches are patched in place when the
         append leaves their shape valid and invalidated otherwise.
-
-        A shared-memory *attacher* (read-only views over another process's
-        segment) cannot grow its buffers — extending one raises
-        :class:`~repro.exceptions.LinkageError`; extend the publishing index
-        instead, which refreshes its publication automatically.  Extending a
-        :meth:`shard` is allowed and appends rows at the shard's end.
+        Extending a :meth:`shard` appends rows at the shard's end.
         """
-        if getattr(self, "_shm_attachment", None) is not None:
-            raise LinkageError(
-                "cannot extend a shared-memory attached LinkageIndex: its "
-                "buffers are read-only views over the owner's segment; "
-                "extend the publishing index and re-attach"
-            )
         names = [str(name) for name in corpus_names]
         if not names:
             return
@@ -877,7 +819,7 @@ class LinkageIndex:
         )
 
         # Adopt the grown buffers.
-        self._names_joined = self._joined_names() + "".join(names)
+        self._names_joined += "".join(names)
         self._name_offsets = self._grown(
             "name_offsets",
             self._name_offsets,
@@ -942,10 +884,6 @@ class LinkageIndex:
                 # New characters widen the alphabet; rebuild lazily.
                 self._char_cache = _UNSET
 
-        publication = getattr(self, "_shm_publication", None)
-        if publication is not None and publication.active:
-            publication.refresh()
-
     # Serialization / sharding ---------------------------------------------------------
 
     def __getstate__(self) -> dict:
@@ -955,22 +893,13 @@ class LinkageIndex:
         by :meth:`__setstate__`, so pickling an index (process-pool sweeps,
         cache spill) costs one contiguous copy per buffer instead of a deep
         object graph.
-
-        While the index is published to shared memory
-        (:meth:`repro.linkage.shm.SharedLinkageIndex.publish`), pickling
-        ships only the segment manifest — a version-2 state a few hundred
-        bytes long — and :meth:`__setstate__` attaches zero-copy views over
-        the one shared segment instead of rebuilding buffers per process.
         """
-        publication = getattr(self, "_shm_publication", None)
-        if publication is not None and publication.active:
-            return {"version": 2, "shm": publication.manifest}
         return {
             "version": 1,
             "threshold": self.threshold,
             "prefix_scale": self.prefix_scale,
             "row_offset": self.row_offset,
-            "names_joined": self._joined_names(),
+            "names_joined": self._names_joined,
             "name_offsets": self._name_offsets,
             "flat_codes": np.ascontiguousarray(self._flat_codes),
             "lengths": self._lengths,
@@ -983,11 +912,6 @@ class LinkageIndex:
         }
 
     def __setstate__(self, state: dict) -> None:
-        if state.get("version") == 2:
-            from repro.linkage.shm import attach_into
-
-            attach_into(self, state["shm"])
-            return
         vocab = tuple(state["vocab"].split(" ")) if state["vocab"] else ()
         self._attach_buffers(
             threshold=state["threshold"],
@@ -1050,7 +974,7 @@ class LinkageIndex:
             threshold=self.threshold,
             prefix_scale=self.prefix_scale,
             row_offset=self.row_offset + start,
-            names_joined=self._joined_names()[
+            names_joined=self._names_joined[
                 int(name_offsets[start]) : int(name_offsets[stop])
             ],
             name_offsets=name_offsets[start : stop + 1] - name_offsets[start],

@@ -1,85 +1,14 @@
-"""Zero-copy shared-memory backing for :class:`~repro.linkage.LinkageIndex`.
+"""Probe for POSIX shared-memory support.
 
-A process-pool FRED sweep historically shipped the linkage index to every
-worker as a pickled replica: N workers, N index-sized allocations.  This
-module publishes the index's flat buffers — character codes, padded
-code/token matrices, token postings, blocking postings, the joined corpus
-text — into **one** ``multiprocessing.shared_memory`` segment, and lets any
-process reconstruct a fully functional index as read-only array views over
-that segment: N workers, one index-sized allocation total.
-
-Ownership is explicit:
-
-* :meth:`SharedLinkageIndex.publish` copies the buffers into a fresh segment
-  and returns the owning handle.  While the publication is open, *pickling
-  the source index ships only the segment manifest* (a few hundred bytes), so
-  existing process-pool plumbing — ``pickle.dumps((anonymizer, table,
-  harvest))`` — becomes zero-copy with no call-site changes beyond opening
-  the publication.
-* :func:`attach` (or unpickling a manifest-bearing state) opens the segment
-  and builds an index over segment views.  Attachers never unlink; the
-  attach-side ``resource_tracker`` registration is explicitly undone so a
-  worker exiting can neither destroy the segment under its siblings nor spam
-  "leaked shared_memory" warnings.
-* The owner unlinks the segment in :meth:`SharedLinkageIndex.close`, via a
-  ``weakref.finalize`` at garbage collection, or at interpreter exit —
-  whichever comes first; a hard kill is mopped up by the standard
-  ``resource_tracker`` (the owner stays registered on purpose).
-
-When shared memory is unavailable (``/dev/shm`` missing, sandboxed
-interpreter), :func:`shared_memory_available` reports it and callers fall
-back to the version-1 pickle-replica path unchanged.
+:func:`shared_memory_available` reports whether this interpreter can create
+and map ``multiprocessing.shared_memory`` segments (``/dev/shm`` present, no
+sandbox in the way).  Environment stamps — ``GET /stats`` and the benchmark
+metadata — record it so numbers from different hosts can be told apart.
 """
 
 from __future__ import annotations
 
-import atexit
-import os
-import weakref
-from typing import TYPE_CHECKING
-
-import numpy as np
-
-from repro.exceptions import LinkageError
-from repro.linkage.blocking import BlockingIndex
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (index pickles via us)
-    from repro.linkage.index import LinkageIndex
-
-__all__ = [
-    "SharedLinkageIndex",
-    "attach",
-    "attach_into",
-    "estimate_publish_bytes",
-    "shared_memory_available",
-    "shared_memory_free_bytes",
-]
-
-#: Segment offsets are rounded up to this boundary so every array view is
-#: cache-line aligned regardless of the preceding array's length.
-_ALIGN = 64
-
-#: Arrays whose published prefix never changes when the source index is
-#: :meth:`~repro.linkage.index.LinkageIndex.extend`-ed: appends go strictly
-#: after the existing elements (2-D arrays only while their width is stable),
-#: so a :meth:`SharedLinkageIndex.refresh` may tail-write them in place
-#: without disturbing attachers holding pre-append shapes.  Postings and
-#: blocking buffers are spliced, not appended, and always move to a fresh
-#: auxiliary segment instead.
-_PREFIX_STABLE = frozenset(
-    {
-        "name_offsets",
-        "flat_codes",
-        "lengths",
-        "codes",
-        "token_ids",
-        "token_counts",
-        "token_matrix",
-        "names_text",
-        "vocab_text",
-        "block_keys_text",
-    }
-)
+__all__ = ["shared_memory_available"]
 
 _AVAILABLE: bool | None = None
 
@@ -91,7 +20,7 @@ def shared_memory_available() -> bool:
         try:
             from multiprocessing import shared_memory
 
-            probe = shared_memory.SharedMemory(create=True, size=_ALIGN)
+            probe = shared_memory.SharedMemory(create=True, size=64)
             try:
                 probe.buf[0] = 1
                 _AVAILABLE = probe.buf[0] == 1
@@ -101,536 +30,3 @@ def shared_memory_available() -> bool:
         except Exception:
             _AVAILABLE = False
     return _AVAILABLE
-
-
-def _release_segment(shm) -> None:
-    """Owner-side cleanup: unlink the segment, tolerating repeats/races."""
-    try:
-        shm.close()
-    except BufferError:
-        # Views are still exported somewhere in this process; the mapping
-        # lives until they die, but the name can and should go away now.
-        pass
-    except OSError:
-        pass
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        pass
-    except OSError:
-        pass
-
-
-# Attach-side segments, one per name per process: every unpickled manifest
-# reuses the same mapping, and all of them close together at interpreter exit.
-_ATTACHED_SEGMENTS: dict[str, object] = {}
-
-# Segments created by THIS process.  An in-process attach (owner unpickling
-# its own payload, `publication.attach()`) must leave the owner's resource
-# tracker registration in place — it is the crash safety net.
-_OWNED_NAMES: set[str] = set()
-
-
-def _close_attached_segments() -> None:
-    for shm in _ATTACHED_SEGMENTS.values():
-        try:
-            shm.close()
-        except Exception:
-            pass
-    _ATTACHED_SEGMENTS.clear()
-
-
-atexit.register(_close_attached_segments)
-
-
-def _open_segment(name: str):
-    """Map segment ``name`` read-write, once per process, without tracking.
-
-    The stdlib registers *attaching* processes with the resource tracker too,
-    which makes the first worker to exit unlink the segment under everyone
-    else (and print spurious leak warnings).  Attachers are not owners:
-    undo the registration immediately.
-    """
-    shm = _ATTACHED_SEGMENTS.get(name)
-    if shm is not None:
-        return shm
-    from multiprocessing import resource_tracker, shared_memory
-
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError as error:
-        raise LinkageError(
-            f"shared linkage segment {name!r} is gone; was the publishing "
-            "process closed before its workers attached?"
-        ) from error
-    if name not in _OWNED_NAMES:
-        try:
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-    _ATTACHED_SEGMENTS[name] = shm
-    return shm
-
-
-def _segment_arrays(index: "LinkageIndex") -> dict[str, np.ndarray]:
-    """Every buffer the segment carries, as contiguous fixed-dtype arrays.
-
-    Includes the *derived* padded matrices (``_codes``, ``_token_matrix``):
-    re-deriving them on attach would cost each worker a private allocation as
-    large as the originals, defeating the point of sharing.  Text (joined
-    names, vocabulary, blocking keys) rides as UTF-8 bytes and is decoded
-    lazily — or not at all — on the attach side.
-    """
-    blocking_state = index._blocking.__getstate__()
-    text = index._joined_names().encode("utf-8")
-    vocab_text = " ".join(index._vocab).encode("utf-8")
-    keys_text = blocking_state["keys"].encode("utf-8")
-    return {
-        "name_offsets": np.ascontiguousarray(index._name_offsets, dtype=np.int64),
-        "flat_codes": np.ascontiguousarray(index._flat_codes, dtype=np.int32),
-        "lengths": np.ascontiguousarray(index._lengths, dtype=np.int32),
-        "codes": np.ascontiguousarray(index._codes, dtype=np.int32),
-        "token_ids": np.ascontiguousarray(index._token_ids, dtype=np.int64),
-        "token_counts": np.ascontiguousarray(index._token_counts, dtype=np.int64),
-        "token_matrix": np.ascontiguousarray(index._token_matrix, dtype=np.int64),
-        "post_rows": np.ascontiguousarray(index._token_post_rows, dtype=np.int64),
-        "post_offsets": np.ascontiguousarray(
-            index._token_post_offsets, dtype=np.int64
-        ),
-        "names_text": np.frombuffer(text, dtype=np.uint8),
-        "vocab_text": np.frombuffer(vocab_text, dtype=np.uint8),
-        "block_keys_text": np.frombuffer(keys_text, dtype=np.uint8),
-        "block_counts": np.ascontiguousarray(
-            blocking_state["counts"], dtype=np.int64
-        ),
-        "block_rows": np.ascontiguousarray(blocking_state["rows"], dtype=np.int64),
-    }
-
-
-def _cache_arrays(index: "LinkageIndex") -> tuple[dict[str, np.ndarray], bool]:
-    """The query-time lazy caches in shared-segment form.
-
-    The perfect-match table is shipped as a byte-lexicographically sorted
-    ``uint8`` key matrix (each row the padded token-id bytes of one distinct
-    token set) plus the lowest corpus row per key — attachers binary-search
-    it instead of each building a private ``dict`` as large as the corpus.
-    The char-bound matrix is shipped as-is; the second return value flags a
-    corpus whose alphabet disabled count pruning (``_char_bounds() is None``).
-    """
-    matrix = np.ascontiguousarray(index._token_matrix)
-    nonzero = np.flatnonzero(index._token_counts > 0)
-    count = nonzero.shape[0]
-    stride = matrix.shape[1] * matrix.itemsize
-    byte_matrix = (
-        np.ascontiguousarray(matrix[nonzero]).view(np.uint8).reshape(count, stride)
-    )
-    if count:
-        # Stable lexsort + keep-first: rows ascend, so the first row of each
-        # equal-key run is the lowest — the dict's setdefault rule.
-        order = np.lexsort(byte_matrix.T[::-1])
-        keys = byte_matrix[order]
-        rows = nonzero[order]
-        if count > 1:
-            keep = np.concatenate(
-                ([True], np.any(keys[1:] != keys[:-1], axis=1))
-            )
-            keys = keys[keep]
-            rows = rows[keep]
-    else:
-        keys = np.empty((0, stride), dtype=np.uint8)
-        rows = nonzero
-    arrays = {
-        "perfect_keys": np.ascontiguousarray(keys),
-        "perfect_rows": np.ascontiguousarray(rows, dtype=np.int64),
-    }
-    bounds = index._char_bounds()
-    char_none = bounds is None
-    if not char_none:
-        alphabet, counts = bounds
-        arrays["char_alphabet"] = np.ascontiguousarray(alphabet, dtype=np.int32)
-        arrays["char_counts"] = np.ascontiguousarray(counts, dtype=np.int32)
-    return arrays, char_none
-
-
-def _slot_capacity(array: np.ndarray, headroom: float) -> int:
-    """Bytes reserved for ``array``'s segment slot (rounded to whole rows)."""
-    row = array.itemsize * (array.shape[1] if array.ndim == 2 else 1)
-    want = array.nbytes + int(array.nbytes * headroom)
-    if row:
-        want = ((want + row - 1) // row) * row
-    return want
-
-
-def estimate_publish_bytes(
-    index: "LinkageIndex", headroom: float = 0.0, include_caches: bool = True
-) -> int:
-    """The segment size :meth:`SharedLinkageIndex.publish` would allocate.
-
-    Computed with the same slot layout (alignment, per-array capacity with
-    ``headroom``) the real publish uses, without creating any segment — so a
-    caller can probe whether ``/dev/shm`` has room *before* committing to a
-    multi-gigabyte publish that would otherwise die mid-copy with ``ENOSPC``.
-    """
-    arrays = _segment_arrays(index)
-    if include_caches:
-        cache_arrays, _ = _cache_arrays(index)
-        arrays.update(cache_arrays)
-    offset = 0
-    for array in arrays.values():
-        offset = (offset + _ALIGN - 1) & ~(_ALIGN - 1)
-        offset += _slot_capacity(array, headroom)
-    return max(offset, 1)
-
-
-def shared_memory_free_bytes() -> int | None:
-    """Free bytes of the shared-memory filesystem, or ``None`` if unknowable.
-
-    POSIX shared memory on Linux is backed by the ``/dev/shm`` tmpfs, whose
-    capacity (typically half of RAM) is often far below what a 10M-name
-    publish needs — and an over-capacity publish fails with a mid-copy
-    ``ENOSPC``/``SIGBUS`` rather than up front.  Platforms without a
-    stat-able backing filesystem return ``None`` (probe unavailable).
-    """
-    try:
-        stats = os.statvfs("/dev/shm")
-    except (OSError, AttributeError):
-        return None
-    return int(stats.f_bavail) * int(stats.f_frsize)
-
-
-class SharedLinkageIndex:
-    """The owning handle of one published linkage-index segment.
-
-    Built by :meth:`publish`; the handle (not the index) controls the
-    segment's lifetime.  Usable as a context manager::
-
-        with SharedLinkageIndex.publish(index) as shared:
-            payload = pickle.dumps(anonymizer)   # ships the manifest only
-            ... run the worker pool ...
-        # segment unlinked here
-
-    Attributes
-    ----------
-    manifest:
-        The picklable attach recipe: segment name, scalar index parameters,
-        and each array's (offset, dtype, shape) within the segment.  This is
-        exactly what a version-2 index pickle carries.
-    """
-
-    def __init__(
-        self,
-        shm,
-        manifest: dict,
-        index: "LinkageIndex",
-        headroom: float = 0.0,
-        include_caches: bool = False,
-    ) -> None:
-        self._shm = shm
-        self.manifest = manifest
-        self._index_ref = weakref.ref(index)
-        self.active = True
-        self._headroom = headroom
-        self._include_caches = include_caches
-        #: Every live segment this publication owns, keyed by POSIX name —
-        #: the main segment plus any auxiliary tail segments from refreshes.
-        self._segments = {shm.name: shm}
-        # Covers garbage collection AND interpreter exit; `close()` simply
-        # runs it early.  A SIGKILL is covered by the resource tracker (the
-        # creating process's registration is deliberately left in place).
-        self._finalizer = weakref.finalize(self, _release_segment, shm)
-
-    @classmethod
-    def publish(
-        cls,
-        index: "LinkageIndex",
-        name: str | None = None,
-        headroom: float = 0.0,
-        include_caches: bool = True,
-    ) -> "SharedLinkageIndex":
-        """Copy ``index``'s buffers into a fresh shared segment.
-
-        While the returned handle is open, pickling ``index`` ships the
-        manifest instead of the buffers.  Raises
-        :class:`~repro.exceptions.LinkageError` when shared memory is
-        unavailable — callers gate on :func:`shared_memory_available` to fall
-        back to pickle replicas.
-
-        ``include_caches`` (default) also publishes the query-time lazy
-        caches — the perfect-match table (as a sorted key matrix) and the
-        char-bound pruning matrix — so attaching workers stop rebuilding
-        private copies.  ``headroom`` reserves that fraction of extra
-        capacity per array slot, letting :meth:`refresh` tail-write
-        append-grown buffers in place instead of moving them to an auxiliary
-        segment.
-        """
-        if not shared_memory_available():
-            raise LinkageError(
-                "multiprocessing.shared_memory is unavailable on this "
-                "interpreter; use the pickle-replica path instead"
-            )
-        from multiprocessing import shared_memory
-
-        arrays = _segment_arrays(index)
-        char_none = False
-        if include_caches:
-            cache_arrays, char_none = _cache_arrays(index)
-            arrays.update(cache_arrays)
-        spec: dict[str, dict] = {}
-        offset = 0
-        for key, array in arrays.items():
-            offset = (offset + _ALIGN - 1) & ~(_ALIGN - 1)
-            capacity = _slot_capacity(array, headroom)
-            spec[key] = {
-                "offset": offset,
-                "dtype": str(array.dtype),
-                "shape": tuple(int(n) for n in array.shape),
-                "capacity": capacity,
-            }
-            offset += capacity
-        shm = shared_memory.SharedMemory(create=True, size=max(offset, 1), name=name)
-        for key, array in arrays.items():
-            if array.nbytes == 0:
-                continue
-            view = np.ndarray(
-                array.shape,
-                dtype=array.dtype,
-                buffer=shm.buf,
-                offset=spec[key]["offset"],
-            )
-            view[...] = array
-        manifest = {
-            "segment": shm.name,
-            "nbytes": int(offset),
-            "threshold": float(index.threshold),
-            "prefix_scale": float(index.prefix_scale),
-            "row_offset": int(index.row_offset),
-            "blocking_scheme": index._blocking.scheme,
-            "blocking_qgram_size": int(index._blocking.qgram_size),
-            "blocking_size": int(index._blocking._size),
-            "char_none": char_none,
-            "arrays": spec,
-        }
-        _OWNED_NAMES.add(shm.name)
-        publication = cls(
-            shm, manifest, index, headroom=headroom, include_caches=include_caches
-        )
-        index._shm_publication = publication
-        return publication
-
-    def refresh(self) -> None:
-        """Re-publish after the source index was :meth:`extend`-ed in place.
-
-        Only the grown tails move: prefix-stable buffers (pure appends —
-        character codes, lengths, token ids, the joined texts) are
-        tail-written into their existing slots when the slot has capacity
-        (see ``headroom``), and buffers whose prefix changed (postings
-        splices, re-padded matrices, the sorted cache tables) go to one
-        fresh auxiliary tail segment per refresh, with superseded auxiliary
-        segments unlinked.  Attachers opened *before* the refresh keep a
-        consistent pre-append snapshot — their mapped bytes are never
-        rewritten (POSIX keeps unlinked mappings alive) — while manifests
-        pickled afterwards attach to the grown corpus.  Callers serialize
-        refreshes against new attaches (the service holds its dataset lock).
-        """
-        if not self.active:
-            raise LinkageError("cannot refresh a closed publication")
-        index = self._index_ref()
-        if index is None:
-            raise LinkageError(
-                "cannot refresh: the published index was garbage collected"
-            )
-        from multiprocessing import shared_memory
-
-        arrays = _segment_arrays(index)
-        if self._include_caches:
-            cache_arrays, char_none = _cache_arrays(index)
-            arrays.update(cache_arrays)
-            self.manifest["char_none"] = char_none
-        main_name = self.manifest["segment"]
-        spec = self.manifest["arrays"]
-        moved: dict[str, np.ndarray] = {}
-        for key, array in arrays.items():
-            entry = spec.get(key)
-            in_place = False
-            if entry is not None and str(array.dtype) == entry["dtype"]:
-                old_shape = tuple(entry["shape"])
-                prefix_ok = (
-                    key in _PREFIX_STABLE
-                    and len(old_shape) == array.ndim
-                    and (array.ndim == 1 or old_shape[1] == array.shape[1])
-                    and old_shape[0] <= array.shape[0]
-                )
-                if prefix_ok and array.nbytes <= entry.get("capacity", 0):
-                    segment = self._segments[entry.get("segment", main_name)]
-                    view = np.ndarray(
-                        array.shape,
-                        dtype=array.dtype,
-                        buffer=segment.buf,
-                        offset=entry["offset"],
-                    )
-                    view[old_shape[0] :] = array[old_shape[0] :]
-                    entry["shape"] = tuple(int(n) for n in array.shape)
-                    in_place = True
-            if not in_place:
-                moved[key] = array
-        if moved:
-            offset = 0
-            layout: dict[str, tuple[int, int]] = {}
-            for key, array in moved.items():
-                offset = (offset + _ALIGN - 1) & ~(_ALIGN - 1)
-                capacity = _slot_capacity(array, self._headroom)
-                layout[key] = (offset, capacity)
-                offset += capacity
-            aux = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-            _OWNED_NAMES.add(aux.name)
-            self._segments[aux.name] = aux
-            weakref.finalize(self, _release_segment, aux)
-            for key, array in moved.items():
-                slot_offset, capacity = layout[key]
-                if array.nbytes:
-                    view = np.ndarray(
-                        array.shape,
-                        dtype=array.dtype,
-                        buffer=aux.buf,
-                        offset=slot_offset,
-                    )
-                    view[...] = array
-                spec[key] = {
-                    "offset": slot_offset,
-                    "dtype": str(array.dtype),
-                    "shape": tuple(int(n) for n in array.shape),
-                    "capacity": capacity,
-                    "segment": aux.name,
-                }
-        for key in list(spec):
-            if key not in arrays:  # e.g. char bounds dropped to None
-                del spec[key]
-        live = {entry.get("segment", main_name) for entry in spec.values()}
-        live.add(main_name)
-        for segment_name in list(self._segments):
-            if segment_name not in live:
-                _release_segment(self._segments.pop(segment_name))
-                _OWNED_NAMES.discard(segment_name)
-        self.manifest["blocking_size"] = int(index._blocking._size)
-        self.manifest["row_offset"] = int(index.row_offset)
-        self.manifest["nbytes"] = int(
-            sum(segment.size for segment in self._segments.values())
-        )
-
-    @property
-    def segment_name(self) -> str:
-        """The POSIX name of the shared segment (its ``/dev/shm`` entry)."""
-        return self.manifest["segment"]
-
-    @property
-    def nbytes(self) -> int:
-        """Total segment size — the cost of the single shared index copy."""
-        return self.manifest["nbytes"]
-
-    def attach(self) -> "LinkageIndex":
-        """A fresh index over this publication's segment (works in-process too)."""
-        return attach(self.manifest)
-
-    def close(self) -> None:
-        """Unlink the segment and stop manifest pickling.  Idempotent.
-
-        Processes still holding attached views keep their mapping until they
-        drop it (POSIX semantics); the name disappears immediately, so no
-        ``/dev/shm`` entry outlives the owner.
-        """
-        if not self.active:
-            return
-        self.active = False
-        index = self._index_ref()
-        if index is not None and getattr(index, "_shm_publication", None) is self:
-            index._shm_publication = None
-        for segment_name in list(self._segments):
-            segment = self._segments.pop(segment_name)
-            if segment is not self._shm:
-                _release_segment(segment)
-                _OWNED_NAMES.discard(segment_name)
-        self._finalizer()
-
-    def __enter__(self) -> "SharedLinkageIndex":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def attach(manifest: dict) -> "LinkageIndex":
-    """Reconstruct a :class:`~repro.linkage.LinkageIndex` over a shared segment.
-
-    Every array the index works with is a read-only view into the segment;
-    the only per-process allocations are the vocabulary dict, the blocking
-    postings dict (small dicts of segment views) and — lazily, on first
-    candidate-name report — the decoded corpus text.
-    """
-    from repro.linkage.index import LinkageIndex
-
-    index = object.__new__(LinkageIndex)
-    attach_into(index, manifest)
-    return index
-
-
-def attach_into(index: "LinkageIndex", manifest: dict) -> None:
-    """Populate ``index`` (``__setstate__`` of a version-2 pickle) from shm."""
-    shm = _open_segment(manifest["segment"])
-    arrays: dict[str, np.ndarray] = {}
-    for key, entry in manifest["arrays"].items():
-        # Refreshed publications park spliced buffers in auxiliary tail
-        # segments; each entry names its home segment (default: the main one).
-        segment_name = entry.get("segment", manifest["segment"])
-        segment = shm if segment_name == manifest["segment"] else _open_segment(
-            segment_name
-        )
-        view = np.ndarray(
-            tuple(entry["shape"]),
-            dtype=np.dtype(entry["dtype"]),
-            buffer=segment.buf,
-            offset=entry["offset"],
-        )
-        view.flags.writeable = False
-        arrays[key] = view
-    vocab_text = bytes(arrays["vocab_text"]).decode("utf-8")
-    blocking = BlockingIndex._from_flat(
-        manifest["blocking_scheme"],
-        manifest["blocking_qgram_size"],
-        manifest["blocking_size"],
-        bytes(arrays["block_keys_text"]).decode("utf-8"),
-        arrays["block_counts"],
-        arrays["block_rows"],
-    )
-    names_blob = arrays["names_text"]
-    shared_caches: dict = {}
-    if "perfect_keys" in arrays:
-        shared_caches["perfect_sorted"] = (
-            arrays["perfect_keys"],
-            arrays["perfect_rows"],
-        )
-    if manifest.get("char_none"):
-        shared_caches["char_bounds"] = None
-    elif "char_alphabet" in arrays:
-        shared_caches["char_bounds"] = (
-            arrays["char_alphabet"],
-            arrays["char_counts"],
-        )
-    index._attach_buffers(
-        threshold=manifest["threshold"],
-        prefix_scale=manifest["prefix_scale"],
-        row_offset=manifest["row_offset"],
-        names_joined=lambda: bytes(names_blob).decode("utf-8"),
-        name_offsets=arrays["name_offsets"],
-        flat_codes=arrays["flat_codes"],
-        lengths=arrays["lengths"],
-        vocab=tuple(vocab_text.split(" ")) if vocab_text else (),
-        token_ids=arrays["token_ids"],
-        token_counts=arrays["token_counts"],
-        post_rows=arrays["post_rows"],
-        post_offsets=arrays["post_offsets"],
-        blocking=blocking,
-        codes=arrays["codes"],
-        token_matrix=arrays["token_matrix"],
-        **shared_caches,
-    )
-    index._shm_attachment = shm

@@ -245,7 +245,6 @@ class ServiceConfig:
     job_workers: int = 2
     job_retention: int = 256
     max_datasets: int | None = None
-    fred_parallelism: int = 1
     max_spill_bytes: int | None = None
     max_spill_entries: int | None = None
     job_heartbeat_seconds: float = 1.0
@@ -271,10 +270,6 @@ class AnonymizationService:
         the cap is rejected with :class:`~repro.exceptions.ServiceError`
         (clients free slots via :meth:`unregister` / ``DELETE /datasets/<fp>``).
         ``None`` (the default) leaves the registry unbounded.
-    fred_parallelism:
-        Default per-sweep level parallelism handed to
-        :class:`~repro.core.fred.FREDConfig` for jobs that do not specify
-        their own.
     max_spill_bytes / max_spill_entries:
         Spill-directory garbage-collection budget, passed through to
         :class:`~repro.service.cache.TwoTierCache`.
@@ -294,14 +289,11 @@ class AnonymizationService:
         job_workers: int = 2,
         job_retention: int = 256,
         max_datasets: int | None = None,
-        fred_parallelism: int = 1,
         max_spill_bytes: int | None = None,
         max_spill_entries: int | None = None,
         job_heartbeat_seconds: float = 1.0,
         job_stale_after_seconds: float = 10.0,
     ) -> None:
-        if fred_parallelism < 1:
-            raise ServiceError(f"fred parallelism must be >= 1, got {fred_parallelism}")
         if max_datasets is not None and max_datasets < 1:
             raise ServiceError(f"max datasets must be >= 1, got {max_datasets}")
         self._max_datasets = max_datasets
@@ -334,7 +326,6 @@ class AnonymizationService:
         self._jobs = JobManager(
             max_workers=job_workers, max_retained=job_retention, store=job_store
         )
-        self._fred_parallelism = fred_parallelism
         # Appends are serialized per process: two concurrent appends to the
         # same base must chain (A then B), not race (both off A, one lost).
         self._append_lock = threading.Lock()
@@ -835,7 +826,6 @@ class AnonymizationService:
         utility_weight: float = 0.5,
         protection_threshold: float | None = None,
         utility_threshold: float | None = None,
-        parallelism: int | None = None,
     ) -> str:
         """Launch a FRED sweep as an asynchronous job; returns the job id.
 
@@ -850,12 +840,6 @@ class AnonymizationService:
             )
         if kmin < 1 or kmax < kmin:
             raise ServiceError(f"invalid level range [{kmin}, {kmax}]")
-        if parallelism is None:
-            workers = self._fred_parallelism
-        elif isinstance(parallelism, int) and not isinstance(parallelism, bool) and parallelism >= 1:
-            workers = parallelism
-        else:
-            raise ServiceError(f"parallelism must be an integer >= 1, got {parallelism!r}")
         low, high = self._sensitive_range(private, sensitive_low, sensitive_high)
         key = (
             fingerprint, "fred", auxiliary, algorithm, kmin, kmax, name_column,
@@ -869,7 +853,7 @@ class AnonymizationService:
                 lambda: self._compute_fred(
                     fingerprint, auxiliary, kmin, kmax, algorithm, name_column,
                     low, high, protection_weight, utility_weight,
-                    protection_threshold, utility_threshold, workers,
+                    protection_threshold, utility_threshold,
                 ),
             )
 
@@ -893,7 +877,6 @@ class AnonymizationService:
         utility_weight: float,
         protection_threshold: float | None,
         utility_threshold: float | None,
-        parallelism: int,
     ) -> dict[str, object]:
         private = self.dataset(fingerprint)
         names = [str(n) for n in private.identifier_column()]
@@ -916,7 +899,6 @@ class AnonymizationService:
                 objective=WeightedObjective(protection_weight, utility_weight),
                 anonymizer=ALGORITHMS[algorithm](),
                 stop_below_utility=utility_threshold is not None,
-                parallelism=parallelism,
             ),
         )
         result = fred.run(private, harvest=harvest)

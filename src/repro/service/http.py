@@ -461,7 +461,6 @@ class _Handler(BaseHTTPRequestHandler):
             utility_weight=self._number_field(body, "utility_weight", 0.5),
             protection_threshold=body.get("protection_threshold"),
             utility_threshold=body.get("utility_threshold"),
-            parallelism=body.get("parallelism"),
         )
         self._send_json(202, {"job": job_id, "poll": f"/jobs/{job_id}"})
 

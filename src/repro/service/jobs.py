@@ -6,10 +6,11 @@ open.  The service therefore runs sweeps as **jobs**: ``POST /fred`` enqueues
 the sweep on a shared worker pool and returns a job id immediately; clients
 poll ``GET /jobs/<id>`` until the status reaches ``done`` (or ``failed``).
 
-The pool is a plain ``concurrent.futures.ThreadPoolExecutor``; the sweep
-itself parallelizes its per-level evaluations through
-:class:`~repro.core.fred.FREDConfig` worker pools, so job workers stay thin
-coordinators.  :meth:`JobManager.shutdown` drains in-flight jobs before
+The pool is a plain ``concurrent.futures.ThreadPoolExecutor`` and each job
+runs its sweep serially: the service's concurrency comes from these job
+threads and from the server's worker processes, and forking a per-sweep
+process pool from a threaded server risks deadlocks.
+:meth:`JobManager.shutdown` drains in-flight jobs before
 returning (and cancels queued ones when asked not to wait), which is what
 makes service shutdown clean under load.
 

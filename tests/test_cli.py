@@ -62,7 +62,6 @@ class TestParser:
         assert arguments.cache_size == 128
         assert arguments.cache_dir is None
         assert arguments.job_workers == 2
-        assert arguments.fred_parallelism == 1
         assert arguments.verbose is False
 
     def test_parses_serve_overrides(self):

@@ -8,18 +8,22 @@ per-level ``H_k`` scores, protection before/after fusion and utility — as
 hard-coded constants, so any numerical drift in a future rewrite fails loudly
 instead of silently shifting the reproduced figures.
 
-The parallel-sweep tests assert the deterministic merge: thread- and
-process-pool sweeps return outcomes bit-identical to the serial loop, and the
-utility stopping rule truncates the merged sequence at the same level.
+The parallel-sweep tests assert the deterministic merge: process-pool sweeps
+return outcomes bit-identical to the serial loop, and the utility stopping
+rule truncates the merged sequence at the same level.
 """
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.core.fred import FREDAnonymizer, FREDConfig, FREDResult
 from repro.exceptions import FREDConfigurationError, InfeasibleAnonymizationError
 from repro.experiments.figures import default_setup, derive_thresholds, run_sweep
+from repro.linkage import LinkageIndex
 
 # Snapshot of the seeded scenario: default_setup(count=40, seed=5,
 # levels=(2, 3, 4, 6, 8)) with the default minmax 0.5/0.5 objective.
@@ -42,7 +46,7 @@ GOLDEN = {
 REL = 1e-9
 
 
-def _make_fred(parallelism: int = 1, executor: str = "thread", **overrides):
+def _make_fred(parallelism: int = 1, **overrides):
     setup = default_setup(count=40, seed=5, levels=GOLDEN_LEVELS)
     config = dict(
         levels=setup.levels,
@@ -51,7 +55,6 @@ def _make_fred(parallelism: int = 1, executor: str = "thread", **overrides):
         objective=setup.objective,
         stop_below_utility=False,
         parallelism=parallelism,
-        executor=executor,
     )
     config.update(overrides)
     return setup, FREDAnonymizer(
@@ -95,14 +98,12 @@ class TestGoldenSweep:
 class TestParallelSweepDeterminism:
     """The parallel dispatch must merge to exactly the serial outcomes."""
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_parallel_matches_serial_bitwise(self, golden_result, executor):
-        setup, fred = _make_fred(parallelism=4, executor=executor)
-        parallel = fred.run(setup.population.private)
-        assert parallel.optimal_level == golden_result.optimal_level
-        assert parallel.scores == golden_result.scores
+    @staticmethod
+    def _assert_matches_serial(parallel: FREDResult, serial: FREDResult) -> None:
+        assert parallel.optimal_level == serial.optimal_level
+        assert parallel.scores == serial.scores
         for serial_outcome, parallel_outcome in zip(
-            golden_result.outcomes, parallel.outcomes, strict=True
+            serial.outcomes, parallel.outcomes, strict=True
         ):
             assert parallel_outcome.level == serial_outcome.level
             assert parallel_outcome.protection_before == serial_outcome.protection_before
@@ -110,6 +111,33 @@ class TestParallelSweepDeterminism:
             assert parallel_outcome.information_gain == serial_outcome.information_gain
             assert parallel_outcome.utility == serial_outcome.utility
             assert parallel_outcome.feasible is serial_outcome.feasible
+            np.testing.assert_array_equal(
+                parallel_outcome.attack.estimates, serial_outcome.attack.estimates
+            )
+
+    # Harvesting once ships a detached source stub to the workers; harvesting
+    # per level ships the real corpus, whose linkage index travels as a
+    # pickled copy and is queried inside every worker.
+    @pytest.mark.parametrize(
+        "reuse_harvest", [True, False], ids=["once", "per-level"]
+    )
+    def test_parallel_matches_serial_bitwise(self, golden_result, reuse_harvest):
+        setup, fred = _make_fred(parallelism=4, reuse_harvest=reuse_harvest)
+        self._assert_matches_serial(fred.run(setup.population.private), golden_result)
+
+    def test_default_process_sweep_ships_no_linkage_index(
+        self, golden_result, monkeypatch
+    ):
+        def refuse(index):
+            raise AssertionError("the linkage index was pickled")
+
+        monkeypatch.setattr(LinkageIndex, "__getstate__", refuse)
+        setup, fred = _make_fred(parallelism=4)
+        self._assert_matches_serial(fred.run(setup.population.private), golden_result)
+        # The sweep's harvest built the corpus's index in this process, so
+        # shipping the real corpus to the pool would have tripped the hook.
+        with pytest.raises(AssertionError, match="linkage index was pickled"):
+            pickle.dumps(setup.corpus)
 
     def test_parallel_honours_utility_stopping_rule(self):
         # Tu above level 6's utility: the serial do/until loop stops at k=6;
@@ -166,6 +194,16 @@ class TestParallelismConfigValidation:
         with pytest.raises(FREDConfigurationError):
             FREDConfig(parallelism=0)
 
-    def test_rejects_unknown_executor(self):
-        with pytest.raises(FREDConfigurationError):
-            FREDConfig(executor="fork-bomb")
+    @pytest.mark.parametrize("parallelism", [2.5, 2.0, True, "2", None])
+    def test_rejects_non_integer_parallelism(self, parallelism):
+        with pytest.raises(FREDConfigurationError, match="integer"):
+            FREDConfig(parallelism=parallelism)
+
+    @pytest.mark.parametrize("levels", [(2, 2.5), (2.0, 3), (2, "3"), (True, 2)])
+    def test_rejects_non_integer_levels(self, levels):
+        with pytest.raises(FREDConfigurationError, match="integers"):
+            FREDConfig(levels=levels)
+
+    def test_accepts_numpy_integers(self):
+        config = FREDConfig(levels=tuple(np.arange(2, 5)), parallelism=np.int64(2))
+        assert config.levels == (2, 3, 4)

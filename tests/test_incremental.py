@@ -8,14 +8,10 @@ grown by :meth:`~repro.linkage.LinkageIndex.extend` must be **bit-identical**
 postings and every query answer — to an index built from scratch over the
 full corpus.  The hypothesis suites pin that equivalence over arbitrary
 append chunkings, unicode names, duplicates and empty/degenerate deltas;
-the regression classes pin the sharding and shared-memory interactions
-(extending a shard works, extending a read-only attacher raises a clear
-:class:`~repro.exceptions.LinkageError`).
+the regression classes pin extending a shard.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
@@ -24,9 +20,8 @@ from hypothesis import strategies as st
 
 from repro.dataset.schema import Attribute, AttributeKind, AttributeRole, Schema
 from repro.dataset.table import Table, chain_fingerprints
-from repro.exceptions import LinkageError, TableError
+from repro.exceptions import TableError
 from repro.linkage import LinkageIndex
-from repro.linkage.shm import SharedLinkageIndex, shared_memory_available
 
 # Names wider than ASCII on purpose: accents, CJK, empty strings, whitespace
 # runs and punctuation all flow through normalize/encode/tokenize.
@@ -147,7 +142,7 @@ class TestExtendEqualsRebuild:
         _assert_queries_identical(grown, rebuilt, ["maria lopez", ""])
 
 
-class TestShardAndShmInteractions:
+class TestShardExtension:
     def test_extending_a_shard_appends_at_the_shard_end(self):
         full = LinkageIndex(["maria lopez", "xu wei", "nils møller", "ada byron"])
         left, right = full.shard(2)
@@ -159,31 +154,6 @@ class TestShardAndShmInteractions:
         offset_match = right.match_many(["ada byron"])[0]
         assert offset_match is not None and offset_match.candidate_index == 3
 
-    @pytest.mark.skipif(
-        not shared_memory_available(),
-        reason="multiprocessing.shared_memory unavailable",
-    )
-    def test_extending_an_attacher_raises_a_clear_error(self):
-        index = LinkageIndex(["maria lopez", "xu wei"])
-        with SharedLinkageIndex.publish(index):
-            attached = pickle.loads(pickle.dumps(index))
-            with pytest.raises(LinkageError, match="read-only"):
-                attached.extend(["ada byron"])
-
-    @pytest.mark.skipif(
-        not shared_memory_available(),
-        reason="multiprocessing.shared_memory unavailable",
-    )
-    def test_owner_extend_refreshes_the_publication(self):
-        index = LinkageIndex(["maria lopez", "xu wei"])
-        with SharedLinkageIndex.publish(index):
-            index.extend(["grace hopper"])
-            attached = pickle.loads(pickle.dumps(index))
-            match = attached.match_many(["grace hopper"])[0]
-            assert match is not None and match.candidate == "grace hopper"
-            _assert_artifacts_identical(
-                attached, LinkageIndex(["maria lopez", "xu wei", "grace hopper"])
-            )
 
 
 def _people(names: list[str], offset: int = 0) -> Table:

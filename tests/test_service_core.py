@@ -206,10 +206,6 @@ class TestFredJobs:
             service.start_fred(fingerprint, auxiliary, kmin=5, kmax=2)
         with pytest.raises(ServiceError):
             service.start_fred(fingerprint, auxiliary, algorithm="nonsense")
-        with pytest.raises(ServiceError, match="parallelism"):
-            service.start_fred(fingerprint, auxiliary, parallelism=0)
-        with pytest.raises(ServiceError, match="parallelism"):
-            service.start_fred(fingerprint, auxiliary, parallelism="4")
         with pytest.raises(UnknownDatasetError):
             service.start_fred(fingerprint, "missing")
         with pytest.raises(UnknownJobError):

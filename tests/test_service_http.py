@@ -336,7 +336,6 @@ class TestFredEndpoint:
         for bad_body in (
             {"dataset": private, "auxiliary": auxiliary, "kmin": "abc"},
             {"dataset": private, "auxiliary": auxiliary, "protection_weight": "x"},
-            {"dataset": private, "auxiliary": auxiliary, "parallelism": 0},
         ):
             status, _, body = service_client.post_json("/fred", bad_body)
             assert status == 400, json.loads(body)
