@@ -300,20 +300,48 @@ class BlockingIndex:
                 keys.add("q:" + gram)
         return keys
 
-    def candidate_rows(self, normalized_query: str) -> np.ndarray:
-        """Corpus rows sharing a block key with the query (ascending, unique)."""
-        if self.scheme == "none":
-            return np.arange(self._size, dtype=np.intp)
-        hits = [
+    def _key_hits(self, normalized_query: str) -> list[np.ndarray]:
+        """The posting rows of every block key of the query present in the corpus."""
+        return [
             self._postings[key]
             for key in self.keys(normalized_query)
             if key in self._postings
         ]
+
+    def candidate_rows(self, normalized_query: str) -> np.ndarray:
+        """Corpus rows sharing a block key with the query (ascending, unique)."""
+        if self.scheme == "none":
+            return np.arange(self._size, dtype=np.intp)
+        hits = self._key_hits(normalized_query)
         if not hits:
             return _EMPTY
         if len(hits) == 1:
             return hits[0]
         return np.unique(np.concatenate(hits))
+
+    def candidate_mask(self, normalized_queries: Sequence[str]) -> np.ndarray | None:
+        """Boolean ``(queries, rows)`` membership of every query's candidate set.
+
+        Row ``i`` marks exactly :meth:`candidate_rows` of query ``i``, built by
+        scattering each key's postings into the mask — no per-query union.
+        ``None`` for the ``"none"`` scheme, whose candidate set is every row.
+        """
+        if self.scheme == "none":
+            return None
+        hits = [
+            (owner, rows)
+            for owner, query in enumerate(normalized_queries)
+            for rows in self._key_hits(query)
+        ]
+        mask = np.zeros((len(normalized_queries), self._size), dtype=bool)
+        if hits:
+            owners = np.fromiter((owner for owner, _ in hits), dtype=np.int64)
+            sizes = np.fromiter((rows.shape[0] for _, rows in hits), dtype=np.int64)
+            mask.ravel()[
+                np.repeat(owners * self._size, sizes)
+                + np.concatenate([rows for _, rows in hits])
+            ] = True
+        return mask
 
     # Serialization / sharding ---------------------------------------------------------
 

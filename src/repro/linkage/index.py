@@ -15,10 +15,16 @@ number of approximate-match queries against it:
   ``NameMatcher`` matches wherever blocking agrees;
 * :meth:`match_many` resolves a whole batch of queries (the release's entire
   identifier column) in one pass, deduplicating repeated queries and batching
-  the *query* axis too: queries are bucketed by normalized length and each
-  bucket's (query, candidate) pairs run through one pairwise DP
-  (:mod:`repro.linkage.kernels`, the ``*_pairs`` kernels), bit-identical to
-  resolving every query on its own.
+  the *query* axis too.  Queries that miss the perfect-match table are
+  bucketed by normalized length and filtered against *every* corpus row at
+  once before any (query, row) pair is built: a per-character
+  ``minimum``-and-add over the whole grid gives every pair's exact
+  character overlap, which bounds its edit-distance score (count filtering);
+  one ``bincount`` over token postings gives every pair's exact shared-token
+  count (ScanCount); and the blocking keys' postings are scattered into a
+  membership mask.  Only the surviving pairs run through the pairwise DP
+  kernels (:mod:`repro.linkage.kernels`, the ``*_pairs`` kernels) —
+  bit-identical to resolving every query with :meth:`best_match`.
 
 Construction is vectorized end to end and the index *is* a bundle of flat
 NumPy buffers:
@@ -31,9 +37,9 @@ NumPy buffers:
   blocking postings all derive from one flattened
   :class:`~repro.linkage.blocking.TokenStream` via ``np.unique`` over
   combined ``(key, row)`` integer keys — no per-name Python loops;
-* the perfect-match table and the pruning character-count matrix are built
-  lazily on first use, so constructing (or unpickling) an index does no
-  per-row Python work at all;
+* the perfect-match table and the character-count matrices are built lazily
+  on first use, so constructing (or unpickling) an index does no per-row
+  Python work at all;
 * pickling (:meth:`__getstate__`) serializes only the flat buffers — padded
   matrices and lazy caches are rebuilt on load — and :meth:`shard` splits an
   index into row-range shards whose :meth:`match_many` results merge back
@@ -55,7 +61,6 @@ from repro.linkage.blocking import (
 )
 from repro.linkage.kernels import (
     PAD,
-    QUERY_PAD,
     encode_query,
     encode_strings_flat,
     jaro_winkler_similarity_batch,
@@ -64,7 +69,6 @@ from repro.linkage.kernels import (
     levenshtein_similarity_pairs,
     pad_ragged,
     token_jaccard_batch,
-    token_jaccard_pairs,
 )
 from repro.linkage.normalize import normalize_name, normalize_names
 
@@ -72,6 +76,78 @@ __all__ = ["MatchCandidate", "LinkageIndex"]
 
 #: Placeholder distinguishing "never computed" from a computed ``None``.
 _UNSET = object()
+
+
+def _char_counts(
+    flat_codes: np.ndarray, lengths: np.ndarray, alphabet: np.ndarray
+) -> np.ndarray | None:
+    """Per-row count of every ``alphabet`` code, or ``None`` if a code is missing.
+
+    ``flat_codes`` holds the rows' codes back to back (``lengths`` per row);
+    ``alphabet`` is ascending.
+    """
+    top = max(int(alphabet[-1]), int(flat_codes.max(initial=0)))
+    lookup = np.full(top + 1, -1, dtype=np.int64)
+    lookup[alphabet] = np.arange(alphabet.size, dtype=np.int64)
+    positions = lookup[flat_codes]
+    if (positions < 0).any():
+        return None
+    n_rows = lengths.shape[0]
+    row_of_char = np.repeat(np.arange(n_rows, dtype=np.int64), lengths.astype(np.int64))
+    return (
+        np.bincount(
+            row_of_char * alphabet.size + positions, minlength=n_rows * alphabet.size
+        )
+        .reshape(n_rows, alphabet.size)
+        .astype(np.int32)
+    )
+
+
+def _jaccard(
+    shared: np.ndarray, query_counts: np.ndarray, row_counts: np.ndarray
+) -> np.ndarray:
+    """Token-set Jaccard from shared-token counts and both sides' set sizes.
+
+    The integer operands and the division of
+    :func:`~repro.linkage.kernels.token_jaccard_pairs`, so the result is
+    bit-identical to it; the union is never 0 (a query holds a token).
+    """
+    return shared / (query_counts + row_counts - shared)
+
+
+def _overlap_floor(
+    length: int, lengths: np.ndarray, prefix: int, prefix_scale: float, cutoff: float
+) -> np.ndarray:
+    """``T(m, len, p)``: the least character overlap that can reach ``cutoff``.
+
+    For a length-``m`` query and a length-``len`` row with Winkler prefix
+    ``p`` and character-multiset overlap ``c``, edit distance is at least
+    ``max(m, len) - c``, so ``lev <= c / max(m, len)``, and Jaro matches are
+    at most ``c``, so ``jaro <= (c/m + c/len + 1) / 3``; the blend
+    ``0.6 * jaro_winkler + 0.4 * lev`` is at most the same blend of those
+    bounds.  Returns, per value of ``lengths``, the smallest integer ``c`` in
+    ``[0, m]`` whose bound reaches ``cutoff``, or ``m + 1`` when none does.
+    The bound grows with ``c`` by at least ``0.4 / max(m, len)`` per step
+    (the Levenshtein term; the Jaro-Winkler term never falls), far above
+    float rounding, so a vectorized binary search over ``c`` finds it.
+    """
+    low = np.zeros(lengths.shape, dtype=np.int64)
+    high = np.full(lengths.shape, length + 1, dtype=np.int64)
+    longest = np.maximum(np.maximum(length, lengths), 1)
+    while True:
+        searching = low < high
+        if not searching.any():
+            return low
+        common = (low + high) // 2
+        jaro_bound = np.where(
+            common > 0,
+            (common / length + common / np.maximum(lengths, 1) + 1.0) / 3.0,
+            0.0,
+        )
+        jw_bound = jaro_bound + prefix * prefix_scale * (1.0 - jaro_bound)
+        passes = 0.6 * jw_bound + 0.4 * (common / longest) >= cutoff
+        high = np.where(searching & passes, common, high)
+        low = np.where(searching & ~passes, common + 1, low)
 
 
 @dataclass(frozen=True)
@@ -210,6 +286,8 @@ class LinkageIndex:
         self._names_list: list[str] | None = None
         self._perfect_cache: dict[bytes, int] | None = None
         self._char_cache: tuple[np.ndarray, np.ndarray] | None | object = _UNSET
+        self._saturated_cache: np.ndarray | None = None
+        self._floor_cache: dict[tuple[int, int], np.ndarray] = {}
         #: Grow-by-doubling capacity buffers backing :meth:`extend`, keyed by
         #: buffer name; reset whenever fresh buffers are adopted.
         self._growable: dict[str, np.ndarray] = {}
@@ -286,46 +364,50 @@ class LinkageIndex:
         return self._perfect_rows().get(key.tobytes())
 
     def _char_bounds(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Character-count matrix for the match_many pruning bounds.
+        """The corpus alphabet and every row's count of each of its characters.
 
-        One count per character code occurring anywhere in the corpus.
-        Normalized names draw from a tiny alphabet (ASCII letters plus
-        space); corpora with an unexpectedly wide alphabet skip count-based
-        pruning rather than build a huge matrix.  Built on first use.
+        Normalized names draw from ``[a-z ]``, so the alphabet is at most 27
+        codes.  ``None`` when no corpus row has a character (an empty or
+        all-blank corpus).  Built on first use.
         """
         if self._char_cache is _UNSET:
             flat = self._flat_codes
-            small_codes = flat.size > 0 and int(flat.max()) < 4096
-            if small_codes:
-                # Normalized text draws from [a-z ]: a histogram over the
-                # tiny code range beats sorting the whole buffer.
-                histogram = np.bincount(flat)
-                alphabet = np.flatnonzero(histogram).astype(flat.dtype)
-            else:
-                alphabet = np.unique(flat)
-            if 0 < alphabet.size <= 64:
-                n_rows = self._lengths.shape[0]
-                if small_codes:
-                    lookup = np.zeros(histogram.shape[0], dtype=np.int64)
-                    lookup[alphabet] = np.arange(alphabet.size, dtype=np.int64)
-                    positions = lookup[flat]
-                else:
-                    positions = np.searchsorted(alphabet, flat)
-                row_of_char = np.repeat(
-                    np.arange(n_rows, dtype=np.int64), self._lengths.astype(np.int64)
-                )
-                counts = (
-                    np.bincount(
-                        row_of_char * alphabet.size + positions,
-                        minlength=n_rows * alphabet.size,
-                    )
-                    .reshape(n_rows, alphabet.size)
-                    .astype(np.int32)
-                )
+            if flat.size:
+                alphabet = np.flatnonzero(np.bincount(flat)).astype(flat.dtype)
+                counts = _char_counts(flat, self._lengths, alphabet)
                 self._char_cache = (alphabet, counts)
             else:
                 self._char_cache = None
         return self._char_cache
+
+    def _saturated_counts(self) -> np.ndarray:
+        """:meth:`_char_bounds` counts transposed to ``(alphabet, rows)`` uint8.
+
+        Counts saturate at 255, which keeps ``min(q_a, r_a)`` exact for every
+        query count ``q_a <= 255`` (see :meth:`_viable_pairs`) at one byte per
+        cell, whatever the longest corpus name.  Built on first use; only
+        called when :meth:`_char_bounds` is not ``None``.
+        """
+        if self._saturated_cache is None:
+            _, counts = self._char_bounds()
+            self._saturated_cache = np.ascontiguousarray(
+                np.minimum(counts, 255).T.astype(np.uint8)
+            )
+        return self._saturated_cache
+
+    def _overlap_floors(self, length: int, prefix: int) -> np.ndarray:
+        """:func:`_overlap_floor` for every row length ``0 .. width``, memoised."""
+        floors = self._floor_cache.get((length, prefix))
+        if floors is None:
+            floors = _overlap_floor(
+                length,
+                np.arange(self._codes.shape[1] + 1, dtype=np.int64),
+                prefix,
+                self.prefix_scale,
+                self.threshold - self._PRUNE_SLACK,
+            )
+            self._floor_cache[(length, prefix)] = floors
+        return floors
 
     # Scoring ------------------------------------------------------------------------
 
@@ -436,23 +518,26 @@ class LinkageIndex:
             score=float(scores[best]),
         )
 
-    #: Upper bound on (query, candidate) pairs scored per pairwise kernel call;
-    #: keeps the DP working set a few dozen MB regardless of batch size.
+    #: Upper bound on the (query, corpus row) cells of one match_many chunk,
+    #: and so on the pairs one pairwise kernel call scores; keeps the filter
+    #: grid and the DP working set a few dozen MB regardless of batch size.
     _MAX_PAIRS_PER_CHUNK = 262_144
 
     def match_many(self, queries: Sequence[str]) -> list[MatchCandidate | None]:
         """The best match for every query, in query order.
 
-        Repeated queries are resolved once.  Unique queries that survive the
-        perfect-match short-circuit are bucketed by normalized length; each
-        bucket concatenates its blocked candidate rows into one
-        (query, candidate) pair list and scores it with the pairwise kernels,
-        then a per-query segment argmax picks the winner — bit-identical to
-        calling :meth:`best_match` per query (same scores, same lowest-row
-        tie-breaking, same threshold test).
+        Repeated queries are resolved once, and perfect matches through the
+        token-set table.  The other unique queries are bucketed by
+        normalized length and resolved in chunks of at most
+        :attr:`_MAX_PAIRS_PER_CHUNK` (query, corpus row) cells (one query
+        per chunk when the corpus is larger):
+        :meth:`_viable_pairs` filters each chunk against every corpus row at
+        once, and :meth:`_resolve_pair_chunk` scores the survivors.  The
+        answers are bit-identical to calling :meth:`best_match` per query
+        (same scores, same lowest-row tie-breaking, same threshold test).
         """
         resolved: dict[str, MatchCandidate | None] = {}
-        pending: dict[int, list[tuple[str, str, np.ndarray]]] = {}
+        pending: dict[int, list[tuple[str, str]]] = {}
         seen: set[str] = set()
         for query in queries:
             query = str(query)
@@ -472,23 +557,17 @@ class LinkageIndex:
                     score=1.0,
                 )
                 continue
-            rows = self._blocking.candidate_rows(normalized)
-            if rows.size == 0:
-                resolved[query] = None
-                continue
-            pending.setdefault(len(normalized), []).append((query, normalized, rows))
+            pending.setdefault(len(normalized), []).append((query, normalized))
+        if pending and self._char_bounds() is None:
+            # Every corpus name normalizes to "": each pair scores exactly 0,
+            # below any threshold.
+            for entries in pending.values():
+                resolved.update((query, None) for query, _ in entries)
+            pending = {}
+        per_chunk = max(1, self._MAX_PAIRS_PER_CHUNK // max(self.size, 1))
         for entries in pending.values():
-            start = 0
-            while start < len(entries):
-                stop, total = start, 0
-                while stop < len(entries) and (
-                    stop == start
-                    or total + entries[stop][2].size <= self._MAX_PAIRS_PER_CHUNK
-                ):
-                    total += entries[stop][2].size
-                    stop += 1
-                self._resolve_pair_chunk(entries[start:stop], resolved)
-                start = stop
+            for start in range(0, len(entries), per_chunk):
+                self._resolve_pair_chunk(entries[start : start + per_chunk], resolved)
         return [resolved[str(query)] for query in queries]
 
     #: Slack subtracted from the threshold in the pruning bound comparison so
@@ -496,165 +575,164 @@ class LinkageIndex:
     #: never drop one whose true score reaches the threshold.
     _PRUNE_SLACK = 1e-9
 
-    def _shared_token_mask(
-        self,
-        entries: Sequence[tuple[str, str, np.ndarray]],
-        known_ids: Sequence[list[int]],
-        n_pairs: int,
-    ) -> np.ndarray:
-        """Which (query, candidate) pairs share at least one corpus token.
+    def _viable_pairs(
+        self, entries: Sequence[tuple[str, str]], query_codes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (query, row) pairs of one chunk that can reach the threshold.
 
-        A merge-join of the query's token postings against the entry's sorted
-        candidate rows.  Pairs outside the mask have an **exact** token-set
-        Jaccard of 0 (no shared in-vocabulary token means an empty
-        intersection, and the union is at least the query's token count, which
-        is positive), so the Jaccard kernel only runs on pairs in the mask.
+        ``entries`` share one normalized length ``m``; ``query_codes`` is
+        their ``(n, m)`` code matrix.  Every test runs on the dense
+        ``(n, rows)`` grid, so no pair is materialized before it survives:
+
+        1. **Count filter.**  A pair's Levenshtein/Jaro-Winkler blend is
+           bounded through its character overlap ``c = sum_a min(q_a, r_a)``,
+           so it can reach the threshold only if ``c >= T(m, len, p)``
+           (:func:`_overlap_floor`, memoised per ``(m, p)``).  ``c`` is
+           computed exactly for every pair: per alphabet character, one
+           ``min(r_a, q)`` row for each distinct query count ``q`` is
+           gathered onto the grid and added (on :meth:`_saturated_counts`
+           for queries of at most 255 characters, so overlaps fit a byte).
+           The Winkler prefix ``p`` is taken at its maximum,
+           ``min(4, m, width)``.
+        2. **Token branch.**  One ``bincount`` over the query tokens'
+           postings counts every pair's shared tokens (ScanCount), giving
+           the exact token-set Jaccard with the integer operands and division
+           of :func:`~repro.linkage.kernels.token_jaccard_pairs`; a pair also
+           survives when that reaches the threshold.
+        3. **Blocking.**  Survivors must lie in the query's candidate set
+           (:meth:`~repro.linkage.blocking.BlockingIndex.candidate_mask`).
+        4. **Exact prefix.**  Survivors are tested again with their exact
+           (at most 4-character) common prefix.
+
+        A pair dropped by any test scores strictly below the threshold, so
+        it can neither win nor tie.  Returns ``(pair_query, pair_rows,
+        token_set)``, ordered by query then row, with each pair's Jaccard.
         """
-        mask = np.zeros(n_pairs, dtype=bool)
-        offsets = self._token_post_offsets
-        posting_rows = self._token_post_rows
-        position = 0
-        for (_, _, rows), ids in zip(entries, known_ids):
-            count = rows.size
-            if ids:
-                hits = [
-                    posting_rows[offsets[i] : offsets[i + 1]] for i in ids
-                ]
-                shared = hits[0] if len(hits) == 1 else np.unique(np.concatenate(hits))
-                if shared.size:
-                    found = np.searchsorted(shared, rows)
-                    clipped = np.minimum(found, shared.size - 1)
-                    mask[position : position + count] = (found < shared.size) & (
-                        shared[clipped] == rows
-                    )
-            position += count
-        return mask
+        n_queries, length = query_codes.shape
+        n_rows = self.size
+        alphabet, char_counts = self._char_bounds()
+        window = min(4, length, self._codes.shape[1])
+        cutoff = self.threshold - self._PRUNE_SLACK
+
+        query_counts = (query_codes[:, :, None] == alphabet).sum(axis=1)
+        if length <= 255:
+            row_counts, dtype = self._saturated_counts(), np.uint8
+        else:
+            row_counts, dtype = char_counts.T, np.int32
+        overlap = np.zeros((n_queries, n_rows), dtype=dtype)
+        scratch = np.empty_like(overlap)
+        for code, column in enumerate(query_counts.T):
+            # One min(r_a, q) row per distinct query count q, gathered onto
+            # the grid: array-array minimums, never a per-cell broadcast.
+            values = np.flatnonzero(np.bincount(column))
+            if values[-1] == 0:
+                continue
+            capped = np.empty((values.size, n_rows), dtype=dtype)
+            for row, value in zip(capped, values):
+                row.fill(value)
+                np.minimum(row, row_counts[code], out=row)
+            np.take(capped, np.searchsorted(values, column), axis=0, out=scratch)
+            overlap += scratch
+        viable = overlap >= self._overlap_floors(length, window)[self._lengths]
+
+        shared, query_tokens = self._shared_tokens(entries)
+        hits = np.flatnonzero(shared)
+        hit_query, hit_rows = np.divmod(hits, n_rows)
+        jaccard = _jaccard(
+            shared[hits], query_tokens[hit_query], self._token_counts[hit_rows]
+        )
+        viable.ravel()[hits[jaccard >= cutoff]] = True
+
+        blocked = self._blocking.candidate_mask([normalized for _, normalized in entries])
+        if blocked is not None:
+            viable &= blocked
+        pairs = np.flatnonzero(viable)
+        pair_query, pair_rows = np.divmod(pairs, n_rows)
+
+        equal = self._codes[pair_rows, :window] == query_codes[pair_query, :window]
+        prefix = equal.cumprod(axis=1).sum(axis=1)
+        floors = np.stack([self._overlap_floors(length, p) for p in range(window + 1)])
+        token_set = _jaccard(
+            shared[pairs], query_tokens[pair_query], self._token_counts[pair_rows]
+        )
+        keep = (overlap.ravel()[pairs] >= floors[prefix, self._lengths[pair_rows]]) | (
+            token_set >= cutoff
+        )
+        return pair_query[keep], pair_rows[keep], token_set[keep]
+
+    def _shared_tokens(
+        self, entries: Sequence[tuple[str, str]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Shared-token counts of every (query, row) pair, plus query token counts.
+
+        ScanCount: the posting rows of every known query token are gathered
+        into one flat array and counted with a single ``bincount`` over
+        ``query * rows + row``.  Returns the flat ``(n * rows,)`` count grid
+        and each query's number of distinct tokens (unknown ones included).
+        """
+        n_rows = self.size
+        query_tokens = np.empty(len(entries), dtype=np.int64)
+        owners: list[int] = []
+        ids: list[int] = []
+        for row, (_, normalized) in enumerate(entries):
+            tokens = set(normalized.split())
+            query_tokens[row] = len(tokens)
+            known = [self._vocabulary[t] for t in tokens if t in self._vocabulary]
+            owners.extend([row] * len(known))
+            ids.extend(known)
+        token_ids = np.asarray(ids, dtype=np.int64)
+        starts = self._token_post_offsets[token_ids]
+        sizes = self._token_post_offsets[token_ids + 1] - starts
+        positions = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(
+            sizes.sum()
+        )
+        shared = np.bincount(
+            np.repeat(np.asarray(owners, dtype=np.int64), sizes) * n_rows
+            + self._token_post_rows[positions],
+            minlength=len(entries) * n_rows,
+        )
+        return shared, query_tokens
 
     def _resolve_pair_chunk(
         self,
-        entries: Sequence[tuple[str, str, np.ndarray]],
+        entries: Sequence[tuple[str, str]],
         resolved: dict[str, MatchCandidate | None],
     ) -> None:
-        """Score one equal-length bucket chunk pairwise and record the winners.
+        """Score one equal-length chunk's viable pairs and record the winners.
 
-        The full composite score only decides a match when it reaches the
-        threshold, so pairs that provably cannot get there are pruned before
-        the expensive DP kernels using cheap per-pair bounds:
-
-        * the token-set Jaccard branch is computed **exactly**: a postings
-          merge-join (:meth:`_shared_token_mask`) finds the pairs sharing at
-          least one token, every other pair's Jaccard is exactly 0, and the
-          small padded-id kernel runs only on the sharing pairs;
-        * with ``c`` the character-multiset overlap of the pair (one
-          ``min(counts).sum()`` over the corpus alphabet), the Levenshtein
-          distance is at least ``max(m, len) - c``, so
-          ``lev <= c / max(m, len)``, and Jaro matches are at most ``c``, so
-          ``jaro <= (c/m + c/len + 1) / 3``; the Winkler boost uses the
-          pair's **exact** common prefix (a 4-column comparison).
-
-        A pruned pair scores strictly below the threshold, so it can neither
-        be returned nor tie a returned candidate — the surviving pairs'
-        exact argmax is the global answer, bit-identical to
-        :meth:`best_match` (pinned by the hypothesis suite).
+        The pairs :meth:`_viable_pairs` keeps run through the pairwise DP
+        kernels; a per-query segment argmax (lowest row on ties) and the
+        threshold test then pick each query's answer.  Pruned pairs score
+        strictly below the threshold, so the survivors' argmax is the global
+        answer, bit-identical to :meth:`best_match` (pinned by the
+        hypothesis suite).
         """
-        length = len(entries[0][1])
-        query_codes = np.empty((len(entries), length), dtype=np.int32)
-        token_sets = []
-        for row, (_, normalized, _) in enumerate(entries):
-            query_codes[row] = encode_query(normalized)
-            token_sets.append(set(normalized.split()))
-        token_width = max(len(tokens) for tokens in token_sets)
-        query_tokens = np.full((len(entries), token_width), QUERY_PAD, dtype=np.int64)
-        query_token_counts = np.empty(len(entries), dtype=np.int64)
-        known_ids: list[list[int]] = []
-        for row, tokens in enumerate(token_sets):
-            query_token_counts[row] = len(tokens)
-            known = [self._vocabulary[t] for t in tokens if t in self._vocabulary]
-            query_tokens[row, : len(known)] = known
-            known_ids.append(known)
-
-        counts = np.fromiter(
-            (rows.size for _, _, rows in entries), dtype=np.intp, count=len(entries)
-        )
-        pair_rows = np.concatenate([rows for _, _, rows in entries])
-        pair_query = np.repeat(np.arange(len(entries)), counts)
-
-        # Token-postings merge-join prefilter: the Jaccard kernel only sees
-        # pairs sharing a token; everything else is exactly 0.
-        token_set = np.zeros(pair_rows.shape[0])
-        sharing = np.flatnonzero(
-            self._shared_token_mask(entries, known_ids, pair_rows.shape[0])
-        )
-        if sharing.size:
-            token_set[sharing] = token_jaccard_pairs(
-                query_tokens[pair_query[sharing]],
-                query_token_counts[pair_query[sharing]],
-                self._token_matrix[pair_rows[sharing]],
-                self._token_counts[pair_rows[sharing]],
-            )
-        lengths = self._lengths[pair_rows].astype(np.int64)
-        longest = np.maximum(length, lengths)
-        char_bounds = self._char_bounds()
-        if char_bounds is not None:
-            alphabet, char_counts = char_bounds
-            query_char_counts = np.stack(
-                [(query_codes == code).sum(axis=1) for code in alphabet],
-                axis=1,
-            ).astype(np.int32)
-            common = np.minimum(
-                char_counts[pair_rows], query_char_counts[pair_query]
-            ).sum(axis=1)
-        else:
-            common = np.minimum(length, lengths)
-        levenshtein_bound = common / np.maximum(longest, 1)
-        jaro_bound = np.where(
-            common > 0,
-            (common / length + common / np.maximum(lengths, 1) + 1.0) / 3.0,
-            0.0,
-        )
-        # Exact Winkler boost: the pair's true common prefix (up to 4 chars).
-        window = min(4, length, self._codes.shape[1])
-        if window:
-            equal = (
-                self._codes[pair_rows, :window] == query_codes[pair_query, :window]
-            )
-            prefix = equal.cumprod(axis=1).sum(axis=1)
-        else:
-            prefix = np.zeros(pair_rows.shape[0], dtype=np.int64)
-        jw_bound = jaro_bound + prefix * self.prefix_scale * (1.0 - jaro_bound)
-        cutoff = self.threshold - self._PRUNE_SLACK
-        viable = (0.6 * jw_bound + 0.4 * levenshtein_bound >= cutoff) | (
-            token_set >= cutoff
-        )
-
-        scores = np.full(pair_rows.shape[0], -np.inf)
-        kept = np.nonzero(viable)[0]
-        if kept.size:
-            queries = query_codes[pair_query[kept]]
-            codes = self._codes[pair_rows[kept]]
-            kept_lengths = self._lengths[pair_rows[kept]]
+        query_codes = np.stack([encode_query(normalized) for _, normalized in entries])
+        pair_query, pair_rows, token_set = self._viable_pairs(entries, query_codes)
+        scores = token_set
+        if pair_rows.size:
+            queries = query_codes[pair_query]
+            codes = self._codes[pair_rows]
+            lengths = self._lengths[pair_rows]
             jaro_winkler = jaro_winkler_similarity_pairs(
-                queries, codes, kept_lengths, self.prefix_scale
+                queries, codes, lengths, self.prefix_scale
             )
-            levenshtein = levenshtein_similarity_pairs(queries, codes, kept_lengths)
-            scores[kept] = np.maximum(
-                0.6 * jaro_winkler + 0.4 * levenshtein, token_set[kept]
-            )
-
-        offset = 0
-        for (query, _, rows), count in zip(entries, counts):
-            segment = scores[offset : offset + count]
-            best = int(np.argmax(segment))
-            if segment[best] >= self.threshold:
+            levenshtein = levenshtein_similarity_pairs(queries, codes, lengths)
+            scores = np.maximum(0.6 * jaro_winkler + 0.4 * levenshtein, token_set)
+        bounds = np.searchsorted(pair_query, np.arange(len(entries) + 1))
+        for (query, _), lo, hi in zip(entries, bounds[:-1], bounds[1:]):
+            resolved[query] = None
+            if lo == hi:
+                continue
+            best = int(lo) + int(np.argmax(scores[lo:hi]))
+            if scores[best] >= self.threshold:
+                row = int(pair_rows[best])
                 resolved[query] = MatchCandidate(
                     query=query,
-                    candidate=self._name_at(int(rows[best])),
-                    candidate_index=int(rows[best]) + self.row_offset,
-                    score=float(segment[best]),
+                    candidate=self._name_at(row),
+                    candidate_index=row + self.row_offset,
+                    score=float(scores[best]),
                 )
-            else:
-                resolved[query] = None
-            offset += int(count)
 
     # Incremental growth ---------------------------------------------------------------
 
@@ -713,9 +791,10 @@ class LinkageIndex:
         (:meth:`_grown`), so appending N rows costs O(N) amortized encode
         work plus one O(corpus) postings memcpy — no re-normalization,
         re-tokenization or re-sort of the existing rows.  The lazy
-        perfect-match and char-bound caches are patched in place when the
-        append leaves their shape valid and invalidated otherwise.
-        Extending a :meth:`shard` appends rows at the shard's end.
+        perfect-match and char-count caches are patched in place when the
+        append leaves their shape valid and invalidated otherwise; the
+        match_many filter caches (saturated counts, overlap floors) are
+        dropped.  Extending a :meth:`shard` appends rows at the shard's end.
         """
         names = [str(name) for name in corpus_names]
         if not names:
@@ -863,26 +942,20 @@ class LinkageIndex:
                         row_bytes[local * stride_bytes : (local + 1) * stride_bytes],
                         old_n + local,
                     )
+        self._saturated_cache = None
+        self._floor_cache = {}
         if self._char_cache is None:
-            # The corpus alphabet may have left the empty/oversized regime.
+            # The corpus was blank so far; rebuild lazily.
             self._char_cache = _UNSET
         elif self._char_cache is not _UNSET:
             alphabet, counts = self._char_cache
-            positions = np.searchsorted(alphabet, flat_codes)
-            clipped = np.minimum(positions, alphabet.size - 1)
-            if flat_codes.size == 0 or bool(np.all(alphabet[clipped] == flat_codes)):
-                delta_counts = (
-                    np.bincount(
-                        row_of_char * alphabet.size + positions,
-                        minlength=delta_n * alphabet.size,
-                    )
-                    .reshape(delta_n, alphabet.size)
-                    .astype(np.int32)
-                )
-                self._char_cache = (alphabet, np.concatenate([counts, delta_counts]))
-            else:
-                # New characters widen the alphabet; rebuild lazily.
-                self._char_cache = _UNSET
+            delta_counts = _char_counts(flat_codes, lengths, alphabet)
+            # New characters widen the alphabet; rebuild lazily.
+            self._char_cache = (
+                _UNSET
+                if delta_counts is None
+                else (alphabet, np.concatenate([counts, delta_counts]))
+            )
 
     # Serialization / sharding ---------------------------------------------------------
 

@@ -110,14 +110,24 @@ class TestExtendEqualsRebuild:
     @settings(max_examples=40, deadline=None)
     def test_extend_patches_lazy_caches_correctly(self, base, delta):
         grown = LinkageIndex(base)
-        # Force both lazy caches to exist *before* the append, so extend must
-        # patch or invalidate them rather than starting from scratch.
-        grown.match_many(list(base[:2]) + ["probe"])
+        # Force every lazy cache to exist *before* the append, so extend must
+        # patch or invalidate them rather than starting from scratch: the
+        # corpus members fill the perfect-match table, and the fuzzy probes
+        # (one misspelt member, one stranger) fill the char counts and the
+        # match_many filter caches.
+        probes = list(base[:2]) + [name + "q" for name in base[:1]] + ["probe"]
+        grown.match_many(probes)
+        if grown._char_bounds() is not None and grown._perfect_row("probe") is None:
+            assert grown._saturated_cache is not None and grown._floor_cache
         grown.extend(delta)
         rebuilt = LinkageIndex(list(base) + list(delta))
-        _assert_queries_identical(
-            grown, rebuilt, list(base[:2]) + list(delta[:2]) + ["probe"]
-        )
+        _assert_queries_identical(grown, rebuilt, probes + list(delta[:2]))
+        grown_bounds, rebuilt_bounds = grown._char_bounds(), rebuilt._char_bounds()
+        assert (grown_bounds is None) == (rebuilt_bounds is None)
+        if rebuilt_bounds is not None:
+            assert np.array_equal(grown_bounds[0], rebuilt_bounds[0])
+            assert np.array_equal(grown_bounds[1], rebuilt_bounds[1])
+            assert np.array_equal(grown._saturated_counts(), rebuilt._saturated_counts())
 
     def test_empty_delta_is_a_no_op(self):
         index = LinkageIndex(["maria lopez", "xu wei"])

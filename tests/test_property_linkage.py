@@ -9,7 +9,7 @@ first-letter scheme would have produced.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fusion.linkage import (
@@ -41,6 +41,49 @@ name_strategy = st.text(
     max_size=20,
 )
 corpus_strategy = st.lists(text_strategy, min_size=1, max_size=8)
+
+# Names over a 12-letter alphabet: pairs share most of their characters, so
+# the character-overlap bound and the token Jaccard (up to 6 tokens) both sit
+# near the threshold instead of deciding nothing.
+SMALL_ALPHABET = "abdeiklmnors"
+small_token_strategy = st.text(alphabet=SMALL_ALPHABET, min_size=1, max_size=6)
+small_name_strategy = st.lists(small_token_strategy, min_size=1, max_size=6).map(
+    " ".join
+)
+
+
+@st.composite
+def near_miss_batches(draw):
+    """A small-alphabet corpus plus queries, many one edit from a corpus name.
+
+    An edit is one character inserted, deleted or replaced, or one token
+    dropped or added with the tokens shuffled — the last keeps the token
+    Jaccard high while the character bound falls, so Jaccard alone decides.
+    """
+    corpus = draw(st.lists(small_name_strategy, min_size=1, max_size=12))
+    queries = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        if not draw(st.booleans()):
+            queries.append(draw(small_name_strategy))
+            continue
+        name = draw(st.sampled_from(corpus))
+        at = draw(st.integers(min_value=0, max_value=len(name) - 1))
+        letter = draw(st.sampled_from(SMALL_ALPHABET))
+        edit = draw(st.sampled_from(("insert", "delete", "replace", "tokens")))
+        if edit == "insert":
+            queries.append(name[:at] + letter + name[at:])
+        elif edit == "delete":
+            queries.append(name[:at] + name[at + 1 :])
+        elif edit == "replace":
+            queries.append(name[:at] + letter + name[at + 1 :])
+        else:
+            tokens = draw(st.permutations(name.split()))
+            if len(tokens) > 1 and draw(st.booleans()):
+                tokens = tokens[1:]
+            else:
+                tokens = tokens + [draw(small_token_strategy)]
+            queries.append(" ".join(tokens))
+    return corpus, queries
 
 
 class TestKernelEquivalence:
@@ -126,6 +169,23 @@ class TestMatchManyQueryBatching:
         for blocking in ("qgram", "none"):
             index = LinkageIndex(corpus, threshold=0.5, blocking=blocking)
             assert index.match_many(batch) == [index.best_match(q) for q in batch]
+
+    @given(near_miss_batches())
+    # A Jaccard-only win: 5 of 6 tokens shared (0.83) while the reordered,
+    # shorter query's character bound stays below 0.82.
+    @example(batch=(["a b d e i kkkkkk", "a b d e"], ["i e d b a"]))
+    @settings(max_examples=150, deadline=None)
+    def test_match_many_equals_best_match_near_the_threshold(self, batch):
+        """The pruning decides here: one-edit neighbours score just above or
+        below each threshold, so a filter that drops one viable pair changes
+        an answer."""
+        corpus, queries = batch
+        for threshold in (0.5, 0.82, 0.95):
+            for blocking in ("qgram", "first-letter", "none"):
+                index = LinkageIndex(corpus, threshold=threshold, blocking=blocking)
+                assert index.match_many(queries) == [
+                    index.best_match(q) for q in queries
+                ], (threshold, blocking)
 
     @given(st.lists(name_strategy, min_size=1, max_size=8), name_strategy)
     @settings(max_examples=50)
