@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.dataset.generalization import Interval, cover_values
+from repro.dataset.statistics import standardize_matrix
 from repro.dataset.table import Table, _py_value
 from repro.exceptions import AnonymizationError, InfeasibleAnonymizationError
 
@@ -32,6 +33,7 @@ __all__ = [
     "AnonymizationResult",
     "BaseAnonymizer",
     "build_release",
+    "standardized_quasi_identifiers",
     "validate_k",
 ]
 
@@ -117,6 +119,30 @@ def validate_k(table: Table, k: int) -> None:
         raise InfeasibleAnonymizationError(
             f"k={k} exceeds the number of records ({table.num_rows})"
         )
+
+
+def standardized_quasi_identifiers(table: Table, scheme: str) -> np.ndarray:
+    """The column-standardized numeric quasi-identifier matrix of ``table``.
+
+    Distance-based schemes (``scheme`` names one in the error) need every
+    standardized cell finite: a missing value, an infinity or a finite value
+    that overflows while standardizing (such as ``1e308``) turns its whole
+    column non-finite, and a grouping loop over it would select nothing and
+    never shrink.  Hence the test runs on the standardized matrix too.
+    """
+    matrix = table.quasi_identifier_matrix()
+    finite = np.isfinite(matrix).all(axis=0)
+    if finite.all():
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix, _, _ = standardize_matrix(matrix)
+        finite = np.isfinite(matrix).all(axis=0)
+    if not finite.all():
+        column = table.schema.numeric_quasi_identifiers[int(np.argmin(finite))]
+        raise AnonymizationError(
+            f"{scheme} requires finite numeric quasi-identifiers; column {column!r} "
+            "has missing, infinite or overflowing values"
+        )
+    return matrix
 
 
 def _validate_partition(table: Table, classes: Sequence[EquivalenceClass], k: int) -> None:

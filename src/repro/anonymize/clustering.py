@@ -9,21 +9,20 @@ nearest cluster.  It differs from MDAV by growing one cluster at a time from a
 single seed instead of two per iteration, which yields a slightly different
 utility/protection trade-off and serves as an additional ablation baseline.
 
-Like MDAV, the gathering loop works over a compacted point matrix plus a
-global-row-index array: cluster members are selected with a partition-based
-k-smallest pick on one distance buffer and retired with a boolean-mask
-compaction, instead of rebuilding Python index lists per cluster.
+The gathering loop runs on MDAV's column-major active set
+(:class:`repro.anonymize.mdav._ActiveSet`): bulk distances, the certified
+farthest-record and k-nearest selections and segment-copy retirement, so
+clusters are identical to the original row-major einsum-and-stable-argsort
+loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.anonymize.base import BaseAnonymizer, EquivalenceClass
-from repro.anonymize.mdav import _k_smallest, _sq_distances
-from repro.dataset.statistics import standardize_matrix
+from repro.anonymize.base import BaseAnonymizer, EquivalenceClass, standardized_quasi_identifiers
+from repro.anonymize.mdav import _ActiveSet
 from repro.dataset.table import Table
-from repro.exceptions import AnonymizationError
 
 __all__ = ["GreedyClusterAnonymizer"]
 
@@ -34,38 +33,33 @@ class GreedyClusterAnonymizer(BaseAnonymizer):
     name = "greedy-cluster"
 
     def partition(self, table: Table, k: int) -> list[EquivalenceClass]:
-        matrix = table.quasi_identifier_matrix()
-        if np.isnan(matrix).any():
-            raise AnonymizationError(
-                "clustering anonymization requires numeric quasi-identifiers without missing values"
-            )
-        points, _, _ = standardize_matrix(matrix)
+        points = standardized_quasi_identifiers(table, "clustering anonymization")
         centroid = points.mean(axis=0)
 
-        active_rows = np.arange(points.shape[0], dtype=np.intp)
-        active_points = points
+        active = _ActiveSet(points)
         clusters: list[list[int]] = []
-        while active_rows.size >= 2 * k:
-            seed_position = int(np.argmax(_sq_distances(active_points, centroid)))
-            distances = _sq_distances(active_points, active_points[seed_position])
-            chosen = _k_smallest(distances, k)
-            clusters.append(active_rows[chosen].tolist())
-            keep = np.ones(active_rows.size, dtype=bool)
-            keep[chosen] = False
-            active_rows = active_rows[keep]
-            active_points = active_points[keep]
+        while active.size >= 2 * k:
+            seed = active.farthest(active.distances(centroid), centroid)
+            seed_point = points[active.rows[seed]]
+            chosen = active.k_nearest(active.distances(seed_point), k, seed_point)
+            clusters.append(active.rows[chosen].tolist())
+            active.retire(chosen)
 
-        if active_rows.size:
-            if active_rows.size >= k or not clusters:
-                clusters.append(active_rows.tolist())
+        if active.size:
+            if active.size >= k or not clusters:
+                clusters.append(active.rows.tolist())
             else:
-                for index in active_rows.tolist():
+                for index in active.rows.tolist():
                     nearest = min(
                         range(len(clusters)),
-                        key=lambda c: float(
-                            _sq_distances(points[clusters[c]], points[index]).min()
-                        ),
+                        key=lambda c: _nearest_sq_distance(points[clusters[c]], points[index]),
                     )
                     clusters[nearest].append(index)
 
         return [EquivalenceClass(tuple(sorted(cluster))) for cluster in clusters]
+
+
+def _nearest_sq_distance(members: np.ndarray, point: np.ndarray) -> float:
+    """Smallest squared distance from ``point`` to a cluster's member rows."""
+    deltas = members - point
+    return float(np.einsum("ij,ij->i", deltas, deltas).min())

@@ -84,3 +84,9 @@ class TestGreedyCluster:
         broken = simple_table.replace_column("age", [SUPPRESSED, 31, 37, 44, 52, 58])
         with pytest.raises(AnonymizationError):
             GreedyClusterAnonymizer().anonymize(broken, 2)
+
+    @pytest.mark.parametrize("bad", [float("inf"), 1e308])
+    def test_non_finite_quasi_identifier_rejected_naming_the_column(self, simple_table, bad):
+        broken = simple_table.replace_column("age", [bad, bad, 37, 44, 52, 58])
+        with pytest.raises(AnonymizationError, match="'age'"):
+            GreedyClusterAnonymizer().anonymize(broken, 2)

@@ -33,6 +33,8 @@ from repro.dataset.generalization import (
 from repro.dataset.statistics import standardize_matrix
 from repro.dataset.table import Table
 
+from mdav_reference import seed_mdav_groups
+
 
 @pytest.fixture(scope="module")
 def census_table() -> Table:
@@ -44,46 +46,9 @@ def census_table() -> Table:
 # --------------------------------------------------------------------------
 
 
-def _seed_sq_distances(points, reference):
-    deltas = points - reference
-    return np.einsum("ij,ij->i", deltas, deltas)
-
-
-def _seed_take_group(points, remaining, anchor_global, k):
-    subset = points[remaining]
-    anchor_local = remaining.index(anchor_global)
-    distances = _seed_sq_distances(subset, points[anchor_global])
-    distances[anchor_local] = -1.0
-    order = np.argsort(distances, kind="stable")
-    group = [remaining[int(i)] for i in order[:k]]
-    for index in group:
-        remaining.remove(index)
-    return group
-
-
-def _seed_farthest_from(points, remaining, reference):
-    subset = points[remaining]
-    return remaining[int(np.argmax(_seed_sq_distances(subset, reference)))]
-
-
 def seed_mdav_partition(table: Table, k: int) -> list[tuple[int, ...]]:
     standardized, _, _ = standardize_matrix(table.quasi_identifier_matrix())
-    remaining = list(range(standardized.shape[0]))
-    groups: list[list[int]] = []
-    while len(remaining) >= 3 * k:
-        centroid = standardized[remaining].mean(axis=0)
-        r_global = _seed_farthest_from(standardized, remaining, centroid)
-        r_point = standardized[r_global].copy()
-        groups.append(_seed_take_group(standardized, remaining, r_global, k))
-        s_global = _seed_farthest_from(standardized, remaining, r_point)
-        groups.append(_seed_take_group(standardized, remaining, s_global, k))
-    if len(remaining) >= 2 * k:
-        centroid = standardized[remaining].mean(axis=0)
-        r_global = _seed_farthest_from(standardized, remaining, centroid)
-        groups.append(_seed_take_group(standardized, remaining, r_global, k))
-    if remaining:
-        groups.append(list(remaining))
-    return [tuple(sorted(group)) for group in groups]
+    return [tuple(sorted(group)) for group in seed_mdav_groups(standardized, k)]
 
 
 def seed_mondrian_partition(table: Table, k: int, strict: bool = True) -> list[tuple[int, ...]]:

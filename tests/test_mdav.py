@@ -87,6 +87,20 @@ class TestAnonymizer:
         with pytest.raises(AnonymizationError):
             MDAVAnonymizer().anonymize(broken, 2)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [25, 31, float("inf"), 44, 52, 58],
+            [25, 31, float("-inf"), 44, 52, 58],
+            # Finite, but the column mean overflows while standardizing.
+            [1e308, 1e308, 37, 44, 52, 58],
+        ],
+    )
+    def test_non_finite_quasi_identifier_rejected_naming_the_column(self, simple_table, values):
+        broken = simple_table.replace_column("age", values)
+        with pytest.raises(AnonymizationError, match="'age'"):
+            MDAVAnonymizer().anonymize(broken, 2)
+
     def test_deterministic(self, faculty_population):
         first = MDAVAnonymizer().anonymize(faculty_population.private, 4)
         second = MDAVAnonymizer().anonymize(faculty_population.private, 4)

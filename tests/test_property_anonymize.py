@@ -12,9 +12,12 @@ from repro.anonymize.kanonymity import anonymity_level, is_k_anonymous
 from repro.anonymize.mdav import MDAVAnonymizer, _mdav_groups
 from repro.anonymize.mondrian import MondrianAnonymizer
 from repro.dataset.schema import Attribute, AttributeKind, AttributeRole, Schema
+from repro.dataset.statistics import standardize_matrix
 from repro.dataset.table import Table
 from repro.metrics.dissimilarity import mean_square_dissimilarity
 from repro.metrics.utility import discernibility_cost
+
+from mdav_reference import seed_mdav_groups
 
 
 def _random_table(values: list[list[float]]) -> Table:
@@ -73,6 +76,46 @@ class TestMDAVProperties:
         assert sum(sizes) == n
         assert min(sizes) >= k
         assert max(sizes) <= 2 * k - 1
+
+
+@st.composite
+def tie_heavy_points(draw) -> np.ndarray:
+    """Point matrices full of exact and near ties, where rounding decides MDAV.
+
+    Integer grids, normals rounded to 0.1, a few base rows tiled in random
+    order (shifted far from the origin, where the centroid's rounding is
+    largest next to the spread) and a constant column; optionally
+    standardized like the anonymizer's input.
+    """
+    dimension = draw(st.integers(min_value=1, max_value=10))
+    count = draw(st.integers(min_value=1, max_value=200))
+    kind = draw(st.sampled_from(["grid", "rounded", "bases", "constant"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "grid":
+        points = rng.integers(0, 3, size=(count, dimension)).astype(float)
+    elif kind == "bases":
+        bases = np.round(rng.normal(size=(int(rng.integers(1, 5)), dimension)), 1)
+        tiled = np.tile(bases, (count // bases.shape[0] + 1, 1))[:count]
+        points = rng.permutation(tiled) + 10.0 ** draw(st.integers(min_value=0, max_value=3))
+    else:
+        points = np.round(rng.normal(size=(count, dimension)), 1)
+        if kind == "constant":
+            points[:, int(rng.integers(dimension))] = 0.7
+    if draw(st.booleans()):
+        points, _, _ = standardize_matrix(points)
+    return points
+
+
+class TestMDAVKernelEquivalence:
+    """The filter-and-verify kernel picks exactly the seed loop's groups."""
+
+    @given(tie_heavy_points(), st.integers(min_value=1, max_value=8))
+    @settings(max_examples=300, deadline=None)
+    def test_groups_equal_seed_loop(self, points, k):
+        before = points.copy()
+        groups = _mdav_groups(points, k)
+        assert [sorted(g) for g in groups] == [sorted(g) for g in seed_mdav_groups(points, k)]
+        assert np.array_equal(points, before)
 
 
 class TestMondrianProperties:

@@ -287,6 +287,20 @@ class TestReleaseEndpoint:
         )
         assert status == 400
 
+    def test_non_finite_quasi_identifier_is_a_prompt_400(self, service_client, simple_table):
+        # CSV upload accepts "inf"; MDAV used to spin forever on such a column.
+        broken = simple_table.replace_column("age", [25, 31, float("inf"), 44, 52, 58])
+        status, _, body = service_client.post_raw(
+            "/datasets", render_csv(broken).encode(), "text/csv"
+        )
+        assert status == 201
+        fingerprint = json.loads(body)["fingerprint"]
+        started = time.monotonic()
+        status, _, body = service_client.post_json("/release", {"dataset": fingerprint, "k": 2})
+        assert status == 400
+        assert "'age'" in json.loads(body)["error"]
+        assert time.monotonic() - started < 10.0
+
 
 class TestAttackEndpoint:
     def test_attack_over_http(self, service_client, faculty_fingerprints, faculty_population):
