@@ -37,9 +37,9 @@ _GATE_RECORDS: list[dict] = []
 def bench_gate(request):
     """Record one speedup gate's measurements for the BENCH_*.json summary.
 
-    Every record is stamped with the linkage engine's active kernel backend
-    and shared-memory availability, so a summary from a numba CI leg is
-    distinguishable from the pure-numpy one.
+    Every record is stamped with the linkage engine's kernel implementation
+    and shared-memory availability, so summaries from different hosts can be
+    told apart.
     """
 
     def record(gate: str, **metrics) -> None:

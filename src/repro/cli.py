@@ -57,7 +57,6 @@ from repro.exceptions import ReproError
 from repro.fusion.attack import AttackConfig, WebFusionAttack
 from repro.fusion.auxiliary import TableAuxiliarySource
 from repro.linkage import BLOCKING_SCHEMES
-from repro.linkage.kernels import set_kernel_backend
 
 __all__ = ["main", "build_parser"]
 
@@ -182,13 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers processes (unset: connections are never capped)",
     )
     serve.add_argument(
-        "--kernel-backend",
-        choices=("auto", "numpy", "numba"),
-        default="auto",
-        help="pairwise string-kernel implementation used by linkage-backed "
-        "attacks (auto: numba when importable, else numpy)",
-    )
-    serve.add_argument(
         "--verbose", action="store_true", help="log every HTTP request to stderr"
     )
     return parser
@@ -215,13 +207,6 @@ def _add_linkage_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=2,
         help="character q-gram width of the 'qgram' blocking scheme",
-    )
-    parser.add_argument(
-        "--kernel-backend",
-        choices=("auto", "numpy", "numba"),
-        default="auto",
-        help="pairwise string-kernel implementation (auto: numba when "
-        "importable, else numpy; results are bit-identical either way)",
     )
 
 
@@ -273,7 +258,6 @@ def _command_anonymize(arguments: argparse.Namespace) -> int:
 def _command_attack(arguments: argparse.Namespace) -> int:
     if arguments.sensitive_low >= arguments.sensitive_high:
         raise ReproError("--sensitive-low must be below --sensitive-high")
-    set_kernel_backend(arguments.kernel_backend)
     release = read_csv(arguments.release)
     source = _auxiliary_source(arguments.auxiliary, arguments)
     config = _attack_config(
@@ -309,7 +293,6 @@ def _command_attack(arguments: argparse.Namespace) -> int:
 
 
 def _command_fred(arguments: argparse.Namespace) -> int:
-    set_kernel_backend(arguments.kernel_backend)
     private = read_csv(arguments.input)
     source = _auxiliary_source(arguments.auxiliary, arguments)
     sensitive = private.sensitive_vector()
@@ -349,7 +332,6 @@ def _command_fred(arguments: argparse.Namespace) -> int:
 def _command_serve(arguments: argparse.Namespace) -> int:
     from repro.service import AnonymizationService, ServiceConfig, build_server
 
-    set_kernel_backend(arguments.kernel_backend)
     cache_dir = arguments.cache_dir
     if arguments.workers > 1 and cache_dir is None:
         # Multi-process mode needs a shared spill directory; provision one.

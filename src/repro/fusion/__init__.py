@@ -23,7 +23,6 @@ from repro.fusion.estimators import (
 )
 from repro.fusion.linkage import (
     MatchCandidate,
-    NameMatcher,
     jaro_similarity,
     jaro_winkler_similarity,
     levenshtein_distance,
@@ -48,7 +47,6 @@ __all__ = [
     "SimulatedWebCorpus",
     "WebPage",
     "name_variant",
-    "NameMatcher",
     "MatchCandidate",
     "normalize_name",
     "levenshtein_distance",

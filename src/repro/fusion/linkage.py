@@ -10,16 +10,14 @@ machinery — Levenshtein, Jaro / Jaro-Winkler, token-set Jaccard and the
 composite :func:`name_similarity`.  They are the executable specification for
 the batched engine in :mod:`repro.linkage`, whose vectorized kernels must
 reproduce them bit-for-bit (pinned by ``tests/test_property_linkage.py``).
-:class:`NameMatcher` is kept as a thin compatibility wrapper over
-:class:`repro.linkage.LinkageIndex`; new code should use the index directly.
+Matching a batch of names against a corpus is the job of
+:class:`repro.linkage.LinkageIndex`, which scores with those kernels.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.exceptions import LinkageError
-from repro.linkage.index import LinkageIndex, MatchCandidate
+from repro.linkage.index import MatchCandidate
 from repro.linkage.normalize import normalize_name
 
 __all__ = [
@@ -31,7 +29,6 @@ __all__ = [
     "token_set_similarity",
     "name_similarity",
     "MatchCandidate",
-    "NameMatcher",
 ]
 
 
@@ -146,64 +143,3 @@ def name_similarity(left: str, right: str) -> float:
     levenshtein = levenshtein_similarity(left_norm, right_norm)
     return max(0.6 * jaro_winkler + 0.4 * levenshtein, token_set)
 
-
-class NameMatcher:
-    """Approximate name matcher — compatibility wrapper over the batched engine.
-
-    Historically this class ran the scalar similarity functions above under
-    first-letter blocking; it now delegates to
-    :class:`repro.linkage.LinkageIndex` (identical scores, multi-key q-gram
-    blocking by default) and keeps the original constructor and query surface.
-
-    Parameters
-    ----------
-    corpus_names:
-        The names known to the auxiliary source (web page owners).
-    threshold:
-        Minimum composite similarity for a match to be reported.
-    use_blocking:
-        When disabled, every query is scored against the full corpus.
-    blocking:
-        Blocking scheme when ``use_blocking`` is set: ``"qgram"`` (default)
-        or ``"first-letter"`` (the historical scheme).
-    qgram_size:
-        Character q-gram width of the ``"qgram"`` scheme.
-    """
-
-    def __init__(
-        self,
-        corpus_names: Sequence[str],
-        threshold: float = 0.82,
-        use_blocking: bool = True,
-        blocking: str = "qgram",
-        qgram_size: int = 2,
-    ) -> None:
-        self.use_blocking = use_blocking
-        self._index = LinkageIndex(
-            corpus_names,
-            threshold=threshold,
-            blocking=blocking if use_blocking else "none",
-            qgram_size=qgram_size,
-        )
-
-    @property
-    def threshold(self) -> float:
-        """Minimum composite similarity for a match to be reported."""
-        return self._index.threshold
-
-    @property
-    def index(self) -> LinkageIndex:
-        """The underlying batched linkage index."""
-        return self._index
-
-    def candidates(self, query: str) -> list[MatchCandidate]:
-        """All corpus entries scoring above the threshold, best first."""
-        return self._index.candidates(query)
-
-    def best_match(self, query: str) -> MatchCandidate | None:
-        """The single best match above the threshold, or ``None``."""
-        return self._index.best_match(query)
-
-    def match_many(self, queries: Sequence[str]) -> list[MatchCandidate | None]:
-        """The best match for every query, resolved in one batched pass."""
-        return self._index.match_many(queries)

@@ -52,7 +52,7 @@ from repro.fusion.auxiliary import (
     ColumnRowAttributes,
     HarvestRecords,
 )
-from repro.fusion.linkage import NameMatcher
+from repro.linkage.index import LinkageIndex
 
 __all__ = ["WebPage", "SimulatedWebCorpus", "name_variant"]
 
@@ -140,7 +140,7 @@ class SimulatedWebCorpus(AuxiliarySource):
         self.linkage_threshold = linkage_threshold
         self.blocking = blocking
         self.qgram_size = qgram_size
-        self._matcher_cache: NameMatcher | None = None
+        self._index_cache: LinkageIndex | None = None
         self._pages_cache: list[WebPage] | None = None
         if pages is None:
             raise AuxiliarySourceError("a web corpus needs at least one page")
@@ -216,7 +216,7 @@ class SimulatedWebCorpus(AuxiliarySource):
         corpus.linkage_threshold = linkage_threshold
         corpus.blocking = blocking
         corpus.qgram_size = qgram_size
-        corpus._matcher_cache = None
+        corpus._index_cache = None
         corpus._pages_cache = None
         corpus._owners = owners
         corpus._displayed = displayed
@@ -240,25 +240,19 @@ class SimulatedWebCorpus(AuxiliarySource):
         return f"https://people.example.edu/~person{number}"
 
     @property
-    def _matcher(self) -> NameMatcher:
-        """The linkage index over displayed names, built on first use."""
-        if self._matcher_cache is None:
-            self._matcher_cache = NameMatcher(
-                self._displayed,
-                threshold=self.linkage_threshold,
-                use_blocking=self.blocking != "none",
-                blocking=self.blocking if self.blocking != "none" else "qgram",
-                qgram_size=self.qgram_size,
-            )
-        return self._matcher_cache
-
-    @property
-    def linkage_index(self):
-        """The corpus's linkage index (built if still lazy).
+    def linkage_index(self) -> LinkageIndex:
+        """The linkage index over displayed names, built on first use.
 
         Overrides :attr:`AuxiliarySource.linkage_index`.
         """
-        return self._matcher.index
+        if self._index_cache is None:
+            self._index_cache = LinkageIndex(
+                self._displayed,
+                threshold=self.linkage_threshold,
+                blocking=self.blocking,
+                qgram_size=self.qgram_size,
+            )
+        return self._index_cache
 
     def _fact_cell(self, name: str, index: int) -> object:
         """One page's value for fact ``name`` (``None`` = absent)."""
@@ -468,7 +462,7 @@ class SimulatedWebCorpus(AuxiliarySource):
         """Pages plausibly belonging to ``name``, best linkage score first."""
         return [
             self._record_for_page(match.candidate_index, match.score)
-            for match in self._matcher.candidates(name)
+            for match in self.linkage_index.candidates(name)
         ]
 
     def lookup_many(self, names: Sequence[str]) -> list[AuxiliaryRecord | None]:
@@ -477,13 +471,13 @@ class SimulatedWebCorpus(AuxiliarySource):
             None
             if match is None
             else self._record_for_page(match.candidate_index, match.score)
-            for match in self._matcher.match_many(names)
+            for match in self.linkage_index.match_many(names)
         ]
 
     def harvest_records(self, names: Sequence[str]) -> HarvestRecords:
         """Bulk harvest with numeric fact columns gathered straight from storage."""
         queried = [str(name) for name in names]
-        matches = self._matcher.match_many(queried)
+        matches = self.linkage_index.match_many(queried)
         rows = np.fromiter(
             (-1 if match is None else match.candidate_index for match in matches),
             dtype=np.intp,

@@ -8,9 +8,9 @@ layers — normalization (:mod:`repro.linkage.normalize`), candidate generation
 built once per corpus and resolves whole batches of queries at a time.
 
 The scalar similarity functions in :mod:`repro.fusion.linkage` remain the
-executable specification: the batched kernels reproduce them bit-for-bit, and
-``NameMatcher`` there is now a thin compatibility wrapper over
-:class:`LinkageIndex`.
+executable specification: the NumPy kernels, the only kernel implementation,
+reproduce them bit-for-bit.  Callers that match names build a
+:class:`LinkageIndex` and query it directly.
 """
 
 from repro.linkage.blocking import (

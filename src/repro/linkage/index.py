@@ -11,8 +11,8 @@ number of approximate-match queries against it:
 * the composite score is exactly the scalar reference
   (:func:`repro.fusion.linkage.name_similarity`):
   ``max(0.6 * jaro_winkler + 0.4 * levenshtein, token_jaccard)`` on
-  normalized names — bit-identical, so the engine reproduces the historical
-  ``NameMatcher`` matches wherever blocking agrees;
+  normalized names — bit-identical, so the engine reproduces a scalar
+  scan of the corpus wherever blocking agrees;
 * :meth:`match_many` resolves a whole batch of queries (the release's entire
   identifier column) in one pass, deduplicating repeated queries and batching
   the *query* axis too.  Queries that miss the perfect-match table are
@@ -458,8 +458,8 @@ class LinkageIndex:
     def candidates(self, query: str) -> list[MatchCandidate]:
         """All corpus entries scoring above the threshold, best first.
 
-        Ties keep ascending corpus order, exactly like the historical
-        ``NameMatcher`` (stable sort over candidates visited in index order).
+        Ties keep ascending corpus order, exactly like a scalar scan of the
+        corpus (stable sort over candidates visited in index order).
         """
         query = str(query)
         normalized_query = normalize_name(query)

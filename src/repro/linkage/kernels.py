@@ -36,41 +36,22 @@ each step vectorized across every (query, candidate) pair at once:
 * **Token-set Jaccard** — corpus token sets are padded id matrices; one
   ``np.isin`` per query gives every intersection size.
 
-Backend registry
-----------------
-The three pairwise primitives — :func:`levenshtein_distance_pairs`,
-:func:`jaro_similarity_pairs` and :func:`token_jaccard_pairs` — dispatch
-through a small backend registry.  ``"numpy"`` is the built-in reference;
-``"numba"`` (:mod:`repro.linkage.accel`) compiles per-pair scalar loops with
-``numba.njit`` and is **bit-identical** by construction (same float operation
-order) and by a load-time self-check.  ``set_kernel_backend("auto")`` — the
-default, also reachable via the ``REPRO_KERNEL_BACKEND`` environment variable
-— picks numba when it imports, compiles and passes the self-check, and falls
-back to NumPy cleanly otherwise.  Every similarity wrapper (``*_batch``,
-``*_similarity_*``, Winkler) composes from the three primitives, so switching
-backends can never change a composite score.
+Every similarity wrapper (``*_batch``, ``*_similarity_*``, Winkler) composes
+from the three pairwise primitives — :func:`levenshtein_distance_pairs`,
+:func:`jaro_similarity_pairs` and :func:`token_jaccard_pairs` — so pinning
+those three pins every composite score.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from repro.exceptions import LinkageError
 
 __all__ = [
     "PAD",
     "QUERY_PAD",
-    "KERNEL_PRIMITIVES",
-    "KernelBackendUnavailable",
-    "register_kernel_backend",
-    "set_kernel_backend",
     "active_kernel_backend",
-    "kernel_backend_info",
-    "kernel_backend",
     "encode_query",
     "encode_strings",
     "encode_strings_flat",
@@ -94,141 +75,10 @@ PAD = np.int32(-1)
 #: padded query token never equals a padded corpus token.
 QUERY_PAD = np.int64(-2)
 
-#: The pairwise primitives a kernel backend must provide.  Everything else in
-#: this module (batch wrappers, similarity normalization, the Winkler boost)
-#: composes from these three, so a backend replaces exactly this set.
-KERNEL_PRIMITIVES = (
-    "levenshtein_distance_pairs",
-    "jaro_similarity_pairs",
-    "token_jaccard_pairs",
-)
-
-
-class KernelBackendUnavailable(LinkageError, RuntimeError):
-    """A requested kernel backend cannot be used on this interpreter.
-
-    Raised when the backend's dependency does not import, fails to compile,
-    or — defensively — does not reproduce the NumPy reference bit-for-bit on
-    the load-time self-check.
-    """
-
-
-#: name -> dict of primitive implementations, or a zero-argument loader that
-#: produces that dict on first use (lazy import/compile).
-_BACKEND_FACTORIES: dict[str, "Callable[[], dict[str, Callable]] | None"] = {}
-_BACKEND_IMPLS: dict[str, dict[str, Callable]] = {}
-_ACTIVE_BACKEND: str | None = None  # resolved lazily (env var, auto fallback)
-
-
-def register_kernel_backend(
-    name: str, loader: "Callable[[], dict[str, Callable]]"
-) -> None:
-    """Register a kernel backend under ``name``.
-
-    ``loader`` is called (once, lazily) when the backend is first selected and
-    must return a mapping with one callable per :data:`KERNEL_PRIMITIVES`
-    entry, each bit-identical to the NumPy reference.  It may raise
-    :class:`KernelBackendUnavailable` to signal a missing dependency.
-    """
-    _BACKEND_FACTORIES[name] = loader
-    _BACKEND_IMPLS.pop(name, None)
-
-
-def _load_backend(name: str) -> dict[str, Callable]:
-    """The primitive table of backend ``name`` (loading/compiling on first use)."""
-    impls = _BACKEND_IMPLS.get(name)
-    if impls is not None:
-        return impls
-    loader = _BACKEND_FACTORIES.get(name)
-    if loader is None:
-        options = sorted(_BACKEND_FACTORIES)
-        raise KernelBackendUnavailable(
-            f"unknown kernel backend {name!r}; options: {options + ['auto']}"
-        )
-    impls = loader()
-    missing = [p for p in KERNEL_PRIMITIVES if p not in impls]
-    if missing:
-        raise KernelBackendUnavailable(
-            f"kernel backend {name!r} is missing primitives: {missing}"
-        )
-    _BACKEND_IMPLS[name] = impls
-    return impls
-
-
-def _select_backend(name: str, strict: bool) -> str:
-    """Resolve a requested backend name to a loadable one.
-
-    ``"auto"`` prefers numba and falls back to ``"numpy"``.  With ``strict``
-    a named backend that cannot load raises; otherwise (the lazy env-var
-    path) it degrades to ``"numpy"`` so a stale environment setting can never
-    take the library down.
-    """
-    if name == "auto":
-        try:
-            _load_backend("numba")
-            return "numba"
-        except KernelBackendUnavailable:
-            return "numpy"
-    try:
-        _load_backend(name)
-        return name
-    except KernelBackendUnavailable:
-        if strict:
-            raise
-        return "numpy"
-
-
-def set_kernel_backend(name: str) -> str:
-    """Select the kernel backend; returns the previously active name.
-
-    ``"auto"`` prefers numba and falls back to ``"numpy"`` silently; naming a
-    backend explicitly raises :class:`KernelBackendUnavailable` when it cannot
-    be loaded.  Selection is process-global (the kernels are pure functions of
-    their arguments, and every backend is bit-identical, so a mid-flight
-    switch cannot change any result).
-    """
-    global _ACTIVE_BACKEND
-    previous = active_kernel_backend()
-    _ACTIVE_BACKEND = _select_backend(name, strict=True)
-    return previous
-
 
 def active_kernel_backend() -> str:
-    """The name of the backend currently answering the pairwise primitives."""
-    global _ACTIVE_BACKEND
-    if _ACTIVE_BACKEND is None:
-        # First use: honour REPRO_KERNEL_BACKEND, defaulting to auto-detect.
-        requested = os.environ.get("REPRO_KERNEL_BACKEND", "auto").strip() or "auto"
-        _ACTIVE_BACKEND = _select_backend(requested, strict=False)
-    return _ACTIVE_BACKEND
-
-
-def kernel_backend_info() -> dict[str, object]:
-    """Introspection snapshot: active backend plus per-backend availability."""
-    active = active_kernel_backend()
-    availability: dict[str, bool] = {}
-    for name in sorted(_BACKEND_FACTORIES):
-        try:
-            _load_backend(name)
-            availability[name] = True
-        except KernelBackendUnavailable:
-            availability[name] = False
-    return {"active": active, "available": availability}
-
-
-@contextlib.contextmanager
-def kernel_backend(name: str):
-    """Temporarily select a kernel backend (tests, benchmark A/B runs)."""
-    previous = set_kernel_backend(name)
-    try:
-        yield active_kernel_backend()
-    finally:
-        set_kernel_backend(previous)
-
-
-def _primitive(name: str) -> Callable:
-    """The active backend's implementation of primitive ``name``."""
-    return _load_backend(active_kernel_backend())[name]
+    """The name of the kernel implementation, for environment stamps."""
+    return "numpy"
 
 
 def encode_query(text: str) -> np.ndarray:
@@ -315,12 +165,6 @@ def levenshtein_distance_pairs(
     answer for row ``r`` is read at column ``lengths[r]``, so padding never
     leaks into the result.
     """
-    return _primitive("levenshtein_distance_pairs")(queries, codes, lengths)
-
-
-def _levenshtein_distance_pairs_numpy(
-    queries: np.ndarray, codes: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
     n_rows, width = codes.shape
     span = np.arange(width + 1, dtype=np.int32)
     dp = np.broadcast_to(span, (n_rows, width + 1)).copy()
@@ -371,12 +215,6 @@ def jaro_similarity_pairs(
     order.  All queries must share one length ``m`` (the pair-bucketing
     invariant of ``match_many``).
     """
-    return _primitive("jaro_similarity_pairs")(queries, codes, lengths)
-
-
-def _jaro_similarity_pairs_numpy(
-    queries: np.ndarray, codes: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
     n_rows, width = codes.shape
     m = queries.shape[1]
     lengths = lengths.astype(np.int64)
@@ -470,17 +308,6 @@ def token_jaccard_pairs(
     (unknown tokens enlarge the union but can never intersect).  The two pad
     values are distinct, so padding never fakes an intersection.
     """
-    return _primitive("token_jaccard_pairs")(
-        query_token_matrix, query_token_counts, token_matrix, token_counts
-    )
-
-
-def _token_jaccard_pairs_numpy(
-    query_token_matrix: np.ndarray,
-    query_token_counts: np.ndarray,
-    token_matrix: np.ndarray,
-    token_counts: np.ndarray,
-) -> np.ndarray:
     intersection = (
         (token_matrix[:, :, None] == query_token_matrix[:, None, :])
         .any(axis=2)
@@ -506,21 +333,3 @@ def token_jaccard_batch(
     intersection = np.isin(token_matrix, query_token_ids).sum(axis=1)
     union = query_token_count + token_counts.astype(np.int64) - intersection
     return np.where(union > 0, intersection / np.maximum(union, 1), 1.0)
-
-
-def _load_numpy_backend() -> dict[str, Callable]:
-    return {
-        "levenshtein_distance_pairs": _levenshtein_distance_pairs_numpy,
-        "jaro_similarity_pairs": _jaro_similarity_pairs_numpy,
-        "token_jaccard_pairs": _token_jaccard_pairs_numpy,
-    }
-
-
-def _load_numba_backend() -> dict[str, Callable]:
-    from repro.linkage.accel import build_numba_primitives
-
-    return build_numba_primitives()
-
-
-register_kernel_backend("numpy", _load_numpy_backend)
-register_kernel_backend("numba", _load_numba_backend)

@@ -2,8 +2,8 @@
 
 :func:`shared_memory_available` reports whether this interpreter can create
 and map ``multiprocessing.shared_memory`` segments (``/dev/shm`` present, no
-sandbox in the way).  Environment stamps — ``GET /stats`` and the benchmark
-metadata — record it so numbers from different hosts can be told apart.
+sandbox in the way).  The benchmark environment stamps record it so numbers
+from different hosts can be told apart.
 """
 
 from __future__ import annotations

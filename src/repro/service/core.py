@@ -737,13 +737,10 @@ class AnonymizationService:
         Keyed by (identifier-column fingerprint, auxiliary-corpus fingerprint,
         name column) — the harvest is independent of anonymization algorithm,
         level and fusion engine, so every attack and FRED request over the
-        same identifiers and corpus reuses one linkage pass.  The active
-        kernel backend deliberately does not enter the key: the numba and
-        numpy kernels are bit-identical (enforced by the backend's load-time
-        self-check), so a harvest computed under either backend is valid for
-        both.  The harvested record lists have no container encoding, so
-        the memo lives in the memory tier only: loading a spilled harvest
-        costs more than recomputing it.
+        same identifiers and corpus reuses one linkage pass.  The harvested
+        record lists have no container encoding, so the memo lives in the
+        memory tier only: loading a spilled harvest costs more than
+        recomputing it.
         """
         source = TableAuxiliarySource(
             table=self.dataset(auxiliary), name_column=name_column
@@ -936,10 +933,7 @@ class AnonymizationService:
     # Lifecycle / introspection -------------------------------------------------
 
     def stats(self) -> dict[str, object]:
-        """Service counters: datasets, cache behaviour, job states, linkage."""
-        from repro.linkage.kernels import kernel_backend_info
-        from repro.linkage.shm import shared_memory_available
-
+        """Service counters: datasets, cache behaviour, appends, job states."""
         with self._datasets_lock:
             dataset_count = len(self._datasets)
         jobs = self._jobs.jobs()
@@ -951,10 +945,6 @@ class AnonymizationService:
                 "count": self._appends,
                 "rows": self._append_rows,
                 "invalidated_entries": self._append_invalidated,
-            },
-            "linkage": {
-                "kernel_backend": kernel_backend_info(),
-                "shared_memory": shared_memory_available(),
             },
             "jobs": {
                 "total": len(jobs),

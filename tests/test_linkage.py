@@ -6,7 +6,6 @@ import pytest
 
 from repro.exceptions import LinkageError
 from repro.fusion.linkage import (
-    NameMatcher,
     jaro_similarity,
     jaro_winkler_similarity,
     levenshtein_distance,
@@ -15,6 +14,8 @@ from repro.fusion.linkage import (
     normalize_name,
     token_set_similarity,
 )
+from repro.linkage import LinkageIndex
+from repro.linkage.kernels import active_kernel_backend
 
 
 class TestNormalization:
@@ -103,9 +104,11 @@ class TestCompositeSimilarity:
 
 
 class TestNameMatcher:
+    """Name matching through :class:`LinkageIndex`."""
+
     @pytest.fixture()
     def matcher(self):
-        return NameMatcher(
+        return LinkageIndex(
             ["Alice Miller", "Robert Chen", "Christine Olsen", "A. Patel"], threshold=0.8
         )
 
@@ -134,8 +137,8 @@ class TestNameMatcher:
 
     def test_blocking_matches_full_scan(self):
         corpus = ["Alice Miller", "Robert Chen", "Christine Olsen", "Albert Chen"]
-        blocked = NameMatcher(corpus, threshold=0.75, use_blocking=True)
-        full = NameMatcher(corpus, threshold=0.75, use_blocking=False)
+        blocked = LinkageIndex(corpus, threshold=0.75)
+        full = LinkageIndex(corpus, threshold=0.75, blocking="none")
         for query in ("Alice Miller", "Chen, Robert", "C. Olsen"):
             assert {c.candidate for c in blocked.candidates(query)} == {
                 c.candidate for c in full.candidates(query)
@@ -143,6 +146,11 @@ class TestNameMatcher:
 
     def test_threshold_validation(self):
         with pytest.raises(LinkageError):
-            NameMatcher(["a"], threshold=0.0)
+            LinkageIndex(["a"], threshold=0.0)
         with pytest.raises(LinkageError):
-            NameMatcher(["a"], threshold=1.5)
+            LinkageIndex(["a"], threshold=1.5)
+
+
+def test_kernel_backend_stamp_is_numpy():
+    # Benchmark environment stamps record this name with every run.
+    assert active_kernel_backend() == "numpy"

@@ -3,7 +3,7 @@
 Covers the four contracts of the engine refactor:
 
 * **Golden match equivalence** — the batched engine reproduces the seed
-  ``NameMatcher``'s best matches on the faculty and census corpora (the seed
+  name matcher's best matches on the faculty and census corpora (the seed
   matcher — first-letter blocking plus the scalar similarity loop — is
   re-implemented here from the public scalar primitives, as the benchmarks do,
   so the baseline stays honest as the engine evolves).
@@ -29,7 +29,7 @@ from repro.data.faculty import FacultyConfig, generate_faculty
 from repro.data.webgen import corpus_for_census, corpus_for_faculty
 from repro.fusion.attack import AttackConfig, WebFusionAttack
 from repro.fusion.auxiliary import AuxiliaryRecord, AuxiliarySource, TableAuxiliarySource, auxiliary_table
-from repro.fusion.linkage import NameMatcher, name_similarity, normalize_name
+from repro.fusion.linkage import name_similarity, normalize_name
 from repro.fusion.web import name_variant
 from repro.linkage import BlockingIndex, LinkageIndex
 
@@ -104,17 +104,17 @@ class TestBlockingRecall:
     def test_first_character_typos_survive_qgram_blocking(self):
         # Every token's first letter is wrong: the historical scheme has no
         # shared block key, q-grams still overlap heavily.
-        legacy = NameMatcher(self.CORPUS, threshold=0.82, blocking="first-letter")
-        engine = NameMatcher(self.CORPUS, threshold=0.82, blocking="qgram")
+        legacy = LinkageIndex(self.CORPUS, threshold=0.82, blocking="first-letter")
+        engine = LinkageIndex(self.CORPUS, threshold=0.82, blocking="qgram")
         for query in ("Blice Niller", "Yohansson"):
             assert legacy.best_match(query) is None, "legacy scheme should miss"
             best = engine.best_match(query)
             assert best is not None
-            full = NameMatcher(self.CORPUS, threshold=0.82, use_blocking=False)
+            full = LinkageIndex(self.CORPUS, threshold=0.82, blocking="none")
             assert best == full.best_match(query)
 
     def test_swapped_token_order_still_matches(self):
-        engine = NameMatcher(self.CORPUS, threshold=0.82)
+        engine = LinkageIndex(self.CORPUS, threshold=0.82)
         best = engine.best_match("Miller, Alice")
         assert best is not None and best.candidate == "Alice Miller"
 

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +223,28 @@ class TestLifecycle:
         assert stats["datasets"] == 1
         assert {"memory_hits", "misses", "computations"} <= set(stats["cache"])
         assert stats["jobs"]["total"] == 0
+
+    def test_stats_spawns_no_child_process(self):
+        # A fresh interpreter, so no earlier test has started a helper process.
+        script = (
+            "import os\n"
+            "from repro.service import AnonymizationService\n"
+            "AnonymizationService().stats()\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no children')\n"
+            "else:\n"
+            "    print('child process')\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        assert completed.stdout.strip() == "no children"
 
     def test_close_is_idempotent(self, simple_table):
         instance = AnonymizationService()
