@@ -11,11 +11,6 @@ Two acceptance gates lock in the value of the release cache:
 * ``test_concurrent_cached_throughput`` — 8 parallel HTTP clients hammering
   cached releases must sustain a floor of requests/second and receive
   byte-identical bodies.
-* ``test_multiprocess_sustained_rps`` — a ``workers=N`` SO_REUSEPORT front
-  over a shared spill directory must sustain a requests/second floor on a
-  large (1M rows full mode) cached release under >= 100 concurrent clients,
-  serve byte-identical chunked bodies from at least two worker processes,
-  and (on machines with >= 4 cores) beat a single-process front by >= 2x.
 
 A plain ``benchmark`` target records the cached-request latency for the
 pytest-benchmark report.
@@ -23,10 +18,8 @@ pytest-benchmark report.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
-import socket
 import threading
 import time
 import urllib.request
@@ -36,7 +29,7 @@ import pytest
 
 from repro.data.census import CensusConfig, generate_census
 from repro.dataset.io import render_csv
-from repro.service import AnonymizationService, ServiceConfig, build_server
+from repro.service import AnonymizationService, build_server
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 # The full-mode size sets the first compute near 0.1 s, the cost the 50x
@@ -49,16 +42,6 @@ REQUIRED_SPEEDUP = 10.0 if QUICK else 50.0
 CLIENTS = 8
 REQUESTS_PER_CLIENT = 5 if QUICK else 12
 REQUIRED_THROUGHPUT = 40.0  # cached requests/second across all clients
-
-# -- multi-process sustained-RPS gate ---------------------------------------
-RPS_WORKERS = 2 if QUICK else max(2, min(4, os.cpu_count() or 2))
-RPS_RECORDS = 20_000 if QUICK else 1_000_000
-RPS_CLIENTS = 24 if QUICK else 100
-RPS_REQUESTS_PER_CLIENT = 4 if QUICK else 5
-RPS_K = 25 if QUICK else 100
-RPS_FLOOR = 20.0 if QUICK else 30.0  # sustained requests/second
-RPS_SPEEDUP_MIN_CORES = 4  # the >= 2x multi-vs-single assertion needs cores
-RPS_STREAM_THRESHOLD = 256 * 1024  # quick mode's ~900KB CSV must chunk too
 
 
 @pytest.fixture(scope="module")
@@ -177,166 +160,3 @@ def test_cached_release_latency(benchmark, service_setup):
     assert body
     benchmark.extra_info["records"] = RECORD_COUNT
     benchmark.extra_info["requests_per_second"] = round(1.0 / benchmark.stats.stats.mean)
-
-
-# -- multi-process sustained-RPS gate ---------------------------------------
-
-
-@pytest.fixture(scope="module")
-def cluster_setup(tmp_path_factory):
-    """A multi-worker SO_REUSEPORT front over a shared spill directory."""
-    if not hasattr(socket, "SO_REUSEPORT"):  # pragma: no cover - platform gate
-        pytest.skip("multi-process serving requires SO_REUSEPORT")
-    census = generate_census(CensusConfig(count=RPS_RECORDS, seed=11)).private
-    cache_dir = tmp_path_factory.mktemp("serve-cache")
-    config = ServiceConfig(
-        cache_capacity=32, cache_dir=str(cache_dir), job_workers=1
-    )
-    service = AnonymizationService.from_config(config)
-    # Registering through the parent writes the dataset store; the sibling
-    # workers adopt the table from the shared mapping on their first miss.
-    service.register(census)
-    server = build_server(
-        port=0,
-        service=service,
-        workers=RPS_WORKERS,
-        config=config,
-        stream_threshold_bytes=RPS_STREAM_THRESHOLD,
-    ).serve_in_background()
-    yield f"http://127.0.0.1:{server.port}", census.fingerprint, server, service
-    server.close()
-
-
-def _info_request(base: str, fingerprint: str) -> urllib.request.Request:
-    """A cheap cached request: release metadata, no body rendering."""
-    return urllib.request.Request(
-        f"{base}/release",
-        data=json.dumps(
-            {
-                "dataset": fingerprint,
-                "k": RPS_K,
-                "algorithm": "mondrian",
-                "format": "info",
-            }
-        ).encode(),
-        headers={"Content-Type": "application/json", "Connection": "close"},
-        method="POST",
-    )
-
-
-def _fetch_csv_with_headers(port: int, fingerprint: str) -> tuple[dict, bytes]:
-    """POST /release for CSV on a fresh HTTP/1.1 connection -> (headers, body).
-
-    A fresh connection per call matters twice over: SO_REUSEPORT balances at
-    accept time (keep-alive would pin one worker), and the raw headers show
-    whether the body actually went out chunked.
-    """
-    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=600)
-    try:
-        connection.request(
-            "POST",
-            "/release",
-            body=json.dumps(
-                {"dataset": fingerprint, "k": RPS_K, "algorithm": "mondrian"}
-            ).encode(),
-            headers={"Content-Type": "application/json"},
-        )
-        response = connection.getresponse()
-        assert response.status == 200, response.read()[:500]
-        return dict(response.headers), response.read()
-    finally:
-        connection.close()
-
-
-def _measure_rps(base: str, fingerprint: str, clients: int, per_client: int) -> float:
-    """Sustained requests/second of ``clients`` concurrent cached fetchers."""
-    # Warm this front's in-memory tier so the window measures steady state.
-    with urllib.request.urlopen(_info_request(base, fingerprint), timeout=600) as r:
-        r.read()
-    barrier = threading.Barrier(clients)
-
-    def client(_):
-        barrier.wait(timeout=120)
-        for _ in range(per_client):
-            with urllib.request.urlopen(
-                _info_request(base, fingerprint), timeout=600
-            ) as response:
-                response.read()
-
-    start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=clients) as pool:
-        list(pool.map(client, range(clients)))
-    elapsed = time.perf_counter() - start
-    return clients * per_client / elapsed
-
-
-def test_multiprocess_sustained_rps(cluster_setup, bench_gate):
-    """Acceptance gate: the multi-process front sustains the RPS floor.
-
-    The gate also pins the cross-process cache contract: at least two worker
-    processes answer, their chunked release bodies are byte-identical, and on
-    a machine with >= ``RPS_SPEEDUP_MIN_CORES`` cores the multi-process front
-    is >= 2x a single-process front over the same warm service.
-    """
-    base, fingerprint, server, service = cluster_setup
-    port = server.port
-
-    # First fetch computes the release (mondrian at scale) and spills it;
-    # subsequent fetches from sibling workers map the shared container.
-    headers, reference = _fetch_csv_with_headers(port, fingerprint)
-    assert headers.get("Transfer-Encoding") == "chunked", (
-        "a release this large must stream chunked"
-    )
-    bodies_by_pid = {headers["X-Repro-Worker"]: reference}
-    deadline = time.monotonic() + 600
-    while len(bodies_by_pid) < 2:
-        assert time.monotonic() < deadline, (
-            f"only worker(s) {sorted(bodies_by_pid)} answered before the deadline"
-        )
-        headers, body = _fetch_csv_with_headers(port, fingerprint)
-        assert headers.get("Transfer-Encoding") == "chunked"
-        bodies_by_pid.setdefault(headers["X-Repro-Worker"], body)
-    assert len(set(bodies_by_pid.values())) == 1, (
-        "workers sharing the spill directory must serve byte-identical bodies"
-    )
-
-    # Single-process reference: the same warm service on its own port.  Torn
-    # down by hand — ServiceServer.close() would close the shared service.
-    single = build_server(port=0, service=service).serve_in_background()
-    try:
-        single_rps = _measure_rps(
-            f"http://127.0.0.1:{single.port}",
-            fingerprint,
-            RPS_CLIENTS,
-            RPS_REQUESTS_PER_CLIENT,
-        )
-    finally:
-        single.shutdown()
-        single.server_close()
-
-    multi_rps = _measure_rps(base, fingerprint, RPS_CLIENTS, RPS_REQUESTS_PER_CLIENT)
-    cores = os.cpu_count() or 1
-    ratio = multi_rps / single_rps
-    bench_gate(
-        "service-multiprocess-rps",
-        records=RPS_RECORDS,
-        clients=RPS_CLIENTS,
-        workers=RPS_WORKERS,
-        cores=cores,
-        k=RPS_K,
-        multi_rps=round(multi_rps, 1),
-        single_rps=round(single_rps, 1),
-        ratio=round(ratio, 2),
-        required=RPS_FLOOR,
-    )
-    assert multi_rps >= RPS_FLOOR, (
-        f"multi-process front sustained only {multi_rps:.1f} req/s with "
-        f"{RPS_CLIENTS} clients on {RPS_RECORDS} records "
-        f"(required {RPS_FLOOR:.0f} req/s)"
-    )
-    if cores >= RPS_SPEEDUP_MIN_CORES:
-        assert ratio >= 2.0, (
-            f"multi-process front is only {ratio:.2f}x the single-process "
-            f"front on a {cores}-core machine (required 2x): "
-            f"{multi_rps:.1f} vs {single_rps:.1f} req/s"
-        )

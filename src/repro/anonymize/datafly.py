@@ -46,7 +46,8 @@ def default_hierarchies(table: Table, levels: int = 6) -> dict[str, Generalizati
     for name in table.schema.numeric_quasi_identifiers:
         values = table.numeric_column(name)
         low, high = float(values.min()), float(values.max())
-        if high <= low:
+        if (high - low) / 16.0 <= 0.0:
+            # A constant column, or a range so narrow its bin width underflows.
             high = low + 1.0
         hierarchies[name] = NumericHierarchy(
             low=low, high=high, base_width=(high - low) / 16.0, branching=2, levels=levels

@@ -161,24 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest accepted request body in MiB (oversize requests get 413)",
     )
     serve.add_argument(
-        "--workers", type=int, default=1,
-        help="server processes accepting on one port via SO_REUSEPORT; the "
-        "spill directory (--cache-dir, a temporary one if unset) is their "
-        "shared cache tier",
-    )
-    serve.add_argument(
         "--max-spill-mb", type=int, default=None,
         help="optional spill-directory budget in MiB (LRU files evicted past it)",
     )
     serve.add_argument(
         "--stream-threshold-kb", type=int, default=1024,
         help="release bodies at or above this size stream out chunked",
-    )
-    serve.add_argument(
-        "--max-keepalive", type=int, default=None,
-        help="requests served per keep-alive connection before the server "
-        "closes it, so long-lived clients reconnect and re-balance across "
-        "--workers processes (unset: connections are never capped)",
     )
     serve.add_argument(
         "--verbose", action="store_true", help="log every HTTP request to stderr"
@@ -330,18 +318,11 @@ def _command_fred(arguments: argparse.Namespace) -> int:
 
 
 def _command_serve(arguments: argparse.Namespace) -> int:
-    from repro.service import AnonymizationService, ServiceConfig, build_server
+    from repro.service import AnonymizationService, build_server
 
-    cache_dir = arguments.cache_dir
-    if arguments.workers > 1 and cache_dir is None:
-        # Multi-process mode needs a shared spill directory; provision one.
-        import tempfile
-
-        cache_dir = Path(tempfile.mkdtemp(prefix="repro-serve-cache-"))
-        print(f"using shared cache directory {cache_dir}", flush=True)
-    config = ServiceConfig(
+    service = AnonymizationService(
         cache_capacity=arguments.cache_size,
-        cache_dir=str(cache_dir) if cache_dir is not None else None,
+        cache_dir=arguments.cache_dir,
         job_workers=arguments.job_workers,
         max_spill_bytes=(
             arguments.max_spill_mb * 1024 * 1024
@@ -349,7 +330,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
             else None
         ),
     )
-    service = AnonymizationService.from_config(config)
     server = build_server(
         host=arguments.host,
         port=arguments.port,
@@ -357,13 +337,8 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         verbose=arguments.verbose,
         max_body_bytes=arguments.max_body_mb * 1024 * 1024,
         stream_threshold_bytes=arguments.stream_threshold_kb * 1024,
-        workers=arguments.workers,
-        config=config,
-        max_keepalive_requests=arguments.max_keepalive,
     )
     print(f"serving on http://{arguments.host}:{server.port}", flush=True)
-    if arguments.workers > 1:
-        print(f"workers: {arguments.workers} processes on one port", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -343,25 +343,7 @@ class BlockingIndex:
             ] = True
         return mask
 
-    # Serialization / sharding ---------------------------------------------------------
-
-    def restrict(self, start: int, stop: int) -> "BlockingIndex":
-        """A new index over corpus rows ``[start, stop)``, renumbered from 0.
-
-        Equivalent to building a fresh index over the corpus slice: postings
-        rows are ascending, so each key's slice is one ``searchsorted`` pair.
-        """
-        clone = object.__new__(BlockingIndex)
-        clone.scheme = self.scheme
-        clone.qgram_size = self.qgram_size
-        clone._size = stop - start
-        postings: dict[str, np.ndarray] = {}
-        for key, rows in self._postings.items():
-            lo, hi = np.searchsorted(rows, (start, stop))
-            if hi > lo:
-                postings[key] = rows[lo:hi] - start
-        clone._postings = postings
-        return clone
+    # Serialization ------------------------------------------------------------------
 
     def __getstate__(self) -> dict:
         # Flat-buffer form: one joined key string plus a counts vector and the

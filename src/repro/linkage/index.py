@@ -41,9 +41,7 @@ NumPy buffers:
   on first use, so constructing (or unpickling) an index does no per-row
   Python work at all;
 * pickling (:meth:`__getstate__`) serializes only the flat buffers — padded
-  matrices and lazy caches are rebuilt on load — and :meth:`shard` splits an
-  index into row-range shards whose :meth:`match_many` results merge back
-  (:meth:`merge_matches`) bit-identically to the unsharded answer.
+  matrices and lazy caches are rebuilt on load.
 """
 
 from __future__ import annotations
@@ -226,7 +224,6 @@ class LinkageIndex:
         self._attach_buffers(
             threshold=threshold,
             prefix_scale=prefix_scale,
-            row_offset=0,
             names_joined="".join(names),
             name_offsets=np.concatenate(([0], np.cumsum(name_lengths))),
             flat_codes=flat_codes,
@@ -246,7 +243,6 @@ class LinkageIndex:
         *,
         threshold: float,
         prefix_scale: float,
-        row_offset: int,
         names_joined: str,
         name_offsets: np.ndarray,
         flat_codes: np.ndarray,
@@ -260,16 +256,13 @@ class LinkageIndex:
     ) -> None:
         """Adopt the flat buffers and rebuild the derived padded matrices.
 
-        The buffers are the index's canonical state (what pickling ships and
-        :meth:`shard` slices); everything else — padded code/token matrices,
+        The buffers are the index's canonical state (what pickling ships);
+        everything else — padded code/token matrices,
         the vocabulary dict, the perfect-match table, pruning counts, the
         materialized name list — is derived, vectorized or lazy.
         """
         self.threshold = threshold
         self.prefix_scale = prefix_scale
-        #: Global row number of this index's row 0 (non-zero only for shards);
-        #: added to every reported ``candidate_index``.
-        self.row_offset = row_offset
         self._names_joined = names_joined
         self._name_offsets = name_offsets
         self._flat_codes = flat_codes
@@ -412,11 +405,7 @@ class LinkageIndex:
     # Scoring ------------------------------------------------------------------------
 
     def candidate_rows(self, query: str) -> np.ndarray:
-        """Corpus rows the blocking scheme pairs with ``query`` (ascending).
-
-        Rows are local to this index (a shard's rows start at 0; add
-        :attr:`row_offset` for the global row).
-        """
+        """Corpus rows the blocking scheme pairs with ``query`` (ascending)."""
         return self._blocking.candidate_rows(normalize_name(query))
 
     def scores(self, query: str, rows: np.ndarray | None = None) -> np.ndarray:
@@ -476,7 +465,7 @@ class LinkageIndex:
             MatchCandidate(
                 query=query,
                 candidate=self._name_at(int(row)),
-                candidate_index=int(row) + self.row_offset,
+                candidate_index=int(row),
                 score=float(score),
             )
             for row, score in zip(rows[order], scores[order])
@@ -501,7 +490,7 @@ class LinkageIndex:
             return MatchCandidate(
                 query=query,
                 candidate=self._name_at(perfect),
-                candidate_index=perfect + self.row_offset,
+                candidate_index=perfect,
                 score=1.0,
             )
         rows = self._blocking.candidate_rows(normalized_query)
@@ -514,7 +503,7 @@ class LinkageIndex:
         return MatchCandidate(
             query=query,
             candidate=self._name_at(int(rows[best])),
-            candidate_index=int(rows[best]) + self.row_offset,
+            candidate_index=int(rows[best]),
             score=float(scores[best]),
         )
 
@@ -553,7 +542,7 @@ class LinkageIndex:
                 resolved[query] = MatchCandidate(
                     query=query,
                     candidate=self._name_at(perfect),
-                    candidate_index=perfect + self.row_offset,
+                    candidate_index=perfect,
                     score=1.0,
                 )
                 continue
@@ -730,7 +719,7 @@ class LinkageIndex:
                 resolved[query] = MatchCandidate(
                     query=query,
                     candidate=self._name_at(row),
-                    candidate_index=row + self.row_offset,
+                    candidate_index=row,
                     score=float(scores[best]),
                 )
 
@@ -794,7 +783,7 @@ class LinkageIndex:
         perfect-match and char-count caches are patched in place when the
         append leaves their shape valid and invalidated otherwise; the
         match_many filter caches (saturated counts, overlap floors) are
-        dropped.  Extending a :meth:`shard` appends rows at the shard's end.
+        dropped.
         """
         names = [str(name) for name in corpus_names]
         if not names:
@@ -957,7 +946,7 @@ class LinkageIndex:
                 else (alphabet, np.concatenate([counts, delta_counts]))
             )
 
-    # Serialization / sharding ---------------------------------------------------------
+    # Serialization ------------------------------------------------------------------
 
     def __getstate__(self) -> dict:
         """Only the flat buffers go on the wire.
@@ -971,7 +960,6 @@ class LinkageIndex:
             "version": 1,
             "threshold": self.threshold,
             "prefix_scale": self.prefix_scale,
-            "row_offset": self.row_offset,
             "names_joined": self._names_joined,
             "name_offsets": self._name_offsets,
             "flat_codes": np.ascontiguousarray(self._flat_codes),
@@ -989,7 +977,6 @@ class LinkageIndex:
         self._attach_buffers(
             threshold=state["threshold"],
             prefix_scale=state["prefix_scale"],
-            row_offset=state["row_offset"],
             names_joined=state["names_joined"],
             name_offsets=state["name_offsets"],
             flat_codes=state["flat_codes"],
@@ -1003,91 +990,3 @@ class LinkageIndex:
             ),
             blocking=state["blocking"],
         )
-
-    def shard(self, n_shards: int) -> list["LinkageIndex"]:
-        """Split the index into ``n_shards`` contiguous row-range shards.
-
-        Each shard is a self-contained :class:`LinkageIndex` over its row
-        slice (sharing the global vocabulary, so token ids stay comparable)
-        whose reported ``candidate_index`` values are global corpus rows via
-        :attr:`row_offset`.  Running :meth:`match_many` per shard and folding
-        with :meth:`merge_matches` reproduces the unsharded result exactly:
-        scores are per-pair, blocking is row-local, and the score-then-index
-        merge order equals the full argmax's lowest-row tie-breaking.
-        """
-        if n_shards < 1:
-            raise LinkageError(f"n_shards must be >= 1, got {n_shards}")
-        base, extra = divmod(self.size, n_shards)
-        shards, start = [], 0
-        for i in range(n_shards):
-            stop = start + base + (1 if i < extra else 0)
-            shards.append(self._slice(start, stop))
-            start = stop
-        return shards
-
-    def _slice(self, start: int, stop: int) -> "LinkageIndex":
-        """A self-contained index over corpus rows ``[start, stop)``."""
-        name_offsets = self._name_offsets
-        code_offsets = np.concatenate(
-            ([0], np.cumsum(self._lengths, dtype=np.int64))
-        )
-        token_offsets = np.concatenate(
-            ([0], np.cumsum(self._token_counts, dtype=np.int64))
-        )
-        vocab_size = len(self._vocab)
-        posting_rows = self._token_post_rows
-        keep = (posting_rows >= start) & (posting_rows < stop)
-        ids_per_posting = np.repeat(
-            np.arange(vocab_size, dtype=np.int64),
-            np.diff(self._token_post_offsets),
-        )
-        post_counts = np.bincount(ids_per_posting[keep], minlength=vocab_size)
-        clone = object.__new__(LinkageIndex)
-        clone._attach_buffers(
-            threshold=self.threshold,
-            prefix_scale=self.prefix_scale,
-            row_offset=self.row_offset + start,
-            names_joined=self._names_joined[
-                int(name_offsets[start]) : int(name_offsets[stop])
-            ],
-            name_offsets=name_offsets[start : stop + 1] - name_offsets[start],
-            flat_codes=self._flat_codes[code_offsets[start] : code_offsets[stop]],
-            lengths=self._lengths[start:stop],
-            vocab=self._vocab,
-            token_ids=self._token_ids[token_offsets[start] : token_offsets[stop]],
-            token_counts=self._token_counts[start:stop],
-            post_rows=(posting_rows[keep] - start).astype(np.intp),
-            post_offsets=np.concatenate(([0], np.cumsum(post_counts))),
-            blocking=self._blocking.restrict(start, stop),
-        )
-        return clone
-
-    @staticmethod
-    def merge_matches(
-        shard_matches: Sequence[Sequence[MatchCandidate | None]],
-    ) -> list[MatchCandidate | None]:
-        """Fold per-shard :meth:`match_many` results into the global answer.
-
-        Per query: highest score wins, ties go to the lowest (global)
-        ``candidate_index`` — exactly the unsharded index's argmax-lowest-row
-        rule, since shards hold disjoint contiguous row ranges.
-        """
-        if not shard_matches:
-            return []
-        merged: list[MatchCandidate | None] = []
-        for results in zip(*shard_matches, strict=True):
-            best: MatchCandidate | None = None
-            for candidate in results:
-                if candidate is None:
-                    continue
-                if (
-                    best is None
-                    or candidate.score > best.score
-                    or (
-                        candidate.score == best.score
-                        and candidate.candidate_index < best.candidate_index
-                    )
-                ):
-                    best = candidate
-            merged.append(best)
-        return merged

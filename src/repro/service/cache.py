@@ -13,16 +13,13 @@ two tiers:
   the cache key, so results survive LRU eviction and process restarts.
   Array payloads load back as zero-copy views over one memory mapping.
   Values the codec cannot express stay in the memory tier only.  Writes
-  are atomic (temp file + rename) and nothing is ever unpickled, so the
-  spill directory can be *shared between worker processes* — the
-  multi-process HTTP front uses it as the common cache tier, with
-  cross-process races reduced to harmless double-writes of identical
-  content.
+  are atomic (temp file + rename), so a crash never leaves a torn entry,
+  and nothing is ever unpickled.
 
 The spill directory is optionally garbage-collected: give the cache a
 ``max_spill_bytes`` / ``max_spill_entries`` budget and the least recently
 *used* files (by mtime — loads touch the file) are evicted after each spill
-write.  Evicting a file another process still maps is safe: the mapping
+write.  Evicting a file that a loaded entry still maps is safe: the mapping
 keeps the pages alive until released.
 
 Concurrency: lookups and computations go through :meth:`TwoTierCache.get_or_compute`,
@@ -228,8 +225,8 @@ class TwoTierCache:
 
         Appending rows to a dataset supersedes its fingerprint; this removes
         every artifact derived from it — in-memory entries plus spilled
-        containers — so no worker sharing the spill directory can serve a
-        stale artifact for it.  Spilled keys are read from the container
+        containers — so neither tier can serve a stale artifact for it, not
+        even after a restart.  Spilled keys are read from the container
         manifests alone (no value is decoded); unreadable files are left
         alone.  Returns the number of entries removed, counted once per tier.
         """
@@ -269,11 +266,8 @@ class TwoTierCache:
     def _spill_files(self) -> list[Path]:
         """The top-level container files of the spill directory.
 
-        Subdirectories hold durable state that the cache never touches —
-        ``datasets/`` (the dataset store) and ``jobs/`` (the cross-worker job
-        records, with their own retention in
-        :class:`~repro.service.jobstore.JobStore`) — and in-flight temp files
-        carry another suffix.
+        The cache writes nothing else there: in-flight temp files carry
+        another suffix, and subdirectories are never entered.
         """
         if self._spill_dir is None:
             return []
@@ -334,8 +328,7 @@ class TwoTierCache:
         """Evict least-recently-used spill files until the budget holds.
 
         Only the top-level cache containers are LRU candidates (see
-        :meth:`_spill_files`): eviction never un-exists a stored dataset or
-        a job record.
+        :meth:`_spill_files`).
         """
         if self._max_spill_bytes is None and self._max_spill_entries is None:
             return
@@ -345,7 +338,7 @@ class TwoTierCache:
             try:
                 stat = child.stat()
             except OSError:
-                continue  # concurrently evicted by a sibling process
+                continue  # concurrently evicted or invalidated
             entries.append((stat.st_mtime, stat.st_size, child))
             total += stat.st_size
         entries.sort(key=lambda item: item[0])
@@ -355,7 +348,7 @@ class TwoTierCache:
             within_bytes = self._max_spill_bytes is None or total <= self._max_spill_bytes
             if within_entries and within_bytes:
                 break
-            # Unlinking a file a sibling process still maps is safe: the
+            # Unlinking a file a loaded entry still maps is safe: the
             # mapping holds the pages until the last view is released.
             child.unlink(missing_ok=True)
             count -= 1

@@ -1,6 +1,6 @@
 """The service's one on-disk format: the array-native ``.npc`` container.
 
-Every spilled cache entry and every stored dataset is one container file.
+Every spilled cache entry is one container file.
 For the artifacts the serving tier caches — anonymized release tables, their
 rendered CSV bytes, per-record attack estimate vectors, FRED sweep summaries —
 the container stores large payloads as raw, 64-byte-aligned array segments
@@ -16,12 +16,7 @@ zero-copy views into the mapping:
   so serving a spilled release writes straight from the page cache to the
   socket;
 * a :class:`~repro.service.core.ReleaseArtifact`'s table decodes **lazily** —
-  a worker that only serves the cached CSV bytes never rebuilds the table.
-
-Because the segments live in ordinary files, the mapping is shared between
-the pre-fork worker processes of :class:`~repro.service.http.ServiceServer`:
-every worker reads the same physical pages instead of holding a private
-replica.
+  a service that only serves the cached CSV bytes never rebuilds the table.
 
 Nothing in a container is executable: the manifest is JSON and segments are
 raw numbers, text or bytes.  Values the encoders do not cover raise

@@ -18,16 +18,14 @@ JSON/HTTP layer in :mod:`repro.service.http`:
   (identifier-column fingerprint, auxiliary-corpus fingerprint), so repeated
   attack/FRED requests over the same identifiers skip record linkage
   entirely regardless of algorithm, level or engine;
-* launch a **FRED sweep** as an asynchronous job and poll it, with the sweep
-  itself fanned out over :class:`~repro.core.fred.FREDConfig` worker pools;
+* launch a **FRED sweep** as an asynchronous job on the service's job
+  threads and poll it;
 * **append** streamed rows onto a registered dataset without re-uploading it:
   the result is registered under the *chained* content fingerprint
   (:func:`~repro.dataset.table.chain_fingerprints`, O(delta) hashing), the
-  old fingerprint is superseded — a tombstone in the shared dataset store
-  tells every sibling worker of a multi-process front to drop its private
-  copy — and exactly the cached artifacts derived from the old fingerprint
-  are invalidated, in memory and in the shared spill tier, so no worker can
-  serve a pre-append release under a post-append identity.
+  old fingerprint leaves the registry, and exactly the cached artifacts
+  derived from it are invalidated, in memory and in the spill tier, so the
+  service never serves a pre-append release under a post-append identity.
 
 All public methods are thread-safe; the cache's single-flight discipline
 guarantees that concurrent identical requests compute each artifact exactly
@@ -40,7 +38,7 @@ import hashlib
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -58,11 +56,9 @@ from repro.exceptions import ServiceError, UnknownDatasetError
 from repro.fusion.attack import AttackConfig, WebFusionAttack, harvest_auxiliary
 from repro.fusion.auxiliary import TableAuxiliarySource
 from repro.service.cache import TwoTierCache
-from repro.service.codec import SPILL_CONTAINER_SUFFIX, decode_entry, encode_entry
 from repro.service.jobs import JobManager
-from repro.service.jobstore import JobStore
 
-__all__ = ["AnonymizationService", "ReleaseArtifact", "ServiceConfig", "ALGORITHMS"]
+__all__ = ["AnonymizationService", "ReleaseArtifact", "ALGORITHMS"]
 
 
 def _suppression_anonymizer() -> DataflyAnonymizer:
@@ -116,7 +112,7 @@ class ReleaseArtifact:
     loader that decodes the memory-mapped columns on first use (single-flight
     — concurrent first touches run the loader exactly once), and
     ``csv_bytes`` may arrive as a :class:`memoryview` straight over the
-    mapping — a worker that only serves the cached CSV, or summaries via
+    mapping — a request that only serves the cached CSV, or summaries via
     :meth:`info` (whose row count rides in the manifest), never rebuilds the
     table at all.
     """
@@ -229,28 +225,6 @@ class _DatasetEntry:
     label: str
 
 
-@dataclass(frozen=True)
-class ServiceConfig:
-    """Picklable construction recipe for :class:`AnonymizationService`.
-
-    The multi-process front (:class:`~repro.service.http.ServiceServer` with
-    ``workers > 1``) ships this to each spawned worker so every process
-    builds an identical service sharing one ``cache_dir`` — the spill
-    directory is the common cache tier and the dataset store, while the
-    in-memory single-flight tier stays per-process.
-    """
-
-    cache_capacity: int = 128
-    cache_dir: str | None = None
-    job_workers: int = 2
-    job_retention: int = 256
-    max_datasets: int | None = None
-    max_spill_bytes: int | None = None
-    max_spill_entries: int | None = None
-    job_heartbeat_seconds: float = 1.0
-    job_stale_after_seconds: float = 10.0
-
-
 class AnonymizationService:
     """Long-lived, thread-safe façade over the anonymization pipeline.
 
@@ -273,13 +247,6 @@ class AnonymizationService:
     max_spill_bytes / max_spill_entries:
         Spill-directory garbage-collection budget, passed through to
         :class:`~repro.service.cache.TwoTierCache`.
-    job_heartbeat_seconds / job_stale_after_seconds:
-        Owner-liveness knobs of the shared job store (active only with a
-        ``cache_dir``): the owning worker heartbeats every
-        ``job_heartbeat_seconds``, and a poll that finds the owner silent for
-        more than ``job_stale_after_seconds`` reports its non-terminal jobs
-        as ``failed`` instead of letting clients poll a dead worker's job
-        forever.
     """
 
     def __init__(
@@ -291,8 +258,6 @@ class AnonymizationService:
         max_datasets: int | None = None,
         max_spill_bytes: int | None = None,
         max_spill_entries: int | None = None,
-        job_heartbeat_seconds: float = 1.0,
-        job_stale_after_seconds: float = 10.0,
     ) -> None:
         if max_datasets is not None and max_datasets < 1:
             raise ServiceError(f"max datasets must be >= 1, got {max_datasets}")
@@ -305,39 +270,14 @@ class AnonymizationService:
             max_spill_bytes=max_spill_bytes,
             max_spill_entries=max_spill_entries,
         )
-        # With a cache directory the service also keeps a shared dataset
-        # store: the in-memory registry is per-process, so sibling workers of
-        # a multi-process front find datasets registered elsewhere by mapping
-        # the stored container (zero-copy, shared pages).
-        self._dataset_store: Path | None = None
-        job_store: JobStore | None = None
-        if cache_dir is not None:
-            self._dataset_store = Path(cache_dir) / "datasets"
-            self._dataset_store.mkdir(parents=True, exist_ok=True)
-            # A spill directory also hosts the shared job store: every
-            # lifecycle transition of an async job is published under
-            # ``jobs/`` so sibling workers of a multi-process front can
-            # answer polls for jobs they did not accept.
-            job_store = JobStore(
-                Path(cache_dir) / "jobs",
-                heartbeat_seconds=job_heartbeat_seconds,
-                stale_after_seconds=job_stale_after_seconds,
-            )
-        self._jobs = JobManager(
-            max_workers=job_workers, max_retained=job_retention, store=job_store
-        )
-        # Appends are serialized per process: two concurrent appends to the
-        # same base must chain (A then B), not race (both off A, one lost).
+        self._jobs = JobManager(max_workers=job_workers, max_retained=job_retention)
+        # Appends are serialized: two concurrent appends to the same base
+        # must chain (A then B), not race (both off A, one lost).
         self._append_lock = threading.Lock()
         self._appends = 0
         self._append_rows = 0
         self._append_invalidated = 0
         self._closed = False
-
-    @classmethod
-    def from_config(cls, config: ServiceConfig) -> "AnonymizationService":
-        """Build a service from a picklable :class:`ServiceConfig` recipe."""
-        return cls(**asdict(config))
 
     # Dataset registry ----------------------------------------------------------
 
@@ -366,74 +306,9 @@ class AnonymizationService:
                 created = True
             else:
                 created = False
-        if self._dataset_store is not None:
-            if created:
-                self._store_dataset(fingerprint, table, label)
-            # Re-registering content that an append once superseded makes the
-            # fingerprint live again; clear any tombstone so lookups succeed.
-            self._tombstone_path(fingerprint).unlink(missing_ok=True)
         info = self._dataset_info(fingerprint)
         info["created"] = created
         return info
-
-    def _store_dataset(self, fingerprint: str, table: Table, label: str) -> None:
-        """Publish a registered table to the shared on-disk dataset store.
-
-        A table holding cells with no container encoding (JSONL list cells)
-        stays process-local: sibling workers do not see it.
-        """
-        try:
-            payload = encode_entry((fingerprint, label), table)
-        except TypeError:
-            return
-        path = self._dataset_store / f"{fingerprint}{SPILL_CONTAINER_SUFFIX}"
-        temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            temp.write_bytes(payload)
-            os.replace(temp, path)
-        finally:
-            temp.unlink(missing_ok=True)
-
-    def _tombstone_path(self, fingerprint: str) -> Path:
-        assert self._dataset_store is not None
-        return self._dataset_store / f"{fingerprint}.superseded"
-
-    def _write_tombstone(self, fingerprint: str, successor: str) -> None:
-        """Mark ``fingerprint`` as superseded by ``successor`` (atomic)."""
-        path = self._tombstone_path(fingerprint)
-        temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            temp.write_text(successor, encoding="ascii")
-            os.replace(temp, path)
-        finally:
-            temp.unlink(missing_ok=True)
-
-    def _superseded_by(self, fingerprint: str) -> str | None:
-        """The successor fingerprint if an append superseded this one."""
-        if self._dataset_store is None:
-            return None
-        try:
-            text = self._tombstone_path(fingerprint).read_text(encoding="ascii")
-        except OSError:
-            return None
-        return text.strip() or None
-
-    def _load_stored_dataset(self, fingerprint: str) -> _DatasetEntry | None:
-        """Adopt a dataset published to the store by a sibling worker.
-
-        The stored container is memory-mapped, so the adopted table's columns
-        are read-only views over pages shared with every other worker.
-        """
-        if self._dataset_store is None:
-            return None
-        path = self._dataset_store / f"{fingerprint}{SPILL_CONTAINER_SUFFIX}"
-        ok, key, value = decode_entry(path)
-        if not ok or not isinstance(value, Table) or key[:1] != (fingerprint,):
-            return None
-        label = str(key[1]) if len(key) > 1 else ""
-        entry = _DatasetEntry(table=value, label=label)
-        with self._datasets_lock:
-            return self._datasets.setdefault(fingerprint, entry)
 
     def unregister(self, fingerprint: str) -> dict[str, object]:
         """Remove a registered dataset, releasing its registry slot and memory.
@@ -445,16 +320,9 @@ class AnonymizationService:
         """
         with self._datasets_lock:
             entry = self._datasets.pop(fingerprint, None)
-        stored = False
-        if self._dataset_store is not None:
-            path = self._dataset_store / f"{fingerprint}{SPILL_CONTAINER_SUFFIX}"
-            stored = path.exists()
-            path.unlink(missing_ok=True)
-            self._tombstone_path(fingerprint).unlink(missing_ok=True)
-        if entry is None and not stored:
+        if entry is None:
             raise UnknownDatasetError(f"unknown dataset: {fingerprint!r}")
-        label = entry.label if entry is not None else ""
-        return {"fingerprint": fingerprint, "label": label, "removed": True}
+        return {"fingerprint": fingerprint, "label": entry.label, "removed": True}
 
     def register_stream(
         self, lines: Iterable[str], fmt: str = "csv", label: str = ""
@@ -471,25 +339,12 @@ class AnonymizationService:
     def dataset(self, fingerprint: str) -> Table:
         """The registered table with this fingerprint.
 
-        Falls through to the shared dataset store (when a cache directory is
-        configured) so a worker process finds datasets registered by a
-        sibling worker of the same multi-process front.  Fingerprints that an
-        append superseded — possibly in a *sibling* worker — are refused (and
-        any stale private copy dropped) with an error naming the successor,
-        so no worker of a multi-process front serves pre-append content.
+        A fingerprint that an append superseded is no longer registered, so
+        it raises :class:`~repro.exceptions.UnknownDatasetError` like any
+        unknown one (the append's reply names the successor).
         """
         with self._datasets_lock:
             entry = self._datasets.get(fingerprint)
-        successor = self._superseded_by(fingerprint)
-        if successor is not None:
-            with self._datasets_lock:
-                self._datasets.pop(fingerprint, None)
-            raise UnknownDatasetError(
-                f"dataset {fingerprint!r} was superseded by an append; "
-                f"the current fingerprint is {successor!r}"
-            )
-        if entry is None:
-            entry = self._load_stored_dataset(fingerprint)
         if entry is None:
             raise UnknownDatasetError(f"unknown dataset: {fingerprint!r}")
         return entry.table
@@ -552,12 +407,10 @@ class AnonymizationService:
 
         The appended table is registered under its *chained* fingerprint
         (``sha256(base_fp ‖ delta_fp)`` — O(delta) hashing, never a rescan of
-        the base), and the old fingerprint is **superseded**: its store entry
-        is replaced by a tombstone naming the successor, so sibling workers
-        holding a private pre-append copy drop it on next touch, and every
-        cached artifact keyed by the old fingerprint — releases, rendered
-        CSVs, attacks, FRED sweeps, in memory and in the shared spill tier —
-        is invalidated.  Artifacts keyed by *content* that did not change
+        the base), and the old fingerprint is **superseded**: it leaves the
+        registry, and every cached artifact keyed by it — releases, rendered
+        CSVs, attacks, FRED sweeps, in memory and in the spill tier — is
+        invalidated.  Artifacts keyed by *content* that did not change
         (e.g. harvests keyed by the identifier-column fingerprint) survive
         untouched.
         """
@@ -574,17 +427,6 @@ class AnonymizationService:
                 self._datasets[new_fingerprint] = _DatasetEntry(
                     table=appended, label=label
                 )
-            if self._dataset_store is not None:
-                self._store_dataset(new_fingerprint, appended, label)
-                self._tombstone_path(new_fingerprint).unlink(missing_ok=True)
-                # Tombstone before unlinking the old container: a racing
-                # sibling either still finds the old content (pre-append
-                # snapshot) or the tombstone — never a silent miss.
-                self._write_tombstone(fingerprint, new_fingerprint)
-                old_path = (
-                    self._dataset_store / f"{fingerprint}{SPILL_CONTAINER_SUFFIX}"
-                )
-                old_path.unlink(missing_ok=True)
             invalidated = self._cache.invalidate_fingerprint(fingerprint)
             self._appends += 1
             self._append_rows += delta.num_rows
@@ -606,8 +448,8 @@ class AnonymizationService:
 
         The request body is parsed up front (it cannot outlive the HTTP
         request), so submission fails fast on unknown datasets, bad formats
-        and empty deltas; only the append itself — fingerprint chaining,
-        store publication, cache invalidation — runs on the job pool.
+        and empty deltas; only the append itself — fingerprint chaining and
+        cache invalidation — runs on the job pool.
         """
         self.dataset(fingerprint)  # fail fast before parsing the body
         delta = self._parse_delta(lines, fmt)
@@ -660,11 +502,10 @@ class AnonymizationService:
     ) -> bytes | memoryview:
         """The UTF-8 CSV encoding of a release, cached as its own entry.
 
-        The bytes are memoized separately from the artifact so that a worker
-        process serving a release another worker already rendered maps the
-        spilled bytes (a :class:`memoryview` over the container file) and
-        writes them straight to the socket — no table rebuild, no re-render,
-        no re-encode.
+        The bytes are memoized separately from the artifact so that a service
+        serving a release rendered before a restart maps the spilled bytes (a
+        :class:`memoryview` over the container file) and writes them straight
+        to the socket — no table rebuild, no re-render, no re-encode.
         """
         self.dataset(fingerprint)  # raises UnknownDatasetError
         key = (fingerprint, "release", algorithm, k, style, "csv")
@@ -906,25 +747,19 @@ class AnonymizationService:
         return payload
 
     def job_status(self, job_id: str) -> dict[str, object]:
-        """Snapshot of one asynchronous job.
-
-        Falls back to the shared job store (when a cache directory is
-        configured), so a worker of a multi-process front answers polls for
-        jobs accepted — and owned — by a sibling worker.
-        """
+        """Snapshot of one asynchronous job."""
         return self._jobs.status(job_id)
 
     def list_jobs(self) -> list[dict[str, object]]:
-        """Compact snapshots of every known job (local plus shared store).
+        """Compact snapshots of every known job.
 
-        Result payloads are omitted from store-only entries — listing is a
-        cheap overview; poll ``job_status`` for a specific job's result.
+        Result payloads are omitted — listing is a cheap overview; poll
+        ``job_status`` for a specific job's result.
         """
-        listing = []
-        for snapshot in self._jobs.jobs():
-            compact = {k: v for k, v in snapshot.items() if k != "result"}
-            listing.append(compact)
-        return listing
+        return [
+            {k: v for k, v in snapshot.items() if k != "result"}
+            for snapshot in self._jobs.jobs()
+        ]
 
     def wait_for_job(self, job_id: str, timeout: float | None = None) -> dict[str, object]:
         """Block until a job finishes and return its snapshot (for tests/CLI)."""

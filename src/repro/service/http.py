@@ -41,25 +41,10 @@ release — the cached CSV is typically a :class:`memoryview` over the spill
 mapping, so the bytes flow from the page cache to the socket without ever
 being materialized.  A client that disconnects mid-chunk is dropped cleanly.
 
-Multi-process front: ``ServiceServer(workers=N, config=...)`` binds the
-listening socket with ``SO_REUSEPORT`` and pre-forks ``N - 1`` worker
-processes (spawn start method) that each bind the *same* address — the
-kernel load-balances connections across the processes.  Workers share the
-spill directory (and the dataset store under it) as the common cache tier;
-the in-memory single-flight tier stays per-process, so each artifact is
-computed at most once per process and usually exactly once per cluster
-(spill writes are atomic renames, making the cross-process race a benign
-double-write).  Asynchronous FRED jobs are **cluster-visible**: every
-lifecycle transition is published to the shared job store under the spill
-directory (:mod:`repro.service.jobstore`), so ``GET /jobs/<id>`` — and the
-``GET /jobs`` listing — is answered correctly by *any* worker, regardless of
-which one accepted the submit; owner heartbeats turn a dead worker's
-in-flight jobs into ``failed`` instead of an eternal ``running``.  The
-``X-Repro-Worker: <pid>`` response header is kept for observability only —
-no routing decision depends on it.  Because ``SO_REUSEPORT`` balances per
-*connection*, a long keep-alive client rides one worker forever;
-``max_keepalive_requests`` (``serve --max-keepalive``) caps the requests per
-connection so such clients periodically reconnect and re-balance.
+One process serves every request: the server's state — the dataset
+registry, the artifact cache and the job pool — lives in one
+:class:`~repro.service.core.AnonymizationService`, so there is nothing to
+share or synchronize across processes.
 
 Library errors map to JSON error responses: :class:`ServiceError` subclasses
 for unknown datasets/jobs become ``404``, every other
@@ -71,9 +56,6 @@ from __future__ import annotations
 
 import codecs
 import json
-import multiprocessing
-import os
-import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterator
@@ -86,7 +68,7 @@ from repro.exceptions import (
     UnknownDatasetError,
     UnknownJobError,
 )
-from repro.service.core import AnonymizationService, ServiceConfig
+from repro.service.core import AnonymizationService
 
 __all__ = [
     "ServiceServer",
@@ -118,7 +100,10 @@ def _iter_body_lines(rfile, content_length: int, chunk_bytes: int = UPLOAD_CHUNK
     a corrupted upload would be cached as canonical forever.
     """
     decoder = codecs.getincrementaldecoder("utf-8")(errors="strict")
-    pending = ""
+    # Each decoded chunk is split once on "\n" (not ``str.splitlines``, which
+    # also breaks on \r, \x0b, \u2028, ... and would change the lines a
+    # quoted CSV field spans); the unfinished last piece is carried over.
+    carry: list[str] = []
     remaining = content_length
     try:
         while remaining > 0:
@@ -129,18 +114,20 @@ def _iter_body_lines(rfile, content_length: int, chunk_bytes: int = UPLOAD_CHUNK
                     f"received {content_length - remaining}"
                 )
             remaining -= len(chunk)
-            pending += decoder.decode(chunk)
-            while True:
-                newline = pending.find("\n")
-                if newline < 0:
-                    break
-                yield pending[: newline + 1]
-                pending = pending[newline + 1 :]
-        pending += decoder.decode(b"", final=True)
+            *complete, tail = decoder.decode(chunk).split("\n")
+            if complete:
+                carry.append(complete[0])
+                complete[0] = "".join(carry)
+                carry.clear()
+                for line in complete:
+                    yield line + "\n"
+            carry.append(tail)
+        carry.append(decoder.decode(b"", final=True))
     except UnicodeDecodeError as exc:
         raise ServiceError(f"dataset upload is not valid UTF-8: {exc}") from exc
-    if pending:
-        yield pending
+    last = "".join(carry)
+    if last:
+        yield last
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -160,7 +147,6 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(payload)))
-            self.send_header("X-Repro-Worker", str(os.getpid()))
             if self.close_connection:
                 # Error paths may leave unread body bytes on the socket; telling
                 # the client the connection is done prevents keep-alive desync.
@@ -192,10 +178,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Transfer-Encoding", "chunked")
-            self.send_header("X-Repro-Worker", str(os.getpid()))
             if self.close_connection:
-                # The keep-alive request cap (or an earlier error) decided
-                # this connection ends after the reply; tell the client.
+                # The client asked to close after this reply; say so too.
                 self.send_header("Connection", "close")
             self.end_headers()
             view = memoryview(payload)
@@ -255,16 +239,6 @@ class _Handler(BaseHTTPRequestHandler):
         return document
 
     def _dispatch(self, handler) -> None:
-        cap = self.server.max_keepalive_requests
-        if cap is not None:
-            # SO_REUSEPORT balances per *connection*: a keep-alive client
-            # would ride the worker that accepted it forever.  Counting
-            # requests per connection and closing at the cap makes long-lived
-            # clients reconnect periodically and re-balance across workers.
-            served = getattr(self, "_requests_on_connection", 0) + 1
-            self._requests_on_connection = served
-            if served >= cap:
-                self.close_connection = True
         try:
             handler()
         except (UnknownDatasetError, UnknownJobError) as error:
@@ -500,48 +474,14 @@ def _json_cell(value: object) -> object:
     return str(value)
 
 
-def _worker_main(
-    host: str,
-    port: int,
-    config: ServiceConfig,
-    verbose: bool,
-    max_body_bytes: int,
-    stream_threshold_bytes: int,
-    max_keepalive_requests: int | None,
-) -> None:  # pragma: no cover - runs in a spawned worker process
-    """Entry point of one spawned worker: build a service, share the port."""
-    service = AnonymizationService.from_config(config)
-    server = ServiceServer(
-        (host, port),
-        service,
-        verbose=verbose,
-        max_body_bytes=max_body_bytes,
-        stream_threshold_bytes=stream_threshold_bytes,
-        max_keepalive_requests=max_keepalive_requests,
-        reuse_port=True,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        service.close(wait=False)
-
-
 class ServiceServer(ThreadingHTTPServer):
     """The HTTP server bound to one :class:`AnonymizationService`.
 
-    Single-process by default (one process, a thread per connection).  With
-    ``workers=N`` (requires a picklable ``config`` whose ``cache_dir`` is
-    set) the listening socket is bound with ``SO_REUSEPORT`` and ``N - 1``
-    sibling processes are spawned, each binding the same address and running
-    its own service over the shared spill directory.
-
-    ``serve_in_background`` starts ``serve_forever`` on a daemon thread and
-    returns, which is how tests, benchmarks and the CLI's smoke mode drive
-    it; ``close`` performs the clean shutdown sequence (stop accepting,
-    terminate workers, drain the HTTP loop, then drain in-flight jobs).
+    One process, a thread per connection.  ``serve_in_background`` starts
+    ``serve_forever`` on a daemon thread and returns, which is how tests,
+    benchmarks and the CLI's smoke mode drive it; ``close`` performs the
+    clean shutdown sequence (stop accepting, drain the HTTP loop, then drain
+    in-flight jobs).
     """
 
     daemon_threads = True
@@ -557,10 +497,6 @@ class ServiceServer(ThreadingHTTPServer):
         verbose: bool = False,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         stream_threshold_bytes: int = DEFAULT_STREAM_THRESHOLD_BYTES,
-        workers: int = 1,
-        config: ServiceConfig | None = None,
-        reuse_port: bool = False,
-        max_keepalive_requests: int | None = None,
     ) -> None:
         if max_body_bytes < 1:
             raise ServiceError(
@@ -570,96 +506,20 @@ class ServiceServer(ThreadingHTTPServer):
             raise ServiceError(
                 f"stream_threshold_bytes must be >= 1, got {stream_threshold_bytes}"
             )
-        if max_keepalive_requests is not None and max_keepalive_requests < 1:
-            raise ServiceError(
-                f"max_keepalive_requests must be >= 1, got {max_keepalive_requests}"
-            )
-        if workers < 1:
-            raise ServiceError(f"workers must be >= 1, got {workers}")
-        if workers > 1:
-            if not hasattr(socket, "SO_REUSEPORT"):
-                raise ServiceError(
-                    "multi-process serving requires SO_REUSEPORT, which this "
-                    "platform does not provide"
-                )
-            if config is None or config.cache_dir is None:
-                raise ServiceError(
-                    "multi-process serving requires a ServiceConfig with a "
-                    "cache_dir — the spill directory is the workers' shared "
-                    "cache tier"
-                )
-        self._reuse_port = reuse_port or workers > 1
-        super().__init__(address, _Handler, bind_and_activate=False)
-        try:
-            self.server_bind()
-            self.server_activate()
-        except BaseException:
-            self.server_close()
-            raise
+        super().__init__(address, _Handler)
         self.service = service
         self.verbose = verbose
         self.max_body_bytes = max_body_bytes
         self.stream_threshold_bytes = stream_threshold_bytes
-        self.max_keepalive_requests = max_keepalive_requests
-        self.workers = workers
-        self._config = config
         self._thread: threading.Thread | None = None
-        self._children: list[multiprocessing.process.BaseProcess] = []
-        self._children_started = False
-
-    def server_bind(self) -> None:
-        if self._reuse_port and hasattr(socket, "SO_REUSEPORT"):
-            self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        super().server_bind()
 
     @property
     def port(self) -> int:
         """The bound port (useful when constructed with port 0)."""
         return self.server_address[1]
 
-    def start_workers(self) -> None:
-        """Spawn the ``workers - 1`` sibling processes (idempotent).
-
-        The spawn start method (not fork) keeps the children independent of
-        this process's thread and lock state; each child builds its own
-        service from the picklable config and binds the already-bound
-        address via ``SO_REUSEPORT``.
-        """
-        if self._children_started or self.workers <= 1:
-            return
-        self._children_started = True
-        context = multiprocessing.get_context("spawn")
-        host = self.server_address[0]
-        for _ in range(self.workers - 1):
-            process = context.Process(
-                target=_worker_main,
-                args=(
-                    host,
-                    self.port,
-                    self._config,
-                    self.verbose,
-                    self.max_body_bytes,
-                    self.stream_threshold_bytes,
-                    self.max_keepalive_requests,
-                ),
-                daemon=True,
-            )
-            process.start()
-            self._children.append(process)
-
-    def worker_pids(self) -> list[int]:
-        """The pids serving this address (this process plus live children)."""
-        pids = [os.getpid()]
-        pids.extend(p.pid for p in self._children if p.pid is not None and p.is_alive())
-        return pids
-
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
-        self.start_workers()
-        super().serve_forever(poll_interval=poll_interval)
-
     def serve_in_background(self) -> "ServiceServer":
         """Run ``serve_forever`` on a daemon thread and return ``self``."""
-        self.start_workers()
         thread = threading.Thread(
             target=self.serve_forever, name="repro-serve", daemon=True
         )
@@ -668,16 +528,7 @@ class ServiceServer(ThreadingHTTPServer):
         return self
 
     def close(self, wait_jobs: bool = True) -> None:
-        """Stop serving, stop workers, join the loop, drain service jobs."""
-        for process in self._children:
-            if process.is_alive():
-                process.terminate()
-        for process in self._children:
-            process.join(timeout=10)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.kill()
-                process.join(timeout=5)
-        self._children.clear()
+        """Stop serving, join the loop, drain service jobs."""
         self.shutdown()
         if self._thread is not None:
             self._thread.join(timeout=10)
@@ -693,29 +544,12 @@ def build_server(
     verbose: bool = False,
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
     stream_threshold_bytes: int = DEFAULT_STREAM_THRESHOLD_BYTES,
-    workers: int = 1,
-    config: ServiceConfig | None = None,
-    max_keepalive_requests: int | None = None,
 ) -> ServiceServer:
-    """Construct a :class:`ServiceServer` (and a default service if needed).
-
-    With ``workers > 1``, ``config`` describes the per-worker services; when
-    no explicit ``service`` is passed, this process's service is built from
-    the same config, so all workers are identical.
-    """
-    if service is None:
-        service = (
-            AnonymizationService.from_config(config)
-            if config is not None
-            else AnonymizationService()
-        )
+    """Construct a :class:`ServiceServer` (and a default service if needed)."""
     return ServiceServer(
         (host, port),
-        service,
+        service if service is not None else AnonymizationService(),
         verbose=verbose,
         max_body_bytes=max_body_bytes,
         stream_threshold_bytes=stream_threshold_bytes,
-        workers=workers,
-        config=config,
-        max_keepalive_requests=max_keepalive_requests,
     )

@@ -21,6 +21,15 @@ class TestDefaultHierarchies:
             assert isinstance(hierarchy, NumericHierarchy)
             assert hierarchy.levels >= 2
 
+    def test_subnormal_range_gets_a_positive_bin_width(self, simple_table):
+        # (5e-324 - 0.0) / 16 underflows to 0.0, which the hierarchy rejects.
+        ages = [0.0, 0.0, 0.0, 5e-324, 0.0, 0.0]
+        table = simple_table.replace_column("age", ages)
+        hierarchy = default_hierarchies(table)["age"]
+        assert hierarchy.base_width > 0
+        result = DataflyAnonymizer(max_suppression_fraction=1.0).anonymize(table, 2)
+        assert result.release.num_rows == table.num_rows
+
 
 class TestDatafly:
     @pytest.mark.parametrize("k", [2, 4])

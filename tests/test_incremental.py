@@ -7,8 +7,7 @@ grown by :meth:`~repro.linkage.LinkageIndex.extend` must be **bit-identical**
 — every flat buffer, both padded matrices, the token postings, the blocking
 postings and every query answer — to an index built from scratch over the
 full corpus.  The hypothesis suites pin that equivalence over arbitrary
-append chunkings, unicode names, duplicates and empty/degenerate deltas;
-the regression classes pin extending a shard.
+append chunkings, unicode names, duplicates and empty/degenerate deltas.
 """
 
 from __future__ import annotations
@@ -150,20 +149,6 @@ class TestExtendEqualsRebuild:
         rebuilt = LinkageIndex(["maria lopez", "", "   ", "maria lopez"])
         _assert_artifacts_identical(grown, rebuilt)
         _assert_queries_identical(grown, rebuilt, ["maria lopez", ""])
-
-
-class TestShardExtension:
-    def test_extending_a_shard_appends_at_the_shard_end(self):
-        full = LinkageIndex(["maria lopez", "xu wei", "nils møller", "ada byron"])
-        left, right = full.shard(2)
-        left.extend(["grace hopper"])
-        assert left.size == 3
-        match = left.match_many(["grace hopper"])[0]
-        assert match is not None and match.candidate == "grace hopper"
-        # The untouched shard keeps its global row offset semantics.
-        offset_match = right.match_many(["ada byron"])[0]
-        assert offset_match is not None and offset_match.candidate_index == 3
-
 
 
 def _people(names: list[str], offset: int = 0) -> Table:

@@ -5,8 +5,7 @@ argsort-based postings) must be *bit-identical* to the historical per-name
 scalar builders: same normalized strings, same code matrices, same postings
 arrays, same match results.  These suites exercise unicode-heavy corpora —
 accents, combining marks, titles, multi-token names, duplicates, empty
-strings — plus the pickle and shard contracts the process-pool FRED sweeps
-rely on.
+strings — plus the pickle contract the process-pool FRED sweeps rely on.
 """
 
 from __future__ import annotations
@@ -117,27 +116,3 @@ class TestIndexContracts:
         clone = pickle.loads(pickle.dumps(index))
         assert clone.names == index.names
         assert clone.match_many(queries) == index.match_many(queries)
-
-    @given(
-        corpus_strategy,
-        st.lists(name_like, min_size=1, max_size=6),
-        st.integers(min_value=1, max_value=4),
-    )
-    @settings(max_examples=75, deadline=None)
-    def test_shard_merge_equals_full_index(self, corpus, queries, n_shards):
-        index = LinkageIndex(corpus, threshold=0.5)
-        shards = index.shard(n_shards)
-        assert sum(shard.size for shard in shards) == index.size
-        per_shard = [shard.match_many(queries) for shard in shards]
-        merged = LinkageIndex.merge_matches(per_shard)
-        assert merged == index.match_many(queries)
-
-    @given(corpus_strategy, st.integers(min_value=1, max_value=4))
-    @settings(max_examples=50, deadline=None)
-    def test_sharded_pickles_round_trip(self, corpus, n_shards):
-        index = LinkageIndex(corpus, threshold=0.5)
-        for shard in index.shard(n_shards):
-            clone = pickle.loads(pickle.dumps(shard))
-            assert clone.names == shard.names
-            assert clone.row_offset == shard.row_offset
-            assert clone.match_many(corpus[:3]) == shard.match_many(corpus[:3])

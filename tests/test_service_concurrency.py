@@ -21,8 +21,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.exceptions import UnknownJobError
 from repro.service import AnonymizationService
-from repro.service.jobs import JobManager
+from repro.service.jobs import Job, JobManager
 
 CLIENTS = 8
 
@@ -203,3 +204,53 @@ class TestCleanShutdown:
         assert manager.status(first)["status"] == "done"
         for job_id in queued:
             assert manager.wait(job_id, timeout=30)["status"] == "cancelled"
+
+
+class TestJobIds:
+    def test_storeless_managers_keep_sequential_ids(self):
+        manager = JobManager(max_workers=1)
+        try:
+            assert manager.submit(lambda: 1) == "job-1"
+            assert manager.submit(lambda: 2) == "job-2"
+        finally:
+            manager.shutdown()
+
+    def test_unknown_jobs_still_raise(self):
+        manager = JobManager(max_workers=1)
+        try:
+            with pytest.raises(UnknownJobError):
+                manager.status("job-404")
+            with pytest.raises(UnknownJobError):
+                manager.wait("job-404", timeout=1)
+        finally:
+            manager.shutdown()
+
+
+class TestSnapshotAtomicity:
+    """A poll can never observe ``done`` without its result."""
+
+    def test_done_is_never_visible_without_its_result(self):
+        for _ in range(200):
+            job = Job(id="job-1", description="")
+            barrier = threading.Barrier(2)
+
+            def flip() -> None:
+                barrier.wait()
+                job.transition("done", result={"answer": 42})
+
+            thread = threading.Thread(target=flip)
+            thread.start()
+            barrier.wait()
+            for _ in range(20):
+                view = job.snapshot()
+                if view["status"] == "done":
+                    assert view["result"] == {"answer": 42}
+            thread.join()
+
+    def test_failed_transition_installs_error_atomically(self):
+        job = Job(id="job-1", description="")
+        job.transition("failed", error="boom")
+        view = job.snapshot()
+        assert view["status"] == "failed"
+        assert view["error"] == "boom"
+        assert "result" not in view

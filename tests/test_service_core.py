@@ -315,28 +315,22 @@ class TestAppends:
         assert result["fingerprint"] == simple_table.append(delta).fingerprint
         assert service.dataset(result["fingerprint"]).num_rows == result["rows"]
 
-    def test_supersede_travels_through_the_shared_store(self, tmp_path, simple_table):
-        first = AnonymizationService(cache_dir=tmp_path)
-        second = AnonymizationService(cache_dir=tmp_path)
+    def test_supersede_invalidates_the_spill_directory(self, tmp_path, simple_table):
+        service = AnonymizationService(cache_dir=tmp_path)
         try:
-            fingerprint = first.register(simple_table, label="people")["fingerprint"]
-            first.release_csv(fingerprint, 2)  # spills artifact + CSV bytes
-            second.dataset(fingerprint)  # sibling adopts a private copy
+            fingerprint = service.register(simple_table, label="people")["fingerprint"]
+            service.release_csv(fingerprint, 2)  # spills artifact + CSV bytes
             delta = simple_table.take([4, 5])
-            info = second.append_stream(fingerprint, io.StringIO(render_csv(delta)))
-            # The sibling holding a stale private copy must refuse the old
-            # fingerprint (naming the successor) and find the new content.
-            with pytest.raises(UnknownDatasetError, match=info["fingerprint"]):
-                first.dataset(fingerprint)
-            assert first.dataset(info["fingerprint"]).num_rows == info["rows"]
+            info = service.append_stream(fingerprint, io.StringIO(render_csv(delta)))
+            with pytest.raises(UnknownDatasetError):
+                service.dataset(fingerprint)
+            assert service.dataset(info["fingerprint"]).num_rows == info["rows"]
             # The spilled artifacts keyed by the old fingerprint are gone.
             assert info["invalidated_entries"] >= 2
-            for path in tmp_path.glob("*.npc"):
+            for path in tmp_path.rglob("*.npc"):
                 assert fingerprint not in path.read_bytes().decode("latin-1")
-            # Re-registering the original content resurrects the fingerprint.
-            assert first.register(simple_table)["created"] is True
-            assert first.dataset(fingerprint).num_rows == simple_table.num_rows
-            assert second.dataset(fingerprint).num_rows == simple_table.num_rows
+            # Re-registering the original content makes it live again.
+            assert service.register(simple_table)["created"] is True
+            assert service.dataset(fingerprint).num_rows == simple_table.num_rows
         finally:
-            first.close()
-            second.close()
+            service.close()

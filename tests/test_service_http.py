@@ -2,12 +2,33 @@
 
 from __future__ import annotations
 
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataset.io import render_csv, render_jsonl
+from repro.exceptions import ServiceError
+from repro.service.http import _iter_body_lines
+
+# Upload bodies mixing multi-byte UTF-8, "\r\n" and characters that
+# ``str.splitlines`` breaks on (\r, \u2028, \x85, \x0b, \x1c): only "\n"
+# may end a line.
+_body_texts = st.tuples(
+    st.lists(
+        st.one_of(
+            st.text(alphabet='ab,"', max_size=4),
+            st.sampled_from(
+                ["\n", "\r\n", "\r", "\u2028", "\x85", "\x0b", "\x1c", "é", "€", "𝄞"]
+            ),
+        ),
+        max_size=40,
+    ).map("".join),
+    st.sampled_from(["", "\n"]),  # with and without a final newline
+).map("".join)
 
 
 @pytest.fixture()
@@ -418,7 +439,6 @@ class TestStreamedReleases:
         headers, chunked = self._post_chunked(streaming_server.port, body)
         assert headers.get("Transfer-Encoding") == "chunked"
         assert "Content-Length" not in headers
-        assert "X-Repro-Worker" in headers
 
         header_text, buffered = self._post_buffered(streaming_server.port, body)
         assert "Transfer-Encoding" not in header_text
@@ -476,68 +496,6 @@ class TestStreamedReleases:
         handler._send_payload(200, payload, "text/csv")  # must not raise
         assert handler.close_connection is True
         assert len(handler.wfile.written) == 5, "the failure happened mid-stream"
-
-class TestKeepAliveCap:
-    """``max_keepalive_requests``: long-lived connections must re-balance."""
-
-    @pytest.fixture()
-    def capped_server(self):
-        from repro.service import AnonymizationService, build_server
-
-        service = AnonymizationService(cache_capacity=8)
-        server = build_server(
-            port=0, service=service, max_keepalive_requests=2
-        ).serve_in_background()
-        yield server
-        server.close()
-
-    def test_connection_closes_at_the_cap(self, capped_server):
-        import http.client
-
-        connection = http.client.HTTPConnection(
-            "127.0.0.1", capped_server.port, timeout=30
-        )
-        try:
-            connection.request("GET", "/healthz")
-            first = connection.getresponse()
-            assert first.status == 200
-            assert first.getheader("Connection") != "close"
-            first.read()
-
-            connection.request("GET", "/healthz")
-            second = connection.getresponse()
-            assert second.status == 200
-            assert second.getheader("Connection") == "close"
-            second.read()
-        finally:
-            connection.close()
-
-    def test_each_fresh_connection_gets_a_fresh_budget(self, capped_server):
-        import http.client
-
-        for _ in range(3):
-            connection = http.client.HTTPConnection(
-                "127.0.0.1", capped_server.port, timeout=30
-            )
-            try:
-                connection.request("GET", "/healthz")
-                response = connection.getresponse()
-                assert response.status == 200
-                assert response.getheader("Connection") != "close"
-                response.read()
-            finally:
-                connection.close()
-
-    def test_cap_must_be_positive(self):
-        from repro.exceptions import ServiceError
-        from repro.service import AnonymizationService, build_server
-
-        service = AnonymizationService(cache_capacity=8)
-        try:
-            with pytest.raises(ServiceError, match="max_keepalive_requests"):
-                build_server(port=0, service=service, max_keepalive_requests=0)
-        finally:
-            service.close()
 
 
 class TestAppendEndpoint:
@@ -634,3 +592,43 @@ class TestAppendEndpoint:
         status, info = service_client.get(f"/datasets/{fingerprint}")
         assert status == 200
         assert info["rows"] == simple_table.num_rows
+
+
+class TestUploadLineSplitting:
+    """``_iter_body_lines`` yields the body split on "\n" and nothing else."""
+
+    @given(_body_texts, st.integers(min_value=1, max_value=64))
+    @settings(max_examples=300, deadline=None)
+    def test_yields_exactly_the_newline_split(self, text, chunk_bytes):
+        body = text.encode("utf-8")
+        lines = list(_iter_body_lines(io.BytesIO(body), len(body), chunk_bytes))
+        parts = text.split("\n")
+        expected = [part + "\n" for part in parts[:-1]]
+        if parts[-1]:
+            expected.append(parts[-1])
+        assert lines == expected
+
+    @given(
+        _body_texts,
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=1, max_value=100),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_truncated_body_raises(self, text, chunk_bytes, missing):
+        body = text.encode("utf-8")
+        reader = _iter_body_lines(io.BytesIO(body), len(body) + missing, chunk_bytes)
+        with pytest.raises(ServiceError, match="truncated"):
+            list(reader)
+
+    @given(
+        _body_texts,
+        st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]),
+        _body_texts,
+        st.integers(min_value=1, max_value=64),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_invalid_utf8_raises(self, head, invalid, tail, chunk_bytes):
+        body = head.encode("utf-8") + invalid + tail.encode("utf-8")
+        reader = _iter_body_lines(io.BytesIO(body), len(body), chunk_bytes)
+        with pytest.raises(ServiceError, match="UTF-8"):
+            list(reader)
