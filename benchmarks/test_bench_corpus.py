@@ -11,7 +11,8 @@ corpus construction is pure data-plane work).
 ``test_corpus_build_speedup_vs_seed_loop`` is the acceptance gate: building a
 corpus from 100k profiles must be **at least 5x faster** than the seed loop.
 Set ``REPRO_BENCH_QUICK=1`` for the reduced CI smoke variant (10k profiles,
-gate at 1x — vectorized must simply never be slower).
+gate at 1x — vectorized must simply never be slower).  Both builders are
+timed best-of-3, interleaved.
 
 The seed builder is re-implemented here from the public pieces (the original
 code no longer exists in the tree) so the baseline stays honest as the corpus
@@ -33,6 +34,7 @@ from repro.fusion.web import SimulatedWebCorpus, WebPage, name_variant
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 PROFILE_COUNT = 10_000 if QUICK else 100_000
 REQUIRED_SPEEDUP = 1.0 if QUICK else 5.0
+ROUNDS = 3
 ATTRIBUTES = ("employment_seniority", "property_holdings", "external_activity")
 NOISE = 0.05
 COVERAGE = 0.9
@@ -124,21 +126,25 @@ def test_bench_from_profiles(benchmark, profiles):
 
 def test_corpus_build_speedup_vs_seed_loop(profiles, bench_gate):
     """Acceptance gate: vectorized build >= 5x the seed loop (1x quick)."""
-    start = time.perf_counter()
-    corpus = SimulatedWebCorpus.from_profiles(
-        profiles,
-        ATTRIBUTES,
-        noise_level=NOISE,
-        coverage=COVERAGE,
-        name_variant_probability=VARIANT_PROBABILITY,
-        distractor_count=DISTRACTORS,
-        seed=SEED,
-    )
-    vectorized_seconds = time.perf_counter() - start
+    # Best of ROUNDS, interleaved, so one scheduler hiccup on a shared host
+    # cannot sink either builder's time.
+    vectorized_seconds = seed_seconds = float("inf")
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        corpus = SimulatedWebCorpus.from_profiles(
+            profiles,
+            ATTRIBUTES,
+            noise_level=NOISE,
+            coverage=COVERAGE,
+            name_variant_probability=VARIANT_PROBABILITY,
+            distractor_count=DISTRACTORS,
+            seed=SEED,
+        )
+        vectorized_seconds = min(vectorized_seconds, time.perf_counter() - start)
 
-    start = time.perf_counter()
-    seed_pages = _seed_corpus_pages(profiles, ATTRIBUTES, np.random.default_rng(SEED))
-    seed_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        seed_pages = _seed_corpus_pages(profiles, ATTRIBUTES, np.random.default_rng(SEED))
+        seed_seconds = min(seed_seconds, time.perf_counter() - start)
 
     # Sanity: both builders produce a full-scale corpus (draw orders differ,
     # so page sets are not identical, but coverage statistics must agree).
@@ -159,6 +165,7 @@ def test_corpus_build_speedup_vs_seed_loop(profiles, bench_gate):
         seed_loop_seconds=round(seed_seconds, 4),
         speedup=round(speedup, 2),
         required=REQUIRED_SPEEDUP,
+        rounds=ROUNDS,
     )
     assert speedup >= REQUIRED_SPEEDUP, (
         f"vectorized corpus build is only {speedup:.1f}x the seed loop on "

@@ -28,13 +28,13 @@ cells), the fuzzy engines form the ``(N, n_rules)`` firing-strength matrix and
 defuzzify every record in one vectorized pass (see
 :mod:`repro.fusion.attack`, *Batch data layout*).  On top of that, level
 evaluations are **independent jobs**: ``FREDConfig(parallelism=w)`` dispatches
-them across a pool of ``w`` worker processes (the anonymizer, auxiliary source
-and attack factory must be picklable) and merges the results
-deterministically — outcomes are collected in level order and, when
-``stop_below_utility`` is set, truncated after the first level whose utility
-falls below ``Tu``, so a parallel sweep returns exactly the outcomes a serial
-sweep would (levels past the stopping point are evaluated speculatively and
-discarded).
+them across a pool of ``w`` worker processes (the anonymizer must be
+picklable; workers get the precomputed harvest and a detached stub in place
+of the auxiliary source) and merges the results deterministically — outcomes
+are collected in level order and, when ``stop_below_utility`` is set,
+truncated after the first level whose utility falls below ``Tu``, so a
+parallel sweep returns exactly the outcomes a serial sweep would (levels past
+the stopping point are evaluated speculatively and discarded).
 
 Sweep-wide harvest reuse
 ------------------------
@@ -57,7 +57,7 @@ import numbers
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -113,11 +113,6 @@ class FREDConfig:
         the module docstring).  With ``stop_below_utility`` set, levels past
         the stopping point may be evaluated speculatively but are discarded
         from the result.
-    reuse_harvest:
-        Harvest the auxiliary source once per sweep and share the result
-        across every level (the harvest is level-independent; see the module
-        docstring).  Disable to re-harvest at every level — only useful for
-        adversary ablations whose attack factory varies the source per level.
     """
 
     levels: tuple[int, ...] = tuple(range(2, 17))
@@ -127,7 +122,6 @@ class FREDConfig:
     anonymizer: BaseAnonymizer = field(default_factory=MDAVAnonymizer)
     stop_below_utility: bool = True
     parallelism: int = 1
-    reuse_harvest: bool = True
 
     def __post_init__(self) -> None:
         if not self.levels:
@@ -262,29 +256,11 @@ class FREDResult:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class _DefaultAttackFactory:
-    """Builds the standard attack for each level.
-
-    Every attack it builds shares the same auxiliary ``source`` object, so the
-    corpus's :class:`~repro.linkage.LinkageIndex` is constructed once and the
-    sweep-wide harvest produced through one attack is valid for all of them.
-    A module-level class (rather than a closure) so a ``FREDAnonymizer`` stays
-    picklable for process-pool sweeps.
-    """
-
-    source: AuxiliarySource
-    attack_config: AttackConfig
-
-    def __call__(self) -> WebFusionAttack:
-        return WebFusionAttack(self.source, self.attack_config)
-
-
 class _HarvestedSource(AuxiliarySource):
     """Detached stand-in for an auxiliary source whose harvest is precomputed.
 
-    When the sweep already holds the level-independent harvest, process
-    workers never query the auxiliary channel — every ``evaluate_level``
+    A sweep always holds the level-independent harvest, so process workers
+    never query the auxiliary channel — every ``evaluate_level``
     call receives ``harvest=`` and :meth:`WebFusionAttack.run` skips the
     source entirely.  Shipping this stub instead of the real corpus keeps
     the per-worker pickle payload down to the private table and harvest
@@ -331,10 +307,6 @@ class FREDAnonymizer:
         fuse, assumed sensitive range, rules, engine).
     config:
         Sweep configuration (levels, thresholds, weights, base anonymizer).
-    attack_factory:
-        Optional override that builds the attack object for each level;
-        defaults to ``WebFusionAttack(source, attack_config)``.  Useful for
-        injecting custom adversaries in ablations.
     """
 
     def __init__(
@@ -342,14 +314,10 @@ class FREDAnonymizer:
         source: AuxiliarySource,
         attack_config: AttackConfig,
         config: FREDConfig | None = None,
-        attack_factory: Callable[[], WebFusionAttack] | None = None,
     ) -> None:
         self.source = source
         self.attack_config = attack_config
         self.config = config or FREDConfig()
-        self._attack_factory = attack_factory or _DefaultAttackFactory(
-            source, attack_config
-        )
 
     # Harvest (level-independent) -------------------------------------------------
 
@@ -358,11 +326,10 @@ class FREDAnonymizer:
 
         Anonymizers preserve rows and row order, so the release identifier
         column equals the private table's at every level — one harvest serves
-        the whole sweep.  The harvest is produced through the attack factory,
-        so custom adversaries keep control of how names are resolved.
+        the whole sweep.
         """
         names = [str(n) for n in private.identifier_column()]
-        return self._attack_factory().harvest(names)
+        return WebFusionAttack(self.source, self.attack_config).harvest(names)
 
     # Single-level evaluation -----------------------------------------------------
 
@@ -379,7 +346,9 @@ class FREDAnonymizer:
         should.
         """
         anonymization = self.config.anonymizer.anonymize(private, level)
-        attack = self._attack_factory().run(anonymization.release, harvest=harvest)
+        attack = WebFusionAttack(self.source, self.attack_config).run(
+            anonymization.release, harvest=harvest
+        )
         assumed_range = self.attack_config.output_universe
         before = dissimilarity_before_fusion(
             private, anonymization.release, assumed_range
@@ -429,7 +398,7 @@ class FREDAnonymizer:
         identical to a serial sweep's.
         """
         sweep_levels = list(levels if levels is not None else self.config.levels)
-        if harvest is None and self.config.reuse_harvest:
+        if harvest is None:
             harvest = self.harvest(private)
         if self.config.parallelism <= 1 or len(sweep_levels) <= 1:
             outcomes_in_order = self._sweep_serial(private, sweep_levels, harvest)
@@ -441,7 +410,7 @@ class FREDAnonymizer:
         self,
         private: Table,
         levels: Sequence[int],
-        harvest: tuple[list, Table] | None,
+        harvest: tuple[list, Table],
     ) -> list[LevelOutcome]:
         """Evaluate levels one after another, honouring early stopping."""
         outcomes: list[LevelOutcome] = []
@@ -456,7 +425,7 @@ class FREDAnonymizer:
         self,
         private: Table,
         levels: Sequence[int],
-        harvest: tuple[list, Table] | None,
+        harvest: tuple[list, Table],
     ) -> list[LevelOutcome | BaseException]:
         """Evaluate all levels concurrently; results come back in level order.
 
@@ -469,19 +438,14 @@ class FREDAnonymizer:
         """
         # Serialize the shared per-sweep state (anonymizer, private table,
         # harvest) exactly once and ship it through the pool initializer;
-        # per-level submissions then carry only the level number.
-        ship = self
-        if harvest is not None and isinstance(
-            self._attack_factory, _DefaultAttackFactory
-        ):
-            # Workers only replay the precomputed harvest, so the real
-            # auxiliary corpus (text + linkage index) need not travel.
-            stub = _HarvestedSource(self.source.attribute_names)
-            ship = FREDAnonymizer.__new__(FREDAnonymizer)
-            ship.source = stub
-            ship.attack_config = self.attack_config
-            ship.config = self.config
-            ship._attack_factory = _DefaultAttackFactory(stub, self.attack_config)
+        # per-level submissions then carry only the level number.  Workers
+        # only replay the precomputed harvest, so the real auxiliary corpus
+        # (text + linkage index) stays behind.
+        ship = FREDAnonymizer(
+            _HarvestedSource(self.source.attribute_names),
+            self.attack_config,
+            self.config,
+        )
         payload = pickle.dumps((ship, private, harvest), protocol=pickle.HIGHEST_PROTOCOL)
         with ProcessPoolExecutor(
             max_workers=min(self.config.parallelism, len(levels)),

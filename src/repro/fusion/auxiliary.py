@@ -305,75 +305,21 @@ class TableAuxiliarySource(AuxiliarySource):
                 for attribute in self.table.schema.attributes
                 if attribute.name != self.name_column and attribute.is_numeric
             )
-        self._names = [str(name) for name in self.table.column(self.name_column)]
+        names = [str(name) for name in self.table.column(self.name_column)]
         # Last occurrence wins on duplicate names, like the historical
         # row-dict index did.
-        self._by_name = {name: row for row, name in enumerate(self._names)}
+        self._by_name = {name: row for row, name in enumerate(names)}
         self._columns = {
             name: self.table.column_array(name) for name in self.attribute_names
         }
         self._index: LinkageIndex | None = None
         if self.linkage_threshold is not None:
             self._index = LinkageIndex(
-                self._names,
+                names,
                 threshold=self.linkage_threshold,
                 blocking=self.blocking,
                 qgram_size=self.qgram_size,
             )
-
-    def __getstate__(self) -> dict:
-        # The name list, exact-lookup dict and column gathers all duplicate
-        # table data; ship only the table plus the (buffer-backed, cheap to
-        # pickle) linkage index and rebuild the rest on load.
-        state = dict(self.__dict__)
-        for derived in ("_names", "_by_name", "_columns"):
-            state.pop(derived, None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # Only the exact-lookup mode ever reads the name list / dict, and they
-        # duplicate the table's name column — rebuild them on first use
-        # instead of eagerly, so a linkage-backed source unpickled into a
-        # process-pool worker never pays a per-worker allocation proportional
-        # to the corpus.
-        self._names = None
-        self._by_name = None
-        self._columns = {
-            name: self.table.column_array(name) for name in self.attribute_names
-        }
-
-    def append_rows(self, delta: Table) -> None:
-        """Append ``delta``'s rows in place, growing the source incrementally.
-
-        The backing table is replaced by its chained-fingerprint append
-        (:meth:`~repro.dataset.table.Table.append`) and every derived
-        structure grows by the delta only: the exact-lookup dict gains the
-        new names (later rows win on duplicates, preserving the historical
-        last-occurrence rule) and the approximate-mode
-        :class:`~repro.linkage.LinkageIndex` is extended via its delta path
-        instead of being rebuilt over the whole corpus.
-        """
-        appended = self.table.append(delta)  # TableError on schema mismatch
-        delta_names = [str(name) for name in delta.column(self.name_column)]
-        if self._names is not None:
-            offset = len(self._names)
-            self._names.extend(delta_names)
-            for i, name in enumerate(delta_names):
-                self._by_name[name] = offset + i
-        self.table = appended
-        self._columns = {
-            name: appended.column_array(name) for name in self.attribute_names
-        }
-        if self._index is not None:
-            self._index.extend(delta_names)
-
-    def _name_lookup(self) -> dict[str, int]:
-        """The exact-mode name -> row dict, rebuilt lazily after unpickling."""
-        if self._by_name is None:
-            self._names = [str(name) for name in self.table.column(self.name_column)]
-            self._by_name = {name: row for row, name in enumerate(self._names)}
-        return self._by_name
 
     @property
     def linkage_index(self) -> LinkageIndex | None:
@@ -398,7 +344,7 @@ class TableAuxiliarySource(AuxiliarySource):
 
     def search(self, name: str) -> list[AuxiliaryRecord]:
         if self._index is None:
-            row = self._name_lookup().get(str(name))
+            row = self._by_name.get(str(name))
             if row is None:
                 return []
             return [self._record_at(row, str(name))]
@@ -415,7 +361,7 @@ class TableAuxiliarySource(AuxiliarySource):
         """Best record per name; approximate mode resolves the batch at once."""
         if self._index is None:
             results: list[AuxiliaryRecord | None] = []
-            by_name = self._name_lookup()
+            by_name = self._by_name
             for name in names:
                 row = by_name.get(str(name))
                 results.append(None if row is None else self._record_at(row, str(name)))
@@ -436,7 +382,7 @@ class TableAuxiliarySource(AuxiliarySource):
         """Bulk harvest with numeric fact columns gathered straight from storage."""
         queried = [str(name) for name in names]
         if self._index is None:
-            by_name = self._name_lookup()
+            by_name = self._by_name
             rows = np.fromiter(
                 (by_name.get(name, -1) for name in queried),
                 dtype=np.intp,

@@ -202,9 +202,6 @@ class BlockingIndex:
         if scheme == "none" or self._size == 0:
             return
         stream = tokens if tokens is not None else tokenize_corpus(normalized_names)
-        self._build_postings(stream)
-
-    def _build_postings(self, stream: TokenStream) -> None:
         unique = stream.unique
         if not unique:
             return
@@ -257,35 +254,6 @@ class BlockingIndex:
             postings[prefix + key_strings[key_id]] = grouped[
                 offsets[i] : offsets[i + 1]
             ]
-
-    def extend(self, delta_size: int, tokens: TokenStream) -> None:
-        """Merge the postings of ``delta_size`` appended corpus rows in place.
-
-        ``tokens`` is the :class:`TokenStream` of the appended names alone,
-        with rows numbered from 0; they become corpus rows
-        ``[size, size + delta_size)``.  Posting arrays stay unique and
-        ascending (every new row exceeds every existing one), so each key's
-        rows equal a from-scratch build over the full corpus.  Only the
-        postings *dict order* may differ from a rebuild — candidate sets are
-        unions over the query's keys and never observe it.
-        """
-        offset = self._size
-        self._size += delta_size
-        if self.scheme == "none" or delta_size == 0:
-            return
-        delta = object.__new__(BlockingIndex)
-        delta.scheme = self.scheme
-        delta.qgram_size = self.qgram_size
-        delta._size = delta_size
-        delta._postings = {}
-        delta._build_postings(tokens)
-        postings = self._postings
-        for key, rows in delta._postings.items():
-            shifted = rows + offset
-            existing = postings.get(key)
-            postings[key] = (
-                shifted if existing is None else np.concatenate([existing, shifted])
-            )
 
     def keys(self, normalized: str) -> set[str]:
         """The block keys of one normalized name under this scheme."""
@@ -342,42 +310,3 @@ class BlockingIndex:
                 + np.concatenate([rows for _, rows in hits])
             ] = True
         return mask
-
-    # Serialization ------------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        # Flat-buffer form: one joined key string plus a counts vector and the
-        # concatenated posting rows — no dict of small arrays on the wire.
-        keys = list(self._postings)
-        counts = np.fromiter(
-            (self._postings[key].shape[0] for key in keys),
-            dtype=np.int64,
-            count=len(keys),
-        )
-        rows = (
-            np.concatenate([self._postings[key] for key in keys])
-            if keys
-            else _EMPTY
-        )
-        return {
-            "scheme": self.scheme,
-            "qgram_size": self.qgram_size,
-            "size": self._size,
-            "keys": "\n".join(keys),  # block keys never contain newlines
-            "counts": counts,
-            "rows": np.ascontiguousarray(rows, dtype=np.intp),
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        # The postings dict holds slices of the flat ``rows`` buffer, so
-        # unpickling allocates only the (small) dict of views, never the
-        # posting rows themselves.
-        self.scheme = state["scheme"]
-        self.qgram_size = state["qgram_size"]
-        self._size = state["size"]
-        keys = state["keys"].split("\n") if state["keys"] else []
-        offsets = np.concatenate(([0], np.cumsum(state["counts"])))
-        rows = state["rows"]
-        self._postings = {
-            key: rows[offsets[i] : offsets[i + 1]] for i, key in enumerate(keys)
-        }

@@ -38,10 +38,7 @@ NumPy buffers:
   :class:`~repro.linkage.blocking.TokenStream` via ``np.unique`` over
   combined ``(key, row)`` integer keys — no per-name Python loops;
 * the perfect-match table and the character-count matrices are built lazily
-  on first use, so constructing (or unpickling) an index does no per-row
-  Python work at all;
-* pickling (:meth:`__getstate__`) serializes only the flat buffers — padded
-  matrices and lazy caches are rebuilt on load.
+  on first use, so constructing an index does no per-row Python work at all.
 """
 
 from __future__ import annotations
@@ -72,24 +69,18 @@ from repro.linkage.normalize import normalize_name, normalize_names
 
 __all__ = ["MatchCandidate", "LinkageIndex"]
 
-#: Placeholder distinguishing "never computed" from a computed ``None``.
-_UNSET = object()
-
 
 def _char_counts(
     flat_codes: np.ndarray, lengths: np.ndarray, alphabet: np.ndarray
-) -> np.ndarray | None:
-    """Per-row count of every ``alphabet`` code, or ``None`` if a code is missing.
+) -> np.ndarray:
+    """Per-row count of every ``alphabet`` code.
 
     ``flat_codes`` holds the rows' codes back to back (``lengths`` per row);
-    ``alphabet`` is ascending.
+    ``alphabet`` is ascending and holds every code that occurs in them.
     """
-    top = max(int(alphabet[-1]), int(flat_codes.max(initial=0)))
-    lookup = np.full(top + 1, -1, dtype=np.int64)
+    lookup = np.zeros(int(alphabet[-1]) + 1, dtype=np.int64)
     lookup[alphabet] = np.arange(alphabet.size, dtype=np.int64)
     positions = lookup[flat_codes]
-    if (positions < 0).any():
-        return None
     n_rows = lengths.shape[0]
     row_of_char = np.repeat(np.arange(n_rows, dtype=np.int64), lengths.astype(np.int64))
     return (
@@ -221,69 +212,27 @@ class LinkageIndex:
         name_lengths = np.fromiter(
             (len(name) for name in names), dtype=np.int64, count=n_rows
         )
-        self._attach_buffers(
-            threshold=threshold,
-            prefix_scale=prefix_scale,
-            names_joined="".join(names),
-            name_offsets=np.concatenate(([0], np.cumsum(name_lengths))),
-            flat_codes=flat_codes,
-            lengths=lengths,
-            vocab=stream.unique,
-            token_ids=pair_ids,
-            token_counts=token_counts,
-            post_rows=pair_rows[by_id],
-            post_offsets=np.concatenate(([0], np.cumsum(post_counts))),
-            blocking=BlockingIndex(
-                normalized, scheme=blocking, qgram_size=qgram_size, tokens=stream
-            ),
-        )
-
-    def _attach_buffers(
-        self,
-        *,
-        threshold: float,
-        prefix_scale: float,
-        names_joined: str,
-        name_offsets: np.ndarray,
-        flat_codes: np.ndarray,
-        lengths: np.ndarray,
-        vocab: tuple[str, ...],
-        token_ids: np.ndarray,
-        token_counts: np.ndarray,
-        post_rows: np.ndarray,
-        post_offsets: np.ndarray,
-        blocking: BlockingIndex,
-    ) -> None:
-        """Adopt the flat buffers and rebuild the derived padded matrices.
-
-        The buffers are the index's canonical state (what pickling ships);
-        everything else — padded code/token matrices,
-        the vocabulary dict, the perfect-match table, pruning counts, the
-        materialized name list — is derived, vectorized or lazy.
-        """
         self.threshold = threshold
         self.prefix_scale = prefix_scale
-        self._names_joined = names_joined
-        self._name_offsets = name_offsets
+        self._names_joined = "".join(names)
+        self._name_offsets = np.concatenate(([0], np.cumsum(name_lengths)))
         self._flat_codes = flat_codes
         self._lengths = lengths
         self._codes = pad_ragged(flat_codes, lengths, PAD, np.int32)
-        self._vocab = vocab
-        self._vocabulary = {token: i for i, token in enumerate(vocab)}
-        self._token_ids = token_ids
+        self._vocabulary = {token: i for i, token in enumerate(stream.unique)}
         self._token_counts = token_counts
-        self._token_matrix = pad_ragged(token_ids, token_counts, PAD, np.int64)
-        self._token_post_rows = post_rows
-        self._token_post_offsets = post_offsets
-        self._blocking = blocking
+        self._token_matrix = pad_ragged(pair_ids, token_counts, PAD, np.int64)
+        self._token_post_rows = pair_rows[by_id]
+        self._token_post_offsets = np.concatenate(([0], np.cumsum(post_counts)))
+        self._blocking = BlockingIndex(
+            normalized, scheme=blocking, qgram_size=qgram_size, tokens=stream
+        )
+        # Derived state built on first use (see "Lazy derived state").
         self._names_list: list[str] | None = None
         self._perfect_cache: dict[bytes, int] | None = None
-        self._char_cache: tuple[np.ndarray, np.ndarray] | None | object = _UNSET
+        self._char_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._saturated_cache: np.ndarray | None = None
         self._floor_cache: dict[tuple[int, int], np.ndarray] = {}
-        #: Grow-by-doubling capacity buffers backing :meth:`extend`, keyed by
-        #: buffer name; reset whenever fresh buffers are adopted.
-        self._growable: dict[str, np.ndarray] = {}
 
     # Introspection ------------------------------------------------------------------
 
@@ -363,14 +312,12 @@ class LinkageIndex:
         codes.  ``None`` when no corpus row has a character (an empty or
         all-blank corpus).  Built on first use.
         """
-        if self._char_cache is _UNSET:
-            flat = self._flat_codes
-            if flat.size:
-                alphabet = np.flatnonzero(np.bincount(flat)).astype(flat.dtype)
-                counts = _char_counts(flat, self._lengths, alphabet)
-                self._char_cache = (alphabet, counts)
-            else:
-                self._char_cache = None
+        flat = self._flat_codes
+        if not flat.size:
+            return None
+        if self._char_cache is None:
+            alphabet = np.flatnonzero(np.bincount(flat)).astype(flat.dtype)
+            self._char_cache = (alphabet, _char_counts(flat, self._lengths, alphabet))
         return self._char_cache
 
     def _saturated_counts(self) -> np.ndarray:
@@ -722,271 +669,3 @@ class LinkageIndex:
                     candidate_index=row,
                     score=float(scores[best]),
                 )
-
-    # Incremental growth ---------------------------------------------------------------
-
-    def _grown(self, key: str, old: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """Append ``delta`` after ``old`` inside an amortized-O(1) capacity buffer.
-
-        Returns a length-exact view over a private buffer that doubles when
-        full, so a stream of small :meth:`extend` calls copies each element
-        O(1) times instead of reallocating every flat buffer per call.
-        """
-        total = old.shape[0] + delta.shape[0]
-        buffer = self._growable.get(key)
-        if buffer is None or old.base is not buffer or buffer.shape[0] < total:
-            buffer = np.empty(max(total, 2 * old.shape[0], 8), dtype=old.dtype)
-            buffer[: old.shape[0]] = old
-            self._growable[key] = buffer
-        buffer[old.shape[0] : total] = delta
-        return buffer[:total]
-
-    def _grown_matrix(
-        self, key: str, old: np.ndarray, delta: np.ndarray, width: int, pad: int
-    ) -> np.ndarray:
-        """Row-append ``delta`` under ``old``, re-padding only when ``width`` grew.
-
-        Capacity rows are pre-filled with ``pad`` at allocation and written
-        exactly once, so the result is cell-identical to padding the full
-        ragged buffer from scratch at the new width.
-        """
-        total = old.shape[0] + delta.shape[0]
-        buffer = self._growable.get(key)
-        if (
-            buffer is None
-            or old.base is not buffer
-            or buffer.shape[0] < total
-            or buffer.shape[1] != width
-        ):
-            buffer = np.full(
-                (max(total, 2 * old.shape[0], 8), width), pad, dtype=old.dtype
-            )
-            buffer[: old.shape[0], : old.shape[1]] = old
-            self._growable[key] = buffer
-        buffer[old.shape[0] : total, : delta.shape[1]] = delta
-        return buffer[:total]
-
-    def extend(self, corpus_names: Sequence[str]) -> None:
-        """Append ``corpus_names`` to the corpus, updating every artifact in place.
-
-        Bit-identical to building a fresh index over ``old + new`` names
-        (pinned artifact-by-artifact by the hypothesis suite): the delta is
-        normalized, encoded and tokenized alone (batch normalization is
-        per-name, so slicing commutes with it), new vocabulary ids continue
-        the first-appearance numbering, the per-id postings receive the new
-        rows through one vectorized splice, and the padded code/token
-        matrices re-pad only when the delta grows the corpus maximum width.
-        Flat buffers live in grow-by-doubling capacity arrays
-        (:meth:`_grown`), so appending N rows costs O(N) amortized encode
-        work plus one O(corpus) postings memcpy — no re-normalization,
-        re-tokenization or re-sort of the existing rows.  The lazy
-        perfect-match and char-count caches are patched in place when the
-        append leaves their shape valid and invalidated otherwise; the
-        match_many filter caches (saturated counts, overlap floors) are
-        dropped.
-        """
-        names = [str(name) for name in corpus_names]
-        if not names:
-            return
-        old_n = self.size
-        delta_n = len(names)
-        normalized = normalize_names(names)
-        flat_codes, lengths = encode_strings_flat(normalized)
-        row_of_char = np.repeat(
-            np.arange(delta_n, dtype=np.int64), lengths.astype(np.int64)
-        )
-        spaces = np.bincount(row_of_char[flat_codes == 32], minlength=delta_n)
-        stream = tokenize_corpus(normalized, token_counts=spaces + (lengths > 0))
-
-        # Vocabulary ids continue the global first-appearance numbering: a
-        # delta token unseen so far gets the next free id, in delta order —
-        # exactly the numbering a full rebuild assigns.
-        old_vocab_size = len(self._vocab)
-        new_tokens: list[str] = []
-        mapping = np.empty(len(stream.unique), dtype=np.int64)
-        for local_id, token in enumerate(stream.unique):
-            global_id = self._vocabulary.get(token)
-            if global_id is None:
-                global_id = old_vocab_size + len(new_tokens)
-                new_tokens.append(token)
-            mapping[local_id] = global_id
-        vocab_size = old_vocab_size + len(new_tokens)
-
-        # Dedupe the delta's (row, token) pairs exactly like ``__init__``;
-        # old and new rows are disjoint, so the full corpus's deduped pair
-        # set is the concatenation of the old pairs with these.
-        global_rows = stream.rows + old_n
-        mapped_ids = mapping[stream.ids]
-        stride = np.int64(max(vocab_size, 1))
-        pairs = np.sort(
-            _compact_ints(
-                global_rows * stride + mapped_ids, (old_n + delta_n) * int(stride)
-            )
-        )
-        if pairs.size:
-            pairs = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))]
-        delta_pair_rows = (pairs // stride).astype(np.intp)
-        delta_pair_ids = pairs % stride
-        delta_token_counts = np.bincount(
-            delta_pair_rows - old_n, minlength=delta_n
-        ).astype(np.int64)
-
-        # Postings splice: every id's rows stay ascending (new rows exceed
-        # all old ones), so the spliced arrays equal a rebuild's stable
-        # id-sort over the combined pair set.
-        old_post_rows = self._token_post_rows
-        old_offsets = self._token_post_offsets
-        old_counts = np.diff(old_offsets)
-        padded_old_counts = np.zeros(vocab_size, dtype=np.int64)
-        padded_old_counts[:old_vocab_size] = old_counts
-        delta_post_counts = np.bincount(delta_pair_ids, minlength=vocab_size)
-        new_post_offsets = np.concatenate(
-            ([0], np.cumsum(padded_old_counts + delta_post_counts))
-        )
-        new_post_rows = np.empty(
-            old_post_rows.shape[0] + delta_pair_rows.shape[0], dtype=np.intp
-        )
-        if old_post_rows.size:
-            shift = new_post_offsets[:old_vocab_size] - old_offsets[:-1]
-            ids_per_old = np.repeat(
-                np.arange(old_vocab_size, dtype=np.int64), old_counts
-            )
-            new_post_rows[
-                np.arange(old_post_rows.shape[0]) + shift[ids_per_old]
-            ] = old_post_rows
-        if delta_pair_rows.size:
-            by_id = np.argsort(
-                _compact_ints(delta_pair_ids, vocab_size), kind="stable"
-            )
-            within = np.arange(
-                delta_pair_rows.shape[0], dtype=np.int64
-            ) - np.repeat(
-                np.concatenate(([0], np.cumsum(delta_post_counts)[:-1])),
-                delta_post_counts,
-            )
-            targets = (
-                np.repeat(
-                    new_post_offsets[:-1] + padded_old_counts, delta_post_counts
-                )
-                + within
-            )
-            new_post_rows[targets] = delta_pair_rows[by_id]
-
-        new_width = max(self._codes.shape[1], max(int(lengths.max(initial=0)), 1))
-        new_token_width = max(
-            self._token_matrix.shape[1],
-            max(int(delta_token_counts.max(initial=0)), 1),
-        )
-        token_width_grew = new_token_width > self._token_matrix.shape[1]
-        delta_codes = pad_ragged(flat_codes, lengths, PAD, np.int32)
-        delta_token_matrix = pad_ragged(
-            delta_pair_ids, delta_token_counts, PAD, np.int64
-        )
-        delta_name_lengths = np.fromiter(
-            (len(name) for name in names), dtype=np.int64, count=delta_n
-        )
-
-        # Adopt the grown buffers.
-        self._names_joined += "".join(names)
-        self._name_offsets = self._grown(
-            "name_offsets",
-            self._name_offsets,
-            self._name_offsets[-1] + np.cumsum(delta_name_lengths),
-        )
-        self._flat_codes = self._grown("flat_codes", self._flat_codes, flat_codes)
-        self._lengths = self._grown("lengths", self._lengths, lengths)
-        self._codes = self._grown_matrix(
-            "codes", self._codes, delta_codes, new_width, PAD
-        )
-        self._vocab = self._vocab + tuple(new_tokens)
-        for i, token in enumerate(new_tokens):
-            self._vocabulary[token] = old_vocab_size + i
-        self._token_ids = self._grown("token_ids", self._token_ids, delta_pair_ids)
-        self._token_counts = self._grown(
-            "token_counts", self._token_counts, delta_token_counts
-        )
-        self._token_matrix = self._grown_matrix(
-            "token_matrix", self._token_matrix, delta_token_matrix, new_token_width, PAD
-        )
-        self._token_post_rows = new_post_rows
-        self._token_post_offsets = new_post_offsets
-        self._blocking.extend(delta_n, stream)
-
-        # Patch or invalidate the lazy caches.
-        if self._names_list is not None:
-            self._names_list.extend(names)
-        if self._perfect_cache is not None:
-            if token_width_grew:
-                # Every key's padding changed width; rebuild lazily.
-                self._perfect_cache = None
-            else:
-                matrix = np.ascontiguousarray(self._token_matrix[old_n:])
-                row_bytes = matrix.tobytes()
-                stride_bytes = matrix.shape[1] * matrix.itemsize
-                cache = self._perfect_cache
-                # Delta rows ascend, and every cached row is lower still, so
-                # setdefault keeps the lowest row per key — the rebuild rule.
-                for local in np.flatnonzero(delta_token_counts > 0).tolist():
-                    cache.setdefault(
-                        row_bytes[local * stride_bytes : (local + 1) * stride_bytes],
-                        old_n + local,
-                    )
-        self._saturated_cache = None
-        self._floor_cache = {}
-        if self._char_cache is None:
-            # The corpus was blank so far; rebuild lazily.
-            self._char_cache = _UNSET
-        elif self._char_cache is not _UNSET:
-            alphabet, counts = self._char_cache
-            delta_counts = _char_counts(flat_codes, lengths, alphabet)
-            # New characters widen the alphabet; rebuild lazily.
-            self._char_cache = (
-                _UNSET
-                if delta_counts is None
-                else (alphabet, np.concatenate([counts, delta_counts]))
-            )
-
-    # Serialization ------------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Only the flat buffers go on the wire.
-
-        Padded matrices, the vocabulary dict and the lazy caches are rebuilt
-        by :meth:`__setstate__`, so pickling an index (process-pool sweeps,
-        cache spill) costs one contiguous copy per buffer instead of a deep
-        object graph.
-        """
-        return {
-            "version": 1,
-            "threshold": self.threshold,
-            "prefix_scale": self.prefix_scale,
-            "names_joined": self._names_joined,
-            "name_offsets": self._name_offsets,
-            "flat_codes": np.ascontiguousarray(self._flat_codes),
-            "lengths": self._lengths,
-            "vocab": " ".join(self._vocab),  # tokens are space-free and non-empty
-            "token_ids": self._token_ids,
-            "token_counts": self._token_counts,
-            "post_rows": self._token_post_rows,
-            "post_counts": np.diff(self._token_post_offsets),
-            "blocking": self._blocking,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        vocab = tuple(state["vocab"].split(" ")) if state["vocab"] else ()
-        self._attach_buffers(
-            threshold=state["threshold"],
-            prefix_scale=state["prefix_scale"],
-            names_joined=state["names_joined"],
-            name_offsets=state["name_offsets"],
-            flat_codes=state["flat_codes"],
-            lengths=state["lengths"],
-            vocab=vocab,
-            token_ids=state["token_ids"],
-            token_counts=state["token_counts"],
-            post_rows=state["post_rows"],
-            post_offsets=np.concatenate(
-                ([0], np.cumsum(state["post_counts"], dtype=np.int64))
-            ),
-            blocking=state["blocking"],
-        )

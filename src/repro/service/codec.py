@@ -388,7 +388,6 @@ class _Reader:
             table=loader,
             class_sizes=tuple(self.decode(node["class_sizes"])),
             csv_bytes=csv_bytes,
-            lazy=True,
             rows=int(table_node["rows"]),
         )
 

@@ -138,10 +138,8 @@ class ReleaseArtifact:
         table: Table | Callable[[], Table],
         class_sizes: tuple[int, ...],
         csv_bytes: bytes | memoryview | None = None,
-        lazy: bool = False,
         rows: int | None = None,
     ) -> None:
-        del lazy  # laziness is implied by passing a loader as ``table``
         self.dataset = dataset
         self.algorithm = algorithm
         self.k = k
@@ -275,7 +273,7 @@ class AnonymizationService:
         # must chain (A then B), not race (both off A, one lost).
         self._append_lock = threading.Lock()
         self._appends = 0
-        self._append_rows = 0
+        self._appended_rows = 0
         self._append_invalidated = 0
         self._closed = False
 
@@ -429,7 +427,7 @@ class AnonymizationService:
                 )
             invalidated = self._cache.invalidate_fingerprint(fingerprint)
             self._appends += 1
-            self._append_rows += delta.num_rows
+            self._appended_rows += delta.num_rows
             self._append_invalidated += invalidated
         info = self._dataset_info(new_fingerprint)
         info["superseded"] = fingerprint
@@ -778,7 +776,7 @@ class AnonymizationService:
             "cache": self._cache.stats(),
             "appends": {
                 "count": self._appends,
-                "rows": self._append_rows,
+                "rows": self._appended_rows,
                 "invalidated_entries": self._append_invalidated,
             },
             "jobs": {

@@ -8,7 +8,6 @@ from repro.anonymize.mondrian import MondrianAnonymizer
 from repro.core.fred import FREDAnonymizer, FREDConfig
 from repro.core.objective import WeightedObjective
 from repro.exceptions import FREDConfigurationError, FREDInfeasibleError
-from repro.fusion.attack import WebFusionAttack
 
 
 @pytest.fixture(scope="module")
@@ -138,21 +137,6 @@ class TestSweepAndRun:
         fred = FREDAnonymizer(corpus, attack_config, config)
         result = fred.run(population.private)
         assert result.optimal_outcome.anonymization.anonymizer == "mondrian"
-
-    def test_custom_attack_factory(self, fred_inputs):
-        population, corpus, attack_config = fred_inputs
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return WebFusionAttack(corpus, attack_config)
-
-        fred = FREDAnonymizer(
-            corpus, attack_config, FREDConfig(levels=(2, 3)), attack_factory=factory
-        )
-        fred.run(population.private)
-        # one factory build for the sweep-wide harvest plus one per level
-        assert len(calls) == 3
 
     def test_utility_weight_pushes_optimum_to_smaller_k(self, fred_inputs):
         population, corpus, attack_config = fred_inputs

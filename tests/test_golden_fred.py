@@ -115,14 +115,8 @@ class TestParallelSweepDeterminism:
                 parallel_outcome.attack.estimates, serial_outcome.attack.estimates
             )
 
-    # Harvesting once ships a detached source stub to the workers; harvesting
-    # per level ships the real corpus, whose linkage index travels as a
-    # pickled copy and is queried inside every worker.
-    @pytest.mark.parametrize(
-        "reuse_harvest", [True, False], ids=["once", "per-level"]
-    )
-    def test_parallel_matches_serial_bitwise(self, golden_result, reuse_harvest):
-        setup, fred = _make_fred(parallelism=4, reuse_harvest=reuse_harvest)
+    def test_parallel_matches_serial_bitwise(self, golden_result):
+        setup, fred = _make_fred(parallelism=4)
         self._assert_matches_serial(fred.run(setup.population.private), golden_result)
 
     def test_default_process_sweep_ships_no_linkage_index(

@@ -5,7 +5,8 @@ argsort-based postings) must be *bit-identical* to the historical per-name
 scalar builders: same normalized strings, same code matrices, same postings
 arrays, same match results.  These suites exercise unicode-heavy corpora —
 accents, combining marks, titles, multi-token names, duplicates, empty
-strings — plus the pickle contract the process-pool FRED sweeps rely on.
+strings — plus a pickle round trip, which default object pickling must
+keep answering the same queries.
 """
 
 from __future__ import annotations

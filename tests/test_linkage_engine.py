@@ -251,13 +251,6 @@ class TestHarvestReuse:
         FREDAnonymizer(source, attack_config, config).run(population.private)
         assert source.batch_calls == 1
 
-    def test_reuse_harvest_can_be_disabled(self, fred_setup):
-        population, corpus, attack_config = fred_setup
-        source = CountingSource(corpus)
-        config = FREDConfig(levels=(2, 3, 4), stop_below_utility=False, reuse_harvest=False)
-        FREDAnonymizer(source, attack_config, config).run(population.private)
-        assert source.batch_calls == 3
-
     def test_injected_harvest_reproduces_on_the_fly_run(self, fred_setup):
         population, corpus, attack_config = fred_setup
         from repro.anonymize.mdav import MDAVAnonymizer

@@ -315,6 +315,39 @@ class TestAppends:
         assert result["fingerprint"] == simple_table.append(delta).fingerprint
         assert service.dataset(result["fingerprint"]).num_rows == result["rows"]
 
+    def test_auxiliary_append_matches_a_cold_register(
+        self, service, faculty_population, faculty_auxiliary_table
+    ):
+        rows = faculty_auxiliary_table.num_rows
+        cut = rows - rows // 4
+        fingerprint = service.register(faculty_population.private)["fingerprint"]
+        truncated = service.register(faculty_auxiliary_table.take(list(range(cut))))
+        partial = service.attack(fingerprint, truncated["fingerprint"], k=3)
+        assert partial["match_rate"] < 1.0
+        # The release, the harvest and the attack are cached; only the last
+        # two are keyed by the auxiliary fingerprint.
+        assert service.stats()["cache"]["computations"] == 3
+
+        info = service.append_table(
+            truncated["fingerprint"],
+            faculty_auxiliary_table.take(list(range(cut, rows))),
+        )
+        assert info["invalidated_entries"] == 2
+        grown = service.attack(fingerprint, info["fingerprint"], k=3)
+        # The release is reused; the harvest and the attack are recomputed
+        # against the grown corpus.
+        assert service.stats()["cache"]["computations"] == 5
+
+        cold = AnonymizationService()
+        try:
+            fingerprint = cold.register(faculty_population.private)["fingerprint"]
+            auxiliary = cold.register(faculty_auxiliary_table)["fingerprint"]
+            expected = cold.attack(fingerprint, auxiliary, k=3)
+        finally:
+            cold.close()
+        assert grown["estimates"] == expected["estimates"]
+        assert grown["match_rate"] == expected["match_rate"]
+
     def test_supersede_invalidates_the_spill_directory(self, tmp_path, simple_table):
         service = AnonymizationService(cache_dir=tmp_path)
         try:
