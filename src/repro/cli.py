@@ -17,8 +17,9 @@ header lines: column names, then ``role:kind`` declarations):
   CSV and report the selected anonymization level (optionally writing the
   chosen release);
 * ``repro serve``      — run the long-lived anonymization service: a threaded
-  JSON/HTTP server with dataset registration, fingerprint-keyed release and
-  attack caching, and asynchronous FRED jobs (see :mod:`repro.service`);
+  JSON/HTTP server with CSV dataset registration and synchronous appends,
+  fingerprint-keyed release and attack caching, and asynchronous FRED jobs
+  (see :mod:`repro.service`);
 * ``repro append``     — append delta rows from one CSV onto a base CSV using
   the chunked streaming reader, writing the combined table and reporting its
   *chained* content fingerprint (``sha256(base_fp ‖ delta_fp)`` — the same
@@ -141,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve = subparsers.add_parser(
         "serve",
         help="run the anonymization service (threaded JSON/HTTP server with "
-        "dataset registration, release/attack caching and async FRED jobs)",
+        "CSV dataset registration and appends, release/attack caching and "
+        "async FRED jobs)",
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8080, help="bind port (0 picks a free one)")
@@ -163,10 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-spill-mb", type=int, default=None,
         help="optional spill-directory budget in MiB (LRU files evicted past it)",
-    )
-    serve.add_argument(
-        "--stream-threshold-kb", type=int, default=1024,
-        help="release bodies at or above this size stream out chunked",
     )
     serve.add_argument(
         "--verbose", action="store_true", help="log every HTTP request to stderr"
@@ -336,7 +334,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         service=service,
         verbose=arguments.verbose,
         max_body_bytes=arguments.max_body_mb * 1024 * 1024,
-        stream_threshold_bytes=arguments.stream_threshold_kb * 1024,
     )
     print(f"serving on http://{arguments.host}:{server.port}", flush=True)
     try:

@@ -21,6 +21,7 @@ makes the normalization explicit and configurable:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,6 +51,11 @@ class WeightedObjective:
     normalization: str = "minmax"
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.protection_weight) and math.isfinite(self.utility_weight)):
+            raise FREDConfigurationError(
+                f"objective weights must be finite, got ({self.protection_weight}, "
+                f"{self.utility_weight})"
+            )
         if self.protection_weight < 0 or self.utility_weight < 0:
             raise FREDConfigurationError("objective weights must be non-negative")
         if self.protection_weight == 0 and self.utility_weight == 0:

@@ -1,30 +1,23 @@
-"""CSV / JSONL persistence for :class:`~repro.dataset.table.Table`.
+"""CSV persistence for :class:`~repro.dataset.table.Table`.
 
-Two formats round-trip a table with its schema:
-
-* **CSV** — ordinary CSV with a two-line header: the first line holds the
-  column names, the second line holds ``role:kind`` declarations so that a
-  round-tripped file reconstructs the same schema.  Generalized cells are
-  rendered with the paper's textual syntax (``[5-10]``, ``*``) and parsed
-  back.
-* **JSONL** — one JSON object per line, preceded by a schema line
-  (``{"schema": [...]}``).  Generalized cells are tagged objects
-  (``{"interval": [low, high]}``, ``{"categories": [...]}``,
-  ``{"suppressed": true}``), so text cells that happen to look like
-  generalized syntax survive unambiguously.
+A table round-trips with its schema as ordinary CSV with a two-line header:
+the first line holds the column names, the second line holds ``role:kind``
+declarations so that a round-tripped file reconstructs the same schema.
+Generalized cells are rendered with the paper's textual syntax (``[5-10]``,
+``*``) and parsed back.
 
 Streaming ingest
 ----------------
-Both readers are built on *streaming* parsers (:func:`stream_csv`,
-:func:`stream_jsonl`) that consume any iterable of text lines — a file
-handle, an HTTP request body decoded chunk by chunk — and assemble the table
-in fixed-size column chunks (``chunk_rows`` at a time, each chunk coerced to
-its typed array and concatenated at the end).  Registration in the
-anonymization service feeds these parsers directly from the socket, so a
-dataset larger than any single request buffer never has to exist as one
-Python string.  ``read_csv(path)`` / ``read_jsonl(path)`` are thin wrappers
-over the same code path, which is what makes the chunked and in-memory
-results identical by construction (and property-tested to stay that way).
+The reader is built on a *streaming* parser (:func:`stream_csv`) that
+consumes any iterable of text lines — a file handle, an HTTP request body
+decoded chunk by chunk — and assembles the table in fixed-size column chunks
+(``chunk_rows`` at a time, each chunk coerced to its typed array and
+concatenated at the end).  Registration in the anonymization service feeds
+this parser directly from the socket, so a dataset larger than any single
+request buffer never has to exist as one Python string.  ``read_csv(path)``
+is a thin wrapper over the same code path, which is what makes the chunked
+and in-memory results identical by construction (and property-tested to
+stay that way).
 
 Chunked NumPy fast path
 -----------------------
@@ -53,16 +46,15 @@ from __future__ import annotations
 
 import csv
 import io as _io
-import json
 import math
 import re
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.dataset.generalization import SUPPRESSED, CategorySet, Interval, Suppressed
+from repro.dataset.generalization import SUPPRESSED, CategorySet, Interval
 from repro.dataset.schema import Attribute, AttributeKind, AttributeRole, Schema
 from repro.dataset.table import Table, _as_column_array
 from repro.exceptions import TableError
@@ -73,10 +65,6 @@ __all__ = [
     "append_csv",
     "render_csv",
     "stream_csv",
-    "write_jsonl",
-    "read_jsonl",
-    "render_jsonl",
-    "stream_jsonl",
     "parse_cell",
     "render_cell",
 ]
@@ -261,28 +249,6 @@ class _ChunkedColumns:
 # --------------------------------------------------------------------------
 
 
-def _write_csv_to(handle, table: Table) -> None:
-    """Stream ``table`` as CSV rows into an open text handle.
-
-    This is the row-by-row ``csv.writer`` reference renderer; the columnar
-    :func:`render_csv` is property-tested byte-identical to it.
-    """
-    writer = csv.writer(handle)
-    writer.writerow(table.schema.names)
-    writer.writerow(
-        [f"{attr.role.value}:{attr.kind.value}" for attr in table.schema.attributes]
-    )
-    for row in table.rows():
-        writer.writerow([render_cell(row[name]) for name in table.schema.names])
-
-
-def _render_csv_reference(table: Table) -> str:
-    """The historical row-by-row rendering (kept as the property-test oracle)."""
-    buffer = _io.StringIO()
-    _write_csv_to(buffer, table)
-    return buffer.getvalue()
-
-
 def _quote_cells(cells: list[str]) -> list[str]:
     """Apply ``csv.writer``'s QUOTE_MINIMAL quoting to a column of cells.
 
@@ -379,9 +345,9 @@ def render_csv(table: Table) -> str:
 
     The rendering is **columnar**: each column formats in one vectorized (or
     memoized) pass, quoting is decided by one scan per column, and the body
-    assembles with bulk ``str.join`` — byte-identical to the row-by-row
-    ``csv.writer`` reference (property-tested), at a fraction of the object
-    churn.
+    assembles with bulk ``str.join`` — byte-identical to a row-by-row
+    ``csv.writer`` over :meth:`Table.rows` (property-tested), at a fraction
+    of the object churn.
     """
     header = _io.StringIO()
     writer = csv.writer(header)
@@ -405,11 +371,11 @@ def render_csv(table: Table) -> str:
 
 
 def write_csv(table: Table, path: str | Path) -> Path:
-    """Write ``table`` to ``path`` and return the path (rows are streamed)."""
+    """Write ``table`` to ``path`` as :func:`render_csv` text and return the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as handle:
-        _write_csv_to(handle, table)
+        handle.write(render_csv(table))
     return path
 
 
@@ -728,125 +694,3 @@ def append_csv(
     """
     delta = read_csv(path, chunk_rows=chunk_rows, fast=fast)
     return table.append(delta)
-
-
-# --------------------------------------------------------------------------
-# JSONL.
-# --------------------------------------------------------------------------
-
-
-def _cell_to_json(value: object) -> object:
-    if isinstance(value, Interval):
-        return {"interval": [value.low, value.high]}
-    if isinstance(value, CategorySet):
-        return {"categories": list(value.members), "label": value.label}
-    if isinstance(value, Suppressed):
-        return {"suppressed": True}
-    return value
-
-
-def _cell_from_json(value: object) -> object:
-    if isinstance(value, dict):
-        try:
-            if "interval" in value:
-                low, high = value["interval"]
-                return Interval(float(low), float(high))
-            if "categories" in value:
-                return CategorySet(value["categories"], label=value.get("label", ""))
-        except (TypeError, ValueError) as exc:
-            raise TableError(f"malformed JSONL generalized cell {value!r}: {exc}") from exc
-        if value.get("suppressed"):
-            return SUPPRESSED
-        raise TableError(f"unrecognized JSONL cell object: {value!r}")
-    return value
-
-
-def render_jsonl(table: Table) -> str:
-    """Render ``table`` to JSONL text (schema line + one object per row)."""
-    schema_line = json.dumps(
-        {
-            "schema": [
-                {"name": a.name, "role": a.role.value, "kind": a.kind.value}
-                for a in table.schema.attributes
-            ]
-        }
-    )
-    lines = [schema_line]
-    names = table.schema.names
-    for row in table.rows():
-        lines.append(json.dumps({name: _cell_to_json(row[name]) for name in names}))
-    return "\n".join(lines) + "\n"
-
-
-def write_jsonl(table: Table, path: str | Path) -> Path:
-    """Write ``table`` to ``path`` as JSONL and return the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_jsonl(table), encoding="utf-8")
-    return path
-
-
-def stream_jsonl(
-    lines: Iterable[str],
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    source: str = "<stream>",
-) -> Table:
-    """Parse JSONL text arriving as an iterable of lines into a table.
-
-    The first non-blank line must be the ``{"schema": [...]}`` header; each
-    following non-blank line is one row object.  Rows are assembled in
-    ``chunk_rows``-sized column chunks, identically to :func:`stream_csv`.
-    """
-    iterator: Iterator[str] = iter(lines)
-    header: dict | None = None
-    for line in iterator:
-        if line.strip():
-            try:
-                header = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TableError(f"invalid JSONL schema line in {source}: {exc}") from exc
-            break
-    if header is None:
-        raise TableError(f"JSONL document {source} is missing its schema line")
-    declared = header.get("schema")
-    if not isinstance(declared, list) or not declared:
-        raise TableError(f"JSONL schema line in {source} must hold a non-empty 'schema' list")
-    try:
-        schema = Schema(
-            [
-                Attribute(
-                    entry["name"],
-                    AttributeRole(entry.get("role", "quasi_identifier")),
-                    AttributeKind(entry.get("kind", "numeric")),
-                )
-                for entry in declared
-            ]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TableError(f"invalid JSONL schema declaration in {source}: {exc}") from exc
-
-    names = list(schema.names)
-    columns = _ChunkedColumns(names, chunk_rows)
-    for line_number, line in enumerate(iterator, start=2):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TableError(f"invalid JSON on line {line_number} of {source}: {exc}") from exc
-        if not isinstance(record, dict):
-            raise TableError(f"line {line_number} of {source} is not a JSON object")
-        missing = [name for name in names if name not in record]
-        if missing:
-            raise TableError(
-                f"line {line_number} of {source} is missing columns {missing}"
-            )
-        columns.append_row(_cell_from_json(record[name]) for name in names)
-    return columns.finish(schema)
-
-
-def read_jsonl(path: str | Path, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> Table:
-    """Read a table previously written by :func:`write_jsonl`."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        return stream_jsonl(handle, chunk_rows=chunk_rows, source=str(path))

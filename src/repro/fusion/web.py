@@ -113,11 +113,19 @@ class SimulatedWebCorpus(AuxiliarySource):
     linkage index over displayed names is also built lazily, on the first
     search: corpus *construction* is pure data-plane work.
 
+    Build one with :meth:`from_profiles`; the constructor takes the columns
+    it generates.
+
     Parameters
     ----------
-    pages:
-        The person pages making up the corpus (the compatibility
-        constructor; :meth:`from_profiles` builds columnar corpora directly).
+    owners / displayed:
+        Per-page true owner and displayed name.
+    url_numbers / url_distractor_offset:
+        Per-page URL numbers; pages from ``url_distractor_offset`` on are
+        distractor blog posts.  URLs are synthesized on demand.
+    fact_numeric / fact_objects / extras:
+        The NaN-masked numeric fact columns, the sparse object overrides of
+        non-numeric facts, and the extra (non-harvested) fact columns.
     attribute_names:
         Numeric fact names the corpus exposes (harvestable auxiliary attributes).
     linkage_threshold:
@@ -130,77 +138,10 @@ class SimulatedWebCorpus(AuxiliarySource):
 
     def __init__(
         self,
-        pages: Sequence[WebPage] | None = None,
-        attribute_names: Sequence[str] = (),
-        linkage_threshold: float = 0.82,
-        blocking: str = "qgram",
-        qgram_size: int = 2,
-    ) -> None:
-        self.attribute_names = tuple(attribute_names)
-        self.linkage_threshold = linkage_threshold
-        self.blocking = blocking
-        self.qgram_size = qgram_size
-        self._index_cache: LinkageIndex | None = None
-        self._pages_cache: list[WebPage] | None = None
-        if pages is None:
-            raise AuxiliarySourceError("a web corpus needs at least one page")
-        pages = list(pages)
-        if not pages:
-            raise AuxiliarySourceError("a web corpus needs at least one page")
-        # Decompose the given pages into the canonical columnar layout.
-        self._owners = [page.owner for page in pages]
-        self._displayed = [page.displayed_name for page in pages]
-        self._urls: list[str] | None = [page.url for page in pages]
-        self._url_numbers: np.ndarray | None = None
-        self._url_distractor_offset = 0
-        n = len(pages)
-        extra_keys = list(_EXTRA_FACT_KEYS)
-        for page in pages:
-            for key in page.facts:
-                if key not in self.attribute_names and key not in extra_keys:
-                    extra_keys.append(key)
-        self._fact_numeric: dict[str, np.ndarray] = {}
-        self._fact_objects: dict[str, np.ndarray] = {}
-        for name in self.attribute_names:
-            numeric = np.full(n, np.nan)
-            objects = None
-            for i, page in enumerate(pages):
-                value = page.facts.get(name)
-                if value is None:
-                    continue
-                if not isinstance(value, str):
-                    # The float view feeds the numeric harvest block (bools
-                    # and ints count as numbers there, exactly like
-                    # AuxiliaryRecord.numeric_attribute).
-                    numeric[i] = float(value)
-                if type(value) is not float:
-                    # Preserve the original object (str, int, bool, ...) so
-                    # record attributes and page views round-trip the given
-                    # facts verbatim.
-                    if objects is None:
-                        objects = np.full(n, None, dtype=object)
-                    objects[i] = value
-            self._fact_numeric[name] = numeric
-            if objects is not None:
-                self._fact_objects[name] = objects
-        self._extras: dict[str, np.ndarray] = {}
-        for key in extra_keys:
-            values = np.full(n, None, dtype=object)
-            present = False
-            for i, page in enumerate(pages):
-                if key in page.facts:
-                    values[i] = page.facts[key]
-                    present = True
-            if present:
-                self._extras[key] = values
-        self._pages_cache = pages
-
-    @classmethod
-    def _from_columns(
-        cls,
         owners: list[str],
         displayed: list[str],
-        urls: list[str] | None,
+        url_numbers: np.ndarray,
+        url_distractor_offset: int,
         fact_numeric: dict[str, np.ndarray],
         fact_objects: dict[str, np.ndarray],
         extras: dict[str, np.ndarray],
@@ -208,32 +149,25 @@ class SimulatedWebCorpus(AuxiliarySource):
         linkage_threshold: float,
         blocking: str,
         qgram_size: int,
-        url_numbers: np.ndarray | None = None,
-        url_distractor_offset: int = 0,
-    ) -> "SimulatedWebCorpus":
-        corpus = cls.__new__(cls)
-        corpus.attribute_names = attribute_names
-        corpus.linkage_threshold = linkage_threshold
-        corpus.blocking = blocking
-        corpus.qgram_size = qgram_size
-        corpus._index_cache = None
-        corpus._pages_cache = None
-        corpus._owners = owners
-        corpus._displayed = displayed
-        corpus._urls = urls
-        corpus._url_numbers = url_numbers
-        corpus._url_distractor_offset = url_distractor_offset
-        corpus._fact_numeric = fact_numeric
-        corpus._fact_objects = fact_objects
-        corpus._extras = extras
-        return corpus
+    ) -> None:
+        self.attribute_names = attribute_names
+        self.linkage_threshold = linkage_threshold
+        self.blocking = blocking
+        self.qgram_size = qgram_size
+        self._index_cache: LinkageIndex | None = None
+        self._pages_cache: list[WebPage] | None = None
+        self._owners = owners
+        self._displayed = displayed
+        self._url_numbers = url_numbers
+        self._url_distractor_offset = url_distractor_offset
+        self._fact_numeric = fact_numeric
+        self._fact_objects = fact_objects
+        self._extras = extras
 
     # Lazy views -------------------------------------------------------------------
 
     def _url(self, index: int) -> str:
-        """The page URL, synthesized on demand for generated corpora."""
-        if self._urls is not None:
-            return self._urls[index]
+        """The page URL, synthesized on demand."""
         number = int(self._url_numbers[index])
         if index >= self._url_distractor_offset:
             return f"https://blogs.example.com/post{number}"
@@ -431,10 +365,9 @@ class SimulatedWebCorpus(AuxiliarySource):
             raise AuxiliarySourceError(
                 "corpus generation produced no pages; increase coverage or profile count"
             )
-        return cls._from_columns(
+        return cls(
             owners=owners,
             displayed=displayed,
-            urls=None,
             url_numbers=np.concatenate(
                 [covered, np.arange(distractor_count, dtype=np.intp)]
             ),

@@ -5,9 +5,9 @@ production-shaped service:
 
 * :mod:`repro.service.core` — the thread-safe service façade: a dataset
   registry keyed by content fingerprint, memoized releases / attack runs /
-  FRED sweeps, asynchronous job execution, and incremental appends
-  (``POST /append/<fingerprint>``) that chain the content fingerprint and
-  invalidate exactly the superseded cache entries;
+  FRED sweeps, asynchronous job execution, and synchronous incremental
+  appends (``POST /append/<fingerprint>``) that chain the content
+  fingerprint and invalidate exactly the superseded cache entries;
 * :mod:`repro.service.cache` — the two-tier (LRU + disk-spill) result cache
   with single-flight computation, the mechanism behind exactly-once work
   under concurrent identical requests;
@@ -19,7 +19,8 @@ production-shaped service:
   as pollable jobs;
 * :mod:`repro.service.http` — the stdlib JSON/HTTP front end
   (``repro serve`` on the command line): one process, a thread per
-  connection, with chunked streaming of large release bodies.
+  connection, CSV uploads streamed off the socket, and every reply framed
+  by ``Content-Length`` (a cached release goes out in one ``sendall``).
 """
 
 from repro.service.cache import TwoTierCache

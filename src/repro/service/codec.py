@@ -289,8 +289,8 @@ class _Reader:
         if kind == "json":
             return node["v"]
         if kind == "bytes":
-            # Zero-copy: a memoryview over the mapping, sliceable for
-            # chunked streaming without materializing the payload.
+            # Zero-copy: a memoryview over the mapping, written to the
+            # socket without materializing the payload.
             segment = self.segment(node["i"])
             return segment.data if segment.size else memoryview(b"")
         if kind == "ndarray":

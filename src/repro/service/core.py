@@ -4,8 +4,8 @@
 tier.  It is driven directly by tests and benchmarks and wrapped by the thin
 JSON/HTTP layer in :mod:`repro.service.http`:
 
-* **register** a dataset once (from an in-memory table or a streamed
-  CSV/JSONL body) — its :attr:`~repro.dataset.table.Table.fingerprint`
+* **register** a dataset once (from an in-memory table or a streamed CSV
+  body) — its :attr:`~repro.dataset.table.Table.fingerprint`
   becomes the dataset id, so registering identical content twice is a no-op;
 * request an anonymized **release** at level *k* under any registered
   algorithm (MDAV, Mondrian, Datafly, greedy clustering, plain suppression) —
@@ -20,7 +20,8 @@ JSON/HTTP layer in :mod:`repro.service.http`:
   entirely regardless of algorithm, level or engine;
 * launch a **FRED sweep** as an asynchronous job on the service's job
   threads and poll it;
-* **append** streamed rows onto a registered dataset without re-uploading it:
+* **append** streamed CSV rows onto a registered dataset without
+  re-uploading it, synchronously:
   the result is registered under the *chained* content fingerprint
   (:func:`~repro.dataset.table.chain_fingerprints`, O(delta) hashing), the
   old fingerprint leaves the registry, and exactly the cached artifacts
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -50,7 +52,7 @@ from repro.anonymize.mdav import MDAVAnonymizer
 from repro.anonymize.mondrian import MondrianAnonymizer
 from repro.core.fred import FREDAnonymizer, FREDConfig
 from repro.core.objective import WeightedObjective
-from repro.dataset.io import render_csv, stream_csv, stream_jsonl
+from repro.dataset.io import render_csv, stream_csv
 from repro.dataset.table import Table
 from repro.exceptions import ServiceError, UnknownDatasetError
 from repro.fusion.attack import AttackConfig, WebFusionAttack, harvest_auxiliary
@@ -91,10 +93,27 @@ def _identifier_fingerprint(names: Sequence[str]) -> str:
     for name in names:
         encoded = str(name).encode("utf-8", "surrogatepass")
         # Length-prefixed so the encoding is injective even when a name
-        # contains NUL bytes (reachable via JSONL ingest).
+        # contains NUL bytes (any registered table can hold them).
         hasher.update(len(encoded).to_bytes(8, "big"))
         hasher.update(encoded)
     return hasher.hexdigest()
+
+
+def _finite_number(value: object, field: str) -> float:
+    """``value`` as a float, or a :class:`ServiceError` naming ``field``.
+
+    Request numbers are checked here, before any work is queued: a NaN
+    weight would otherwise pick a level from all-NaN scores, and a string
+    would fail deep inside a job.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer past the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ServiceError(f"{field} must be a finite number, got {value!r}")
 
 
 class ReleaseArtifact:
@@ -322,16 +341,9 @@ class AnonymizationService:
             raise UnknownDatasetError(f"unknown dataset: {fingerprint!r}")
         return {"fingerprint": fingerprint, "label": entry.label, "removed": True}
 
-    def register_stream(
-        self, lines: Iterable[str], fmt: str = "csv", label: str = ""
-    ) -> dict[str, object]:
-        """Register a dataset from streamed CSV/JSONL text lines."""
-        if fmt == "csv":
-            table = stream_csv(lines, source=f"<upload:{label or 'csv'}>")
-        elif fmt == "jsonl":
-            table = stream_jsonl(lines, source=f"<upload:{label or 'jsonl'}>")
-        else:
-            raise ServiceError(f"unknown upload format {fmt!r}; options: ['csv', 'jsonl']")
+    def register_stream(self, lines: Iterable[str], label: str = "") -> dict[str, object]:
+        """Register a dataset from streamed CSV text lines."""
+        table = stream_csv(lines, source=f"<upload:{label or 'csv'}>")
         return self.register(table, label=label)
 
     def dataset(self, fingerprint: str) -> Table:
@@ -370,33 +382,17 @@ class AnonymizationService:
 
     # Incremental ingest --------------------------------------------------------
 
-    def _parse_delta(self, lines: Iterable[str], fmt: str) -> Table:
-        if fmt == "csv":
-            delta = stream_csv(lines, source="<append:csv>")
-        elif fmt == "jsonl":
-            delta = stream_jsonl(lines, source="<append:jsonl>")
-        else:
-            raise ServiceError(
-                f"unknown upload format {fmt!r}; options: ['csv', 'jsonl']"
-            )
-        if delta.num_rows == 0:
-            raise ServiceError("cannot append an empty delta")
-        return delta
-
     def append_stream(
-        self,
-        fingerprint: str,
-        lines: Iterable[str],
-        fmt: str = "csv",
-        label: str | None = None,
+        self, fingerprint: str, lines: Iterable[str], label: str | None = None
     ) -> dict[str, object]:
-        """Append streamed CSV/JSONL rows onto a registered dataset.
+        """Append streamed CSV rows onto a registered dataset.
 
         The delta's schema must match the base (same names, roles and
         kinds).  See :meth:`append_table` for the identity and invalidation
         semantics.
         """
-        return self.append_table(fingerprint, self._parse_delta(lines, fmt), label=label)
+        delta = stream_csv(lines, source="<append:csv>")
+        return self.append_table(fingerprint, delta, label=label)
 
     def append_table(
         self, fingerprint: str, delta: Table, label: str | None = None
@@ -434,32 +430,6 @@ class AnonymizationService:
         info["appended_rows"] = delta.num_rows
         info["invalidated_entries"] = invalidated
         return info
-
-    def start_append(
-        self,
-        fingerprint: str,
-        lines: Iterable[str],
-        fmt: str = "csv",
-        label: str | None = None,
-    ) -> str:
-        """Run an append as an asynchronous job; returns the job id.
-
-        The request body is parsed up front (it cannot outlive the HTTP
-        request), so submission fails fast on unknown datasets, bad formats
-        and empty deltas; only the append itself — fingerprint chaining and
-        cache invalidation — runs on the job pool.
-        """
-        self.dataset(fingerprint)  # fail fast before parsing the body
-        delta = self._parse_delta(lines, fmt)
-
-        def work() -> dict[str, object]:
-            return self.append_table(fingerprint, delta, label=label)
-
-        return self._jobs.submit(
-            work,
-            description=f"append {fingerprint[:12]} (+{delta.num_rows} rows)",
-            kind="append",
-        )
 
     # Releases ------------------------------------------------------------------
 
@@ -628,6 +598,10 @@ class AnonymizationService:
     def _sensitive_range(
         self, private: Table, low: float | None, high: float | None
     ) -> tuple[float, float]:
+        if low is not None:
+            low = _finite_number(low, "sensitive_low")
+        if high is not None:
+            high = _finite_number(high, "sensitive_high")
         if low is None or high is None:
             sensitive = private.sensitive_vector()
             finite = sensitive[np.isfinite(sensitive)]
@@ -640,11 +614,11 @@ class AnonymizationService:
                 low = float(np.floor(finite.min()))
             if high is None:
                 high = float(np.ceil(finite.max()))
-        if math.isnan(low) or math.isnan(high) or low >= high:
+        if low >= high:
             raise ServiceError(
                 f"the assumed sensitive range [{low}, {high}] is empty"
             )
-        return float(low), float(high)
+        return low, high
 
     # FRED jobs -----------------------------------------------------------------
 
@@ -677,9 +651,19 @@ class AnonymizationService:
         if kmin < 1 or kmax < kmin:
             raise ServiceError(f"invalid level range [{kmin}, {kmax}]")
         low, high = self._sensitive_range(private, sensitive_low, sensitive_high)
+        objective = WeightedObjective(
+            _finite_number(protection_weight, "protection_weight"),
+            _finite_number(utility_weight, "utility_weight"),
+        )
+        if protection_threshold is not None:
+            protection_threshold = _finite_number(
+                protection_threshold, "protection_threshold"
+            )
+        if utility_threshold is not None:
+            utility_threshold = _finite_number(utility_threshold, "utility_threshold")
         key = (
             fingerprint, "fred", auxiliary, algorithm, kmin, kmax, name_column,
-            low, high, protection_weight, utility_weight,
+            low, high, objective.protection_weight, objective.utility_weight,
             protection_threshold, utility_threshold,
         )
 
@@ -688,8 +672,7 @@ class AnonymizationService:
                 key,
                 lambda: self._compute_fred(
                     fingerprint, auxiliary, kmin, kmax, algorithm, name_column,
-                    low, high, protection_weight, utility_weight,
-                    protection_threshold, utility_threshold,
+                    low, high, objective, protection_threshold, utility_threshold,
                 ),
             )
 
@@ -709,8 +692,7 @@ class AnonymizationService:
         name_column: str,
         low: float,
         high: float,
-        protection_weight: float,
-        utility_weight: float,
+        objective: WeightedObjective,
         protection_threshold: float | None,
         utility_threshold: float | None,
     ) -> dict[str, object]:
@@ -732,7 +714,7 @@ class AnonymizationService:
                 levels=tuple(range(kmin, kmax + 1)),
                 protection_threshold=protection_threshold,
                 utility_threshold=utility_threshold,
-                objective=WeightedObjective(protection_weight, utility_weight),
+                objective=objective,
                 anonymizer=ALGORITHMS[algorithm](),
                 stop_below_utility=utility_threshold is not None,
             ),

@@ -15,11 +15,10 @@ Method   Path                     Meaning
 GET      ``/healthz``             liveness probe
 GET      ``/stats``               dataset/cache/job counters
 GET      ``/datasets``            registered datasets
-POST     ``/datasets``            register a dataset (CSV or JSONL body, streamed)
+POST     ``/datasets``            register a dataset (CSV body, streamed)
 GET      ``/datasets/<fp>``       one dataset's description
 DELETE   ``/datasets/<fp>``       unregister a dataset (frees its registry slot)
-POST     ``/append/<fp>``         append rows to a dataset (chained fingerprint;
-                                  ``?mode=async`` returns ``202`` + job id)
+POST     ``/append/<fp>``         append CSV rows to a dataset (chained fingerprint)
 POST     ``/release``             anonymized release (JSON body; CSV or JSON reply)
 POST     ``/attack``              fusion-attack estimates against a release
 POST     ``/fred``                launch a FRED sweep job (``202`` + job id)
@@ -27,19 +26,20 @@ GET      ``/jobs``                list all known jobs (compact, no results)
 GET      ``/jobs/<id>``           poll a job
 =======  =======================  ==================================================
 
-Upload streaming: ``POST /datasets`` reads the request body in fixed-size
-chunks, decodes it incrementally and feeds *lines* to the streaming parsers
-in :mod:`repro.dataset.io` — the full body never needs to exist as one
-string, so registration handles datasets much larger than any socket buffer.
-The body format is taken from the ``Content-Type`` header
-(``text/csv`` / ``application/jsonl``) or a ``?format=`` query parameter.
+Upload streaming: ``POST /datasets`` and ``POST /append/<fp>`` read the
+request body in fixed-size chunks, decode it incrementally and feed *lines*
+to :func:`~repro.dataset.io.stream_csv` — the full body never needs to
+exist as one string, so registration handles datasets much larger than any
+socket buffer.  CSV is the only upload format and appends are synchronous:
+a ``?format=`` other than ``csv`` or a ``?mode=`` other than ``sync`` is a
+``400`` naming the supported option.
 
-Response streaming: ``/release`` bodies past ``stream_threshold_bytes`` go
-out with ``Transfer-Encoding: chunked`` in fixed-size segments, so peak
-memory per connection is bounded by one segment even for a multi-hundred-MB
-release — the cached CSV is typically a :class:`memoryview` over the spill
-mapping, so the bytes flow from the page cache to the socket without ever
-being materialized.  A client that disconnects mid-chunk is dropped cleanly.
+Replies: every body goes out with a ``Content-Length``.  The handler's
+``wfile`` is unbuffered (``StreamRequestHandler.wbufsize = 0``), so a body
+is written with one ``socket.sendall``; a cached ``/release`` CSV that is a
+:class:`memoryview` over the spill mapping therefore flows from the page
+cache to the socket without being copied.  A client that disconnects
+mid-reply is dropped cleanly.
 
 One process serves every request: the server's state — the dataset
 registry, the artifact cache and the job pool — lives in one
@@ -74,7 +74,6 @@ __all__ = [
     "ServiceServer",
     "build_server",
     "DEFAULT_MAX_BODY_BYTES",
-    "DEFAULT_STREAM_THRESHOLD_BYTES",
 ]
 
 #: Upload bodies are read from the socket in chunks of this many bytes.
@@ -82,12 +81,6 @@ UPLOAD_CHUNK_BYTES = 64 * 1024
 
 #: Default request-body size limit; requests beyond it get a 413 reply.
 DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
-
-#: Response bodies at or above this size stream out chunked by default.
-DEFAULT_STREAM_THRESHOLD_BYTES = 1024 * 1024
-
-#: Segment size of a chunked response body.
-STREAM_CHUNK_BYTES = 256 * 1024
 
 
 def _iter_body_lines(rfile, content_length: int, chunk_bytes: int = UPLOAD_CHUNK_BYTES) -> Iterator[str]:
@@ -143,6 +136,11 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _send(self, status: int, payload: bytes | memoryview, content_type: str) -> None:
+        """Send one reply framed by ``Content-Length``.
+
+        ``wfile`` is unbuffered, so the body is one ``sendall`` of
+        ``payload`` as given: a memoryview over a spill mapping is not copied.
+        """
         try:
             self.send_response(status)
             self.send_header("Content-Type", content_type)
@@ -157,41 +155,6 @@ class _Handler(BaseHTTPRequestHandler):
             # The client hung up mid-reply.  The response cannot be delivered
             # and the socket is dead, so just mark the connection closed; a
             # traceback here would spam the log for a routine disconnect.
-            self.close_connection = True
-
-    def _send_payload(
-        self, status: int, payload: bytes | memoryview, content_type: str
-    ) -> None:
-        """Send a body, streaming it chunked when it is large.
-
-        Bodies at or above the server's ``stream_threshold_bytes`` go out
-        with ``Transfer-Encoding: chunked`` in ``STREAM_CHUNK_BYTES``
-        segments (HTTP/1.1 clients only — a 1.0 client gets the buffered
-        reply), bounding peak per-connection memory: the payload is sliced
-        as views, never copied wholesale.
-        """
-        threshold = self.server.stream_threshold_bytes
-        if len(payload) < threshold or self.request_version != "HTTP/1.1":
-            self._send(status, payload, content_type)
-            return
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Transfer-Encoding", "chunked")
-            if self.close_connection:
-                # The client asked to close after this reply; say so too.
-                self.send_header("Connection", "close")
-            self.end_headers()
-            view = memoryview(payload)
-            for start in range(0, len(view), STREAM_CHUNK_BYTES):
-                segment = view[start : start + STREAM_CHUNK_BYTES]
-                self.wfile.write(f"{len(segment):X}\r\n".encode("ascii"))
-                self.wfile.write(segment)
-                self.wfile.write(b"\r\n")
-            self.wfile.write(b"0\r\n\r\n")
-        except (BrokenPipeError, ConnectionResetError, ConnectionError):
-            # Client disconnected mid-chunk: drop the connection quietly —
-            # same contract as the buffered path.
             self.close_connection = True
 
     def _send_json(self, status: int, document: object) -> None:
@@ -321,56 +284,34 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- endpoint bodies --------------------------------------------------------
 
-    def _post_dataset(self, query: dict[str, list[str]]) -> None:
-        content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip()
-        if query.get("format"):
-            fmt = query["format"][0]
-        elif content_type in ("application/jsonl", "application/x-ndjson"):
-            fmt = "jsonl"
-        else:
-            fmt = "csv"
-        label = query.get("label", [""])[0]
+    def _upload_lines(self, query: dict[str, list[str]], what: str) -> Iterator[str]:
+        """The CSV request body as streamed lines, after the option checks."""
+        for name, supported in (("format", "csv"), ("mode", "sync")):
+            for value in query.get(name, ()):
+                if value != supported:
+                    raise ServiceError(
+                        f"unsupported {name} {value!r}; the only option is {supported!r}"
+                    )
         length = self._content_length()
         if length <= 0:
-            raise ServiceError("dataset upload requires a non-empty body")
-        lines = _iter_body_lines(self.rfile, length)
-        info = self.server.service.register_stream(lines, fmt=fmt, label=label)
+            raise ServiceError(f"{what} requires a non-empty body")
+        return _iter_body_lines(self.rfile, length)
+
+    def _post_dataset(self, query: dict[str, list[str]]) -> None:
+        label = query.get("label", [""])[0]
+        lines = self._upload_lines(query, "dataset upload")
+        info = self.server.service.register_stream(lines, label=label)
         self._send_json(201 if info["created"] else 200, info)
 
     def _post_append(self, fingerprint: str, query: dict[str, list[str]]) -> None:
         """Stream delta rows onto a registered dataset (see ``append_stream``).
 
-        The body is the same streamed CSV/JSONL as ``POST /datasets``; the
-        reply carries the new chained fingerprint and the superseded one.
-        ``?mode=async`` submits the append to the job pool instead and
-        replies ``202`` with a job id — useful when the invalidation sweep
-        over a large spill tier should not hold the upload connection open.
+        The body is the same streamed CSV as ``POST /datasets``; the reply
+        carries the new chained fingerprint and the superseded one.
         """
-        content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip()
-        if query.get("format"):
-            fmt = query["format"][0]
-        elif content_type in ("application/jsonl", "application/x-ndjson"):
-            fmt = "jsonl"
-        else:
-            fmt = "csv"
         label = query.get("label", [None])[0]
-        mode = query.get("mode", ["sync"])[0]
-        if mode not in ("sync", "async"):
-            raise ServiceError(f"unknown append mode {mode!r}; options: ['sync', 'async']")
-        length = self._content_length()
-        if length <= 0:
-            raise ServiceError("append requires a non-empty body")
-        lines = _iter_body_lines(self.rfile, length)
-        if mode == "async":
-            job_id = self.server.service.start_append(
-                fingerprint, lines, fmt=fmt, label=label
-            )
-            self._send_json(202, {"job": job_id, "poll": f"/jobs/{job_id}"})
-            return
-        info = self.server.service.append_stream(
-            fingerprint, lines, fmt=fmt, label=label
-        )
-        self._send_json(200, info)
+        lines = self._upload_lines(query, "append")
+        self._send_json(200, self.server.service.append_stream(fingerprint, lines, label=label))
 
     def _post_release(self) -> None:
         body = self._read_json_body()
@@ -381,11 +322,11 @@ class _Handler(BaseHTTPRequestHandler):
         fmt = body.get("format", "csv")
         if fmt == "csv":
             # The cached CSV bytes — possibly a memoryview over the spill
-            # mapping — go straight to the socket, chunked when large.
+            # mapping — go to the socket in one sendall, uncopied.
             payload = self.server.service.release_csv(
                 dataset, k, algorithm=algorithm, style=style
             )
-            self._send_payload(200, payload, "text/csv; charset=utf-8")
+            self._send(200, payload, "text/csv; charset=utf-8")
             return
         artifact = self.server.service.release(
             dataset, k, algorithm=algorithm, style=style
@@ -431,8 +372,8 @@ class _Handler(BaseHTTPRequestHandler):
             name_column=body.get("name_column", "name"),
             sensitive_low=body.get("sensitive_low"),
             sensitive_high=body.get("sensitive_high"),
-            protection_weight=self._number_field(body, "protection_weight", 0.5),
-            utility_weight=self._number_field(body, "utility_weight", 0.5),
+            protection_weight=body.get("protection_weight", 0.5),
+            utility_weight=body.get("utility_weight", 0.5),
             protection_threshold=body.get("protection_threshold"),
             utility_threshold=body.get("utility_threshold"),
         )
@@ -458,13 +399,6 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ServiceError(f"field {field!r} must be an integer, got {value!r}")
         return value
-
-    @staticmethod
-    def _number_field(body: dict, field: str, default: float) -> float:
-        value = body.get(field, default)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ServiceError(f"field {field!r} must be a number, got {value!r}")
-        return float(value)
 
 
 def _json_cell(value: object) -> object:
@@ -496,21 +430,15 @@ class ServiceServer(ThreadingHTTPServer):
         service: AnonymizationService,
         verbose: bool = False,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-        stream_threshold_bytes: int = DEFAULT_STREAM_THRESHOLD_BYTES,
     ) -> None:
         if max_body_bytes < 1:
             raise ServiceError(
                 f"max_body_bytes must be >= 1, got {max_body_bytes}"
             )
-        if stream_threshold_bytes < 1:
-            raise ServiceError(
-                f"stream_threshold_bytes must be >= 1, got {stream_threshold_bytes}"
-            )
         super().__init__(address, _Handler)
         self.service = service
         self.verbose = verbose
         self.max_body_bytes = max_body_bytes
-        self.stream_threshold_bytes = stream_threshold_bytes
         self._thread: threading.Thread | None = None
 
     @property
@@ -543,7 +471,6 @@ def build_server(
     service: AnonymizationService | None = None,
     verbose: bool = False,
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-    stream_threshold_bytes: int = DEFAULT_STREAM_THRESHOLD_BYTES,
 ) -> ServiceServer:
     """Construct a :class:`ServiceServer` (and a default service if needed)."""
     return ServiceServer(
@@ -551,5 +478,4 @@ def build_server(
         service if service is not None else AnonymizationService(),
         verbose=verbose,
         max_body_bytes=max_body_bytes,
-        stream_threshold_bytes=stream_threshold_bytes,
     )

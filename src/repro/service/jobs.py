@@ -117,9 +117,9 @@ class JobManager:
     ) -> str:
         """Enqueue ``work`` and return its job id.
 
-        ``kind`` labels the job family (``"fred"``, ``"append"``, ...) in
-        every snapshot, so clients and operators can tell sweep jobs from
-        ingest jobs without parsing descriptions.
+        ``kind`` labels the job family (the service submits ``"fred"``
+        sweeps) in every snapshot, so clients and operators can tell job
+        families apart without parsing descriptions.
 
         The pool submission happens under the manager lock: ``shutdown`` also
         flips ``_closed`` under that lock before shutting the pool down, so a

@@ -1,4 +1,4 @@
-"""Unit tests for repro.dataset.io (CSV / JSONL round-tripping and streaming)."""
+"""Unit tests for repro.dataset.io (CSV round-tripping and streaming)."""
 
 from __future__ import annotations
 
@@ -11,13 +11,10 @@ from repro.dataset.generalization import SUPPRESSED, CategorySet, Interval
 from repro.dataset.io import (
     parse_cell,
     read_csv,
-    read_jsonl,
     render_cell,
     render_csv,
     stream_csv,
-    stream_jsonl,
     write_csv,
-    write_jsonl,
 )
 from repro.dataset.schema import Attribute, AttributeKind, AttributeRole, Schema
 from repro.dataset.table import Table
@@ -83,6 +80,13 @@ class TestRoundTrip:
     def test_nested_directory_created(self, simple_table, tmp_path):
         path = write_csv(simple_table, tmp_path / "deep" / "dir" / "t.csv")
         assert path.exists()
+
+    def test_file_bytes_are_render_csv(self, simple_table, tmp_path):
+        release = simple_table.replace_column(
+            "age", [Interval(20, 30), Interval(30, 40), SUPPRESSED, 44, 52, 58]
+        )
+        path = write_csv(release, tmp_path / "release.csv")
+        assert path.read_bytes() == render_csv(release).encode("utf-8")
 
 
 _HEADER = "name,age\nidentifier:text,quasi_identifier:numeric\n"
@@ -164,62 +168,6 @@ class TestStreamingEdgeCases:
     def test_chunk_rows_must_be_positive(self):
         with pytest.raises(TableError):
             stream_csv(io.StringIO(_HEADER), chunk_rows=0)
-
-
-class TestJsonl:
-    def test_round_trip(self, simple_table, tmp_path):
-        loaded = read_jsonl(write_jsonl(simple_table, tmp_path / "t.jsonl"))
-        assert loaded == simple_table
-        assert loaded.schema.names == simple_table.schema.names
-        assert loaded.schema.identifiers == simple_table.schema.identifiers
-
-    def test_generalized_cells_round_trip(self, simple_table, tmp_path):
-        release = simple_table.replace_column(
-            "age", [Interval(20, 30), SUPPRESSED, CategorySet(["a", "b"]), 44, 52, None]
-        )
-        loaded = read_jsonl(write_jsonl(release, tmp_path / "r.jsonl"))
-        assert loaded.cell(0, "age") == Interval(20, 30)
-        assert loaded.cell(1, "age") is SUPPRESSED
-        assert loaded.cell(2, "age") == CategorySet(["a", "b"])
-        assert loaded.cell(5, "age") is None
-
-    def test_text_that_looks_generalized_survives(self, tmp_path):
-        schema = Schema([Attribute("note", AttributeRole.IDENTIFIER, AttributeKind.TEXT)])
-        table = Table(schema, {"note": ["[1-3]", "*", "{a, b}"]})
-        loaded = read_jsonl(write_jsonl(table, tmp_path / "tricky.jsonl"))
-        assert loaded.column("note") == ["[1-3]", "*", "{a, b}"]
-
-    def test_missing_schema_line(self):
-        with pytest.raises(TableError, match="schema line"):
-            stream_jsonl(iter([]))
-        with pytest.raises(TableError, match="schema"):
-            stream_jsonl(io.StringIO('{"not_schema": []}\n'))
-
-    def test_invalid_rows(self):
-        header = '{"schema": [{"name": "x", "role": "quasi_identifier", "kind": "numeric"}]}\n'
-        with pytest.raises(TableError, match="line 2"):
-            stream_jsonl(io.StringIO(header + "not json\n"))
-        with pytest.raises(TableError, match="missing columns"):
-            stream_jsonl(io.StringIO(header + '{"y": 1}\n'))
-        with pytest.raises(TableError, match="JSON object"):
-            stream_jsonl(io.StringIO(header + "[1, 2]\n"))
-
-    def test_malformed_generalized_cells_raise_table_error(self):
-        header = '{"schema": [{"name": "x", "role": "quasi_identifier", "kind": "numeric"}]}\n'
-        for bad_cell in (
-            '{"interval": ["a", "b"]}',
-            '{"interval": 5}',
-            '{"categories": 3}',
-            '{"unknown_tag": 1}',
-        ):
-            with pytest.raises(TableError):
-                stream_jsonl(io.StringIO(header + '{"x": ' + bad_cell + "}\n"))
-
-    def test_blank_lines_are_skipped(self):
-        header = '{"schema": [{"name": "x", "role": "quasi_identifier", "kind": "numeric"}]}'
-        document = "\n" + header + "\n\n" + '{"x": 1}' + "\n\n" + '{"x": 2}' + "\n"
-        table = stream_jsonl(io.StringIO(document))
-        assert table.column("x") == [1, 2]
 
 
 class TestReadErrors:

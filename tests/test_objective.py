@@ -14,6 +14,13 @@ class TestValidation:
         with pytest.raises(FREDConfigurationError):
             WeightedObjective(-0.1, 0.5)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weights_rejected(self, weight):
+        with pytest.raises(FREDConfigurationError, match="finite"):
+            WeightedObjective(protection_weight=weight)
+        with pytest.raises(FREDConfigurationError, match="finite"):
+            WeightedObjective(utility_weight=weight)
+
     def test_all_zero_weights_rejected(self):
         with pytest.raises(FREDConfigurationError):
             WeightedObjective(0.0, 0.0)

@@ -2,9 +2,8 @@
 
 Two families of invariants back the service:
 
-* **Streaming ≡ in-memory ingest** — parsing a CSV/JSONL document through
-  the chunked streaming readers (any chunk size, including one row at a
-  time) yields a table identical to parsing the whole document at once,
+* **Streaming ≡ in-memory ingest** — parsing a CSV document through the
+  chunked streaming reader (any chunk size, including one row at a time) yields a table identical to parsing the whole document at once,
   including NaN, ``None`` and generalized-interval cells.  The service's
   upload path is exactly this code, so the property pins down registration
   correctness for arbitrarily framed request bodies.
@@ -17,6 +16,7 @@ Two families of invariants back the service:
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 
@@ -25,12 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataset.generalization import SUPPRESSED, CategorySet, Interval
-from repro.dataset.io import (
-    render_csv,
-    render_jsonl,
-    stream_csv,
-    stream_jsonl,
-)
+from repro.dataset.io import render_cell, render_csv, stream_csv
 from repro.dataset.schema import Attribute, AttributeKind, AttributeRole, Schema
 from repro.dataset.table import Table
 
@@ -118,22 +113,6 @@ class TestStreamingEquivalence:
         assert chunked == in_memory
         assert chunked.fingerprint == in_memory.fingerprint
         assert chunked.schema.names == in_memory.schema.names
-
-    @settings(max_examples=60, deadline=None)
-    @given(tables(), st.integers(min_value=1, max_value=7))
-    def test_jsonl_chunked_equals_in_memory(self, table, chunk_rows):
-        text = render_jsonl(table)
-        in_memory = stream_jsonl(io.StringIO(text))
-        chunked = stream_jsonl(iter(_lines_of(text)), chunk_rows=chunk_rows)
-        assert chunked == in_memory
-        assert chunked.fingerprint == in_memory.fingerprint
-
-    @settings(max_examples=40, deadline=None)
-    @given(tables())
-    def test_jsonl_round_trip_is_exact(self, table):
-        loaded = stream_jsonl(io.StringIO(render_jsonl(table)))
-        assert loaded == table
-        assert loaded.fingerprint == table.fingerprint
 
     @settings(max_examples=40, deadline=None)
     @given(tables())
@@ -313,6 +292,28 @@ class TestFingerprintProperties:
 # ---------------------------------------------------------------------------
 
 
+def _write_csv_to(handle, table: Table) -> None:
+    """Stream ``table`` as CSV rows into an open text handle.
+
+    This is the row-by-row ``csv.writer`` reference renderer; the columnar
+    :func:`render_csv` is property-tested byte-identical to it.
+    """
+    writer = csv.writer(handle)
+    writer.writerow(table.schema.names)
+    writer.writerow(
+        [f"{attr.role.value}:{attr.kind.value}" for attr in table.schema.attributes]
+    )
+    for row in table.rows():
+        writer.writerow([render_cell(row[name]) for name in table.schema.names])
+
+
+def _render_csv_reference(table: Table) -> str:
+    """The historical row-by-row rendering (the property-test oracle)."""
+    buffer = io.StringIO()
+    _write_csv_to(buffer, table)
+    return buffer.getvalue()
+
+
 class TestColumnarRenderEquivalence:
     """The columnar ``render_csv`` must be byte-identical to the historical
     row-by-row ``csv.writer`` renderer on arbitrary tables — including cells
@@ -322,8 +323,6 @@ class TestColumnarRenderEquivalence:
     @settings(max_examples=80, deadline=None)
     @given(tables())
     def test_columnar_equals_reference(self, table):
-        from repro.dataset.io import _render_csv_reference
-
         assert render_csv(table) == _render_csv_reference(table)
 
     _nasty_texts = st.text(
@@ -338,8 +337,6 @@ class TestColumnarRenderEquivalence:
     @settings(max_examples=80, deadline=None)
     @given(st.lists(_nasty_texts, min_size=1, max_size=20))
     def test_quoted_cells_match_reference(self, cells):
-        from repro.dataset.io import _render_csv_reference
-
         schema = Schema(
             [Attribute("t", AttributeRole.QUASI_IDENTIFIER, AttributeKind.TEXT)]
         )
@@ -353,8 +350,6 @@ class TestColumnarRenderEquivalence:
         )
     )
     def test_full_range_floats_match_reference(self, values):
-        from repro.dataset.io import _render_csv_reference
-
         schema = Schema([Attribute("x", AttributeRole.QUASI_IDENTIFIER)])
         table = Table(schema, {"x": values})
         assert render_csv(table) == _render_csv_reference(table)
@@ -368,15 +363,11 @@ class TestColumnarRenderEquivalence:
         )
     )
     def test_int64_boundary_ints_match_reference(self, values):
-        from repro.dataset.io import _render_csv_reference
-
         schema = Schema([Attribute("x", AttributeRole.QUASI_IDENTIFIER)])
         table = Table(schema, {"x": values})
         assert render_csv(table) == _render_csv_reference(table)
 
     def test_integral_floats_beyond_int64_render_as_integers(self):
-        from repro.dataset.io import _render_csv_reference
-
         schema = Schema([Attribute("x", AttributeRole.QUASI_IDENTIFIER)])
         table = Table(schema, {"x": [1e30, -1e300, 2.0**63, 0.5]})
         text = render_csv(table)
@@ -385,8 +376,6 @@ class TestColumnarRenderEquivalence:
         assert "e+30" not in text
 
     def test_quoted_column_names_match_reference(self):
-        from repro.dataset.io import _render_csv_reference
-
         schema = Schema(
             [Attribute('weird,"name"', AttributeRole.QUASI_IDENTIFIER)]
         )
@@ -394,7 +383,5 @@ class TestColumnarRenderEquivalence:
         assert render_csv(table) == _render_csv_reference(table)
 
     def test_empty_table_matches_reference(self, simple_table):
-        from repro.dataset.io import _render_csv_reference
-
         empty = simple_table.take([])
         assert render_csv(empty) == _render_csv_reference(empty)

@@ -11,8 +11,14 @@ from pathlib import Path
 import pytest
 
 from repro.anonymize.kanonymity import is_k_anonymous
-from repro.dataset.io import render_csv, render_jsonl
-from repro.exceptions import ServiceError, UnknownDatasetError, UnknownJobError
+from repro.dataset.io import render_csv
+from repro.exceptions import (
+    FREDConfigurationError,
+    ServiceError,
+    TableError,
+    UnknownDatasetError,
+    UnknownJobError,
+)
 from repro.service import ALGORITHMS, AnonymizationService
 
 
@@ -33,17 +39,12 @@ class TestRegistry:
         assert second["created"] is False
         assert len(service.list_datasets()) == 1
 
-    def test_register_stream_csv_and_jsonl_agree(self, service, simple_table):
-        csv_info = service.register_stream(io.StringIO(render_csv(simple_table)), fmt="csv")
-        jsonl_info = service.register_stream(
-            io.StringIO(render_jsonl(simple_table)), fmt="jsonl"
-        )
-        assert csv_info["fingerprint"] == jsonl_info["fingerprint"]
-        assert jsonl_info["created"] is False
-
     def test_unknown_format_and_empty_dataset_rejected(self, service, simple_table):
-        with pytest.raises(ServiceError):
-            service.register_stream(io.StringIO("x"), fmt="parquet")
+        # CSV is the only upload format: a JSONL document fails its header.
+        jsonl = '{"schema": [{"name": "x"}]}\n{"x": 1}\n'
+        with pytest.raises(TableError, match="role:kind"):
+            service.register_stream(io.StringIO(jsonl))
+        assert service.list_datasets() == []
         empty = simple_table.take([])
         with pytest.raises(ServiceError):
             service.register(empty)
@@ -182,6 +183,23 @@ class TestAttack:
         with pytest.raises(ServiceError, match="no numeric values"):
             service.attack(fingerprint, auxiliary, k=2)
 
+    def test_non_numeric_sensitive_bound_is_a_service_error(
+        self, service, faculty_population, faculty_auxiliary_table
+    ):
+        fingerprint = service.register(faculty_population.private)["fingerprint"]
+        auxiliary = service.register(faculty_auxiliary_table)["fingerprint"]
+        with pytest.raises(ServiceError, match="sensitive_low must be a finite number"):
+            service.attack(fingerprint, auxiliary, k=3, sensitive_low="abc")
+
+    def test_infinite_sensitive_bound_is_rejected_up_front(
+        self, service, faculty_population, faculty_auxiliary_table
+    ):
+        fingerprint = service.register(faculty_population.private)["fingerprint"]
+        auxiliary = service.register(faculty_auxiliary_table)["fingerprint"]
+        with pytest.raises(ServiceError, match="sensitive_high must be a finite number"):
+            service.attack(fingerprint, auxiliary, k=3, sensitive_high=float("inf"))
+        assert service.stats()["cache"]["computations"] == 0
+
 
 class TestFredJobs:
     def test_fred_job_runs_and_is_memoized(
@@ -214,6 +232,29 @@ class TestFredJobs:
             service.start_fred(fingerprint, "missing")
         with pytest.raises(UnknownJobError):
             service.job_status("job-999")
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_is_rejected_before_submit(
+        self, service, faculty_population, faculty_auxiliary_table, weight
+    ):
+        fingerprint = service.register(faculty_population.private)["fingerprint"]
+        auxiliary = service.register(faculty_auxiliary_table)["fingerprint"]
+        with pytest.raises(ServiceError, match="protection_weight"):
+            service.start_fred(fingerprint, auxiliary, protection_weight=weight)
+        assert service.list_jobs() == []
+
+    def test_non_numeric_threshold_is_rejected_before_submit(
+        self, service, faculty_population, faculty_auxiliary_table
+    ):
+        fingerprint = service.register(faculty_population.private)["fingerprint"]
+        auxiliary = service.register(faculty_auxiliary_table)["fingerprint"]
+        with pytest.raises(ServiceError, match="protection_threshold"):
+            service.start_fred(fingerprint, auxiliary, protection_threshold="high")
+        with pytest.raises(ServiceError, match="utility_threshold"):
+            service.start_fred(fingerprint, auxiliary, utility_threshold=float("nan"))
+        with pytest.raises(FREDConfigurationError, match="non-negative"):
+            service.start_fred(fingerprint, auxiliary, utility_weight=-1.0)
+        assert service.list_jobs() == []
 
 
 class TestLifecycle:
@@ -274,46 +315,18 @@ class TestAppends:
         assert stats["count"] == 1 and stats["rows"] == 2
         assert stats["invalidated_entries"] == info["invalidated_entries"]
 
-    def test_append_jsonl_and_csv_chain_identically(self, service, simple_table):
-        delta = simple_table.take([2])
-        csv_fp = service.register(simple_table)["fingerprint"]
-        csv_info = service.append_stream(csv_fp, io.StringIO(render_csv(delta)))
-        # Rebuild the base under its original fingerprint, then append the
-        # same delta as JSONL: identical content and history must produce the
-        # identical chained fingerprint.
-        service.register(simple_table)
-        jsonl_info = service.append_stream(
-            csv_info["superseded"], io.StringIO(render_jsonl(delta)), fmt="jsonl"
-        )
-        assert jsonl_info["fingerprint"] == csv_info["fingerprint"]
-
     def test_append_rejects_bad_inputs(self, service, simple_table):
         fingerprint = service.register(simple_table)["fingerprint"]
         header_only = "\n".join(render_csv(simple_table).splitlines()[:2]) + "\n"
         with pytest.raises(ServiceError, match="empty delta"):
             service.append_stream(fingerprint, io.StringIO(header_only))
-        with pytest.raises(ServiceError, match="format"):
-            service.append_stream(fingerprint, io.StringIO("x"), fmt="xml")
         with pytest.raises(UnknownDatasetError):
             service.append_stream("missing", io.StringIO(render_csv(simple_table)))
-        from repro.exceptions import TableError
-
         mismatched = "name\nidentifier:text\nAda Byron\n"
         with pytest.raises(TableError):
             service.append_stream(fingerprint, io.StringIO(mismatched))
         # A failed append must leave the base dataset registered and intact.
         assert service.dataset(fingerprint).num_rows == simple_table.num_rows
-
-    def test_async_append_runs_as_a_job(self, service, simple_table):
-        fingerprint = service.register(simple_table)["fingerprint"]
-        delta = simple_table.take([3])
-        job_id = service.start_append(fingerprint, io.StringIO(render_csv(delta)))
-        snapshot = service.wait_for_job(job_id, timeout=30)
-        assert snapshot["status"] == "done"
-        assert snapshot["kind"] == "append"
-        result = snapshot["result"]
-        assert result["fingerprint"] == simple_table.append(delta).fingerprint
-        assert service.dataset(result["fingerprint"]).num_rows == result["rows"]
 
     def test_auxiliary_append_matches_a_cold_register(
         self, service, faculty_population, faculty_auxiliary_table

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataset.io import render_csv, render_jsonl
+from repro.dataset.io import render_csv
 from repro.exceptions import ServiceError
 from repro.service.http import _iter_body_lines
 
@@ -40,7 +40,7 @@ def faculty_fingerprints(service_client, faculty_population, faculty_auxiliary_t
     assert status == 201
     private = json.loads(body)["fingerprint"]
     status, _, body = service_client.post_raw(
-        "/datasets", render_jsonl(faculty_auxiliary_table).encode(), "application/jsonl"
+        "/datasets", render_csv(faculty_auxiliary_table).encode(), "text/csv"
     )
     assert status == 201
     auxiliary = json.loads(body)["fingerprint"]
@@ -83,13 +83,23 @@ class TestDatasetEndpoints:
         assert (first, second) == (201, 200)
         assert json.loads(body)["created"] is False
 
-    def test_jsonl_via_query_parameter(self, service_client, simple_table):
-        payload = render_jsonl(simple_table).encode()
-        status, _, body = service_client.post_raw(
-            "/datasets?format=jsonl", payload, "text/plain"
-        )
+    @pytest.mark.parametrize(
+        "query, option",
+        [("format=jsonl", "'csv'"), ("mode=async", "'sync'")],
+    )
+    def test_unsupported_upload_option_is_400(
+        self, service_client, simple_table, query, option
+    ):
+        payload = render_csv(simple_table).encode()
+        status, _, body = service_client.post_raw(f"/datasets?{query}", payload, "text/csv")
+        assert status == 400
+        assert f"the only option is {option}" in json.loads(body)["error"]
+        _, listing = service_client.get("/datasets")
+        assert listing["datasets"] == []
+        # The one supported value is accepted.
+        supported = query.split("=")[0] + "=" + option.strip("'")
+        status, _, _ = service_client.post_raw(f"/datasets?{supported}", payload, "text/csv")
         assert status == 201
-        assert json.loads(body)["fingerprint"] == simple_table.fingerprint
 
     def test_delete_unregisters_a_dataset(self, service_client, simple_table):
         import urllib.request
@@ -336,6 +346,20 @@ class TestAttackEndpoint:
         assert all(low <= value <= high for value in document["estimates"])
         assert document["match_rate"] == 1.0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("sensitive_low", "abc"), ("sensitive_high", float("inf"))],
+    )
+    def test_bad_sensitive_bound_is_a_named_400(
+        self, service_client, faculty_fingerprints, field, value
+    ):
+        private, auxiliary = faculty_fingerprints
+        status, _, body = service_client.post_json(
+            "/attack", {"dataset": private, "auxiliary": auxiliary, "k": 3, field: value}
+        )
+        assert status == 400
+        assert f"{field} must be a finite number" in json.loads(body)["error"]
+
 
 class TestFredEndpoint:
     def test_fred_job_lifecycle(self, service_client, faculty_fingerprints):
@@ -375,26 +399,38 @@ class TestFredEndpoint:
             status, _, body = service_client.post_json("/fred", bad_body)
             assert status == 400, json.loads(body)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("protection_weight", float("nan")),  # sent as the JSON literal NaN
+            ("utility_weight", float("inf")),
+            pytest.param("utility_weight", 10**400, id="utility_weight-past-float"),
+            ("protection_threshold", "high"),
+        ],
+    )
+    def test_bad_fred_number_is_400_before_any_job(
+        self, service_client, faculty_fingerprints, field, value
+    ):
+        private, auxiliary = faculty_fingerprints
+        status, _, body = service_client.post_json(
+            "/fred", {"dataset": private, "auxiliary": auxiliary, field: value}
+        )
+        assert status == 400
+        assert field in json.loads(body)["error"]
+        _, listing = service_client.get("/jobs")
+        assert listing["jobs"] == []
 
-class TestStreamedReleases:
-    @pytest.fixture()
-    def streaming_server(self, service, faculty_population):
-        """A server whose stream threshold is tiny, so any release chunks."""
-        from repro.service import build_server
 
-        service.register(faculty_population.private)
-        server = build_server(
-            port=0, service=service, stream_threshold_bytes=64
-        ).serve_in_background()
-        yield server
-        server.close()
+class TestReleaseReplies:
+    """``/release`` CSV replies are Content-Length framed on every protocol."""
 
     @staticmethod
-    def _release_body(fingerprint: str) -> bytes:
-        return json.dumps({"dataset": fingerprint, "k": 3}).encode("utf-8")
+    def _release_body(fingerprint: str, k: int = 3) -> bytes:
+        return json.dumps({"dataset": fingerprint, "k": k}).encode("utf-8")
 
-    def _post_chunked(self, port: int, body: bytes):
-        """POST /release over HTTP/1.1 -> (headers, reassembled body bytes)."""
+    @staticmethod
+    def _post_http11(port: int, body: bytes):
+        """POST /release over HTTP/1.1 -> (headers, body bytes)."""
         import http.client
 
         connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
@@ -411,12 +447,9 @@ class TestStreamedReleases:
         finally:
             connection.close()
 
-    def _post_buffered(self, port: int, body: bytes):
-        """POST /release as HTTP/1.0 over a raw socket -> (header text, body).
-
-        An HTTP/1.0 client cannot parse chunked framing, so the server must
-        fall back to a buffered Content-Length reply for the same resource.
-        """
+    @staticmethod
+    def _post_http10(port: int, body: bytes):
+        """POST /release as HTTP/1.0 over a raw socket -> (header text, body)."""
         import socket
 
         head = (
@@ -431,44 +464,51 @@ class TestStreamedReleases:
         header_blob, _, payload = raw.partition(b"\r\n\r\n")
         return header_blob.decode("latin-1"), payload
 
-    def test_chunked_and_buffered_bodies_are_identical(
-        self, streaming_server, faculty_population
+    def test_http11_and_http10_replies_carry_content_length(
+        self, service_client, faculty_population
     ):
-        fingerprint = faculty_population.private.fingerprint
+        service = service_client.server.service
+        fingerprint = service.register(faculty_population.private)["fingerprint"]
         body = self._release_body(fingerprint)
-        headers, chunked = self._post_chunked(streaming_server.port, body)
-        assert headers.get("Transfer-Encoding") == "chunked"
-        assert "Content-Length" not in headers
+        headers, http11 = self._post_http11(service_client.server.port, body)
+        header_text, http10 = self._post_http10(service_client.server.port, body)
 
-        header_text, buffered = self._post_buffered(streaming_server.port, body)
+        expected = bytes(service.release_csv(fingerprint, 3))
+        assert "Transfer-Encoding" not in headers
+        assert headers["Content-Length"] == str(len(expected))
         assert "Transfer-Encoding" not in header_text
-        assert f"Content-Length: {len(buffered)}" in header_text
-        assert buffered == chunked
-        expected = streaming_server.service.release_csv(fingerprint, 3)
-        assert chunked == bytes(expected)
+        assert f"Content-Length: {len(expected)}" in header_text
+        assert http11 == http10 == expected
 
-    def test_small_bodies_stay_buffered(self, streaming_server):
-        import http.client
+    def test_spill_loaded_memoryview_reply(self, tmp_path, faculty_population):
+        """A release CSV mapped back from the spill tier is sent as is."""
+        from repro.service import AnonymizationService, build_server
 
-        connection = http.client.HTTPConnection(
-            "127.0.0.1", streaming_server.port, timeout=60
-        )
+        service = AnonymizationService(cache_capacity=1, cache_dir=tmp_path)
+        server = build_server(port=0, service=service).serve_in_background()
         try:
-            connection.request("GET", "/healthz")
-            response = connection.getresponse()
-            assert response.status == 200
-            assert response.getheader("Transfer-Encoding") is None
-            assert response.getheader("Content-Length") is not None
-            assert json.loads(response.read()) == {"status": "ok"}
+            fingerprint = service.register(faculty_population.private)["fingerprint"]
+            _, computed = self._post_http11(server.port, self._release_body(fingerprint))
+            # With one memory slot, the k = 4 release pushes k = 3 out of
+            # memory; its CSV now comes back from the spill container.
+            self._post_http11(server.port, self._release_body(fingerprint, k=4))
+            disk_hits = service.stats()["cache"]["disk_hits"]
+            headers, spilled = self._post_http11(server.port, self._release_body(fingerprint))
+            assert service.stats()["cache"]["disk_hits"] == disk_hits + 1
+            cached = service.release_csv(fingerprint, 3)
+            assert isinstance(cached, memoryview)
+            assert headers["Content-Length"] == str(len(cached))
+            assert "Transfer-Encoding" not in headers
+            assert spilled == computed == bytes(cached)
         finally:
-            connection.close()
+            server.close()
 
     @pytest.mark.parametrize("disconnect", [BrokenPipeError, ConnectionResetError])
-    def test_client_disconnect_mid_chunk_is_dropped(self, disconnect):
-        """A client hanging up between chunks must not raise out of the send."""
+    def test_disconnect_mid_write(self, disconnect):
+        """A client hanging up after the headers must not raise out of ``_send``."""
         from types import SimpleNamespace
 
-        from repro.service.http import STREAM_CHUNK_BYTES, _Handler
+        from repro.service.http import _Handler
 
         class _DyingSocketFile:
             """Accepts a few writes, then fails like a closed socket."""
@@ -484,18 +524,18 @@ class TestStreamedReleases:
                 self.written.append(bytes(data))
 
         handler = _Handler.__new__(_Handler)
-        handler.server = SimpleNamespace(verbose=False, stream_threshold_bytes=16)
+        handler.server = SimpleNamespace(verbose=False)
         handler.request_version = "HTTP/1.1"
         handler.requestline = "POST /release HTTP/1.1"
         handler.command = "POST"
         handler.close_connection = False
-        # Headers flush + first chunk (size line, segment, CRLF) succeed; the
-        # connection dies while the second chunk is going out.
-        handler.wfile = _DyingSocketFile(writes_before_failure=5)
-        payload = b"x" * (STREAM_CHUNK_BYTES * 2 + STREAM_CHUNK_BYTES // 2)
-        handler._send_payload(200, payload, "text/csv")  # must not raise
+        # The header flush succeeds; the connection dies while the body goes out.
+        handler.wfile = _DyingSocketFile(writes_before_failure=1)
+        payload = memoryview(b"x" * (1 << 20))
+        handler._send(200, payload, "text/csv")  # must not raise
         assert handler.close_connection is True
-        assert len(handler.wfile.written) == 5, "the failure happened mid-stream"
+        assert len(handler.wfile.written) == 1, "the failure happened mid-reply"
+        assert b"Content-Length: 1048576" in handler.wfile.written[0]
 
 
 class TestAppendEndpoint:
@@ -523,46 +563,28 @@ class TestAppendEndpoint:
         assert status == 200
         assert reply["rows"] == info["rows"]
 
-    def test_jsonl_append_via_content_type(self, service_client, simple_table):
-        _, _, body = service_client.post_raw(
-            "/datasets", render_csv(simple_table).encode(), "text/csv"
-        )
-        fingerprint = json.loads(body)["fingerprint"]
-        delta = simple_table.take([2])
-        status, _, body = service_client.post_raw(
-            f"/append/{fingerprint}",
-            render_jsonl(delta).encode(),
-            "application/jsonl",
-        )
-        assert status == 200
-        assert json.loads(body)["fingerprint"] == simple_table.append(delta).fingerprint
-
-    def test_async_append_returns_a_job_ticket(
-        self, service_client, simple_table
+    @pytest.mark.parametrize(
+        "query, option",
+        [("format=jsonl", "'csv'"), ("mode=async", "'sync'")],
+    )
+    def test_unsupported_append_option_is_400(
+        self, service_client, simple_table, query, option
     ):
         _, _, body = service_client.post_raw(
             "/datasets", render_csv(simple_table).encode(), "text/csv"
         )
         fingerprint = json.loads(body)["fingerprint"]
-        delta = simple_table.take([3, 4])
         status, _, body = service_client.post_raw(
-            f"/append/{fingerprint}?mode=async", render_csv(delta).encode(), "text/csv"
+            f"/append/{fingerprint}?{query}",
+            render_csv(simple_table.take([2])).encode(),
+            "text/csv",
         )
-        assert status == 202
-        ticket = json.loads(body)
-        job = ticket["job"]
-        assert ticket["poll"] == f"/jobs/{job}"
-        deadline = time.monotonic() + 120
-        while True:
-            status, snapshot = service_client.get(f"/jobs/{job}")
-            assert status == 200
-            if snapshot["status"] in ("done", "failed"):
-                break
-            assert time.monotonic() < deadline, "append job did not finish"
-            time.sleep(0.05)
-        assert snapshot["status"] == "done"
-        assert snapshot["kind"] == "append"
-        assert snapshot["result"]["fingerprint"] == simple_table.append(delta).fingerprint
+        assert status == 400
+        assert f"the only option is {option}" in json.loads(body)["error"]
+        status, info = service_client.get(f"/datasets/{fingerprint}")
+        assert status == 200
+        assert info["rows"] == simple_table.num_rows
+        assert service_client.server.service.list_jobs() == []
 
     def test_append_error_mapping(self, service_client, simple_table):
         _, _, body = service_client.post_raw(
