@@ -41,6 +41,7 @@ Example
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from pathlib import Path
 
@@ -315,6 +316,10 @@ def _command_fred(arguments: argparse.Namespace) -> int:
     return 0
 
 
+def _interrupt_on_signal(signum: int, frame: object) -> None:
+    raise KeyboardInterrupt
+
+
 def _command_serve(arguments: argparse.Namespace) -> int:
     from repro.service import AnonymizationService, build_server
 
@@ -335,8 +340,13 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         verbose=arguments.verbose,
         max_body_bytes=arguments.max_body_mb * 1024 * 1024,
     )
-    print(f"serving on http://{arguments.host}:{server.port}", flush=True)
+    # SIGTERM and SIGINT both take the drain path below.  A shell starts a
+    # background job with SIGINT ignored, and Python then installs no SIGINT
+    # handler of its own, so the default one is restored explicitly.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.signal(signal.SIGTERM, _interrupt_on_signal)
     try:
+        print(f"serving on http://{arguments.host}:{server.port}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         print("shutting down (draining in-flight jobs)", flush=True)

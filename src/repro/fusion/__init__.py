@@ -14,12 +14,10 @@ from repro.fusion.auxiliary import (
     auxiliary_table,
 )
 from repro.fusion.estimators import (
-    KNNEstimator,
-    LinearRegressionEstimator,
     MidpointEstimator,
     RankScalingEstimator,
     SensitiveEstimator,
-    records_to_matrix,
+    columns_to_matrix,
 )
 from repro.fusion.linkage import (
     MatchCandidate,
@@ -59,8 +57,6 @@ __all__ = [
     "wang_mendel_rules",
     "MidpointEstimator",
     "RankScalingEstimator",
-    "LinearRegressionEstimator",
-    "KNNEstimator",
     "SensitiveEstimator",
-    "records_to_matrix",
+    "columns_to_matrix",
 ]

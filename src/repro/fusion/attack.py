@@ -16,28 +16,27 @@ attribute for every release record:
 4. **Fuse** — evaluate a fuzzy inference system (Mamdani by default, Sugeno as
    an ablation) or a non-fuzzy estimator over the merged inputs.
 
-The result bundles ``P̂`` with the harvested auxiliary table, the per-record
-inputs and the fusion system itself so downstream metrics (dissimilarity,
-information gain) and the FRED optimizer can consume it.
+The result bundles ``P̂`` with the harvested auxiliary table and the fusion
+system itself so downstream metrics (dissimilarity, information gain) and the
+FRED optimizer can consume it.
 
 Batch data layout
 -----------------
 The fusion step is fully vectorized.  :meth:`WebFusionAttack.assemble_columns`
 builds one ``(N,)`` float array per fusion input — release quasi-identifiers
 come straight from :meth:`repro.dataset.table.Table.numeric_columns` (interval
-midpoints; NaN for suppressed cells) and auxiliary inputs from the harvested
-records (NaN when a person has no web match or the attribute is absent).
-NaN-masked columns replace the historical per-record ``None`` handling: the
-fuzzy engines fuzzify a NaN cell to full membership in every term, exactly as
-the scalar path treats ``None``.  The column block feeds
-``evaluate_batch``, which forms the ``(N, n_rules)`` firing-strength matrix
-and aggregates/defuzzifies all records at once; per-record dicts are only
-materialized for :attr:`AttackResult.records` (API compatibility and
-explanations).
+midpoints; NaN for suppressed cells) and auxiliary inputs from the harvest's
+cached :meth:`~repro.fusion.auxiliary.HarvestRecords.numeric_column` arrays
+(NaN when a person has no web match or the attribute is absent).  The fuzzy
+engines fuzzify a NaN cell to full membership in every term.  That column
+block is the only input layout: the built-in engines and a custom
+:class:`~repro.fusion.estimators.SensitiveEstimator` all get it through
+``evaluate_batch``, and no per-record dicts are built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -53,7 +52,7 @@ from repro.fusion.auxiliary import (
 )
 from repro.fusion.estimators import SensitiveEstimator
 from repro.fusion.rulegen import monotone_rules
-from repro.fuzzy.batch import as_columns, columns_to_records
+from repro.fuzzy.batch import as_columns
 from repro.fuzzy.inference import MamdaniSystem
 from repro.fuzzy.rules import FuzzyRule, parse_rules
 from repro.fuzzy.tsk import SugenoSystem
@@ -68,6 +67,18 @@ __all__ = [
 ]
 
 _DEFAULT_TERMS = ("low", "medium", "high")
+
+
+def _require_finite(field_name: str, bounds: Sequence[float]) -> None:
+    """Reject a range whose bounds are not finite numbers, naming the field."""
+    try:
+        finite = all(math.isfinite(float(bound)) for bound in bounds)
+    except (TypeError, ValueError):
+        finite = False
+    if not finite:
+        raise AttackConfigurationError(
+            f"{field_name} bounds must be finite numbers, got {bounds!r}"
+        )
 
 
 @dataclass
@@ -110,7 +121,8 @@ class AttackConfig:
         ``"mamdani"`` (paper), ``"sugeno"``, or ``"custom"`` (use ``estimator``).
     estimator:
         A pre-built :class:`~repro.fusion.estimators.SensitiveEstimator` used
-        when ``engine == "custom"``.
+        when ``engine == "custom"``.  It gets the same column block as the
+        built-in engines and must return one estimate per release record.
     defuzzification:
         Defuzzification strategy for the Mamdani engine.
     input_term_count:
@@ -138,6 +150,10 @@ class AttackConfig:
             raise AttackConfigurationError(
                 "the attack needs at least one release or auxiliary input"
             )
+        _require_finite("output_universe", self.output_universe)
+        for field_name in ("input_ranges", "output_ranges"):
+            for name, bounds in (getattr(self, field_name) or {}).items():
+                _require_finite(f"{field_name}[{name!r}]", bounds)
         if self.output_universe[0] >= self.output_universe[1]:
             raise AttackConfigurationError("output_universe must satisfy low < high")
         if self.engine not in ("mamdani", "sugeno", "custom"):
@@ -160,7 +176,6 @@ class AttackResult:
     """Outcome of one fusion attack on one release."""
 
     estimates: np.ndarray
-    records: list[dict[str, float | None]]
     matched: list[bool]
     auxiliary: Table
     system: object
@@ -258,17 +273,15 @@ class WebFusionAttack:
         return harvest_auxiliary(self.source, names, self.config.auxiliary_inputs)
 
     def assemble_columns(
-        self, release: Table, harvested: Sequence[AuxiliaryRecord | None]
+        self, release: Table, harvested: HarvestRecords
     ) -> dict[str, np.ndarray]:
         """Merge release and harvested inputs column-wise into ``(N,)`` arrays.
 
         Release inputs resolve generalized cells to numeric representatives
         (NaN when suppressed); auxiliary inputs are NaN wherever the harvest
         found nothing.  This is the batch layout the fusion engines consume.
-        A :class:`~repro.fusion.auxiliary.HarvestRecords` batch hands its
-        auxiliary columns over as cached arrays (gathered once per harvest,
-        shared across every level of a sweep); a plain record sequence falls
-        back to the per-record extraction.
+        The harvest hands its auxiliary columns over as cached arrays
+        (gathered once per harvest, shared across every level of a sweep).
         """
         missing = [
             name for name in self.config.release_inputs if name not in release.schema
@@ -278,42 +291,20 @@ class WebFusionAttack:
                 f"release is missing configured input columns: {missing}"
             )
         columns = release.numeric_columns(self.config.release_inputs)
-        if isinstance(harvested, HarvestRecords):
-            for name in self.config.auxiliary_inputs:
-                columns[name] = harvested.numeric_column(name).copy()
-            return columns
         for name in self.config.auxiliary_inputs:
-            column = np.full(len(harvested), np.nan)
-            for i, auxiliary in enumerate(harvested):
-                if auxiliary is None:
-                    continue
-                value = auxiliary.numeric_attribute(name)
-                if value is not None:
-                    column[i] = value
-            columns[name] = column
+            columns[name] = harvested.numeric_column(name).copy()
         return columns
 
-    def assemble_records(
-        self, release: Table, harvested: Sequence[AuxiliaryRecord | None]
-    ) -> list[dict[str, float | None]]:
-        """Merge release quasi-identifiers and harvested attributes per record.
-
-        Per-record view of :meth:`assemble_columns`, kept for explanations and
-        API compatibility (``NaN`` cells surface as ``None``).
-        """
-        return columns_to_records(self.assemble_columns(release, harvested))
-
     def calibrate_variables(
-        self,
-        records: Mapping[str, np.ndarray] | Sequence[Mapping[str, float | None]],
+        self, columns: Mapping[str, np.ndarray]
     ) -> tuple[dict[str, LinguisticVariable], LinguisticVariable]:
         """Build input variables from observed marginals and the output variable.
 
-        ``records`` is a column block (or per-record mappings, normalized to
-        one); inputs without a fixed range are quantile-calibrated from the
-        non-NaN entries of their column.
+        ``columns`` is the column block of :meth:`assemble_columns`; inputs
+        without a fixed range are quantile-calibrated from the non-NaN
+        entries of their column.
         """
-        _, columns = as_columns(records, self.config.all_inputs)
+        _, columns = as_columns(columns, self.config.all_inputs)
         term_names = tuple(self.config.input_terms)[: max(self.config.input_term_count, 2)]
         if len(term_names) < self.config.input_term_count:
             term_names = tuple(
@@ -369,8 +360,8 @@ class WebFusionAttack:
         """Execute the attack on a release and return the adversary's estimates.
 
         The fusion inputs are assembled and evaluated column-wise (see the
-        module docstring's *Batch data layout*); the per-record dict view is
-        derived from the same columns for :attr:`AttackResult.records`.
+        module docstring's *Batch data layout*).  Whatever the engine, the
+        estimates must have one value per release record.
 
         ``harvest`` injects a precomputed harvest (the ``(records, table)``
         pair returned by :meth:`harvest` / :func:`harvest_auxiliary` for this
@@ -396,15 +387,13 @@ class WebFusionAttack:
                 "precomputed harvest does not align with the release's "
                 "identifier column (was it harvested for a different row order?)"
             )
+        if not isinstance(harvested, HarvestRecords):
+            harvested = HarvestRecords(harvested)
         columns = self.assemble_columns(release, harvested)
-        records = columns_to_records(columns)
 
         if self.config.engine == "custom":
             system: object = self.config.estimator
-            # Custom estimators keep the historical per-record contract (the
-            # built-in engines and estimators accept the column block too,
-            # but user-supplied ones may not).
-            estimates = self.config.estimator.evaluate_batch(records)
+            estimates = self.config.estimator.evaluate_batch(columns)
         else:
             inputs, output = self.calibrate_variables(columns)
             rules = self.build_rules(inputs, output)
@@ -416,10 +405,15 @@ class WebFusionAttack:
                 defuzzification=self.config.defuzzification,
             )
             estimates = system.evaluate_batch(columns)
+        estimates = np.asarray(estimates, dtype=float)
+        if estimates.shape != (len(names),):
+            raise AttackConfigurationError(
+                f"the fusion estimator returned estimates of shape {estimates.shape}; "
+                f"expected ({len(names)},), one per release record"
+            )
 
         return AttackResult(
-            estimates=np.asarray(estimates, dtype=float),
-            records=records,
+            estimates=estimates,
             matched=[record is not None for record in harvested],
             auxiliary=harvested_table,
             system=system,

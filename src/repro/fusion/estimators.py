@@ -10,16 +10,12 @@ same merged inputs (release quasi-identifiers + harvested web attributes):
 * :class:`RankScalingEstimator` — unsupervised: each record's average
   percentile rank across the available inputs is scaled onto the assumed
   sensitive range.  Like the fuzzy system it needs no labeled data, only the
-  ordinal "bigger inputs, bigger income" assumption;
-* :class:`LinearRegressionEstimator` — least squares on a leaked labeled
-  sample (an adversary who knows a few true salaries);
-* :class:`KNNEstimator` — k-nearest-neighbour regression on the same sample.
+  ordinal "bigger inputs, bigger income" assumption.
 
-All estimators consume either a list of ``{input name: value-or-None}``
-records or a column mapping of ``(N,)`` float arrays (NaN for missing cells,
-the batch layout of :mod:`repro.fuzzy.batch`), so they are drop-in
-replacements for the fuzzy engines inside
-:class:`repro.fusion.attack.WebFusionAttack`.
+Estimators consume the same column block as the fuzzy engines — one ``(N,)``
+float array per input name, NaN for missing cells (see
+:mod:`repro.fuzzy.batch`) — so any :class:`SensitiveEstimator` is a drop-in
+replacement for them inside :class:`repro.fusion.attack.WebFusionAttack`.
 """
 
 from __future__ import annotations
@@ -29,40 +25,32 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from repro.exceptions import AttackConfigurationError
-from repro.fuzzy.batch import BatchRecords, as_columns, batch_length
+from repro.fuzzy.batch import as_columns
 
 __all__ = [
     "SensitiveEstimator",
     "MidpointEstimator",
     "RankScalingEstimator",
-    "LinearRegressionEstimator",
-    "KNNEstimator",
-    "records_to_matrix",
+    "columns_to_matrix",
 ]
-
-
-#: Either per-record mappings or a column mapping of ``(N,)`` float arrays.
-FusionRecords = BatchRecords
 
 
 class SensitiveEstimator(Protocol):
     """Anything that can turn merged fusion inputs into sensitive-value estimates."""
 
-    def evaluate_batch(self, records: "FusionRecords") -> np.ndarray:
-        """Estimates for each record, in order."""
+    def evaluate_batch(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+        """One estimate per row of the column block, in order."""
         ...  # pragma: no cover - protocol
 
 
-def records_to_matrix(
-    records: "FusionRecords", feature_names: Sequence[str]
+def columns_to_matrix(
+    columns: Mapping[str, np.ndarray], feature_names: Sequence[str]
 ) -> np.ndarray:
-    """Stack records into a ``(n, features)`` matrix with NaN for missing values.
+    """Stack a column block into an ``(n, features)`` matrix, NaN where missing.
 
-    Accepts either per-record mappings or an already column-oriented mapping
-    of ``(n,)`` arrays (which just gets stacked in ``feature_names`` order).
+    Columns are taken in ``feature_names`` order; absent ones are all NaN.
     """
-    n, columns = as_columns(records, feature_names)
+    n, columns = as_columns(columns, feature_names)
     if not feature_names:
         return np.full((n, 0), np.nan, dtype=float)
     return np.column_stack([columns[name] for name in feature_names])
@@ -74,9 +62,10 @@ class MidpointEstimator:
 
     output_universe: tuple[float, float]
 
-    def evaluate_batch(self, records: "FusionRecords") -> np.ndarray:
+    def evaluate_batch(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+        n, _ = as_columns(columns, ())
         midpoint = (self.output_universe[0] + self.output_universe[1]) / 2.0
-        return np.full(batch_length(records), midpoint, dtype=float)
+        return np.full(n, midpoint, dtype=float)
 
 
 @dataclass
@@ -94,8 +83,8 @@ class RankScalingEstimator:
     output_universe: tuple[float, float]
     directions: Mapping[str, int] = field(default_factory=dict)
 
-    def evaluate_batch(self, records: "FusionRecords") -> np.ndarray:
-        matrix = records_to_matrix(records, self.feature_names)
+    def evaluate_batch(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+        matrix = columns_to_matrix(columns, self.feature_names)
         n = matrix.shape[0]
         if n == 0:
             return np.array([], dtype=float)
@@ -121,114 +110,3 @@ class RankScalingEstimator:
         mean_rank[has_data] = rank_sums[has_data] / available_counts[has_data]
         estimates[has_data] = low + mean_rank[has_data] * (high - low)
         return estimates
-
-
-@dataclass
-class LinearRegressionEstimator:
-    """Ordinary least squares on a leaked labeled sample.
-
-    Missing feature values are imputed with the training-set column means both
-    at fit and at prediction time.
-    """
-
-    feature_names: tuple[str, ...]
-    output_universe: tuple[float, float]
-    _coefficients: np.ndarray | None = field(init=False, default=None, repr=False)
-    _column_means: np.ndarray | None = field(init=False, default=None, repr=False)
-
-    def fit(
-        self,
-        records: "FusionRecords",
-        targets: Sequence[float],
-    ) -> "LinearRegressionEstimator":
-        """Fit the model; returns ``self`` for chaining."""
-        n = batch_length(records)
-        if n != len(targets):
-            raise AttackConfigurationError("records and targets must have equal length")
-        if n < 2:
-            raise AttackConfigurationError("linear regression needs at least 2 labeled examples")
-        matrix = records_to_matrix(records, self.feature_names)
-        self._column_means = np.nanmean(
-            np.where(np.isnan(matrix), np.nan, matrix), axis=0
-        )
-        self._column_means = np.nan_to_num(self._column_means, nan=0.0)
-        matrix = self._impute(matrix)
-        design = np.column_stack([np.ones(matrix.shape[0]), matrix])
-        solution, *_ = np.linalg.lstsq(design, np.asarray(targets, dtype=float), rcond=None)
-        self._coefficients = solution
-        return self
-
-    def _impute(self, matrix: np.ndarray) -> np.ndarray:
-        filled = matrix.copy()
-        rows, cols = np.where(np.isnan(filled))
-        filled[rows, cols] = self._column_means[cols]
-        return filled
-
-    def evaluate_batch(self, records: "FusionRecords") -> np.ndarray:
-        if self._coefficients is None:
-            raise AttackConfigurationError("call fit() before evaluate_batch()")
-        matrix = self._impute(records_to_matrix(records, self.feature_names))
-        design = np.column_stack([np.ones(matrix.shape[0]), matrix])
-        predictions = design @ self._coefficients
-        return np.clip(predictions, self.output_universe[0], self.output_universe[1])
-
-
-@dataclass
-class KNNEstimator:
-    """k-nearest-neighbour regression on a leaked labeled sample."""
-
-    feature_names: tuple[str, ...]
-    output_universe: tuple[float, float]
-    neighbors: int = 3
-    _train_matrix: np.ndarray | None = field(init=False, default=None, repr=False)
-    _train_targets: np.ndarray | None = field(init=False, default=None, repr=False)
-    _column_means: np.ndarray | None = field(init=False, default=None, repr=False)
-    _column_stds: np.ndarray | None = field(init=False, default=None, repr=False)
-
-    def fit(
-        self,
-        records: "FusionRecords",
-        targets: Sequence[float],
-    ) -> "KNNEstimator":
-        """Fit (memorize and standardize) the training sample."""
-        if self.neighbors < 1:
-            raise AttackConfigurationError("neighbors must be >= 1")
-        n = batch_length(records)
-        if n != len(targets):
-            raise AttackConfigurationError("records and targets must have equal length")
-        if n < self.neighbors:
-            raise AttackConfigurationError(
-                f"need at least {self.neighbors} labeled examples, got {n}"
-            )
-        matrix = records_to_matrix(records, self.feature_names)
-        self._column_means = np.nan_to_num(np.nanmean(matrix, axis=0), nan=0.0)
-        stds = np.nan_to_num(np.nanstd(matrix, axis=0), nan=1.0)
-        self._column_stds = np.where(stds <= 0.0, 1.0, stds)
-        self._train_matrix = self._standardize(matrix)
-        self._train_targets = np.asarray(targets, dtype=float)
-        return self
-
-    def _standardize(self, matrix: np.ndarray) -> np.ndarray:
-        filled = matrix.copy()
-        rows, cols = np.where(np.isnan(filled))
-        filled[rows, cols] = self._column_means[cols]
-        return (filled - self._column_means) / self._column_stds
-
-    def evaluate_batch(self, records: "FusionRecords") -> np.ndarray:
-        if self._train_matrix is None or self._train_targets is None:
-            raise AttackConfigurationError("call fit() before evaluate_batch()")
-        queries = self._standardize(records_to_matrix(records, self.feature_names))
-        if queries.shape[0] == 0:
-            return np.array([], dtype=float)
-        # One (queries, train) distance matrix instead of a per-query loop,
-        # via ||q - t||^2 = ||q||^2 + ||t||^2 - 2 q.t — no (Q, T, F) delta
-        # tensor, so memory stays O(Q*T) even for very large batches.
-        squared = (
-            (queries**2).sum(axis=1)[:, None]
-            + (self._train_matrix**2).sum(axis=1)[None, :]
-            - 2.0 * (queries @ self._train_matrix.T)
-        )
-        distances = np.sqrt(np.maximum(squared, 0.0))
-        nearest = np.argsort(distances, axis=1, kind="stable")[:, : self.neighbors]
-        estimates = self._train_targets[nearest].mean(axis=1)
-        return np.clip(estimates, self.output_universe[0], self.output_universe[1])

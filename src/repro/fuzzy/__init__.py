@@ -1,6 +1,6 @@
 """Fuzzy inference substrate (the paper's information-fusion engine)."""
 
-from repro.fuzzy.batch import as_columns, batch_length, columns_to_records
+from repro.fuzzy.batch import as_columns
 from repro.fuzzy.defuzzify import (
     BATCH_STRATEGIES,
     STRATEGIES,
@@ -52,6 +52,4 @@ __all__ = [
     "mean_of_maxima_batch",
     "BATCH_STRATEGIES",
     "as_columns",
-    "batch_length",
-    "columns_to_records",
 ]

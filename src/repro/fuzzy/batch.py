@@ -1,20 +1,20 @@
-"""Column-oriented record batches for the vectorized fusion engines.
+"""Column blocks: the one batch layout of the fusion layer.
 
 The batch fusion kernels (:class:`~repro.fuzzy.inference.MamdaniSystem` and
-:class:`~repro.fuzzy.tsk.SugenoSystem`) operate on a **column block**: one
-``(N,)`` float array per input variable, with ``NaN`` marking a missing cell
-(a suppressed release value, a person with no web presence).  This module
-normalizes the two accepted record representations into that layout:
+:class:`~repro.fuzzy.tsk.SugenoSystem`) and the estimators of
+:mod:`repro.fusion.estimators` take a **column block**: a mapping of input
+name to one ``(N,)`` float array, with ``NaN`` (or ``None``) marking a missing
+cell (a suppressed release value, a person with no web presence).
+:class:`~repro.fusion.attack.WebFusionAttack` assembles that block column-wise
+straight from the release table and the harvest.
 
-* a *sequence of mapping records* — ``[{"x": 1.0, "y": None}, ...]`` — the
-  historical per-record form kept for API compatibility;
-* a *column mapping* — ``{"x": np.array([...]), "y": np.array([...])}`` — the
-  fast path used by :class:`~repro.fusion.attack.WebFusionAttack`, which
-  assembles inputs column-wise straight from the release table.
-
-``None`` cells and absent keys both become ``NaN``; downstream the fuzzifier
-masks ``NaN`` inputs by assigning full membership to every term (the input
-contributes no information), matching the scalar engines' ``None`` handling.
+:func:`as_columns` validates a caller's block and fills absent inputs with
+``NaN``; anything other than a mapping (a list of per-record dicts, say) is
+rejected with a :class:`~repro.exceptions.FuzzyEvaluationError` that names the
+layout.  The one-record APIs (``evaluate``/``trace``) wrap their record as a
+one-row block with :func:`record_columns`.  Downstream the fuzzifier masks
+``NaN`` inputs by assigning full membership to every term (the input
+contributes no information).
 """
 
 from __future__ import annotations
@@ -25,10 +25,7 @@ import numpy as np
 
 from repro.exceptions import FuzzyEvaluationError
 
-__all__ = ["BatchRecords", "batch_length", "as_columns", "columns_to_records"]
-
-#: The two accepted batch layouts (see module docstring).
-BatchRecords = Sequence[Mapping[str, float | None]] | Mapping[str, np.ndarray]
+__all__ = ["as_columns", "record_columns"]
 
 
 def _column_array(values: object, name: str) -> np.ndarray:
@@ -49,94 +46,55 @@ def _column_array(values: object, name: str) -> np.ndarray:
     return column
 
 
-def batch_length(records: BatchRecords) -> int:
-    """Number of records in either batch representation."""
-    if isinstance(records, Mapping):
-        if not records:
-            return 0
-        return len(_column_array(next(iter(records.values())), "first"))
-    return len(records)
-
-
 def as_columns(
-    records: BatchRecords,
+    columns: Mapping[str, object],
     variable_names: Sequence[str],
     strict: bool = False,
 ) -> tuple[int, dict[str, np.ndarray]]:
-    """Normalize ``records`` into ``(N, {variable: (N,) float array})``.
+    """Normalize a column block into ``(N, {variable: (N,) float array})``.
 
-    Every name in ``variable_names`` gets a column; cells that are ``None``,
-    NaN, or simply absent become ``NaN``.  With ``strict=True`` any key not in
-    ``variable_names`` raises (mirroring the scalar Mamdani ``trace``
-    validation); otherwise extra keys are ignored (scalar Sugeno behaviour).
+    Every name in ``variable_names`` gets a column; cells that are ``None``
+    or NaN, and columns that are absent, become ``NaN``.  With
+    ``strict=True`` any key not in ``variable_names`` raises (the Mamdani
+    engine's validation); otherwise extra keys are ignored.
     """
+    if not isinstance(columns, Mapping):
+        raise FuzzyEvaluationError(
+            "batch inputs must be a column block {input name: (N,) float array}, "
+            f"got {type(columns).__name__}"
+        )
     names = list(variable_names)
-    if isinstance(records, Mapping):
-        unknown = set(records) - set(names)
-        if strict and unknown:
-            raise FuzzyEvaluationError(
-                f"inputs reference unknown variables: {sorted(unknown)}"
-            )
-        # Every provided column — recognized or not — participates in the
-        # length check, so a mapping of only-unknown keys still yields an
-        # N-record batch (of all-NaN inputs) rather than collapsing to N=0.
-        known = set(names)
-        columns: dict[str, np.ndarray] = {}
-        lengths: dict[str, int] = {}
-        for name, values in records.items():
-            column = _column_array(values, name)
-            lengths[name] = len(column)
-            if name in known:
-                columns[name] = column
-        if len(set(lengths.values())) > 1:
-            raise FuzzyEvaluationError(
-                f"input columns have inconsistent lengths: {lengths}"
-            )
-        n = next(iter(lengths.values())) if lengths else 0
-        for name in names:
-            if name not in columns:
-                columns[name] = np.full(n, np.nan)
-        return n, columns
-
-    n = len(records)
-    if strict:
-        known = set(names)
-        for record in records:
-            unknown = set(record) - known
-            if unknown:
-                raise FuzzyEvaluationError(
-                    f"inputs reference unknown variables: {sorted(unknown)}"
-                )
-    columns = {name: np.full(n, np.nan) for name in names}
-    for i, record in enumerate(records):
-        for name in names:
-            value = record.get(name)
-            if value is None:
-                continue
-            columns[name][i] = float(value)
-    return n, columns
+    known = set(names)
+    unknown = set(columns) - known
+    if strict and unknown:
+        raise FuzzyEvaluationError(
+            f"inputs reference unknown variables: {sorted(unknown)}"
+        )
+    # Every provided column — recognized or not — participates in the length
+    # check, so a block of only-unknown keys still yields an N-record batch
+    # (of all-NaN inputs) rather than collapsing to N=0.
+    arrays: dict[str, np.ndarray] = {}
+    lengths: dict[str, int] = {}
+    for name, values in columns.items():
+        column = _column_array(values, name)
+        lengths[name] = len(column)
+        if name in known:
+            arrays[name] = column
+    if len(set(lengths.values())) > 1:
+        raise FuzzyEvaluationError(
+            f"input columns have inconsistent lengths: {lengths}"
+        )
+    n = next(iter(lengths.values())) if lengths else 0
+    for name in names:
+        if name not in arrays:
+            arrays[name] = np.full(n, np.nan)
+    return n, arrays
 
 
-def columns_to_records(
-    columns: Mapping[str, np.ndarray],
-) -> list[dict[str, float | None]]:
-    """Expand a column block back into per-record dicts (``NaN`` -> ``None``).
-
-    Used to keep :class:`~repro.fusion.attack.AttackResult.records` in its
-    historical per-record form while the fusion itself runs column-wise.
-    """
-    names = list(columns)
-    arrays = {name: _column_array(columns[name], name) for name in names}
-    lengths = {len(a) for a in arrays.values()}
-    if len(lengths) > 1:
-        raise FuzzyEvaluationError("input columns have inconsistent lengths")
-    n = lengths.pop() if lengths else 0
-    # One isnan pass + tolist per column, then plain-Python assembly: per-cell
-    # numpy scalar indexing is ~10x slower and this runs on the attack path.
-    cells = {}
-    for name, array in arrays.items():
-        cells[name] = [
-            None if missing else value
-            for missing, value in zip(np.isnan(array).tolist(), array.tolist())
-        ]
-    return [{name: cells[name][i] for name in names} for i in range(n)]
+def record_columns(
+    record: Mapping[str, float | None], variable_names: Sequence[str]
+) -> dict[str, list[float | None]]:
+    """One record as a one-row column block; absent variables get ``None``."""
+    block: dict[str, list[float | None]] = {name: [None] for name in variable_names}
+    block.update((name, [value]) for name, value in record.items())
+    return block

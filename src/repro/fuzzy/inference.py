@@ -18,17 +18,18 @@ fully possible (membership 1), i.e. the input contributes no information,
 which is the conservative choice for an adversary.
 
 The pipeline is implemented as a **batch kernel**: :meth:`evaluate_batch`
-fuzzifies whole ``(N,)`` input columns at once, forms the ``(N, n_rules)``
-firing-strength matrix, aggregates implied curves into an ``(N, resolution)``
-block (grouping rules by consequent term, since ``max_j min(curve, s_j) ==
-min(curve, max_j s_j)`` exactly), and defuzzifies all rows together.  The
-scalar :meth:`evaluate` / :meth:`trace` API is a thin wrapper running the same
-kernel on a single-record batch, so explanations stay available and scalar
-and batch outputs agree to within 1e-9 (the property suite in
+takes a column block (one ``(N,)`` float array per input, see
+:mod:`repro.fuzzy.batch`), fuzzifies whole columns at once, forms the
+``(N, n_rules)`` firing-strength matrix, aggregates implied curves into an
+``(N, resolution)`` block (grouping rules by consequent term, since
+``max_j min(curve, s_j) == min(curve, max_j s_j)`` exactly), and defuzzifies
+all rows together.  The one-record :meth:`evaluate` / :meth:`trace` API runs
+the same kernel on a one-row block, so explanations stay available and
+one-record and batch outputs agree to within 1e-9 (the property suite in
 ``tests/test_batch_equivalence.py`` enforces this, including against a
 reference implementation of the original per-record loop).  Records whose
-aggregated curve is identically
-zero (no rule fired) fall back to the midpoint of the output universe.
+aggregated curve is identically zero (no rule fired) fall back to the
+midpoint of the output universe.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.exceptions import FuzzyDefinitionError, FuzzyEvaluationError
-from repro.fuzzy.batch import BatchRecords, as_columns
+from repro.fuzzy.batch import as_columns, record_columns
 from repro.fuzzy.defuzzify import defuzzify_batch
 from repro.fuzzy.rules import FuzzyRule, firing_strength_matrix
 from repro.fuzzy.variables import LinguisticVariable
@@ -136,7 +137,9 @@ class MamdaniSystem:
     def trace(self, inputs: Mapping[str, float | None]) -> InferenceTrace:
         """Evaluate one record through the batch kernel and return every
         intermediate quantity (for explanations and tests)."""
-        fuzzified_batch, strengths, aggregated, outputs = self._batch_kernel([inputs])
+        fuzzified_batch, strengths, aggregated, outputs = self._batch_kernel(
+            record_columns(inputs, self.inputs)
+        )
         return InferenceTrace(
             fuzzified={
                 name: {term: float(degrees[0]) for term, degrees in terms.items()}
@@ -147,22 +150,20 @@ class MamdaniSystem:
             output=float(outputs[0]),
         )
 
-    def evaluate_batch(self, records: BatchRecords) -> np.ndarray:
-        """Crisp outputs for a whole batch of records at once.
+    def evaluate_batch(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Crisp outputs for a column block of ``(N,)`` input arrays.
 
-        ``records`` is either a sequence of per-record mappings (``None`` /
-        NaN marking missing cells) or a column mapping of ``(N,)`` float
-        arrays (NaN marking missing cells) — the layout produced by
-        :meth:`repro.fusion.attack.WebFusionAttack.assemble_columns`.
+        NaN (or ``None``) marks a missing cell; this is the layout produced
+        by :meth:`repro.fusion.attack.WebFusionAttack.assemble_columns`.
         """
-        return self._batch_kernel(records)[3]
+        return self._batch_kernel(columns)[3]
 
     # Batch kernel ---------------------------------------------------------------
 
     def _batch_kernel(
-        self, records: BatchRecords
+        self, block: Mapping[str, np.ndarray]
     ) -> tuple[dict[str, dict[str, np.ndarray]], np.ndarray, np.ndarray, np.ndarray]:
-        """Run the full Mamdani pipeline over a batch.
+        """Run the full Mamdani pipeline over a column block.
 
         Returns ``(fuzzified, strengths, aggregated, outputs)`` where
         ``fuzzified`` maps variable -> term -> ``(N,)`` degrees, ``strengths``
@@ -172,7 +173,7 @@ class MamdaniSystem:
         """
         if not self.rules:
             raise FuzzyEvaluationError("the rule base is empty; add rules before evaluating")
-        n, columns = as_columns(records, list(self.inputs), strict=True)
+        n, columns = as_columns(block, list(self.inputs), strict=True)
         fuzzified = self.fuzzify_batch(columns)
         strengths = firing_strength_matrix(self.rules, fuzzified)
 

@@ -12,10 +12,11 @@ Consequent values can be given explicitly, or derived from an output
 :class:`~repro.fuzzy.variables.LinguisticVariable` by taking each term's
 centroid — this makes it a drop-in replacement for a Mamdani rule base.
 
-Like the Mamdani engine, evaluation is implemented as a batch kernel: the
-``(N, n_rules)`` firing matrix is built from whole input columns and the
-weighted average is one matrix-vector product; the scalar :meth:`evaluate`
-wraps the kernel on a single-record batch.  Records for which no rule fires
+Like the Mamdani engine, evaluation is implemented as a batch kernel over a
+column block (see :mod:`repro.fuzzy.batch`): the ``(N, n_rules)`` firing
+matrix is built from whole input columns and the weighted average is one
+matrix-vector product; the one-record :meth:`evaluate` wraps the kernel on a
+one-row block.  Records for which no rule fires
 fall back to the midpoint of the output universe.
 """
 
@@ -27,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.exceptions import FuzzyDefinitionError, FuzzyEvaluationError
-from repro.fuzzy.batch import BatchRecords, as_columns
+from repro.fuzzy.batch import as_columns, record_columns
 from repro.fuzzy.rules import FuzzyRule, firing_strength_matrix
 from repro.fuzzy.variables import LinguisticVariable
 
@@ -120,20 +121,19 @@ class SugenoSystem:
 
     def evaluate(self, inputs: Mapping[str, float | None]) -> float:
         """Weighted-average crisp output for the given inputs."""
-        return float(self.evaluate_batch([inputs])[0])
+        return float(self.evaluate_batch(record_columns(inputs, self.inputs))[0])
 
-    def evaluate_batch(self, records: BatchRecords) -> np.ndarray:
-        """Crisp outputs for a whole batch of records at once.
+    def evaluate_batch(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Crisp outputs for a column block of ``(N,)`` input arrays.
 
-        Accepts either a sequence of per-record mappings or a column mapping
-        of ``(N,)`` float arrays with NaN marking missing cells.  The
-        ``(N, n_rules)`` firing matrix is contracted against the consequent
-        value vector; zero-denominator records (no rule fired) fall back to
-        the output-universe midpoint.
+        NaN (or ``None``) marks a missing cell.  The ``(N, n_rules)`` firing
+        matrix is contracted against the consequent value vector;
+        zero-denominator records (no rule fired) fall back to the
+        output-universe midpoint.
         """
         if not self.rules:
             raise FuzzyEvaluationError("the rule base is empty; add rules before evaluating")
-        n, columns = as_columns(records, list(self.inputs), strict=False)
+        n, columns = as_columns(columns, list(self.inputs), strict=False)
         fuzzified = self.fuzzify_batch(columns)
         strengths = firing_strength_matrix(self.rules, fuzzified)
         values = np.array(

@@ -71,6 +71,29 @@ class TestAttackConfig:
                 output_universe=(1.0, 1.0),
             )
 
+    @pytest.mark.parametrize(
+        "universe", [(0.0, float("inf")), (float("nan"), 100.0), (float("-inf"), 1.0)]
+    )
+    def test_output_universe_must_be_finite(self, universe):
+        with pytest.raises(AttackConfigurationError, match="output_universe"):
+            AttackConfig(
+                release_inputs=("a",), auxiliary_inputs=(), output_name="y",
+                output_universe=universe,
+            )
+
+    @pytest.mark.parametrize("bounds", [(1.0, float("inf")), (float("nan"), 10.0)])
+    def test_input_and_output_ranges_must_be_finite(self, bounds):
+        with pytest.raises(AttackConfigurationError, match=r"input_ranges\['a'\]"):
+            AttackConfig(
+                release_inputs=("a",), auxiliary_inputs=(), output_name="y",
+                output_universe=(0.0, 1.0), input_ranges={"a": bounds},
+            )
+        with pytest.raises(AttackConfigurationError, match=r"output_ranges\['high'\]"):
+            AttackConfig(
+                release_inputs=("a",), auxiliary_inputs=(), output_name="y",
+                output_universe=(0.0, 10.0), output_ranges={"high": bounds},
+            )
+
     def test_engine_validation(self):
         with pytest.raises(AttackConfigurationError):
             AttackConfig(
@@ -178,19 +201,37 @@ class TestAttackOnCustomers:
         result = WebFusionAttack(customer_corpus, config).run(release)
         assert np.allclose(result.estimates, 70_000.0)
 
-    def test_custom_estimator_keeps_per_record_contract(
-        self, customer_corpus, customer_config
-    ):
-        # User-supplied estimators were written against a sequence of
-        # per-record dicts; the batch rewrite must keep handing them that.
-        seen: list = []
+    def test_custom_estimator_gets_column_block(self, customer_config, monkeypatch):
+        # Robert has no web page, so the harvest misses one release record.
+        auxiliary = adversary_auxiliary_example()
+        corpus = SimulatedWebCorpus.from_profiles(
+            [
+                {"name": row["name"], "property_holdings": float(row["property_holdings"])}
+                for row in auxiliary.rows()
+                if row["name"] != "Robert"
+            ],
+            ("property_holdings",), noise_level=0.0, coverage=1.0,
+            name_variant_probability=0.0, seed=1,
+        )
+        release = MDAVAnonymizer().anonymize(enterprise_customers_example(), 2).release
+        names = [str(n) for n in release.identifier_column()]
+
+        mamdani_blocks: list = []
+        evaluate_batch = MamdaniSystem.evaluate_batch
+
+        def recording_evaluate_batch(system, columns):
+            mamdani_blocks.append(columns)
+            return evaluate_batch(system, columns)
+
+        monkeypatch.setattr(MamdaniSystem, "evaluate_batch", recording_evaluate_batch)
+        WebFusionAttack(corpus, customer_config).run(release)
+
+        custom_blocks: list = []
 
         class RecordingEstimator:
-            def evaluate_batch(self, records):
-                seen.append(records)
-                return np.array(
-                    [50_000.0 + (record.get("age") or 0.0) for record in records]
-                )
+            def evaluate_batch(self, columns):
+                custom_blocks.append(columns)
+                return np.full(len(names), 50_000.0)
 
         config = AttackConfig(
             release_inputs=customer_config.release_inputs,
@@ -200,13 +241,41 @@ class TestAttackOnCustomers:
             engine="custom",
             estimator=RecordingEstimator(),
         )
-        private = enterprise_customers_example()
-        release = MDAVAnonymizer().anonymize(private, 2).release
-        result = WebFusionAttack(customer_corpus, config).run(release)
-        assert len(seen) == 1
-        assert isinstance(seen[0], list)
-        assert all(isinstance(record, dict) for record in seen[0])
-        assert result.estimates.shape == (release.num_rows,)
+        result = WebFusionAttack(corpus, config).run(release)
+
+        assert len(custom_blocks) == len(mamdani_blocks) == 1
+        custom, mamdani = custom_blocks[0], mamdani_blocks[0]
+        assert set(custom) == set(mamdani) == set(config.all_inputs)
+        for name in config.all_inputs:
+            assert custom[name].dtype == np.float64
+            assert custom[name].shape == (len(names),)
+            np.testing.assert_array_equal(custom[name], mamdani[name])
+        holdings = custom["property_holdings"]
+        assert np.isnan(holdings[names.index("Robert")])
+        assert not np.isnan(np.delete(holdings, names.index("Robert"))).any()
+        assert result.matched == [name != "Robert" for name in names]
+
+    @pytest.mark.parametrize(
+        "shape", [(3,), (), (4, 2)], ids=["too-short", "scalar", "two-column"]
+    )
+    def test_custom_estimator_output_must_be_one_per_record(
+        self, customer_corpus, customer_config, shape
+    ):
+        class MisshapenEstimator:
+            def evaluate_batch(self, columns):
+                return np.full(shape, 50_000.0)
+
+        config = AttackConfig(
+            release_inputs=customer_config.release_inputs,
+            auxiliary_inputs=customer_config.auxiliary_inputs,
+            output_name="income",
+            output_universe=(40_000.0, 100_000.0),
+            engine="custom",
+            estimator=MisshapenEstimator(),
+        )
+        release = MDAVAnonymizer().anonymize(enterprise_customers_example(), 2).release
+        with pytest.raises(AttackConfigurationError, match=r"expected \(4,\)"):
+            WebFusionAttack(customer_corpus, config).run(release)
 
     def test_sugeno_engine(self, customer_corpus, customer_config):
         config = AttackConfig(

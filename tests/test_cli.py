@@ -195,6 +195,20 @@ class TestAttackCommand:
         )
         assert exit_code == 2
 
+    def test_infinite_range_names_the_field(self, csv_paths, tmp_path, capsys):
+        private_path, aux_path = csv_paths
+        release_path = tmp_path / "release.csv"
+        main(["anonymize", "--input", str(private_path), "--output", str(release_path), "--k", "3"])
+        capsys.readouterr()
+        exit_code = main(
+            [
+                "attack", "--release", str(release_path), "--auxiliary", str(aux_path),
+                "--sensitive-low", "0", "--sensitive-high", "inf",
+            ]
+        )
+        assert exit_code == 2
+        assert "output_universe bounds must be finite" in capsys.readouterr().err
+
 
 class TestFredCommand:
     def test_selects_level_and_writes_release(self, csv_paths, tmp_path, capsys):
@@ -226,34 +240,60 @@ class TestFredCommand:
         assert parallel_out == serial_out
 
 
+def _start_serve(tmp_path, preexec_fn=None):
+    """Start ``repro serve`` on a free port; returns ``(process, base URL)``."""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+         "--cache-dir", str(tmp_path / "spill")],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=env,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        preexec_fn=preexec_fn,
+    )
+    try:
+        banner = process.stdout.readline()
+        assert "serving on http://" in banner, banner
+    except BaseException:
+        _stop_serve(process)
+        raise
+    port = int(banner.strip().rsplit(":", 1)[1])
+    return process, f"http://127.0.0.1:{port}"
+
+
+def _stop_serve(process):
+    if process.poll() is None:
+        process.kill()
+        process.wait(timeout=30)
+    process.stdout.close()
+
+
+def _ignore_sigint():
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+DRAIN_LINE = "shutting down (draining in-flight jobs)"
+
+
 class TestServeCommand:
     def test_serve_subprocess_answers_http(self, csv_paths, tmp_path):
         """``repro serve`` boots, registers a dataset, serves a release, dies."""
         import json
-        import os
         import signal
-        import subprocess
-        import sys
         import urllib.request
 
         private_path, _ = csv_paths
-        env = dict(os.environ)
-        env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-             "--cache-dir", str(tmp_path / "spill")],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-            env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
+        process, base = _start_serve(tmp_path)
         try:
-            banner = process.stdout.readline()
-            assert "serving on http://" in banner
-            port = int(banner.strip().rsplit(":", 1)[1])
-            base = f"http://127.0.0.1:{port}"
-
             with urllib.request.urlopen(f"{base}/healthz", timeout=30) as response:
                 assert json.loads(response.read()) == {"status": "ok"}
 
@@ -280,8 +320,28 @@ class TestServeCommand:
 
             process.send_signal(signal.SIGINT)
             assert process.wait(timeout=30) == 0
+            assert DRAIN_LINE in process.stdout.read()
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=30)
-            process.stdout.close()
+            _stop_serve(process)
+
+    @pytest.mark.parametrize(
+        ("signal_name", "preexec_fn"),
+        [("SIGINT", None), ("SIGTERM", None), ("SIGINT", _ignore_sigint)],
+        ids=["sigint", "sigterm", "sigint-inherited-ignored"],
+    )
+    def test_stop_signal_drains_and_exits_cleanly(self, tmp_path, signal_name, preexec_fn):
+        """SIGTERM, and SIGINT even when started with SIGINT ignored (a shell's
+        ``&`` background job), take the drain path and exit 0."""
+        import json
+        import signal
+        import urllib.request
+
+        process, base = _start_serve(tmp_path, preexec_fn=preexec_fn)
+        try:
+            with urllib.request.urlopen(f"{base}/healthz", timeout=30) as response:
+                assert json.loads(response.read()) == {"status": "ok"}
+            process.send_signal(getattr(signal, signal_name))
+            assert process.wait(timeout=30) == 0
+            assert DRAIN_LINE in process.stdout.read()
+        finally:
+            _stop_serve(process)

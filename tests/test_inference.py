@@ -130,8 +130,9 @@ class TestMamdaniSystem:
         assert trace.output == income_system.evaluate({"valuation": 9, "property": 5000})
 
     def test_evaluate_batch(self, income_system):
-        records = [{"valuation": 2, "property": 500}, {"valuation": 9, "property": 5500}]
-        estimates = income_system.evaluate_batch(records)
+        estimates = income_system.evaluate_batch(
+            {"valuation": np.array([2.0, 9.0]), "property": np.array([500.0, 5500.0])}
+        )
         assert estimates.shape == (2,)
         assert estimates[1] > estimates[0]
 

@@ -94,6 +94,8 @@ class TestInferenceProperties:
     def test_batch_matches_pointwise(self, values):
         mamdani, _ = _build_systems(3)
         records = [{"a": v, "b": v * 10} for v in values]
-        batch = mamdani.evaluate_batch(records)
+        batch = mamdani.evaluate_batch(
+            {"a": np.array(values), "b": np.array(values) * 10}
+        )
         pointwise = np.array([mamdani.evaluate(r) for r in records])
         assert np.allclose(batch, pointwise)

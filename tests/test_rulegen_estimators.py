@@ -5,13 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import AttackConfigurationError, FuzzyDefinitionError
+from repro.exceptions import FuzzyDefinitionError, FuzzyEvaluationError
 from repro.fusion.estimators import (
-    KNNEstimator,
-    LinearRegressionEstimator,
     MidpointEstimator,
     RankScalingEstimator,
-    records_to_matrix,
+    columns_to_matrix,
 )
 from repro.fusion.rulegen import monotone_rules, wang_mendel_rules
 from repro.fuzzy.inference import MamdaniSystem
@@ -110,98 +108,43 @@ class TestWangMendel:
             wang_mendel_rules([{"score": None}], [1.0], inputs, output)
 
 
-class TestRecordsToMatrix:
+class TestColumnsToMatrix:
     def test_missing_values_become_nan(self):
-        matrix = records_to_matrix([{"a": 1.0, "b": None}, {"a": None}], ["a", "b"])
+        # A None cell and an absent column ("b") both come out as NaN.
+        matrix = columns_to_matrix({"a": [1.0, None]}, ["a", "b"])
         assert matrix.shape == (2, 2)
         assert matrix[0, 0] == 1.0
         assert np.isnan(matrix[0, 1]) and np.isnan(matrix[1, 0]) and np.isnan(matrix[1, 1])
+
+    def test_record_list_is_rejected_with_the_column_layout_named(self):
+        with pytest.raises(FuzzyEvaluationError, match="column block"):
+            RankScalingEstimator(("x",), (0.0, 1.0)).evaluate_batch([{"x": 1.0}])
 
 
 class TestMidpointEstimator:
     def test_constant_output(self):
         estimator = MidpointEstimator((0.0, 100.0))
-        estimates = estimator.evaluate_batch([{}, {"x": 1.0}])
+        estimates = estimator.evaluate_batch({"x": np.array([np.nan, 1.0])})
         assert np.allclose(estimates, 50.0)
 
 
 class TestRankScalingEstimator:
     def test_recovers_order(self):
         estimator = RankScalingEstimator(("x",), (0.0, 100.0))
-        records = [{"x": v} for v in (5.0, 1.0, 9.0)]
-        estimates = estimator.evaluate_batch(records)
+        estimates = estimator.evaluate_batch({"x": np.array([5.0, 1.0, 9.0])})
         assert estimates[2] > estimates[0] > estimates[1]
         assert estimates.min() >= 0 and estimates.max() <= 100
 
     def test_negative_direction(self):
         estimator = RankScalingEstimator(("x",), (0.0, 100.0), directions={"x": -1})
-        estimates = estimator.evaluate_batch([{"x": 1.0}, {"x": 9.0}])
+        estimates = estimator.evaluate_batch({"x": np.array([1.0, 9.0])})
         assert estimates[0] > estimates[1]
 
     def test_records_without_data_get_midpoint(self):
         estimator = RankScalingEstimator(("x",), (0.0, 100.0))
-        estimates = estimator.evaluate_batch([{"x": None}, {"x": 3.0}, {"x": 7.0}])
+        estimates = estimator.evaluate_batch({"x": np.array([np.nan, 3.0, 7.0])})
         assert estimates[0] == pytest.approx(50.0)
 
     def test_empty_batch(self):
         estimator = RankScalingEstimator(("x",), (0.0, 100.0))
-        assert estimator.evaluate_batch([]).size == 0
-
-
-class TestLinearRegressionEstimator:
-    def test_recovers_linear_relationship(self, rng):
-        x = rng.uniform(0, 10, size=60)
-        y = 3.0 * x + 5.0
-        estimator = LinearRegressionEstimator(("x",), (0.0, 40.0))
-        estimator.fit([{"x": float(v)} for v in x], list(y))
-        predictions = estimator.evaluate_batch([{"x": 2.0}, {"x": 8.0}])
-        assert predictions[0] == pytest.approx(11.0, abs=0.5)
-        assert predictions[1] == pytest.approx(29.0, abs=0.5)
-
-    def test_predictions_clipped_to_universe(self, rng):
-        estimator = LinearRegressionEstimator(("x",), (0.0, 10.0))
-        estimator.fit([{"x": 0.0}, {"x": 1.0}, {"x": 2.0}], [0.0, 5.0, 10.0])
-        assert estimator.evaluate_batch([{"x": 100.0}])[0] <= 10.0
-
-    def test_missing_values_imputed(self):
-        estimator = LinearRegressionEstimator(("x", "y"), (0.0, 100.0))
-        estimator.fit(
-            [{"x": 1.0, "y": 2.0}, {"x": 2.0, "y": None}, {"x": 3.0, "y": 4.0}],
-            [10.0, 20.0, 30.0],
-        )
-        predictions = estimator.evaluate_batch([{"x": 2.0, "y": None}])
-        assert 0.0 <= predictions[0] <= 100.0
-
-    def test_fit_required_before_predict(self):
-        estimator = LinearRegressionEstimator(("x",), (0.0, 1.0))
-        with pytest.raises(AttackConfigurationError):
-            estimator.evaluate_batch([{"x": 1.0}])
-
-    def test_fit_validation(self):
-        estimator = LinearRegressionEstimator(("x",), (0.0, 1.0))
-        with pytest.raises(AttackConfigurationError):
-            estimator.fit([{"x": 1.0}], [1.0, 2.0])
-        with pytest.raises(AttackConfigurationError):
-            estimator.fit([{"x": 1.0}], [1.0])
-
-
-class TestKNNEstimator:
-    def test_nearest_neighbour_average(self):
-        estimator = KNNEstimator(("x",), (0.0, 100.0), neighbors=2)
-        estimator.fit(
-            [{"x": 0.0}, {"x": 1.0}, {"x": 10.0}, {"x": 11.0}], [10.0, 20.0, 80.0, 90.0]
-        )
-        predictions = estimator.evaluate_batch([{"x": 0.5}, {"x": 10.5}])
-        assert predictions[0] == pytest.approx(15.0)
-        assert predictions[1] == pytest.approx(85.0)
-
-    def test_validation(self):
-        with pytest.raises(AttackConfigurationError):
-            KNNEstimator(("x",), (0.0, 1.0), neighbors=0).fit([{"x": 1.0}], [1.0])
-        estimator = KNNEstimator(("x",), (0.0, 1.0), neighbors=3)
-        with pytest.raises(AttackConfigurationError):
-            estimator.fit([{"x": 1.0}], [1.0])
-        with pytest.raises(AttackConfigurationError):
-            KNNEstimator(("x",), (0.0, 1.0)).evaluate_batch([{"x": 1.0}])
-        with pytest.raises(AttackConfigurationError):
-            KNNEstimator(("x",), (0.0, 1.0)).fit([{"x": 1.0}, {"x": 2.0}], [1.0])
+        assert estimator.evaluate_batch({"x": np.array([])}).size == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import FuzzyDefinitionError, FuzzyEvaluationError
@@ -86,7 +87,7 @@ class TestSugenoSystem:
             system.evaluate({"valuation": 5})
 
     def test_evaluate_batch(self, system):
-        estimates = system.evaluate_batch([{"valuation": 1}, {"valuation": 10}])
+        estimates = system.evaluate_batch({"valuation": np.array([1.0, 10.0])})
         assert estimates[1] > estimates[0]
 
     def test_requires_inputs(self, variables):
