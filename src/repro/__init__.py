@@ -6,8 +6,8 @@ The package provides:
 * :mod:`repro.dataset` — the enterprise-database substrate (schemas with
   identifier / quasi-identifier / sensitive roles, tables, generalization);
 * :mod:`repro.anonymize` — partitioning-based anonymizers (MDAV
-  microaggregation, Mondrian, Datafly, clustering) plus k-anonymity,
-  l-diversity and t-closeness predicates;
+  microaggregation, Mondrian, Datafly, clustering) plus k-anonymity
+  predicates;
 * :mod:`repro.fuzzy` — the Mamdani / Sugeno fuzzy-inference engines used as
   the information-fusion system;
 * :mod:`repro.fusion` — the Web-Based Information-Fusion Attack: simulated web

@@ -3,7 +3,6 @@
 from repro.anonymize.base import (
     AnonymizationResult,
     BaseAnonymizer,
-    EquivalenceClass,
     build_release,
     validate_k,
 )
@@ -12,16 +11,9 @@ from repro.anonymize.datafly import DataflyAnonymizer, default_hierarchies
 from repro.anonymize.kanonymity import (
     anonymity_level,
     class_size_histogram,
-    equivalence_classes_of_release,
     is_k_anonymous,
     quasi_identifier_signature,
-)
-from repro.anonymize.ldiversity import (
-    discretize_sensitive,
-    distinct_diversity,
-    entropy_diversity,
-    is_distinct_l_diverse,
-    is_entropy_l_diverse,
+    release_class_labels,
 )
 from repro.anonymize.mdav import MDAVAnonymizer
 from repro.anonymize.mondrian import MondrianAnonymizer
@@ -31,12 +23,10 @@ from repro.anonymize.suppression import (
     naive_release,
     suppress_cells,
 )
-from repro.anonymize.tcloseness import closeness, is_t_close, ordered_emd
 
 __all__ = [
     "AnonymizationResult",
     "BaseAnonymizer",
-    "EquivalenceClass",
     "build_release",
     "validate_k",
     "MDAVAnonymizer",
@@ -46,17 +36,9 @@ __all__ = [
     "default_hierarchies",
     "anonymity_level",
     "class_size_histogram",
-    "equivalence_classes_of_release",
+    "release_class_labels",
     "is_k_anonymous",
     "quasi_identifier_signature",
-    "discretize_sensitive",
-    "distinct_diversity",
-    "entropy_diversity",
-    "is_distinct_l_diverse",
-    "is_entropy_l_diverse",
-    "closeness",
-    "is_t_close",
-    "ordered_emd",
     "drop_identifiers",
     "drop_sensitive",
     "naive_release",

@@ -3,7 +3,9 @@
 Every anonymizer in this package follows the same two-step contract:
 
 1. **partition** the records into equivalence classes of size at least ``k``
-   using only the quasi-identifier attributes;
+   using only the quasi-identifier attributes, returned as one ``(n,)``
+   integer label array: ``labels[row]`` is the row's class id, and ids
+   ``0..m-1`` follow the order in which the anonymizer forms its classes;
 2. **build a release** in which, within each equivalence class, the
    quasi-identifier cells are replaced by a class-level generalized value
    (an interval covering the class, the class centroid, or a taxonomy node)
@@ -19,17 +21,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Sequence
-
 import numpy as np
 
 from repro.dataset.generalization import Interval, cover_values
 from repro.dataset.statistics import standardize_matrix
-from repro.dataset.table import Table, _py_value
+from repro.dataset.table import Table
 from repro.exceptions import AnonymizationError, InfeasibleAnonymizationError
 
 __all__ = [
-    "EquivalenceClass",
     "AnonymizationResult",
     "BaseAnonymizer",
     "build_release",
@@ -38,25 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EquivalenceClass:
-    """A group of row indices that share the same generalized quasi-identifiers."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.indices:
-            raise AnonymizationError("an equivalence class cannot be empty")
-        if len(set(self.indices)) != len(self.indices):
-            raise AnonymizationError("an equivalence class cannot repeat row indices")
-
-    @property
-    def size(self) -> int:
-        """Number of records in the class."""
-        return len(self.indices)
-
-
-@dataclass
+@dataclass(eq=False)
 class AnonymizationResult:
     """The outcome of anonymizing a private table.
 
@@ -68,9 +49,11 @@ class AnonymizationResult:
     release:
         The enterprise release ``P'``: identifiers kept, quasi-identifiers
         generalized per equivalence class, sensitive column removed.
-    classes:
-        The equivalence classes over the rows of ``original`` (indices refer
-        to ``original`` and ``release`` alike — row order is preserved).
+    labels:
+        The partition as a ``(n,)`` integer array: ``labels[row]`` is the
+        equivalence class of row ``row`` of ``original`` and ``release`` alike
+        (row order is preserved); class ids ``0..m-1`` follow the order in
+        which the anonymizer emitted its classes.
     k:
         The requested anonymity parameter.
     anonymizer:
@@ -82,27 +65,20 @@ class AnonymizationResult:
 
     original: Table
     release: Table
-    classes: list[EquivalenceClass]
+    labels: np.ndarray
     k: int
     anonymizer: str
     suppressed: tuple[int, ...] = field(default_factory=tuple)
 
     @property
     def class_sizes(self) -> list[int]:
-        """Sizes of all equivalence classes."""
-        return [c.size for c in self.classes]
+        """Sizes of all equivalence classes, in class-id order."""
+        return np.bincount(self.labels).tolist()
 
     @property
     def minimum_class_size(self) -> int:
         """Size of the smallest equivalence class (the achieved anonymity)."""
         return min(self.class_sizes)
-
-    def class_of(self, row_index: int) -> EquivalenceClass:
-        """The equivalence class containing ``row_index``."""
-        for equivalence_class in self.classes:
-            if row_index in equivalence_class.indices:
-                return equivalence_class
-        raise AnonymizationError(f"row {row_index} is not covered by any equivalence class")
 
 
 def validate_k(table: Table, k: int) -> None:
@@ -145,44 +121,64 @@ def standardized_quasi_identifiers(table: Table, scheme: str) -> np.ndarray:
     return matrix
 
 
-def _validate_partition(table: Table, classes: Sequence[EquivalenceClass], k: int) -> None:
-    covered = [i for equivalence_class in classes for i in equivalence_class.indices]
-    if sorted(covered) != list(range(table.num_rows)):
+def _class_sizes_of(table: Table, labels: np.ndarray, k: int) -> np.ndarray:
+    """Check that ``labels`` is a partition of ``table`` into classes of size >= ``k``.
+
+    Returns the class sizes, indexed by class id.
+    """
+    if labels.shape != (table.num_rows,):
         raise AnonymizationError(
-            "equivalence classes must cover every row exactly once "
-            f"(covered {len(covered)} of {table.num_rows})"
+            f"partition labels must have shape ({table.num_rows},), got {labels.shape}"
         )
-    undersized = [c.size for c in classes if c.size < k]
-    if undersized and k > 1:
+    if labels.dtype.kind not in "iu":
         raise AnonymizationError(
-            f"partition violates k={k}: class sizes {sorted(undersized)} below k"
+            f"partition labels must be integer class ids, got dtype {labels.dtype}"
         )
+    if labels.size and int(labels.min()) < 0:
+        raise AnonymizationError(
+            f"partition labels must be non-negative, got class id {int(labels.min())}"
+        )
+    sizes = np.bincount(labels.astype(np.intp, copy=False))
+    unused = np.flatnonzero(sizes == 0)
+    if unused.size:
+        raise AnonymizationError(
+            f"partition labels must number classes 0..{sizes.size - 1} without gaps; "
+            f"class {int(unused[0])} has no rows"
+        )
+    undersized = sizes[sizes < k]
+    if undersized.size and k > 1:
+        raise AnonymizationError(
+            f"partition violates k={k}: class sizes {sorted(undersized.tolist())} below k"
+        )
+    return sizes
 
 
 def build_release(
     table: Table,
-    classes: Sequence[EquivalenceClass],
+    labels: np.ndarray,
     k: int,
     style: str = "interval",
     keep_sensitive: bool = False,
-    validate: bool = True,
 ) -> Table:
     """Build the enterprise release ``P'`` from a partition of ``table``.
 
-    Quasi-identifier columns are generalized in bulk: one generalized cell is
-    computed per (class, column) pair — a class-covering interval from
-    vectorized per-class min/max for numeric columns, the class mean for
-    centroid releases — and fanned out to the class rows with fancy-index
-    assignments, instead of visiting every cell through per-row Python loops.
+    Quasi-identifier columns are generalized per class: one generalized cell
+    is computed for each (class, column) pair and gathered to the rows with
+    ``cells[labels]``, so all rows of a class share one cell object.  Numeric
+    interval cells come from per-class ``np.minimum.reduceat`` /
+    ``np.maximum.reduceat`` over the rows sorted stably by label.  Centroid
+    cells are ``float(np.mean(...))`` of each class's rows: a ``reduceat``
+    sum divided by the class size rounds differently, even for small classes.
 
     Parameters
     ----------
     table:
         The private table ``P``.
-    classes:
-        Equivalence classes over the rows of ``table``.
+    labels:
+        The partition: a ``(n,)`` integer array of class ids ``0..m-1``, one
+        per row of ``table``, with every id used.
     k:
-        Requested anonymity (used only for validation).
+        Requested anonymity: every class must hold at least ``k`` rows.
     style:
         ``"interval"`` replaces each numeric quasi-identifier cell by the
         interval covering its class (Table III of the paper);
@@ -193,65 +189,54 @@ def build_release(
         Keep the sensitive column in the release (used to construct
         ground-truth-bearing releases in tests); default drops it as the paper
         prescribes.
-    validate:
-        Check the partition covers every record and respects ``k``.
     """
     if style not in ("interval", "centroid"):
         raise AnonymizationError(f"unknown release style: {style!r}")
-    if validate:
-        _validate_partition(table, classes, k)
+    labels = np.asarray(labels)
+    sizes = _class_sizes_of(table, labels, k)
 
     schema = table.schema
     release = table if keep_sensitive else table.drop_columns(list(schema.sensitive_attributes))
-    qi_names = release.schema.quasi_identifiers
 
-    class_indices = [
-        np.asarray(equivalence_class.indices, dtype=np.intp)
-        for equivalence_class in classes
-    ]
-    covered = np.zeros(table.num_rows, dtype=bool)
-    for indices in class_indices:
-        covered[indices] = True
-    covers_all_rows = bool(covered.all())
+    # Rows grouped by class, ascending inside each class.
+    order = np.argsort(labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
 
-    for name in qi_names:
+    def class_rows():
+        for start, size in zip(starts.tolist(), sizes.tolist()):
+            yield order[start : start + size]
+
+    for name in release.schema.quasi_identifiers:
         attribute = release.schema[name]
         source = table.column_array(name)
         numeric_storage = source.dtype.kind in "if"
-
-        generalized_column = np.empty(table.num_rows, dtype=object)
-        if not covers_all_rows:
-            # Partial partitions (validate=False) keep their uncovered cells.
-            generalized_column[:] = table.column(name)
+        cells = np.empty(sizes.size, dtype=object)
 
         if numeric_storage and style == "interval":
-            for indices in class_indices:
-                values = source[indices]
-                low, high = values.min(), values.max()
-                if low == high:
-                    generalized: object = _py_value(source[indices[0]])
-                else:
-                    generalized = Interval(float(low), float(high))
-                generalized_column[indices] = generalized
+            if sizes.size:
+                grouped = source[order]
+                lows = np.minimum.reduceat(grouped, starts).tolist()
+                highs = np.maximum.reduceat(grouped, starts).tolist()
+                firsts = grouped[starts].tolist()
+                cells[:] = [
+                    first if low == high else Interval(float(low), float(high))
+                    for first, low, high in zip(firsts, lows, highs)
+                ]
         elif attribute.is_numeric and style == "centroid":
             if numeric_storage:
-                for indices in class_indices:
-                    generalized_column[indices] = float(np.mean(source[indices]))
+                for class_id, rows in enumerate(class_rows()):
+                    cells[class_id] = float(np.mean(source[rows]))
             else:
                 values_list = table.column(name)
-                for indices in class_indices:
-                    numeric = np.array(
-                        [float(values_list[i]) for i in indices], dtype=float
-                    )
-                    generalized_column[indices] = float(np.mean(numeric))
+                for class_id, rows in enumerate(class_rows()):
+                    numeric = np.array([float(values_list[i]) for i in rows], dtype=float)
+                    cells[class_id] = float(np.mean(numeric))
         else:
             values_list = table.column(name)
-            for indices in class_indices:
-                generalized_column[indices] = cover_values(
-                    [values_list[i] for i in indices]
-                )
+            for class_id, rows in enumerate(class_rows()):
+                cells[class_id] = cover_values([values_list[i] for i in rows])
 
-        release = release.replace_column(name, generalized_column)
+        release = release.replace_column(name, cells[labels])
 
     return release
 
@@ -272,23 +257,27 @@ class BaseAnonymizer(abc.ABC):
         self.release_style = release_style
 
     @abc.abstractmethod
-    def partition(self, table: Table, k: int) -> list[EquivalenceClass]:
-        """Partition the rows of ``table`` into classes of size at least ``k``."""
+    def partition(self, table: Table, k: int) -> np.ndarray:
+        """Partition the rows of ``table`` into classes of size at least ``k``.
+
+        Returns the ``(n,)`` row→class label array, class ids ``0..m-1`` in
+        the order the classes are formed.
+        """
 
     def anonymize(self, table: Table, k: int) -> AnonymizationResult:
         """Anonymize ``table`` to anonymity level ``k`` and build the release."""
         validate_k(table, k)
         if k == 1:
-            classes = [EquivalenceClass((i,)) for i in range(table.num_rows)]
+            labels = np.arange(table.num_rows)
         else:
-            classes = self.partition(table, k)
+            labels = self.partition(table, k)
         release = build_release(
-            table, classes, k, style=self.release_style, keep_sensitive=False
+            table, labels, k, style=self.release_style, keep_sensitive=False
         )
         return AnonymizationResult(
             original=table,
             release=release,
-            classes=classes,
+            labels=labels,
             k=k,
             anonymizer=self.name,
         )

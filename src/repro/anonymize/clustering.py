@@ -8,6 +8,8 @@ unassigned records into a cluster, and attach any final leftovers to their
 nearest cluster.  It differs from MDAV by growing one cluster at a time from a
 single seed instead of two per iteration, which yields a slightly different
 utility/protection trade-off and serves as an additional ablation baseline.
+The partition is a row→cluster label array, clusters numbered in the order
+they are gathered.
 
 The gathering loop runs on MDAV's column-major active set
 (:class:`repro.anonymize.mdav._ActiveSet`): bulk distances, the certified
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.anonymize.base import BaseAnonymizer, EquivalenceClass, standardized_quasi_identifiers
+from repro.anonymize.base import BaseAnonymizer, standardized_quasi_identifiers
 from repro.anonymize.mdav import _ActiveSet
 from repro.dataset.table import Table
 
@@ -32,34 +34,31 @@ class GreedyClusterAnonymizer(BaseAnonymizer):
 
     name = "greedy-cluster"
 
-    def partition(self, table: Table, k: int) -> list[EquivalenceClass]:
+    def partition(self, table: Table, k: int) -> np.ndarray:
         points = standardized_quasi_identifiers(table, "clustering anonymization")
         centroid = points.mean(axis=0)
 
         active = _ActiveSet(points)
-        clusters: list[list[int]] = []
+        labels = np.full(active.size, -1, dtype=np.intp)
+        formed = 0
         while active.size >= 2 * k:
             seed = active.farthest(active.distances(centroid), centroid)
             seed_point = points[active.rows[seed]]
             chosen = active.k_nearest(active.distances(seed_point), k, seed_point)
-            clusters.append(active.rows[chosen].tolist())
+            labels[active.rows[chosen]] = formed
+            formed += 1
             active.retire(chosen)
 
-        if active.size:
-            if active.size >= k or not clusters:
-                clusters.append(active.rows.tolist())
-            else:
-                for index in active.rows.tolist():
-                    nearest = min(
-                        range(len(clusters)),
-                        key=lambda c: _nearest_sq_distance(points[clusters[c]], points[index]),
-                    )
-                    clusters[nearest].append(index)
+        if active.size >= k or not formed:
+            labels[active.rows] = formed
+        else:
+            # Fewer than k leftovers: each joins the cluster holding its
+            # nearest member, counting leftovers attached before it.
+            for index in active.rows.tolist():
+                assigned = np.flatnonzero(labels >= 0)
+                deltas = points[assigned] - points[index]
+                nearest = np.full(formed, np.inf)
+                np.minimum.at(nearest, labels[assigned], np.einsum("ij,ij->i", deltas, deltas))
+                labels[index] = int(np.argmin(nearest))
 
-        return [EquivalenceClass(tuple(sorted(cluster))) for cluster in clusters]
-
-
-def _nearest_sq_distance(members: np.ndarray, point: np.ndarray) -> float:
-    """Smallest squared distance from ``point`` to a cluster's member rows."""
-    deltas = members - point
-    return float(np.einsum("ij,ij->i", deltas, deltas).min())
+        return labels

@@ -9,9 +9,11 @@ generalized signature occurs fewer than ``k`` times is small enough to be
 suppressed (at most ``max_suppression_fraction`` of the table).
 
 Unlike MDAV and Mondrian, Datafly's equivalence classes are induced by the
-generalized *values* rather than by an explicit grouping, so the partition is
-recovered from the generalized table.  Suppressed records form their own
-class and are reported via ``AnonymizationResult.suppressed``.
+generalized *values* rather than by an explicit grouping, so the partition's
+labels are read off the generalized table
+(:func:`~repro.anonymize.kanonymity.release_class_labels`, classes numbered by
+first appearance).  Suppressed records form their own class and are reported
+via ``AnonymizationResult.suppressed``.
 """
 
 from __future__ import annotations
@@ -20,13 +22,8 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.anonymize.base import (
-    AnonymizationResult,
-    BaseAnonymizer,
-    EquivalenceClass,
-    validate_k,
-)
-from repro.anonymize.kanonymity import equivalence_classes_of_release
+from repro.anonymize.base import AnonymizationResult, BaseAnonymizer, validate_k
+from repro.anonymize.kanonymity import release_class_labels, release_signature_codes
 from repro.anonymize.suppression import suppress_cells
 from repro.dataset.hierarchy import GeneralizationHierarchy, NumericHierarchy
 from repro.dataset.table import Table
@@ -71,11 +68,10 @@ class DataflyAnonymizer(BaseAnonymizer):
         self.hierarchies = dict(hierarchies) if hierarchies else None
         self.max_suppression_fraction = max_suppression_fraction
 
-    # The partition interface is satisfied by deriving classes from the final
+    # The partition interface is satisfied by deriving labels from the final
     # generalized release, so ``anonymize`` is overridden wholesale.
-    def partition(self, table: Table, k: int) -> list[EquivalenceClass]:  # pragma: no cover
-        result = self.anonymize(table, k)
-        return result.classes
+    def partition(self, table: Table, k: int) -> np.ndarray:  # pragma: no cover
+        return self.anonymize(table, k).labels
 
     def anonymize(self, table: Table, k: int) -> AnonymizationResult:
         validate_k(table, k)
@@ -103,11 +99,10 @@ class DataflyAnonymizer(BaseAnonymizer):
             levels[candidate] += 1
 
         release, suppressed = self._suppress(release, small_rows if k > 1 else [])
-        classes = equivalence_classes_of_release(release)
         return AnonymizationResult(
             original=table,
             release=release,
-            classes=classes,
+            labels=release_class_labels(release),
             k=k,
             anonymizer=self.name,
             suppressed=tuple(sorted(suppressed)),
@@ -132,8 +127,6 @@ class DataflyAnonymizer(BaseAnonymizer):
         return release
 
     def _rows_below_k(self, release: Table, k: int) -> list[int]:
-        from repro.anonymize.kanonymity import release_signature_codes
-
         codes = release_signature_codes(release)
         if codes.size == 0:
             return []

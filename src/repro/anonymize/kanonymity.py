@@ -2,35 +2,33 @@
 
 These functions check the anonymity of a *release* (a table whose
 quasi-identifier cells may be generalized) independently of which algorithm
-produced it.  They are used by the test-suite invariants and by the
-:mod:`repro.metrics.utility` discernibility metric, which needs the class
-structure of a release.
+produced it.  They are used by the test-suite invariants and by Datafly,
+whose partition is the one its generalized release induces.
 
 Class extraction is vectorized over the columnar table core: each
 quasi-identifier column is encoded into an integer *signature code* array
 (``np.unique`` for numeric columns, an identity-memoized canonical-form dictionary
 for object columns whose generalized cells are shared per class), the
-per-column codes are folded into one row-signature code, and the equivalence
-classes fall out of a single ``np.unique`` pass — no per-row tuple building on
-the hot path.  The per-row :func:`quasi_identifier_signature` form is kept for
-spot checks and API compatibility.
+per-column codes are folded into one row-signature code, and the row→class
+label array (:func:`release_class_labels`) falls out of a single ``np.unique``
+pass — no per-row tuple building on the hot path.  The per-row
+:func:`quasi_identifier_signature` form is kept for spot checks and API
+compatibility.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Hashable
 
 import numpy as np
 
-from repro.anonymize.base import EquivalenceClass
 from repro.dataset.generalization import CategorySet, Interval, Suppressed
 from repro.dataset.table import Table
 
 __all__ = [
     "quasi_identifier_signature",
     "release_signature_codes",
-    "equivalence_classes_of_release",
+    "release_class_labels",
     "anonymity_level",
     "is_k_anonymous",
 ]
@@ -113,23 +111,18 @@ def release_signature_codes(release: Table) -> np.ndarray:
     return combined
 
 
-def equivalence_classes_of_release(release: Table) -> list[EquivalenceClass]:
-    """Group release rows by identical (generalized) quasi-identifier signatures.
+def release_class_labels(release: Table) -> np.ndarray:
+    """The partition a release induces: rows with identical (generalized)
+    quasi-identifier signatures share a class.
 
-    Classes come back in order of first appearance with ascending row indices
-    inside each class, matching the historical per-row grouping.
+    Returns the ``(n,)`` row→class label array with classes numbered in order
+    of first appearance.
     """
-    if release.num_rows == 0:
-        return []
     codes = release_signature_codes(release)
-    _, first_seen, counts = np.unique(codes, return_index=True, return_counts=True)
-    grouped_rows = np.argsort(codes, kind="stable")
-    boundaries = np.cumsum(counts)[:-1]
-    groups = np.split(grouped_rows, boundaries)
-    appearance_order = np.argsort(first_seen, kind="stable")
-    return [
-        EquivalenceClass(tuple(groups[g].tolist())) for g in appearance_order
-    ]
+    _, first_seen = np.unique(codes, return_index=True)
+    appearance = np.empty(first_seen.size, dtype=np.intp)
+    appearance[np.argsort(first_seen)] = np.arange(first_seen.size)
+    return appearance[codes]
 
 
 def anonymity_level(release: Table) -> int:
@@ -153,5 +146,7 @@ def is_k_anonymous(release: Table, k: int) -> bool:
 
 def class_size_histogram(release: Table) -> dict[int, int]:
     """Histogram ``{class size: number of classes}`` of a release."""
-    classes = equivalence_classes_of_release(release)
-    return dict(Counter(c.size for c in classes))
+    sizes, counts = np.unique(
+        np.bincount(release_signature_codes(release)), return_counts=True
+    )
+    return dict(zip(sizes.tolist(), counts.tolist()))

@@ -18,7 +18,8 @@ that line of work:
 Distances are Euclidean over the column-standardized numeric quasi-identifier
 matrix.  All groups end up with between ``k`` and ``2k - 1`` records, the
 property the discernibility utility metric and the dissimilarity measure rely
-on.
+on.  The partition is a row→group label array: each group's id is written to
+its rows as the group is formed.
 
 **The reference arithmetic.**  Partitions are pinned bit for bit to the
 original row-major formulation: the centroid is
@@ -98,7 +99,7 @@ import math
 
 import numpy as np
 
-from repro.anonymize.base import BaseAnonymizer, EquivalenceClass, standardized_quasi_identifiers
+from repro.anonymize.base import BaseAnonymizer, standardized_quasi_identifiers
 from repro.dataset.table import Table
 
 __all__ = ["MDAVAnonymizer"]
@@ -117,9 +118,8 @@ class MDAVAnonymizer(BaseAnonymizer):
     def __init__(self, release_style: str = "interval") -> None:
         super().__init__(release_style=release_style)
 
-    def partition(self, table: Table, k: int) -> list[EquivalenceClass]:
-        groups = _mdav_groups(standardized_quasi_identifiers(table, "MDAV"), k)
-        return [EquivalenceClass(tuple(sorted(group))) for group in groups]
+    def partition(self, table: Table, k: int) -> np.ndarray:
+        return _mdav_groups(standardized_quasi_identifiers(table, "MDAV"), k)
 
 
 class _ActiveSet:
@@ -235,10 +235,15 @@ class _ActiveSet:
         self.size = written
 
 
-def _mdav_groups(points: np.ndarray, k: int) -> list[list[int]]:
-    """Run the MDAV grouping loop over row vectors ``points`` (never written)."""
+def _mdav_groups(points: np.ndarray, k: int) -> np.ndarray:
+    """Run the MDAV grouping loop over row vectors ``points`` (never written).
+
+    Returns the ``(n,)`` row→group label array, groups numbered in the order
+    they are formed.
+    """
     active = _ActiveSet(points)
-    groups: list[list[int]] = []
+    labels = np.empty(active.size, dtype=np.intp)
+    formed = 0
 
     def farthest_from_centroid() -> int:
         centroid, slack = active.centroid()
@@ -246,10 +251,12 @@ def _mdav_groups(points: np.ndarray, k: int) -> list[list[int]]:
 
     def take_group(anchor: int) -> tuple[np.ndarray, np.ndarray]:
         """Group ``anchor`` with its ``k-1`` nearest; returns the group and the bulk buffer."""
+        nonlocal formed
         point = active.points[active.rows[anchor]]
         bulk = active.distances(point)
         chosen = active.k_nearest(bulk, k, point, anchor)
-        groups.append(active.rows[chosen].tolist())
+        labels[active.rows[chosen]] = formed
+        formed += 1
         return chosen, bulk
 
     while active.size >= 3 * k:
@@ -268,6 +275,6 @@ def _mdav_groups(points: np.ndarray, k: int) -> list[list[int]]:
         active.retire(chosen)
 
     if active.size:
-        groups.append(active.rows.tolist())
+        labels[active.rows] = formed
 
-    return groups
+    return labels

@@ -4,7 +4,8 @@ Mondrian is the greedy top-down partitioning baseline cited by the paper
 ([3] in its bibliography).  The algorithm recursively splits the record set on
 the median of the quasi-identifier with the widest (normalized) range, as long
 as both halves retain at least ``k`` records; leaves of the recursion become
-the equivalence classes.
+the equivalence classes, each leaf's rows labelled with one class id in
+recursion (left-first) order.
 
 The recursion carries ``np.intp`` index arrays instead of Python lists: the
 median comes from ``np.median`` (introselect partition under the hood), strict
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.anonymize.base import BaseAnonymizer, EquivalenceClass
+from repro.anonymize.base import BaseAnonymizer
 from repro.dataset.table import Table
 from repro.exceptions import AnonymizationError
 
@@ -41,7 +42,7 @@ class MondrianAnonymizer(BaseAnonymizer):
         super().__init__(release_style=release_style)
         self.strict = strict
 
-    def partition(self, table: Table, k: int) -> list[EquivalenceClass]:
+    def partition(self, table: Table, k: int) -> np.ndarray:
         matrix = table.quasi_identifier_matrix()
         if np.isnan(matrix).any():
             raise AnonymizationError(
@@ -49,9 +50,12 @@ class MondrianAnonymizer(BaseAnonymizer):
             )
         spans = matrix.max(axis=0) - matrix.min(axis=0)
         spans = np.where(spans <= 0, 1.0, spans)
-        classes: list[EquivalenceClass] = []
-        self._split(matrix, spans, np.arange(table.num_rows, dtype=np.intp), k, classes)
-        return classes
+        leaves: list[np.ndarray] = []
+        self._split(matrix, spans, np.arange(table.num_rows, dtype=np.intp), k, leaves)
+        labels = np.empty(table.num_rows, dtype=np.intp)
+        for class_id, leaf in enumerate(leaves):
+            labels[leaf] = class_id
+        return labels
 
     def _split(
         self,
@@ -59,10 +63,10 @@ class MondrianAnonymizer(BaseAnonymizer):
         spans: np.ndarray,
         indices: np.ndarray,
         k: int,
-        out: list[EquivalenceClass],
+        out: list[np.ndarray],
     ) -> None:
         if indices.size < 2 * k:
-            out.append(EquivalenceClass(tuple(np.sort(indices).tolist())))
+            out.append(indices)
             return
 
         subset = matrix[indices]
@@ -76,7 +80,7 @@ class MondrianAnonymizer(BaseAnonymizer):
                 self._split(matrix, spans, left, k, out)
                 self._split(matrix, spans, right, k, out)
                 return
-        out.append(EquivalenceClass(tuple(np.sort(indices).tolist())))
+        out.append(indices)
 
     def _partition_on(
         self, values: np.ndarray, indices: np.ndarray, k: int

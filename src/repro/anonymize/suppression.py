@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.anonymize.base import AnonymizationResult, EquivalenceClass
+from repro.anonymize.base import AnonymizationResult
 from repro.dataset.generalization import SUPPRESSED
 from repro.dataset.table import Table
 from repro.exceptions import AnonymizationError
@@ -65,12 +65,10 @@ def naive_release(table: Table) -> AnonymizationResult:
     release flow through the same metrics and attack pipeline as the real
     anonymizations — this is the weakest baseline in the experiments.
     """
-    release = drop_sensitive(table)
-    classes = [EquivalenceClass((i,)) for i in range(table.num_rows)]
     return AnonymizationResult(
         original=table,
-        release=release,
-        classes=classes,
+        release=drop_sensitive(table),
+        labels=np.arange(table.num_rows),
         k=1,
         anonymizer="naive",
     )

@@ -228,16 +228,12 @@ def _attack_config(
 
 def _command_anonymize(arguments: argparse.Namespace) -> int:
     private = read_csv(arguments.input)
-    anonymizer_class = _ANONYMIZERS[arguments.algorithm]
-    if arguments.algorithm == "mdav":
-        anonymizer = anonymizer_class(release_style=arguments.style)
-    else:
-        anonymizer = anonymizer_class()
+    anonymizer = _ANONYMIZERS[arguments.algorithm](release_style=arguments.style)
     result = anonymizer.anonymize(private, arguments.k)
     write_csv(result.release, arguments.output)
     print(
         f"wrote {arguments.output} (k={arguments.k}, algorithm={arguments.algorithm}, "
-        f"{len(result.classes)} equivalence classes, smallest={result.minimum_class_size})"
+        f"{len(result.class_sizes)} equivalence classes, smallest={result.minimum_class_size})"
     )
     return 0
 

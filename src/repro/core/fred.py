@@ -180,7 +180,7 @@ class LevelOutcome:
             "information_gain": float(self.information_gain),
             "utility": float(self.utility),
             "match_rate": float(self.attack.match_rate),
-            "classes": len(self.anonymization.classes),
+            "classes": len(self.anonymization.class_sizes),
             "minimum_class_size": int(self.anonymization.minimum_class_size),
             "meets_protection": bool(self.meets_protection),
             "meets_utility": bool(self.meets_utility),

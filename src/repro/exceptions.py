@@ -58,8 +58,8 @@ class AnonymizationError(ReproError):
 class InfeasibleAnonymizationError(AnonymizationError):
     """The requested anonymization level cannot be met for the given data.
 
-    For example ``k`` larger than the number of records, or an ``l``-diversity
-    requirement exceeding the number of distinct sensitive values.
+    For example ``k`` larger than the number of records, or a Datafly run
+    whose hierarchies are exhausted with too many records still below ``k``.
     """
 
 

@@ -21,7 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.anonymize.base import EquivalenceClass
 from repro.exceptions import MetricError
 
 __all__ = [
@@ -105,10 +104,14 @@ def rank_correlation(true_values: Sequence[float], estimates: Sequence[float]) -
     return float((truth_centered * guess_centered).sum() / denominator)
 
 
-def reidentification_risk(classes: Sequence[EquivalenceClass]) -> float:
-    """Expected probability of singling a record out of its equivalence class."""
-    if not classes:
+def reidentification_risk(labels: np.ndarray) -> float:
+    """Expected probability of singling a record out of its equivalence class.
+
+    Each record in a class of size ``s`` is re-identified with probability
+    ``1/s``, so the mean over the ``n`` rows of the ``(n,)`` row→class label
+    array is the class count over the row count, ``m / n``.
+    """
+    labels = np.asarray(labels)
+    if labels.size == 0:
         raise MetricError("no equivalence classes supplied")
-    total = sum(c.size for c in classes)
-    # Each record in a class of size s is re-identified with probability 1/s.
-    return float(sum(c.size * (1.0 / c.size) for c in classes) / total)
+    return float(np.count_nonzero(np.bincount(labels)) / labels.size)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.anonymize.base import AnonymizationResult, EquivalenceClass
+from repro.anonymize.base import AnonymizationResult
 from repro.dataset.generalization import Interval, Suppressed
 from repro.dataset.table import Table
 from repro.exceptions import MetricError
@@ -58,38 +58,28 @@ def discernibility_utility(class_sizes: Sequence[int], total_records: int, k: in
     return 1.0 / discernibility_cost(class_sizes, total_records, k)
 
 
-def per_record_costs(
-    classes: Sequence[EquivalenceClass], total_records: int, k: int
-) -> np.ndarray:
+def per_record_costs(labels: np.ndarray, total_records: int, k: int) -> np.ndarray:
     """Per-record discernibility cost ``C_i`` (Section VI.C).
 
-    The cost vector is assembled from class-size vectors: one cost per class,
-    repeated over the class sizes and scattered to the member rows with a
-    single fancy-index assignment.
+    ``labels`` is the partition's ``(n,)`` row→class label array.  One cost is
+    computed per class from the class sizes and gathered to the rows with
+    ``class_costs[labels]``.
     """
-    costs = np.zeros(total_records, dtype=float)
-    if classes:
-        sizes = np.fromiter((c.size for c in classes), dtype=float, count=len(classes))
-        class_costs = np.where(sizes >= k, sizes**2, float(total_records) * sizes)
-        members = np.fromiter(
-            (index for c in classes for index in c.indices),
-            dtype=np.intp,
-            count=int(sizes.sum()),
+    labels = np.asarray(labels)
+    if labels.shape != (total_records,):
+        raise MetricError(
+            f"labels must cover every record: shape {labels.shape}, expected ({total_records},)"
         )
-        if members.size and ((members < 0) | (members >= total_records)).any():
-            offender = int(members[(members < 0) | (members >= total_records)][0])
-            raise MetricError(f"class references row {offender} outside the table")
-        costs[members] = np.repeat(class_costs, sizes.astype(np.intp))
-    if (costs == 0).any():
-        raise MetricError("equivalence classes do not cover every record")
-    return costs
+    if labels.size and int(labels.min()) < 0:
+        raise MetricError(f"class label {int(labels.min())} is negative")
+    sizes = np.bincount(labels).astype(float)
+    class_costs = np.where(sizes >= k, sizes**2, float(total_records) * sizes)
+    return class_costs[labels]
 
 
-def per_record_utility(
-    classes: Sequence[EquivalenceClass], total_records: int, k: int
-) -> np.ndarray:
+def per_record_utility(labels: np.ndarray, total_records: int, k: int) -> np.ndarray:
     """Per-record utility ``u_i = 1 / C_i`` (the column matrix U of Section VI.C)."""
-    return 1.0 / per_record_costs(classes, total_records, k)
+    return 1.0 / per_record_costs(labels, total_records, k)
 
 
 def average_class_size(class_sizes: Sequence[int]) -> float:

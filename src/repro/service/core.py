@@ -497,7 +497,7 @@ class AnonymizationService:
             k=k,
             style=style,
             table=result.release,
-            class_sizes=tuple(c.size for c in result.classes),
+            class_sizes=tuple(result.class_sizes),
         )
 
     # Fusion attack -------------------------------------------------------------

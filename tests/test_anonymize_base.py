@@ -1,31 +1,13 @@
-"""Unit tests for repro.anonymize.base (equivalence classes, release building)."""
+"""Unit tests for repro.anonymize.base (partition labels, release building)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.anonymize.base import (
-    AnonymizationResult,
-    EquivalenceClass,
-    build_release,
-    validate_k,
-)
+from repro.anonymize.base import AnonymizationResult, build_release, validate_k
 from repro.dataset.generalization import CategorySet, Interval
 from repro.exceptions import AnonymizationError, InfeasibleAnonymizationError
-
-
-class TestEquivalenceClass:
-    def test_size(self):
-        assert EquivalenceClass((0, 1, 2)).size == 3
-
-    def test_empty_rejected(self):
-        with pytest.raises(AnonymizationError):
-            EquivalenceClass(())
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(AnonymizationError):
-            EquivalenceClass((1, 1))
 
 
 class TestValidateK:
@@ -45,7 +27,7 @@ class TestValidateK:
 class TestBuildRelease:
     @pytest.fixture()
     def classes(self):
-        return [EquivalenceClass((0, 1, 2)), EquivalenceClass((3, 4, 5))]
+        return np.array([0, 0, 0, 1, 1, 1])
 
     def test_interval_style(self, simple_table, classes):
         release = build_release(simple_table, classes, k=3, style="interval")
@@ -80,27 +62,44 @@ class TestBuildRelease:
             build_release(simple_table, classes, k=3, style="average")
 
     def test_partition_must_cover_every_row(self, simple_table):
-        with pytest.raises(AnonymizationError, match="cover"):
-            build_release(simple_table, [EquivalenceClass((0, 1))], k=2)
+        with pytest.raises(AnonymizationError, match="shape"):
+            build_release(simple_table, np.array([0, 0]), k=2)
 
     def test_partition_must_respect_k(self, simple_table):
-        classes = [EquivalenceClass((0,)), EquivalenceClass((1, 2, 3, 4, 5))]
+        classes = np.array([0, 1, 1, 1, 1, 1])
         with pytest.raises(AnonymizationError, match="violates k"):
             build_release(simple_table, classes, k=2)
         # but k=1 allows singleton classes
         release = build_release(simple_table, classes, k=1)
         assert release.num_rows == 6
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (np.array([0, 0, 0, 1, 1]), r"labels must have shape \(6,\), got \(5,\)"),
+            (np.array([0, 0, 0, 1, 1, 1, 1]), r"labels must have shape \(6,\), got \(7,\)"),
+            (np.zeros((6, 1), dtype=int), r"labels must have shape \(6,\), got \(6, 1\)"),
+            (np.array([0.0, 0, 0, 1, 1, 1]), "labels must be integer class ids, got dtype float64"),
+            (np.array([0, 0, 0, 1, 1, -1]), "labels must be non-negative, got class id -1"),
+            (np.array([0, 0, 0, 2, 2, 2]), "class 1 has no rows"),
+            (np.array([0, 0, 0, 0, 1, 1]), r"violates k=3: class sizes \[2\] below k"),
+        ],
+        ids=[
+            "too-short", "too-long", "two-dimensional", "float", "negative", "unused",
+            "undersized",
+        ],
+    )
+    def test_malformed_labels_rejected_naming_the_problem(self, simple_table, labels, message):
+        with pytest.raises(AnonymizationError, match=message):
+            build_release(simple_table, labels, k=3)
+
 
 class TestAnonymizationResult:
     def test_class_bookkeeping(self, simple_table):
-        classes = [EquivalenceClass((0, 1, 2)), EquivalenceClass((3, 4, 5))]
-        release = build_release(simple_table, classes, k=3)
+        labels = np.array([0, 0, 0, 1, 1, 1])
+        release = build_release(simple_table, labels, k=3)
         result = AnonymizationResult(
-            original=simple_table, release=release, classes=classes, k=3, anonymizer="test"
+            original=simple_table, release=release, labels=labels, k=3, anonymizer="test"
         )
         assert result.class_sizes == [3, 3]
         assert result.minimum_class_size == 3
-        assert result.class_of(4).indices == (3, 4, 5)
-        with pytest.raises(AnonymizationError):
-            result.class_of(99)

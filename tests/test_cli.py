@@ -99,6 +99,24 @@ class TestAnonymizeCommand:
         assert exit_code == 0
         assert is_k_anonymous(read_csv(output), 3)
 
+    @pytest.mark.parametrize("algorithm", ["mdav", "mondrian", "greedy-cluster"])
+    def test_style_reaches_every_algorithm(self, csv_paths, tmp_path, algorithm):
+        from repro.cli import _ANONYMIZERS
+        from repro.dataset.io import render_csv
+
+        private_path, _ = csv_paths
+        output = tmp_path / "release.csv"
+        exit_code = main(
+            [
+                "anonymize", "--input", str(private_path), "--output", str(output),
+                "--k", "4", "--algorithm", algorithm, "--style", "centroid",
+            ]
+        )
+        assert exit_code == 0
+        anonymizer = _ANONYMIZERS[algorithm](release_style="centroid")
+        expected = anonymizer.anonymize(read_csv(private_path), 4).release
+        assert output.read_bytes() == render_csv(expected).encode("utf-8")
+
     def test_infeasible_k_reports_error(self, csv_paths, tmp_path, capsys):
         private_path, _ = csv_paths
         exit_code = main(

@@ -10,6 +10,8 @@ from repro.anonymize.kanonymity import anonymity_level
 from repro.dataset.hierarchy import NumericHierarchy
 from repro.exceptions import AnonymizationError
 
+from partitions import classes_of
+
 
 class TestDefaultHierarchies:
     def test_one_hierarchy_per_numeric_qi(self, faculty_population):
@@ -40,10 +42,10 @@ class TestDatafly:
         # Non-suppressed records must satisfy k; the (single) suppressed class
         # is allowed to be smaller.
         suppressed = set(result.suppressed)
-        for equivalence_class in result.classes:
-            if set(equivalence_class.indices) & suppressed:
+        for equivalence_class in classes_of(result.labels):
+            if set(equivalence_class) & suppressed:
                 continue
-            assert equivalence_class.size >= k
+            assert len(equivalence_class) >= k
 
     def test_suppression_budget_respected(self, faculty_population):
         result = DataflyAnonymizer(max_suppression_fraction=0.1).anonymize(
@@ -82,8 +84,8 @@ class TestGreedyCluster:
 
         greedy = GreedyClusterAnonymizer().anonymize(faculty_population.private, 4)
         mdav = MDAVAnonymizer().anonymize(faculty_population.private, 4)
-        greedy_sets = {frozenset(c.indices) for c in greedy.classes}
-        mdav_sets = {frozenset(c.indices) for c in mdav.classes}
+        greedy_sets = {frozenset(c) for c in classes_of(greedy.labels)}
+        mdav_sets = {frozenset(c) for c in classes_of(mdav.labels)}
         # The two heuristics need not agree; what matters is both are valid.
         assert greedy_sets and mdav_sets
 

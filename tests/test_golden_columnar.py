@@ -19,7 +19,7 @@ import pytest
 from repro.anonymize.base import build_release
 from repro.anonymize.clustering import GreedyClusterAnonymizer
 from repro.anonymize.datafly import DataflyAnonymizer, default_hierarchies
-from repro.anonymize.kanonymity import equivalence_classes_of_release
+from repro.anonymize.kanonymity import release_class_labels
 from repro.anonymize.mdav import MDAVAnonymizer
 from repro.anonymize.mondrian import MondrianAnonymizer
 from repro.data.census import CensusConfig, generate_census
@@ -34,6 +34,7 @@ from repro.dataset.statistics import standardize_matrix
 from repro.dataset.table import Table
 
 from mdav_reference import seed_mdav_groups
+from partitions import classes_of
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +223,7 @@ class TestMDAVGolden:
         table = faculty_population.private
         result = MDAVAnonymizer().anonymize(table, k)
         expected_classes = seed_mdav_partition(table, k)
-        assert [c.indices for c in result.classes] == expected_classes
+        assert classes_of(result.labels) == expected_classes
         _assert_release_identical(
             result.release, seed_build_release(table, expected_classes, k)
         )
@@ -231,7 +232,7 @@ class TestMDAVGolden:
     def test_census_partition_and_release(self, census_table, k):
         result = MDAVAnonymizer().anonymize(census_table, k)
         expected_classes = seed_mdav_partition(census_table, k)
-        assert [c.indices for c in result.classes] == expected_classes
+        assert classes_of(result.labels) == expected_classes
         _assert_release_identical(
             result.release, seed_build_release(census_table, expected_classes, k)
         )
@@ -252,14 +253,14 @@ class TestMondrianGolden:
         table = faculty_population.private
         result = MondrianAnonymizer(strict=strict).anonymize(table, 3)
         expected_classes = seed_mondrian_partition(table, 3, strict=strict)
-        assert [c.indices for c in result.classes] == expected_classes
+        assert classes_of(result.labels) == expected_classes
         _assert_release_identical(
             result.release, seed_build_release(table, expected_classes, 3)
         )
 
     def test_census_partition(self, census_table):
         result = MondrianAnonymizer().anonymize(census_table, 4)
-        assert [c.indices for c in result.classes] == seed_mondrian_partition(
+        assert classes_of(result.labels) == seed_mondrian_partition(
             census_table, 4
         )
 
@@ -269,11 +270,11 @@ class TestClusteringGolden:
     def test_faculty_partition(self, faculty_population, k):
         table = faculty_population.private
         result = GreedyClusterAnonymizer().anonymize(table, k)
-        assert [c.indices for c in result.classes] == seed_cluster_partition(table, k)
+        assert classes_of(result.labels) == seed_cluster_partition(table, k)
 
     def test_census_partition(self, census_table):
         result = GreedyClusterAnonymizer().anonymize(census_table, 3)
-        assert [c.indices for c in result.classes] == seed_cluster_partition(
+        assert classes_of(result.labels) == seed_cluster_partition(
             census_table, 3
         )
 
@@ -287,7 +288,7 @@ class TestDataflyGolden:
             table, k, max_suppression_fraction=0.1
         )
         assert result.suppressed == expected_suppressed
-        assert [c.indices for c in result.classes] == expected_classes
+        assert classes_of(result.labels) == expected_classes
         _assert_release_identical(result.release, expected_release)
 
     def test_census_release(self, census_table):
@@ -305,9 +306,9 @@ class TestReleaseClassExtractionGolden:
     def test_class_extraction_matches_seed_grouping(self, faculty_population):
         table = faculty_population.private
         release = build_release(table, MDAVAnonymizer().partition(table, 4), k=4)
-        assert [
-            c.indices for c in equivalence_classes_of_release(release)
-        ] == seed_equivalence_classes(release)
+        assert classes_of(release_class_labels(release)) == seed_equivalence_classes(
+            release
+        )
 
 
 class TestServiceGolden:

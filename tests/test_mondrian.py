@@ -24,14 +24,14 @@ class TestMondrian:
 
     def test_splits_produce_multiple_classes_for_small_k(self, faculty_population):
         result = MondrianAnonymizer().anonymize(faculty_population.private, 2)
-        assert len(result.classes) > 1
+        assert len(result.class_sizes) > 1
 
     def test_relaxed_mode_splits_ties(self, simple_table):
         constant = simple_table.replace_column("age", [30] * 6)
         strict = MondrianAnonymizer(strict=True).anonymize(constant, 2)
         relaxed = MondrianAnonymizer(strict=False).anonymize(constant, 2)
         # Strict partitioning cannot split a constant column; relaxed can.
-        assert len(relaxed.classes) >= len(strict.classes)
+        assert len(relaxed.class_sizes) >= len(strict.class_sizes)
 
     def test_k_above_population_rejected(self, simple_table):
         with pytest.raises(InfeasibleAnonymizationError):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.anonymize.base import EquivalenceClass
 from repro.exceptions import MetricError
 from repro.metrics.information_gain import information_gain, information_gain_curve
 from repro.metrics.privacy import (
@@ -97,14 +96,13 @@ class TestRankCorrelation:
 
 class TestReidentificationRisk:
     def test_singletons_have_full_risk(self):
-        classes = [EquivalenceClass((i,)) for i in range(4)]
-        assert reidentification_risk(classes) == 1.0
+        assert reidentification_risk(np.arange(4)) == 1.0
 
     def test_risk_decreases_with_class_size(self):
-        small = [EquivalenceClass((0, 1)), EquivalenceClass((2, 3))]
-        large = [EquivalenceClass((0, 1, 2, 3))]
+        small = np.array([0, 0, 1, 1])
+        large = np.zeros(4, dtype=int)
         assert reidentification_risk(large) < reidentification_risk(small)
 
     def test_empty_rejected(self):
         with pytest.raises(MetricError):
-            reidentification_risk([])
+            reidentification_risk(np.array([], dtype=int))

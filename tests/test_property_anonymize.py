@@ -6,11 +6,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.anonymize.base import build_release
 from repro.anonymize.clustering import GreedyClusterAnonymizer
 from repro.anonymize.datafly import DataflyAnonymizer
 from repro.anonymize.kanonymity import anonymity_level, is_k_anonymous
 from repro.anonymize.mdav import MDAVAnonymizer, _mdav_groups
 from repro.anonymize.mondrian import MondrianAnonymizer
+from repro.dataset.io import render_csv
 from repro.dataset.schema import Attribute, AttributeKind, AttributeRole, Schema
 from repro.dataset.statistics import standardize_matrix
 from repro.dataset.table import Table
@@ -18,6 +20,8 @@ from repro.metrics.dissimilarity import mean_square_dissimilarity
 from repro.metrics.utility import discernibility_cost
 
 from mdav_reference import seed_mdav_groups
+from partitions import classes_of
+from test_golden_columnar import seed_build_release
 
 
 def _random_table(values: list[list[float]]) -> Table:
@@ -55,7 +59,7 @@ class TestMDAVProperties:
         if k > table.num_rows:
             return
         result = MDAVAnonymizer().anonymize(table, k)
-        covered = sorted(i for c in result.classes for i in c.indices)
+        covered = sorted(i for c in classes_of(result.labels) for i in c)
         assert covered == list(range(table.num_rows))
         assert result.minimum_class_size >= k
         assert is_k_anonymous(result.release, k)
@@ -71,8 +75,7 @@ class TestMDAVProperties:
         if k > n:
             return
         points = np.random.default_rng(seed).normal(size=(n, 3))
-        groups = _mdav_groups(points, k)
-        sizes = [len(g) for g in groups]
+        sizes = np.bincount(_mdav_groups(points, k))
         assert sum(sizes) == n
         assert min(sizes) >= k
         assert max(sizes) <= 2 * k - 1
@@ -113,8 +116,9 @@ class TestMDAVKernelEquivalence:
     @settings(max_examples=300, deadline=None)
     def test_groups_equal_seed_loop(self, points, k):
         before = points.copy()
-        groups = _mdav_groups(points, k)
-        assert [sorted(g) for g in groups] == [sorted(g) for g in seed_mdav_groups(points, k)]
+        assert classes_of(_mdav_groups(points, k)) == [
+            tuple(sorted(g)) for g in seed_mdav_groups(points, k)
+        ]
         assert np.array_equal(points, before)
 
 
@@ -137,13 +141,14 @@ def _assert_valid_partition(result, table, k, suppression_exempt=()):
     class has at least ``k`` members — except classes holding suppressed rows
     (Datafly), which may be smaller.
     """
-    covered = [i for c in result.classes for i in c.indices]
-    assert sorted(covered) == list(range(table.num_rows))  # disjoint + covering
+    assert result.labels.shape == (table.num_rows,)  # one class per row
+    classes = classes_of(result.labels)
+    assert all(classes)  # ids 0..m-1, none unused
     exempt = set(suppression_exempt)
-    for equivalence_class in result.classes:
-        if set(equivalence_class.indices) & exempt:
+    for equivalence_class in classes:
+        if set(equivalence_class) & exempt:
             continue
-        assert equivalence_class.size >= k
+        assert len(equivalence_class) >= k
 
 
 class TestCrossAnonymizerInvariants:
@@ -186,6 +191,60 @@ class TestCrossAnonymizerInvariants:
             return
         result = DataflyAnonymizer(max_suppression_fraction=1.0).anonymize(table, k)
         _assert_valid_partition(result, table, k, suppression_exempt=result.suppressed)
+
+
+@st.composite
+def labelled_tables(draw) -> tuple[Table, np.ndarray, int]:
+    """A table with float, integer and categorical QIs plus a partition of it.
+
+    The partition is a row→class label array whose classes all hold at least
+    ``k`` rows, numbered in a random order over randomly shuffled rows.
+    """
+    k = draw(st.integers(min_value=1, max_value=4))
+    count = draw(st.integers(min_value=k, max_value=30))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+    q1 = draw(st.lists(st.one_of(floats, st.sampled_from([0.1, 0.3, -0.0])),
+                       min_size=count, max_size=count))
+    q2 = draw(st.lists(st.integers(min_value=-5, max_value=5), min_size=count, max_size=count))
+    city = draw(st.lists(st.sampled_from(["Albany", "Boston", "Cairo"]),
+                         min_size=count, max_size=count))
+    schema = Schema(
+        [
+            Attribute("name", AttributeRole.IDENTIFIER, AttributeKind.TEXT),
+            Attribute("q1", AttributeRole.QUASI_IDENTIFIER),
+            Attribute("q2", AttributeRole.QUASI_IDENTIFIER),
+            Attribute("city", AttributeRole.QUASI_IDENTIFIER, AttributeKind.CATEGORICAL),
+            Attribute("sensitive", AttributeRole.SENSITIVE),
+        ]
+    )
+    table = Table.from_rows(
+        schema,
+        [
+            {"name": f"person {i}", "q1": q1[i], "q2": q2[i], "city": city[i], "sensitive": i}
+            for i in range(count)
+        ],
+    )
+    classes = int(rng.integers(1, count // k + 1))
+    sizes = np.full(classes, k) + np.bincount(
+        rng.integers(0, classes, size=count - classes * k), minlength=classes
+    )
+    labels = np.empty(count, dtype=np.intp)
+    labels[rng.permutation(count)] = np.repeat(rng.permutation(classes), sizes)
+    return table, labels, k
+
+
+class TestBuildReleaseProperties:
+    """``build_release`` over labels equals the seed's per-class, per-cell loop."""
+
+    @given(labelled_tables(), st.sampled_from(["interval", "centroid"]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_seed_release(self, case, style):
+        table, labels, k = case
+        release = build_release(table, labels, k, style=style)
+        reference = seed_build_release(table, classes_of(labels), k, style=style)
+        assert release == reference
+        assert render_csv(release) == render_csv(reference)
 
 
 class TestMetricProperties:

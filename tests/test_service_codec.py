@@ -123,7 +123,7 @@ class TestArtifactRoundTrip:
             k=2,
             style="interval",
             table=result.release,
-            class_sizes=tuple(c.size for c in result.classes),
+            class_sizes=tuple(result.class_sizes),
         )
 
     def test_round_trip_with_csv(self, artifact, tmp_path):

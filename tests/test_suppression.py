@@ -53,7 +53,7 @@ class TestNaiveRelease:
     def test_every_record_is_its_own_class(self, simple_table):
         result = naive_release(simple_table)
         assert result.k == 1
-        assert len(result.classes) == simple_table.num_rows
+        assert len(result.class_sizes) == simple_table.num_rows
         assert result.minimum_class_size == 1
 
     def test_release_keeps_exact_quasi_identifiers(self, simple_table):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.anonymize.base import EquivalenceClass, build_release
+from repro.anonymize.base import build_release
 from repro.anonymize.mdav import MDAVAnonymizer
 from repro.exceptions import MetricError
 from repro.metrics.utility import (
@@ -58,19 +58,19 @@ class TestDiscernibility:
 
 class TestPerRecordCosts:
     def test_each_record_inherits_its_class_cost(self):
-        classes = [EquivalenceClass((0, 1)), EquivalenceClass((2, 3, 4))]
-        costs = per_record_costs(classes, total_records=5, k=2)
+        labels = np.array([0, 0, 1, 1, 1])
+        costs = per_record_costs(labels, total_records=5, k=2)
         assert costs.tolist() == [4.0, 4.0, 9.0, 9.0, 9.0]
-        utility = per_record_utility(classes, total_records=5, k=2)
+        utility = per_record_utility(labels, total_records=5, k=2)
         assert np.allclose(utility, 1.0 / costs)
 
     def test_uncovered_records_rejected(self):
-        with pytest.raises(MetricError):
-            per_record_costs([EquivalenceClass((0, 1))], total_records=3, k=2)
+        with pytest.raises(MetricError, match="cover every record"):
+            per_record_costs(np.array([0, 0]), total_records=3, k=2)
 
     def test_out_of_range_index_rejected(self):
-        with pytest.raises(MetricError):
-            per_record_costs([EquivalenceClass((0, 5))], total_records=2, k=1)
+        with pytest.raises(MetricError, match="negative"):
+            per_record_costs(np.array([0, -1]), total_records=2, k=1)
 
 
 class TestOtherUtilityMetrics:
@@ -82,8 +82,7 @@ class TestOtherUtilityMetrics:
     def test_generalized_information_loss_bounds(self, simple_table):
         release_exact = simple_table.release_view()
         assert generalized_information_loss(simple_table, release_exact) == 0.0
-        classes = [EquivalenceClass(tuple(range(6)))]
-        fully_generalized = build_release(simple_table, classes, k=6)
+        fully_generalized = build_release(simple_table, np.zeros(6, dtype=int), k=6)
         loss = generalized_information_loss(simple_table, fully_generalized)
         assert loss == pytest.approx(1.0)
 
