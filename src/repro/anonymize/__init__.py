@@ -12,7 +12,6 @@ from repro.anonymize.kanonymity import (
     anonymity_level,
     class_size_histogram,
     is_k_anonymous,
-    quasi_identifier_signature,
     release_class_labels,
 )
 from repro.anonymize.mdav import MDAVAnonymizer
@@ -38,7 +37,6 @@ __all__ = [
     "class_size_histogram",
     "release_class_labels",
     "is_k_anonymous",
-    "quasi_identifier_signature",
     "drop_identifiers",
     "drop_sensitive",
     "naive_release",

@@ -151,7 +151,7 @@ class DataflyAnonymizer(BaseAnonymizer):
             if array.dtype.kind in "if":
                 distinct[name] = int(np.unique(array).size)
             else:
-                distinct[name] = len({str(v) for v in array})
+                distinct[name] = len({str(cell) for cell in release.factorize(name)[1]})
         return max(candidates, key=lambda name: distinct[name])
 
     def _suppress(self, release: Table, rows: list[int]) -> tuple[Table, list[int]]:

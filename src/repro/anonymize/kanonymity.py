@@ -7,13 +7,11 @@ whose partition is the one its generalized release induces.
 
 Class extraction is vectorized over the columnar table core: each
 quasi-identifier column is encoded into an integer *signature code* array
-(``np.unique`` for numeric columns, an identity-memoized canonical-form dictionary
-for object columns whose generalized cells are shared per class), the
-per-column codes are folded into one row-signature code, and the row→class
-label array (:func:`release_class_labels`) falls out of a single ``np.unique``
-pass — no per-row tuple building on the hot path.  The per-row
-:func:`quasi_identifier_signature` form is kept for spot checks and API
-compatibility.
+(``np.unique`` for numeric columns; for object columns, one canonical form per
+distinct cell of :meth:`~repro.dataset.table.Table.factorize`, gathered by
+its codes), the per-column codes are folded into one row-signature code, and
+the row→class label array (:func:`release_class_labels`) falls out of a
+single ``np.unique`` pass — no per-row tuple building.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from repro.dataset.generalization import CategorySet, Interval, Suppressed
 from repro.dataset.table import Table
 
 __all__ = [
-    "quasi_identifier_signature",
     "release_signature_codes",
     "release_class_labels",
     "anonymity_level",
@@ -47,22 +44,14 @@ def _cell_signature(value: object) -> Hashable:
     return ("value", value)
 
 
-def quasi_identifier_signature(table: Table, row_index: int) -> tuple[Hashable, ...]:
-    """The hashable quasi-identifier signature of one release row."""
-    return tuple(
-        _cell_signature(table.cell(row_index, name))
-        for name in table.schema.quasi_identifiers
-    )
-
-
 def _column_signature_codes(table: Table, name: str) -> np.ndarray:
     """Integer codes such that two rows share a code iff their cells match.
 
     Numeric columns go through one ``np.unique``; ``NaN`` cells are kept
-    distinct (a ``NaN`` quasi-identifier never matches another row, exactly as
-    the per-row tuple signatures behave).  Object columns canonicalize each
-    *distinct object* once (release columns share one generalized cell object
-    per equivalence class) and match by :func:`_cell_signature` equality.
+    distinct (a ``NaN`` quasi-identifier never matches another row).  Object
+    columns canonicalize each distinct cell of :meth:`Table.factorize` once,
+    number the signatures in order of first appearance and gather by the
+    codes, so cells match by :func:`_cell_signature` equality.
     """
     array = table.column_array(name)
     if array.dtype.kind in "if":
@@ -75,20 +64,12 @@ def _column_signature_codes(table: Table, name: str) -> np.ndarray:
                 codes[missing] = base + np.arange(int(missing.sum()))
         return codes
 
-    codes = np.empty(array.shape[0], dtype=np.int64)
-    by_identity: dict[int, int] = {}
+    codes, cells = table.factorize(name)
     by_signature: dict[Hashable, int] = {}
-    for i, value in enumerate(array):
-        code = by_identity.get(id(value))
-        if code is None:
-            signature = _cell_signature(value)
-            code = by_signature.get(signature)
-            if code is None:
-                code = len(by_signature)
-                by_signature[signature] = code
-            by_identity[id(value)] = code
-        codes[i] = code
-    return codes
+    cell_codes = [
+        by_signature.setdefault(_cell_signature(cell), len(by_signature)) for cell in cells
+    ]
+    return np.array(cell_codes, dtype=np.int64)[codes]
 
 
 def release_signature_codes(release: Table) -> np.ndarray:

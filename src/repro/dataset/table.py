@@ -25,6 +25,10 @@ columns cell by cell.  Numeric views (``numeric_column`` and friends) are
 computed once per column and cached, so the anonymizers, metrics and the
 fusion attack all read from the same float buffers.
 
+A release shares one generalized cell object per equivalence class;
+:meth:`Table.factorize` owns that layout, so the numeric view, CSV renderer,
+signature codes, loss metric and spill codec each work once per distinct cell.
+
 Tables are value-semantics objects: every operation returns a new table, the
 internal arrays are never mutated after construction, and sequences handed to
 the constructor are copied.  Accessors (``column``, ``row``, ``cell``) return
@@ -164,7 +168,9 @@ class Table:
         attribute must be present and all columns must share the same length.
     """
 
-    __slots__ = ("_schema", "_columns", "_num_rows", "_numeric_views", "_fingerprint")
+    __slots__ = (
+        "_schema", "_columns", "_num_rows", "_numeric_views", "_factorized", "_fingerprint"
+    )
 
     def __init__(self, schema: Schema, columns: Mapping[str, Sequence[object]]) -> None:
         self._schema = schema
@@ -183,6 +189,7 @@ class Table:
         self._columns: dict[str, np.ndarray] = arrays
         self._num_rows = next(iter(lengths.values())) if lengths else 0
         self._numeric_views: dict[str, np.ndarray] = {}
+        self._factorized: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._fingerprint: str | None = None
 
     @classmethod
@@ -199,6 +206,7 @@ class Table:
         table._columns = arrays
         table._num_rows = num_rows
         table._numeric_views = {}
+        table._factorized = {}
         table._fingerprint = None
         return table
 
@@ -334,9 +342,40 @@ class Table:
             if array.dtype.kind in "if":
                 view = array.astype(np.float64, copy=False)
             else:
-                view = _numeric_view_of_objects(array)
+                codes, cells = self.factorize(name)
+                view = np.array(
+                    [numeric_representative(cell) for cell in cells], dtype=np.float64
+                )[codes]
             self._numeric_views[name] = view
         return view
+
+    def factorize(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Object column ``name`` as ``(codes, cells)`` with ``cells[codes][i] is column[i]``.
+
+        ``cells`` holds the ``m`` distinct cell objects (by identity: release
+        rows share one cell per class) in order of first appearance; ``codes``
+        is the ``(n,) intp`` gather index.  Cached per column and read-only;
+        ``int64``/``float64`` columns raise :class:`TableError`.
+        """
+        pair = self._factorized.get(name)
+        if pair is None:
+            array = self.column_array(name)
+            if array.dtype != object:
+                raise TableError(f"column {name!r} is {array.dtype}, not an object column")
+            # The array keeps every cell alive, so ids are stable for the pass.
+            ids = np.fromiter(map(id, array), dtype=np.uint64, count=array.shape[0])
+            _, first, by_address = np.unique(ids, return_index=True, return_inverse=True)
+            # np.unique numbers cells by address; renumber by first appearance.
+            order = np.argsort(first)
+            rank = np.empty(order.shape[0], dtype=np.intp)
+            rank[order] = np.arange(order.shape[0])
+            codes = rank[by_address]
+            cells = array[first[order]]
+            codes.flags.writeable = False
+            cells.flags.writeable = False
+            pair = (codes, cells)
+            self._factorized[name] = pair
+        return pair
 
     def row(self, index: int) -> dict[str, object]:
         """Row ``index`` as a ``{column: value}`` dict."""
@@ -757,21 +796,3 @@ def _column_digest(array: np.ndarray) -> bytes:
                 hasher.update(token)
     return hasher.digest()
 
-
-def _numeric_view_of_objects(array: np.ndarray) -> np.ndarray:
-    """Float view of an object column via :func:`numeric_representative`.
-
-    Release columns repeat the same generalized cell object across every row
-    of an equivalence class, so the representative of each *distinct object*
-    is computed once and fanned out by identity.
-    """
-    out = np.empty(array.shape[0], dtype=np.float64)
-    memo: dict[int, float] = {}
-    for i, value in enumerate(array):
-        key = id(value)
-        representative = memo.get(key)
-        if representative is None:
-            representative = numeric_representative(value)
-            memo[key] = representative
-        out[i] = representative
-    return out

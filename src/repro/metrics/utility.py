@@ -89,6 +89,12 @@ def average_class_size(class_sizes: Sequence[int]) -> float:
     return float(np.mean(class_sizes))
 
 
+def _cell_loss(cell: object, column_range: float) -> float:
+    if isinstance(cell, Interval):
+        return cell.width / column_range
+    return 1.0 if isinstance(cell, Suppressed) else 0.0
+
+
 def generalized_information_loss(original: Table, release: Table) -> float:
     """Normalized information loss of the generalized quasi-identifiers in ``[0, 1]``.
 
@@ -116,20 +122,12 @@ def generalized_information_loss(original: Table, release: Table) -> float:
         cells += release.num_rows
         if array.dtype != object:
             continue  # exact numeric cells carry no loss
-        # Release columns share one generalized object per equivalence class,
-        # so the per-cell loss is resolved once per distinct object.
-        memo: dict[int, float] = {}
-        for value in array:
-            key = id(value)
-            loss = memo.get(key)
-            if loss is None:
-                if isinstance(value, Interval):
-                    loss = value.width / column_range
-                elif isinstance(value, Suppressed):
-                    loss = 1.0
-                else:
-                    loss = 0.0
-                memo[key] = loss
+        codes, distinct = release.factorize(name)
+        losses = np.array(
+            [_cell_loss(cell, column_range) for cell in distinct], dtype=np.float64
+        )
+        # Summed in row order, one cell at a time, exactly as a per-row loop.
+        for loss in losses[codes].tolist():
             total += loss
     return total / cells
 

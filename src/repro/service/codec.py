@@ -12,6 +12,9 @@ zero-copy views into the mapping:
 * ``int64`` / ``float64`` table columns come back as read-only array views of
   the mapping — a spilled 1M-row release is *mapped*, not re-materialized;
 * text columns are stored as fixed-width ``U`` segments and viewed in place;
+* other object columns store :meth:`~repro.dataset.table.Table.factorize`
+  codes plus a tag and payload per *distinct* cell, so decoded rows of one
+  equivalence class share one cell object again;
 * cached CSV renderings come back as a :class:`memoryview` over the mapping,
   so serving a spilled release writes straight from the page cache to the
   socket;
@@ -30,9 +33,10 @@ Container layout
     magic "#repro-npc1\\n"  | uint32 manifest length | manifest JSON | pad
     segment 0 (64-byte aligned) | segment 1 | ...
 
-The manifest holds the cache key (a JSON list, restored as a tuple), a JSON
-tree describing how to reassemble the value, and one ``(dtype, shape,
-offset, nbytes)`` record per segment.  :func:`read_key` reads the key from
+The manifest holds the format version (3; any other reads as a miss), the
+cache key (a JSON list, restored as a tuple), a JSON tree describing how to
+reassemble the value, and one ``(dtype, shape, offset, nbytes)`` record per
+segment.  :func:`read_key` reads the key from
 the manifest alone, without decoding the value.  Writers are atomic at the
 caller (temp file + ``os.replace``), so a torn container can never be
 observed under its final name; :func:`decode_entry` additionally treats any
@@ -62,7 +66,7 @@ SPILL_CONTAINER_SUFFIX = ".npc"
 _MIN_SEGMENT_ITEMS = 16
 
 _MAGIC = b"#repro-npc1\n"
-_VERSION = 2
+_VERSION = 3
 _ALIGN = 64
 
 #: Object-column cell tags of the ``col-tagged`` encoding.
@@ -140,39 +144,45 @@ def _encode_listlike(writer: _Writer, values: list | tuple) -> dict[str, object]
     return {"t": kind, "items": [_encode_node(writer, v) for v in values]}
 
 
-def _encode_object_column(writer: _Writer, array: np.ndarray) -> dict[str, object]:
-    """One object storage column: a ``U`` segment or tagged cells."""
-    values = list(array)
+def _encode_object_column(writer: _Writer, table: Table, name: str) -> dict[str, object]:
+    """One object storage column: a ``U`` segment, or codes over tagged distinct cells."""
+    values = list(table.column_array(name))
     if all(type(v) is str for v in values) and _fits_unicode(values):
         return {"t": "col-str", "i": writer.add(np.asarray(values, dtype="U"))}
 
-    tags = np.empty(len(values), dtype=np.uint8)
-    payload = np.zeros((len(values), 2), dtype=np.float64)
+    codes, cells = table.factorize(name)
+    tags = np.empty(cells.shape[0], dtype=np.uint8)
+    payload = np.zeros((cells.shape[0], 2), dtype=np.float64)
     side: list[object] = []
-    for row, value in enumerate(values):
+    for code, value in enumerate(cells):
         if value is None:
-            tags[row] = _TAG_NONE
+            tags[code] = _TAG_NONE
         elif isinstance(value, Suppressed):
-            tags[row] = _TAG_SUPPRESSED
+            tags[code] = _TAG_SUPPRESSED
         elif isinstance(value, Interval):
-            tags[row] = _TAG_INTERVAL
-            payload[row, 0] = value.low
-            payload[row, 1] = value.high
+            tags[code] = _TAG_INTERVAL
+            payload[code, 0] = value.low
+            payload[code, 1] = value.high
         elif type(value) is int and -_EXACT_INT <= value <= _EXACT_INT:
-            tags[row] = _TAG_INT
-            payload[row, 0] = float(value)
+            tags[code] = _TAG_INT
+            payload[code, 0] = float(value)
         elif type(value) is float:
-            tags[row] = _TAG_FLOAT
-            payload[row, 0] = value
+            tags[code] = _TAG_FLOAT
+            payload[code, 0] = value
         elif isinstance(value, CategorySet):
-            tags[row] = _TAG_SIDE
+            tags[code] = _TAG_SIDE
             side.append([list(value.members), value.label])
         elif _json_leaf(value):
-            tags[row] = _TAG_SIDE
+            tags[code] = _TAG_SIDE
             side.append(value)
         else:
             raise TypeError(f"no container encoding for a {type(value).__name__} cell")
-    node = {"t": "col-tagged", "tags": writer.add(tags), "values": writer.add(payload)}
+    node = {
+        "t": "col-tagged",
+        "codes": writer.add(codes.astype(np.int64)),
+        "tags": writer.add(tags),
+        "values": writer.add(payload),
+    }
     if side:
         node["side"] = writer.add_bytes(json.dumps(side).encode("utf-8"))
     return node
@@ -185,7 +195,7 @@ def _encode_table(writer: _Writer, table: Table) -> dict[str, object]:
         if array.dtype.kind in "if":
             columns.append({"t": "col-num", "i": writer.add(array)})
         else:
-            columns.append(_encode_object_column(writer, array))
+            columns.append(_encode_object_column(writer, table, name))
     return {
         "t": "table",
         "rows": table.num_rows,
@@ -332,42 +342,38 @@ class _Reader:
             return self.segment(node["i"]).astype(object)
         if kind == "col-tagged":
             side = json.loads(self.raw(node["side"])) if "side" in node else []
-            return self._decode_tagged(
+            cells = self._decode_cells(
                 self.segment(node["tags"]), self.segment(node["values"]), side
             )
+            codes = self.segment(node["codes"])
+            if codes.size and int(codes.min()) < 0:
+                raise ValueError("negative cell code")
+            # Rows of one class share one cell object again, as in the release.
+            return cells[codes]
         raise ValueError(f"unknown container column type: {kind!r}")
 
     @staticmethod
-    def _decode_tagged(tags: np.ndarray, payload: np.ndarray, side: list) -> np.ndarray:
+    def _decode_cells(tags: np.ndarray, payload: np.ndarray, side: list) -> np.ndarray:
         out = np.empty(tags.shape[0], dtype=object)
-        # Identical (low, high) pairs share one Interval object, restoring the
-        # per-equivalence-class object sharing of the original release column
-        # (which the numeric-view memoization in Table exploits).
-        intervals: dict[tuple[float, float], Interval] = {}
         tag_list = tags.tolist()
         payload_list = payload.tolist()
         side_row = 0
-        for row, tag in enumerate(tag_list):
+        for code, tag in enumerate(tag_list):
             if tag == _TAG_NONE:
-                out[row] = None
+                out[code] = None
             elif tag == _TAG_INT:
-                out[row] = int(payload_list[row][0])
+                out[code] = int(payload_list[code][0])
             elif tag == _TAG_FLOAT:
-                out[row] = payload_list[row][0]
+                out[code] = payload_list[code][0]
             elif tag == _TAG_SUPPRESSED:
-                out[row] = SUPPRESSED
+                out[code] = SUPPRESSED
             elif tag == _TAG_SIDE:
                 cell = side[side_row]
                 side_row += 1
                 # JSON lists only ever hold CategorySet cells (members, label).
-                out[row] = CategorySet(cell[0], label=cell[1]) if isinstance(cell, list) else cell
+                out[code] = CategorySet(cell[0], label=cell[1]) if isinstance(cell, list) else cell
             else:
-                bounds = (payload_list[row][0], payload_list[row][1])
-                interval = intervals.get(bounds)
-                if interval is None:
-                    interval = Interval(bounds[0], bounds[1])
-                    intervals[bounds] = interval
-                out[row] = interval
+                out[code] = Interval(payload_list[code][0], payload_list[code][1])
         return out
 
     def _decode_artifact(self, node: dict):

@@ -77,6 +77,13 @@ class TestRoundTrip:
         assert loaded.cell(2, "age") is SUPPRESSED
         assert loaded.cell(3, "age") == 44
 
+    def test_exponent_interval_bounds_round_trip(self, simple_table, tmp_path):
+        release = simple_table.replace_column(
+            "age", [Interval(1e-05, 0.5), Interval(-2.5e-07, -1e-07), 37, 44, 52, 58]
+        )
+        assert render_cell(Interval(1e-05, 0.5)) == "[1e-05-0.5]"
+        assert read_csv(write_csv(release, tmp_path / "release.csv")) == release
+
     def test_nested_directory_created(self, simple_table, tmp_path):
         path = write_csv(simple_table, tmp_path / "deep" / "dir" / "t.csv")
         assert path.exists()

@@ -73,8 +73,22 @@ _categorical_cells = st.one_of(
 
 
 @st.composite
-def tables(draw):
+def tables(draw, shared_cells=False):
+    """Tables over a four-role schema.
+
+    With ``shared_cells`` each column's rows are drawn from a small pool of
+    cell objects, so rows repeat one object the way a release repeats one
+    generalized cell per equivalence class (fewer distinct cells than rows).
+    """
     rows = draw(st.integers(min_value=0, max_value=12))
+
+    def column(cells):
+        if not shared_cells:
+            return draw(st.lists(cells, min_size=rows, max_size=rows))
+        pool = draw(st.lists(cells, min_size=1, max_size=max(1, rows // 2)))
+        picks = st.integers(min_value=0, max_value=len(pool) - 1)
+        return [pool[i] for i in draw(st.lists(picks, min_size=rows, max_size=rows))]
+
     schema = Schema(
         [
             Attribute("name", AttributeRole.IDENTIFIER, AttributeKind.TEXT),
@@ -86,10 +100,10 @@ def tables(draw):
     return Table(
         schema,
         {
-            "name": draw(st.lists(_texts, min_size=rows, max_size=rows)),
-            "score": draw(st.lists(_numeric_cells, min_size=rows, max_size=rows)),
-            "group": draw(st.lists(_categorical_cells, min_size=rows, max_size=rows)),
-            "income": draw(st.lists(_plain_numbers, min_size=rows, max_size=rows)),
+            "name": column(_texts),
+            "score": column(_numeric_cells),
+            "group": column(_categorical_cells),
+            "income": column(_plain_numbers),
         },
     )
 
@@ -323,6 +337,12 @@ class TestColumnarRenderEquivalence:
     @settings(max_examples=80, deadline=None)
     @given(tables())
     def test_columnar_equals_reference(self, table):
+        assert render_csv(table) == _render_csv_reference(table)
+
+    @settings(max_examples=80, deadline=None)
+    @given(tables(shared_cells=True))
+    def test_shared_cell_objects_match_reference(self, table):
+        # Object columns render once per distinct cell and gather by codes.
         assert render_csv(table) == _render_csv_reference(table)
 
     _nasty_texts = st.text(

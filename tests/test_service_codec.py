@@ -79,6 +79,15 @@ class TestTableRoundTrip:
         assert decoded[0] == Interval(1.0, 9.0)
         assert decoded[0] is decoded[2] is decoded[3]
 
+    def test_independent_releases_encode_to_identical_bytes(self, simple_table):
+        from repro.anonymize.mdav import MDAVAnonymizer
+
+        # Distinct cells are numbered by first appearance, never by address.
+        first = MDAVAnonymizer().anonymize(simple_table, 2).release
+        second = MDAVAnonymizer().anonymize(simple_table, 2).release
+        assert first.column_array("age")[0] is not second.column_array("age")[0]
+        assert encode_entry(("rel",), first) == encode_entry(("rel",), second)
+
     def test_mixed_object_cells(self, tmp_path):
         from repro.dataset.schema import Attribute, AttributeKind, AttributeRole, Schema
 
@@ -297,6 +306,36 @@ class TestResilience:
         path.write_bytes(data[: len(data) // 2])
         ok, _, _ = decode_entry(path)
         assert not ok
+
+    def test_version_2_container_is_a_miss(self, simple_table, tmp_path):
+        data = encode_entry(("v",), simple_table)
+        assert data.count(b'"version":3') == 1
+        # A same-length manifest edit keeps every segment offset valid.
+        path = tmp_path / "old.npc"
+        path.write_bytes(data.replace(b'"version":3', b'"version":2'))
+        assert decode_entry(path) == (False, None, None)
+        assert read_key(path) is None
+
+    def test_negative_cell_code_is_a_miss(self, tmp_path):
+        import json
+
+        from repro.dataset.schema import Attribute, AttributeRole, Schema
+
+        schema = Schema([Attribute("age", AttributeRole.QUASI_IDENTIFIER)])
+        column = np.empty(2, dtype=object)
+        column[:] = [Interval(1.0, 2.0), SUPPRESSED]
+        table = Table._from_arrays(schema, {"age": column}, 2)
+        data = bytearray(encode_entry(("neg",), table))
+        start = len(b"#repro-npc1\n") + 4
+        end = start + int.from_bytes(data[start - 4 : start], "big")
+        manifest = json.loads(bytes(data[start:end]))
+        record = manifest["segments"][manifest["root"]["columns"][0]["codes"]]
+        # A negative code would otherwise wrap around to the last cell.
+        position = end + (-end) % 64 + record["offset"]
+        data[position : position + 8] = np.int64(-1).tobytes()
+        path = tmp_path / "neg.npc"
+        path.write_bytes(bytes(data))
+        assert decode_entry(path) == (False, None, None)
 
     def test_pickled_garbage_is_a_miss(self, tmp_path):
         path = tmp_path / "entry.npc"
