@@ -17,17 +17,18 @@ two tiers:
   and nothing is ever unpickled.
 
 The spill directory is optionally garbage-collected: give the cache a
-``max_spill_bytes`` / ``max_spill_entries`` budget and the least recently
-*used* files (by mtime — loads touch the file) are evicted after each spill
-write.  Evicting a file that a loaded entry still maps is safe: the mapping
-keeps the pages alive until released.
+``max_spill_bytes`` budget and the least recently *used* files (by mtime —
+loads touch the file) are evicted after each spill write.  Evicting a file
+that a loaded entry still maps is safe: the mapping keeps the pages alive
+until released.
 
-Concurrency: lookups and computations go through :meth:`TwoTierCache.get_or_compute`,
-which implements **single-flight** semantics — when N threads miss on the
-same key simultaneously, exactly one of them (the *leader*) computes the
-value while the rest wait on it, so a cache stampede can never run the same
-anonymization twice.  Failures are propagated to every waiter but are *not*
-cached; a later request retries the computation.  The counters exposed by
+Concurrency: every lookup goes through :meth:`TwoTierCache.get_or_compute`
+(there is no separate read path), which implements **single-flight**
+semantics — when N threads miss on the same key simultaneously, exactly one
+of them (the *leader*) computes the value while the rest wait on it, so a
+cache stampede can never run the same anonymization twice.  Failures are
+propagated to every waiter but are *not* cached; a later request retries
+the computation.  The counters exposed by
 :meth:`TwoTierCache.stats` make the exactly-once property observable (and
 testable): ``computations`` counts actual executions, ``coalesced_waits``
 counts requests that piggybacked on another thread's in-flight computation.
@@ -84,11 +85,11 @@ class TwoTierCache:
         ``.npc`` container named by the sha256 of the key, written
         atomically (temp file + rename), so concurrent writers and abrupt
         shutdowns never leave a torn entry.
-    max_spill_bytes / max_spill_entries:
+    max_spill_bytes:
         Optional garbage-collection budget for the spill directory.  After
         each spill write, the least recently used files (by mtime; loads
-        touch) are deleted until both limits hold.  ``None`` (the default)
-        leaves that dimension unbounded.
+        touch) are deleted until the total size fits.  ``None`` (the
+        default) leaves the directory unbounded.
     """
 
     def __init__(
@@ -96,20 +97,16 @@ class TwoTierCache:
         capacity: int = 128,
         spill_dir: str | Path | None = None,
         max_spill_bytes: int | None = None,
-        max_spill_entries: int | None = None,
     ) -> None:
         if capacity < 1:
             raise ServiceError(f"cache capacity must be >= 1, got {capacity}")
         if max_spill_bytes is not None and max_spill_bytes < 1:
             raise ServiceError(f"max spill bytes must be >= 1, got {max_spill_bytes}")
-        if max_spill_entries is not None and max_spill_entries < 1:
-            raise ServiceError(f"max spill entries must be >= 1, got {max_spill_entries}")
         self._capacity = capacity
         self._spill_dir = Path(spill_dir) if spill_dir is not None else None
         if self._spill_dir is not None:
             self._spill_dir.mkdir(parents=True, exist_ok=True)
         self._max_spill_bytes = max_spill_bytes
-        self._max_spill_entries = max_spill_entries
         self._lock = threading.Lock()
         self._memory: OrderedDict[CacheKey, object] = OrderedDict()
         self._inflight: dict[CacheKey, _InFlight] = {}
@@ -123,20 +120,6 @@ class TwoTierCache:
         self._invalidations = 0
 
     # Lookup / computation ------------------------------------------------------
-
-    def get(self, key: CacheKey) -> object | None:
-        """The cached value for ``key`` (memory, then disk), or ``None``."""
-        with self._lock:
-            if key in self._memory:
-                self._memory.move_to_end(key)
-                self._memory_hits += 1
-                return self._memory[key]
-        found, value = self._load_spilled(key)
-        if found:
-            with self._lock:
-                self._disk_hits += 1
-                self._store_memory(key, value)
-        return value
 
     def get_or_compute(self, key: CacheKey, compute: Callable[[], T]) -> T:
         """Return the cached value for ``key``, computing it at most once.
@@ -330,7 +313,7 @@ class TwoTierCache:
         Only the top-level cache containers are LRU candidates (see
         :meth:`_spill_files`).
         """
-        if self._max_spill_bytes is None and self._max_spill_entries is None:
+        if self._max_spill_bytes is None:
             return
         entries: list[tuple[float, int, Path]] = []
         total = 0
@@ -342,16 +325,12 @@ class TwoTierCache:
             entries.append((stat.st_mtime, stat.st_size, child))
             total += stat.st_size
         entries.sort(key=lambda item: item[0])
-        count = len(entries)
         for _, size, child in entries:
-            within_entries = self._max_spill_entries is None or count <= self._max_spill_entries
-            within_bytes = self._max_spill_bytes is None or total <= self._max_spill_bytes
-            if within_entries and within_bytes:
+            if total <= self._max_spill_bytes:
                 break
             # Unlinking a file a loaded entry still maps is safe: the
             # mapping holds the pages until the last view is released.
             child.unlink(missing_ok=True)
-            count -= 1
             total -= size
             with self._lock:
                 self._spill_evictions += 1

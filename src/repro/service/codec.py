@@ -17,9 +17,7 @@ zero-copy views into the mapping:
   equivalence class share one cell object again;
 * cached CSV renderings come back as a :class:`memoryview` over the mapping,
   so serving a spilled release writes straight from the page cache to the
-  socket;
-* a :class:`~repro.service.core.ReleaseArtifact`'s table decodes **lazily** —
-  a service that only serves the cached CSV bytes never rebuilds the table.
+  socket.
 
 Nothing in a container is executable: the manifest is JSON and segments are
 raw numbers, text or bytes.  Values the encoders do not cover raise
@@ -40,7 +38,8 @@ segment.  :func:`read_key` reads the key from
 the manifest alone, without decoding the value.  Writers are atomic at the
 caller (temp file + ``os.replace``), so a torn container can never be
 observed under its final name; :func:`decode_entry` additionally treats any
-malformed container as a cache miss rather than an error.
+malformed container as a cache miss rather than an error: the whole value,
+release tables included, is decoded and validated before it is returned.
 """
 
 from __future__ import annotations
@@ -48,13 +47,13 @@ from __future__ import annotations
 import io
 import json
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from repro.dataset.generalization import SUPPRESSED, CategorySet, Interval, Suppressed
 from repro.dataset.schema import Attribute, AttributeKind, AttributeRole, Schema
 from repro.dataset.table import Table
+from repro.exceptions import ReproError
 
 __all__ = ["encode_entry", "decode_entry", "read_key", "SPILL_CONTAINER_SUFFIX"]
 
@@ -81,8 +80,9 @@ _TAG_SIDE = 5  # str, big int and CategorySet cells, held in a JSON side list
 #: ``col-tagged`` encoding without precision loss.
 _EXACT_INT = 2**53
 
-#: What a malformed, truncated or foreign file raises while being read.
-_MALFORMED = (OSError, ValueError, KeyError, IndexError, TypeError)
+#: What a malformed, truncated or foreign file raises while being read
+#: (:class:`ReproError` covers cells and schemas that fail their own checks).
+_MALFORMED = (OSError, ValueError, KeyError, IndexError, TypeError, ReproError)
 
 
 class _Writer:
@@ -215,7 +215,7 @@ def _encode_node(writer: _Writer, value: object) -> dict[str, object]:
     if isinstance(value, Table):
         return _encode_table(writer, value)
     if isinstance(value, ReleaseArtifact):
-        node: dict[str, object] = {
+        return {
             "t": "artifact",
             "dataset": value.dataset,
             "algorithm": value.algorithm,
@@ -224,10 +224,6 @@ def _encode_node(writer: _Writer, value: object) -> dict[str, object]:
             "class_sizes": _encode_listlike(writer, tuple(value.class_sizes)),
             "table": _encode_table(writer, value.table),
         }
-        rendered = value.csv_bytes_cache
-        if rendered is not None:
-            node["csv"] = writer.add_bytes(bytes(rendered))
-        return node
     if isinstance(value, np.ndarray) and not value.dtype.hasobject:
         return {"t": "ndarray", "i": writer.add(value)}
     if isinstance(value, (bytes, bytearray, memoryview)):
@@ -329,10 +325,16 @@ class _Reader:
                 for name, role, kind, description in node["schema"]
             ]
         )
+        rows = int(node["rows"])
         arrays: dict[str, np.ndarray] = {}
-        for attribute, column in zip(schema.attributes, node["columns"]):
-            arrays[attribute.name] = self._decode_column(column)
-        return Table._from_arrays(schema, arrays, int(node["rows"]))
+        for attribute, column in zip(schema.attributes, node["columns"], strict=True):
+            array = self._decode_column(column)
+            if array.shape != (rows,):
+                raise ValueError(
+                    f"column {attribute.name!r} has shape {array.shape}, expected ({rows},)"
+                )
+            arrays[attribute.name] = array
+        return Table._from_arrays(schema, arrays, rows)
 
     def _decode_column(self, node: dict) -> np.ndarray:
         kind = node["t"]
@@ -372,29 +374,22 @@ class _Reader:
                 side_row += 1
                 # JSON lists only ever hold CategorySet cells (members, label).
                 out[code] = CategorySet(cell[0], label=cell[1]) if isinstance(cell, list) else cell
-            else:
+            elif tag == _TAG_INTERVAL:
                 out[code] = Interval(payload_list[code][0], payload_list[code][1])
+            else:
+                raise ValueError(f"unknown cell tag {tag}")
         return out
 
     def _decode_artifact(self, node: dict):
         from repro.service.core import ReleaseArtifact
 
-        csv_index = node.get("csv")
-        csv_bytes = None
-        if csv_index is not None:
-            segment = self.segment(csv_index)
-            csv_bytes = segment.data if segment.size else memoryview(b"")
-        table_node = node["table"]
-        loader: Callable[[], Table] = lambda: self.decode_table(table_node)
         return ReleaseArtifact(
             dataset=node["dataset"],
             algorithm=node["algorithm"],
             k=int(node["k"]),
             style=node["style"],
-            table=loader,
+            table=self.decode_table(node["table"]),
             class_sizes=tuple(self.decode(node["class_sizes"])),
-            csv_bytes=csv_bytes,
-            rows=int(table_node["rows"]),
         )
 
 

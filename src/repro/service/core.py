@@ -10,9 +10,10 @@ JSON/HTTP layer in :mod:`repro.service.http`:
 * request an anonymized **release** at level *k* under any registered
   algorithm (MDAV, Mondrian, Datafly, greedy clustering, plain suppression) —
   releases are memoized in the two-tier cache, so a repeat request is an O(1)
-  dictionary hit; the CSV rendering is lazy and cached on the artifact, so
-  attack/FRED requests that only need estimates never render it, while every
-  client fetching the CSV receives byte-identical text;
+  dictionary hit; a release's CSV bytes are a cache entry of their own,
+  rendered on the first fetch, so attack/FRED requests that only need
+  estimates never render it, while every client fetching the CSV receives
+  byte-identical bytes;
 * run the web-based **fusion attack** against a release (memoized the same
   way) — the linkage **harvest** is memoized separately, keyed by
   (identifier-column fingerprint, auxiliary-corpus fingerprint), so repeated
@@ -116,101 +117,24 @@ def _finite_number(value: object, field: str) -> float:
     raise ServiceError(f"{field} must be a finite number, got {value!r}")
 
 
+@dataclass(frozen=True, eq=False)
 class ReleaseArtifact:
-    """A memoized release: the table plus its lazily cached CSV rendering.
+    """A memoized release: the anonymized table and its class sizes.
 
-    The CSV is **not** rendered when the release is computed — attack and
-    FRED requests that only need estimates never pay for it.  The first
-    access to :attr:`csv_bytes` renders and UTF-8 encodes once, caching the
-    encoded bytes on the artifact (handlers serve those bytes directly and
-    never re-encode); :func:`~repro.dataset.io.render_csv` is deterministic,
-    which keeps concurrent first renders byte-identical too.
-
-    Artifacts loaded back from a container spill
-    (:mod:`repro.service.codec`) are **lazy**: ``table`` is a zero-argument
-    loader that decodes the memory-mapped columns on first use (single-flight
-    — concurrent first touches run the loader exactly once), and
-    ``csv_bytes`` may arrive as a :class:`memoryview` straight over the
-    mapping — a request that only serves the cached CSV, or summaries via
-    :meth:`info` (whose row count rides in the manifest), never rebuilds the
-    table at all.
+    The artifact holds no rendering.  A release's CSV bytes are a cache entry
+    of their own (:meth:`AnonymizationService.release_csv`), so attack and
+    FRED requests that only need estimates never render it.  An artifact read
+    back from a spilled container (:mod:`repro.service.codec`) arrives with
+    its table already decoded: a corrupt container is a cache miss at load
+    time, never an artifact that fails on first use.
     """
 
-    __slots__ = (
-        "dataset",
-        "algorithm",
-        "k",
-        "style",
-        "class_sizes",
-        "_table",
-        "_csv",
-        "_rows",
-        "_table_lock",
-    )
-
-    def __init__(
-        self,
-        dataset: str,
-        algorithm: str,
-        k: int,
-        style: str,
-        table: Table | Callable[[], Table],
-        class_sizes: tuple[int, ...],
-        csv_bytes: bytes | memoryview | None = None,
-        rows: int | None = None,
-    ) -> None:
-        self.dataset = dataset
-        self.algorithm = algorithm
-        self.k = k
-        self.style = style
-        self.class_sizes = tuple(class_sizes)
-        self._table = table
-        self._csv = csv_bytes
-        if rows is None and isinstance(table, Table):
-            rows = table.num_rows
-        self._rows = rows
-        self._table_lock = threading.Lock()
-
-    @property
-    def table(self) -> Table:
-        """The release table (decoded from the spill mapping on first use)."""
-        materialized = self._table
-        if not isinstance(materialized, Table):
-            # Single-flight: decoding a spilled million-row table takes
-            # seconds, so a herd of request threads each running the loader
-            # concurrently would multiply that by the thread count (they all
-            # share the GIL).  One thread decodes, the rest wait on the lock.
-            with self._table_lock:
-                materialized = self._table
-                if not isinstance(materialized, Table):
-                    materialized = materialized()
-                    self._rows = materialized.num_rows
-                    self._table = materialized
-        return materialized
-
-    @property
-    def num_rows(self) -> int:
-        """Row count without forcing a decode (the spill manifest knows it)."""
-        if self._rows is not None:
-            return self._rows
-        return self.table.num_rows
-
-    @property
-    def csv_bytes_cache(self) -> bytes | memoryview | None:
-        """The cached CSV encoding if one exists, without rendering."""
-        return self._csv
-
-    @property
-    def csv_bytes(self) -> bytes | memoryview:
-        """The UTF-8 encoded CSV rendering (rendered on first use, cached)."""
-        if self._csv is None:
-            self._csv = render_csv(self.table).encode("utf-8")
-        return self._csv
-
-    @property
-    def csv_text(self) -> str:
-        """The release rendered to CSV (decoded from :attr:`csv_bytes`)."""
-        return bytes(self.csv_bytes).decode("utf-8")
+    dataset: str
+    algorithm: str
+    k: int
+    style: str
+    table: Table
+    class_sizes: tuple[int, ...]
 
     @property
     def minimum_class_size(self) -> int:
@@ -224,16 +148,10 @@ class ReleaseArtifact:
             "algorithm": self.algorithm,
             "k": self.k,
             "style": self.style,
-            "rows": self.num_rows,
+            "rows": self.table.num_rows,
             "classes": len(self.class_sizes),
             "minimum_class_size": self.minimum_class_size,
         }
-
-    def __repr__(self) -> str:
-        return (
-            f"ReleaseArtifact(dataset={self.dataset!r}, algorithm={self.algorithm!r}, "
-            f"k={self.k}, style={self.style!r}, classes={len(self.class_sizes)})"
-        )
 
 
 @dataclass(frozen=True)
@@ -261,7 +179,7 @@ class AnonymizationService:
         the cap is rejected with :class:`~repro.exceptions.ServiceError`
         (clients free slots via :meth:`unregister` / ``DELETE /datasets/<fp>``).
         ``None`` (the default) leaves the registry unbounded.
-    max_spill_bytes / max_spill_entries:
+    max_spill_bytes:
         Spill-directory garbage-collection budget, passed through to
         :class:`~repro.service.cache.TwoTierCache`.
     """
@@ -274,7 +192,6 @@ class AnonymizationService:
         job_retention: int = 256,
         max_datasets: int | None = None,
         max_spill_bytes: int | None = None,
-        max_spill_entries: int | None = None,
     ) -> None:
         if max_datasets is not None and max_datasets < 1:
             raise ServiceError(f"max datasets must be >= 1, got {max_datasets}")
@@ -285,7 +202,6 @@ class AnonymizationService:
             capacity=cache_capacity,
             spill_dir=cache_dir,
             max_spill_bytes=max_spill_bytes,
-            max_spill_entries=max_spill_entries,
         )
         self._jobs = JobManager(max_workers=job_workers, max_retained=job_retention)
         # Appends are serialized: two concurrent appends to the same base
@@ -470,7 +386,7 @@ class AnonymizationService:
     ) -> bytes | memoryview:
         """The UTF-8 CSV encoding of a release, cached as its own entry.
 
-        The bytes are memoized separately from the artifact so that a service
+        This entry is the only owner of the rendered bytes.  A service
         serving a release rendered before a restart maps the spilled bytes (a
         :class:`memoryview` over the container file) and writes them straight
         to the socket — no table rebuild, no re-render, no re-encode.
@@ -479,9 +395,9 @@ class AnonymizationService:
         key = (fingerprint, "release", algorithm, k, style, "csv")
         return self._cache.get_or_compute(
             key,
-            lambda: self.release(
-                fingerprint, k, algorithm=algorithm, style=style
-            ).csv_bytes,
+            lambda: render_csv(
+                self.release(fingerprint, k, algorithm=algorithm, style=style).table
+            ).encode("utf-8"),
         )
 
     def _compute_release(

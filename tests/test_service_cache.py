@@ -8,6 +8,20 @@ import pytest
 
 from repro.exceptions import ServiceError
 from repro.service.cache import TwoTierCache
+from repro.service.codec import encode_entry
+
+#: A probe value with no container encoding, so probing never spills.
+_ABSENT = object()
+
+
+def _cached(cache, key):
+    """The value cached under ``key``; fails the test if either tier misses."""
+    return cache.get_or_compute(key, lambda: pytest.fail(f"{key!r} must be cached"))
+
+
+def _absent(cache, key):
+    """Whether ``key`` misses both tiers (the probe itself stays in memory)."""
+    return cache.get_or_compute(key, lambda: _ABSENT) is _ABSENT
 
 
 class TestMemoryTier:
@@ -34,10 +48,10 @@ class TestMemoryTier:
         cache.get_or_compute(("b",), lambda: 2)
         cache.get_or_compute(("a",), lambda: 1)  # refresh "a"
         cache.get_or_compute(("c",), lambda: 3)  # evicts "b"
-        assert cache.get(("a",)) == 1
-        assert cache.get(("b",)) is None
-        assert cache.get(("c",)) == 3
+        assert _cached(cache, ("a",)) == 1
+        assert _cached(cache, ("c",)) == 3
         assert len(cache) == 2
+        assert _absent(cache, ("b",))
 
     def test_failures_are_not_cached(self):
         cache = TwoTierCache(capacity=4)
@@ -75,13 +89,7 @@ class TestDiskTier:
         value = second.get_or_compute(("k", 3), lambda: pytest.fail("must hit disk"))
         assert value == [1, 2, 3]
         assert second.stats()["computations"] == 0
-
-    def test_plain_get_reads_disk(self, tmp_path):
-        first = TwoTierCache(capacity=4, spill_dir=tmp_path)
-        first.get_or_compute(("k",), lambda: "v")
-        second = TwoTierCache(capacity=4, spill_dir=tmp_path)
-        assert second.get(("k",)) == "v"
-        assert second.get(("missing",)) is None
+        assert _absent(second, ("missing",))
 
     def test_spilled_none_is_a_hit_not_a_miss(self, tmp_path):
         """A legitimately cached ``None`` must not be recomputed forever.
@@ -173,7 +181,7 @@ class TestSingleFlight:
         # The leader raised; waiters either saw the same error or retried and
         # raised themselves — in every case the error reached all three.
         assert outcomes == ["boom"] * 3
-        assert cache.get(("k",)) is None
+        assert _absent(cache, ("k",))
 
 
 class TestContainerSpill:
@@ -214,7 +222,7 @@ class TestContainerSpill:
         assert not list(tmp_path.glob("*.pkl"))
         assert cache.stats()["container_spills"] == 1
         fresh = TwoTierCache(capacity=4, spill_dir=tmp_path)
-        assert fresh.get(("small",)) == {"payload": 1}
+        assert _cached(fresh, ("small",)) == {"payload": 1}
 
     def test_respill_drops_the_stale_twin(self, tmp_path):
         """A respill replaces the key's one file; no second file ever appears."""
@@ -230,7 +238,7 @@ class TestContainerSpill:
         assert sorted(tmp_path.iterdir()) == files
         assert all(p.suffix == ".npc" for p in files)
         fresh = TwoTierCache(capacity=1, spill_dir=tmp_path)
-        assert fresh.get(("k",)).num_rows == table.num_rows
+        assert _cached(fresh, ("k",)).num_rows == table.num_rows
 
     def test_unencodable_values_stay_in_memory(self, tmp_path):
         cache = TwoTierCache(capacity=4, spill_dir=tmp_path)
@@ -242,11 +250,13 @@ class TestContainerSpill:
 
 
 class TestSpillGarbageCollection:
-    def test_entry_budget_evicts_oldest(self, tmp_path):
+    def test_byte_budget_evicts_least_recently_used(self, tmp_path):
         import os
         import time
 
-        cache = TwoTierCache(capacity=16, spill_dir=tmp_path, max_spill_entries=3)
+        # Every entry below encodes to the same size: the budget holds three.
+        size = len(encode_entry(("k", 0), {"payload": 0}))
+        cache = TwoTierCache(capacity=16, spill_dir=tmp_path, max_spill_bytes=3 * size)
         for i in range(6):
             cache.get_or_compute(("k", i), lambda i=i: {"payload": i})
             # Distinct mtimes so LRU order is deterministic.
@@ -259,8 +269,8 @@ class TestSpillGarbageCollection:
         assert cache.stats()["spill_evictions"] == 3
         # The survivors are the three most recently written entries.
         fresh = TwoTierCache(capacity=16, spill_dir=tmp_path)
-        assert fresh.get(("k", 5)) == {"payload": 5}
-        assert fresh.get(("k", 0)) is None
+        assert _cached(fresh, ("k", 5)) == {"payload": 5}
+        assert _absent(fresh, ("k", 0))
 
     def test_byte_budget_evicts_until_under(self, tmp_path):
         blob = b"z" * 50_000
@@ -274,7 +284,9 @@ class TestSpillGarbageCollection:
     def test_loads_refresh_lru_position(self, tmp_path):
         import time
 
-        cache = TwoTierCache(capacity=1, spill_dir=tmp_path, max_spill_entries=2)
+        # Every entry below encodes to the same size: the budget holds two.
+        size = len(encode_entry(("a",), "va"))
+        cache = TwoTierCache(capacity=1, spill_dir=tmp_path, max_spill_bytes=2 * size)
         cache.get_or_compute(("a",), lambda: "va")
         time.sleep(0.02)
         cache.get_or_compute(("b",), lambda: "vb")  # evicts "a" from memory
@@ -283,16 +295,16 @@ class TestSpillGarbageCollection:
         time.sleep(0.02)
         cache.get_or_compute(("c",), lambda: "vc")  # GC must evict "b", not "a"
         fresh = TwoTierCache(capacity=4, spill_dir=tmp_path)
-        assert fresh.get(("a",)) == "va"
-        assert fresh.get(("b",)) is None
-        assert fresh.get(("c",)) == "vc"
+        assert _cached(fresh, ("a",)) == "va"
+        assert _cached(fresh, ("c",)) == "vc"
+        assert _absent(fresh, ("b",))
 
     def test_dataset_store_subdirectory_is_never_collected(self, tmp_path):
         store = tmp_path / "datasets"
         store.mkdir()
         keep = store / "fingerprint.npc"
         keep.write_bytes(b"dataset container")
-        cache = TwoTierCache(capacity=4, spill_dir=tmp_path, max_spill_entries=1)
+        cache = TwoTierCache(capacity=4, spill_dir=tmp_path, max_spill_bytes=1)
         for i in range(4):
             cache.get_or_compute(("k", i), lambda i=i: i)
         assert keep.exists(), "GC must not descend into the dataset store"
@@ -300,5 +312,3 @@ class TestSpillGarbageCollection:
     def test_invalid_budgets_rejected(self, tmp_path):
         with pytest.raises(ServiceError):
             TwoTierCache(capacity=4, spill_dir=tmp_path, max_spill_bytes=0)
-        with pytest.raises(ServiceError):
-            TwoTierCache(capacity=4, spill_dir=tmp_path, max_spill_entries=0)

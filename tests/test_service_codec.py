@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import numpy as np
@@ -19,6 +20,47 @@ def _write(tmp_path, key, value):
     path = tmp_path / "entry.npc"
     path.write_bytes(payload)
     return path
+
+
+def _unpack(payload: bytes) -> tuple[bytearray, dict, int]:
+    """A writable copy of a container, its manifest and its segment base."""
+    data = bytearray(payload)
+    start = len(b"#repro-npc1\n") + 4
+    end = start + int.from_bytes(data[start - 4 : start], "big")
+    return data, json.loads(bytes(data[start:end])), end + (-end) % 64
+
+
+def _segment(data: bytearray, manifest: dict, base: int, index: int) -> np.ndarray:
+    """A writable view of segment ``index`` inside ``data``."""
+    record = manifest["segments"][index]
+    start = base + record["offset"]
+    raw = np.frombuffer(data, dtype=np.uint8)[start : start + record["nbytes"]]
+    return raw.view(np.dtype(record["dtype"])).reshape(record["shape"])
+
+
+def _interval_column(data: bytearray, manifest: dict, base: int) -> tuple[dict, int]:
+    """The first ``col-tagged`` column holding an interval, and that cell's code."""
+    from repro.service.codec import _TAG_INTERVAL
+
+    root = manifest["root"]
+    table = root["table"] if root["t"] == "artifact" else root
+    for column in table["columns"]:
+        if column["t"] == "col-tagged":
+            codes = np.flatnonzero(_segment(data, manifest, base, column["tags"]) == _TAG_INTERVAL)
+            if codes.size:
+                return column, int(codes[0])
+    raise AssertionError("no column holds an interval cell")
+
+
+def _one_column_table(cells: list, kind=None) -> Table:
+    from repro.dataset.schema import Attribute, AttributeKind, AttributeRole, Schema
+
+    schema = Schema(
+        [Attribute("x", AttributeRole.QUASI_IDENTIFIER, kind or AttributeKind.NUMERIC)]
+    )
+    column = np.empty(len(cells), dtype=object)
+    column[:] = cells
+    return Table._from_arrays(schema, {"x": column}, len(cells))
 
 
 def _tables_equal(left: Table, right: Table) -> None:
@@ -136,7 +178,6 @@ class TestArtifactRoundTrip:
         )
 
     def test_round_trip_with_csv(self, artifact, tmp_path):
-        expected_csv = artifact.csv_bytes  # render before encoding
         path = _write(tmp_path, ("a",), artifact)
         ok, _, value = decode_entry(path)
         assert ok
@@ -144,24 +185,11 @@ class TestArtifactRoundTrip:
         assert value.algorithm == "mondrian"
         assert value.k == 2
         assert value.class_sizes == artifact.class_sizes
-        assert bytes(value.csv_bytes) == bytes(expected_csv)
+        assert value.info() == artifact.info()
+        # The table is decoded by decode_entry itself, never on first use.
+        assert isinstance(value.table, Table)
+        assert render_csv(value.table) == render_csv(artifact.table)
         _tables_equal(artifact.table, value.table)
-
-    def test_cached_csv_is_served_without_table_decode(self, artifact, tmp_path):
-        artifact.csv_bytes
-        path = _write(tmp_path, ("a",), artifact)
-        _, _, value = decode_entry(path)
-        # The table is a pending loader until someone asks for it.
-        assert not isinstance(value._table, Table)
-        assert isinstance(value.csv_bytes, memoryview)
-        assert not isinstance(value._table, Table)
-        assert value.csv_text == render_csv(artifact.table)
-
-    def test_unrendered_artifact_has_no_csv_segment(self, artifact, tmp_path):
-        path = _write(tmp_path, ("a",), artifact)
-        _, _, value = decode_entry(path)
-        assert value.csv_bytes_cache is None
-        assert value.csv_text == artifact.csv_text
 
 
 class TestGenericValues:
@@ -317,22 +345,10 @@ class TestResilience:
         assert read_key(path) is None
 
     def test_negative_cell_code_is_a_miss(self, tmp_path):
-        import json
-
-        from repro.dataset.schema import Attribute, AttributeRole, Schema
-
-        schema = Schema([Attribute("age", AttributeRole.QUASI_IDENTIFIER)])
-        column = np.empty(2, dtype=object)
-        column[:] = [Interval(1.0, 2.0), SUPPRESSED]
-        table = Table._from_arrays(schema, {"age": column}, 2)
-        data = bytearray(encode_entry(("neg",), table))
-        start = len(b"#repro-npc1\n") + 4
-        end = start + int.from_bytes(data[start - 4 : start], "big")
-        manifest = json.loads(bytes(data[start:end]))
-        record = manifest["segments"][manifest["root"]["columns"][0]["codes"]]
+        table = _one_column_table([Interval(1.0, 2.0), SUPPRESSED])
+        data, manifest, base = _unpack(encode_entry(("neg",), table))
         # A negative code would otherwise wrap around to the last cell.
-        position = end + (-end) % 64 + record["offset"]
-        data[position : position + 8] = np.int64(-1).tobytes()
+        _segment(data, manifest, base, manifest["root"]["columns"][0]["codes"])[0] = -1
         path = tmp_path / "neg.npc"
         path.write_bytes(bytes(data))
         assert decode_entry(path) == (False, None, None)
@@ -341,3 +357,146 @@ class TestResilience:
         path = tmp_path / "entry.npc"
         path.write_bytes(pickle.dumps(("some", "tuple")))
         assert decode_entry(path) == (False, None, None)
+
+
+class TestCorruptValues:
+    """A container whose cells or shapes fail their own checks reads as a miss.
+
+    Each case patches one value of a well-formed container in place, so every
+    segment offset stays valid and only the decoded value is wrong.
+    """
+
+    @pytest.fixture()
+    def artifact(self, simple_table):
+        from repro.anonymize.mondrian import MondrianAnonymizer
+
+        result = MondrianAnonymizer().anonymize(simple_table, 2)
+        return ReleaseArtifact(
+            dataset=simple_table.fingerprint,
+            algorithm="mondrian",
+            k=2,
+            style="interval",
+            table=result.release,
+            class_sizes=tuple(result.class_sizes),
+        )
+
+    @staticmethod
+    def _decode_patched(tmp_path, value, patch) -> tuple:
+        data, manifest, base = _unpack(encode_entry(("c",), value))
+        patch(data, manifest, base)
+        path = tmp_path / "patched.npc"
+        path.write_bytes(bytes(data))
+        return decode_entry(path)
+
+    @staticmethod
+    def _set_interval(low, high):
+        def patch(data, manifest, base):
+            column, code = _interval_column(data, manifest, base)
+            _segment(data, manifest, base, column["values"])[code] = (low, high)
+
+        return patch
+
+    def test_artifact_interval_with_low_above_high_is_a_miss(self, artifact, tmp_path):
+        patch = self._set_interval(9.0, 1.0)
+        assert self._decode_patched(tmp_path, artifact, patch) == (False, None, None)
+
+    def test_artifact_cell_code_past_the_cells_is_a_miss(self, artifact, tmp_path):
+        def patch(data, manifest, base):
+            column, _ = _interval_column(data, manifest, base)
+            _segment(data, manifest, base, column["codes"])[0] = 10**6
+
+        assert self._decode_patched(tmp_path, artifact, patch) == (False, None, None)
+
+    @pytest.mark.parametrize(
+        "low, high", [(2.0, 1.0), (float("nan"), float("nan"))], ids=["reversed", "nan"]
+    )
+    def test_table_interval_with_invalid_bounds_is_a_miss(self, tmp_path, low, high):
+        table = _one_column_table([Interval(1.0, 2.0), None])
+        patch = self._set_interval(low, high)
+        assert self._decode_patched(tmp_path, table, patch) == (False, None, None)
+
+    def test_empty_category_set_side_entry_is_a_miss(self, tmp_path):
+        from repro.dataset.schema import AttributeKind
+
+        table = _one_column_table(
+            [CategorySet(("a", "b")), SUPPRESSED], kind=AttributeKind.CATEGORICAL
+        )
+
+        def patch(data, manifest, base):
+            segment = _segment(data, manifest, base, manifest["root"]["columns"][0]["side"])
+            side = json.loads(segment.tobytes())
+            side[0][0] = []  # a CategorySet with no members
+            text = json.dumps(side).encode("utf-8")
+            segment[:] = np.frombuffer(text.ljust(segment.size), dtype=np.uint8)
+
+        assert self._decode_patched(tmp_path, table, patch) == (False, None, None)
+
+    def test_unknown_cell_tag_is_a_miss(self, tmp_path):
+        table = _one_column_table([None, Interval(1.0, 2.0)])
+
+        def patch(data, manifest, base):
+            tags = _segment(data, manifest, base, manifest["root"]["columns"][0]["tags"])
+            tags[0] = 99  # no cell type has this tag; cell 0 is the None
+
+        assert self._decode_patched(tmp_path, table, patch) == (False, None, None)
+
+    def test_row_count_disagreeing_with_the_columns_is_a_miss(self, simple_table, tmp_path):
+        def patch(data, manifest, base):
+            # A same-length manifest edit keeps every segment offset valid.
+            old = f'"rows":{simple_table.num_rows}'.encode()
+            assert data.count(old) == 1
+            data[:] = data.replace(old, f'"rows":{simple_table.num_rows - 1}'.encode())
+
+        assert self._decode_patched(tmp_path, simple_table, patch) == (False, None, None)
+
+    def test_schema_column_without_a_column_node_is_a_miss(self, simple_table, tmp_path):
+        def patch(data, manifest, base):
+            # Blanking the last column node keeps the manifest valid JSON of
+            # the same length, so every segment offset stays valid.
+            node = b"," + json.dumps(
+                manifest["root"]["columns"][-1], separators=(",", ":")
+            ).encode()
+            assert data.count(node) == 1
+            data[:] = data.replace(node, b" " * len(node))
+
+        assert self._decode_patched(tmp_path, simple_table, patch) == (False, None, None)
+
+
+class TestCorruptSpillInService:
+    def test_corrupt_spilled_release_is_recomputed(
+        self, tmp_path, faculty_population, faculty_auxiliary_table
+    ):
+        from repro.service import AnonymizationService
+
+        def attack(service):
+            fingerprint = service.register(faculty_population.private)["fingerprint"]
+            auxiliary = service.register(faculty_auxiliary_table)["fingerprint"]
+            return service.attack(fingerprint, auxiliary, k=3, algorithm="mondrian")
+
+        cold = AnonymizationService()
+        try:
+            expected = attack(cold)
+        finally:
+            cold.close()
+
+        first = AnonymizationService(cache_dir=tmp_path)
+        try:
+            fingerprint = first.register(faculty_population.private)["fingerprint"]
+            first.release(fingerprint, 3, algorithm="mondrian")
+        finally:
+            first.close()
+        [path] = list(tmp_path.glob("*.npc"))
+        data, manifest, base = _unpack(path.read_bytes())
+        column, code = _interval_column(data, manifest, base)
+        _segment(data, manifest, base, column["values"])[code] = (9.0, 1.0)  # low > high
+        path.write_bytes(bytes(data))
+
+        service = AnonymizationService(cache_dir=tmp_path)
+        try:
+            assert attack(service) == expected
+            stats = service.stats()["cache"]
+        finally:
+            service.close()
+        # The corrupt container was a miss: the release was computed again.
+        assert stats["disk_hits"] == 0
+        assert stats["computations"] == 3  # the release, its harvest and the attack

@@ -41,17 +41,22 @@ class TestExactlyOnceComputation:
 
         def request(_):
             barrier.wait(timeout=30)
-            return service.release(fingerprint, 4, algorithm="mdav")
+            artifact = service.release(fingerprint, 4, algorithm="mdav")
+            return artifact, service.release_csv(fingerprint, 4, algorithm="mdav")
 
         with ThreadPoolExecutor(max_workers=CLIENTS) as pool:
-            artifacts = list(pool.map(request, range(CLIENTS)))
+            outcomes = list(pool.map(request, range(CLIENTS)))
 
-        texts = {artifact.csv_text for artifact in artifacts}
+        texts = {bytes(csv) for _, csv in outcomes}
         assert len(texts) == 1, "concurrent identical requests must agree byte for byte"
-        assert len({id(artifact) for artifact in artifacts}) == 1, (
+        assert len({id(artifact) for artifact, _ in outcomes}) == 1, (
             "all callers must receive the single cached artifact object"
         )
-        assert service.stats()["cache"]["computations"] == 1
+        assert len({id(csv) for _, csv in outcomes}) == 1, (
+            "all callers must receive the single cached CSV bytes object"
+        )
+        # One release plus its one CSV rendering.
+        assert service.stats()["cache"]["computations"] == 2
 
     def test_distinct_keys_compute_once_each(self, registered):
         service, fingerprint = registered
@@ -62,7 +67,7 @@ class TestExactlyOnceComputation:
         def request(job):
             level, _ = job
             barrier.wait(timeout=30)
-            return level, service.release(fingerprint, level).csv_text
+            return level, bytes(service.release_csv(fingerprint, level))
 
         with ThreadPoolExecutor(max_workers=len(requests)) as pool:
             outcomes = list(pool.map(request, requests))
@@ -72,7 +77,8 @@ class TestExactlyOnceComputation:
             by_level.setdefault(level, set()).add(text)
         assert all(len(texts) == 1 for texts in by_level.values())
         assert len({next(iter(t)) for t in by_level.values()}) == len(levels)
-        assert service.stats()["cache"]["computations"] == len(levels)
+        # One release and one CSV rendering per level.
+        assert service.stats()["cache"]["computations"] == 2 * len(levels)
 
     def test_mixed_algorithms_under_load(self, registered):
         service, fingerprint = registered
@@ -82,7 +88,7 @@ class TestExactlyOnceComputation:
         def request(job):
             algorithm, level = job
             barrier.wait(timeout=30)
-            return job, service.release(fingerprint, level, algorithm=algorithm).csv_text
+            return job, bytes(service.release_csv(fingerprint, level, algorithm=algorithm))
 
         with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
             outcomes = list(pool.map(request, jobs))
@@ -91,7 +97,8 @@ class TestExactlyOnceComputation:
         for key, text in outcomes:
             texts_by_key.setdefault(key, set()).add(text)
         assert all(len(texts) == 1 for texts in texts_by_key.values())
-        assert service.stats()["cache"]["computations"] == len(set(jobs))
+        # One release and one CSV rendering per distinct job.
+        assert service.stats()["cache"]["computations"] == 2 * len(set(jobs))
 
 
 class TestHTTPConcurrency:
