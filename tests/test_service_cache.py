@@ -89,6 +89,12 @@ class TestDiskTier:
         value = second.get_or_compute(("k", 3), lambda: pytest.fail("must hit disk"))
         assert value == [1, 2, 3]
         assert second.stats()["computations"] == 0
+
+    def test_plain_get_reads_disk(self, tmp_path):
+        first = TwoTierCache(capacity=4, spill_dir=tmp_path)
+        first.get_or_compute(("k",), lambda: "v")
+        second = TwoTierCache(capacity=4, spill_dir=tmp_path)
+        assert _cached(second, ("k",)) == "v"
         assert _absent(second, ("missing",))
 
     def test_spilled_none_is_a_hit_not_a_miss(self, tmp_path):
