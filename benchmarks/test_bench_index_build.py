@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import gc
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -30,8 +32,11 @@ from repro.data.names import generate_names
 from repro.data.webgen import corpus_for_faculty
 from repro.fusion.attack import AttackConfig
 from repro.linkage import LinkageIndex, encode_strings, normalize_name
-from repro.linkage.blocking import scalar_postings
 from repro.linkage.kernels import PAD
+
+# The scalar postings reference lives in tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from linkage_reference import scalar_postings  # noqa: E402
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 BUILD_CORPUS = 10_000 if QUICK else 100_000

@@ -1,24 +1,25 @@
-"""Benchmark: the chunked NumPy CSV fast path vs the line-by-line parser.
+"""Benchmark: :func:`repro.dataset.io.stream_csv` vs the per-cell reference parser.
 
-The historical ingest tokenizes every line with ``csv.reader`` and runs up to
-three regex probes plus a ``float()`` call per cell.  The fast path
-(:func:`repro.dataset.io.stream_csv` with ``fast=True``, the default) splits
-quote-free chunks column-wise, validates each numeric column chunk with one
-regex over the joined cells and converts it with a single vectorized
-``astype(float64)`` — falling back to the per-cell parser only for chunks
-with special content.
+The reference (``tests/csv_reference.py``) tokenizes every line with
+``csv.reader`` and runs up to three regex probes plus a ``float()`` call per
+cell.  ``stream_csv`` tokenizes with the same ``csv.reader`` but types each
+``chunk_rows`` column chunk at once: one regex scan over the joined cells
+and a single vectorized ``float64`` parse per numeric chunk, falling back to
+the per-cell parser only for chunks with special content.
 
 ``test_numeric_ingest_speedup`` is the acceptance gate: on a numeric-heavy
-100k-row CSV the fast path must be **at least 3x faster** than the
-line-by-line parser while producing an identical table (same fingerprint).
-Set ``REPRO_BENCH_QUICK=1`` for the reduced CI smoke variant (10k rows, gate
-at 1x — the fast path must simply never be slower).
+100k-row CSV ``stream_csv`` must be **at least 3x faster** than the
+reference while producing an identical table (same fingerprint).  Set
+``REPRO_BENCH_QUICK=1`` for the reduced CI smoke variant (10k rows, gate at
+1x — ``stream_csv`` must simply never be slower).
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,9 @@ import pytest
 from repro.dataset.io import render_csv, stream_csv
 from repro.dataset.schema import Attribute, AttributeKind, AttributeRole, Schema
 from repro.dataset.table import Table
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from csv_reference import reference_stream_csv  # noqa: E402
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 ROW_COUNT = 10_000 if QUICK else 100_000
@@ -55,7 +59,7 @@ def numeric_csv_lines():
 
 
 def test_bench_stream_csv_fast(benchmark, numeric_csv_lines):
-    """Throughput of the fast path on the full document."""
+    """Throughput of ``stream_csv`` on the full document."""
     table = benchmark(lambda: stream_csv(iter(numeric_csv_lines)))
     assert table.num_rows == ROW_COUNT
     benchmark.extra_info["rows"] = ROW_COUNT
@@ -76,13 +80,11 @@ def _best_of(runs: int, fn):
 
 
 def test_numeric_ingest_speedup(numeric_csv_lines, bench_gate):
-    """Acceptance gate: fast path >= 3x the line-by-line parser (1x quick)."""
-    slow_seconds, slow = _best_of(
-        2, lambda: stream_csv(iter(numeric_csv_lines), fast=False)
-    )
+    """Acceptance gate: ``stream_csv`` >= 3x the per-cell reference (1x quick)."""
+    slow_seconds, slow = _best_of(2, lambda: reference_stream_csv(numeric_csv_lines))
     fast_seconds, fast = _best_of(2, lambda: stream_csv(iter(numeric_csv_lines)))
 
-    assert fast == slow, "fast path changed the parsed table"
+    assert fast == slow, "stream_csv changed the parsed table"
     assert fast.fingerprint == slow.fingerprint
 
     speedup = slow_seconds / fast_seconds
@@ -96,14 +98,14 @@ def test_numeric_ingest_speedup(numeric_csv_lines, bench_gate):
         required=REQUIRED_SPEEDUP,
     )
     assert speedup >= REQUIRED_SPEEDUP, (
-        f"fast CSV ingest is only {speedup:.1f}x the line-by-line parser on "
+        f"CSV ingest is only {speedup:.1f}x the per-cell reference parser on "
         f"{ROW_COUNT} rows (required {REQUIRED_SPEEDUP:.0f}x): "
-        f"fast {fast_seconds:.3f}s vs line-by-line {slow_seconds:.3f}s"
+        f"stream_csv {fast_seconds:.3f}s vs reference {slow_seconds:.3f}s"
     )
 
 
 def test_quoted_fallback_matches_line_by_line():
-    """A quoted region mid-file falls back without changing the result."""
+    """A quoted region mid-file parses exactly as the per-cell reference."""
     schema = Schema(
         [
             Attribute("name", AttributeRole.IDENTIFIER, AttributeKind.TEXT),
@@ -116,7 +118,7 @@ def test_quoted_fallback_matches_line_by_line():
     values = list(range(1001))
     text = render_csv(Table(schema, {"name": names, "value": values}))
     lines = text.splitlines(keepends=True)
-    fast = stream_csv(iter(lines), chunk_rows=128)
-    slow = stream_csv(iter(lines), chunk_rows=128, fast=False)
-    assert fast == slow
-    assert fast.fingerprint == slow.fingerprint
+    parsed = stream_csv(iter(lines), chunk_rows=128)
+    reference = reference_stream_csv(lines)
+    assert parsed == reference
+    assert parsed.fingerprint == reference.fingerprint

@@ -33,7 +33,9 @@ as the engine evolves.
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,9 +46,12 @@ from repro.data.names import generate_names
 from repro.data.webgen import corpus_for_faculty
 from repro.fusion.attack import AttackConfig
 from repro.fusion.auxiliary import AuxiliarySource
-from repro.fusion.linkage import name_similarity, normalize_name
 from repro.fusion.web import name_variant
-from repro.linkage import LinkageIndex
+from repro.linkage import LinkageIndex, normalize_name
+
+# The scalar similarity reference lives in tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from linkage_reference import name_similarity  # noqa: E402
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 CORPUS_SIZE = 2_000 if QUICK else 10_000

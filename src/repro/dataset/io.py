@@ -8,38 +8,21 @@ Generalized cells are rendered with the paper's textual syntax (``[5-10]``,
 
 Streaming ingest
 ----------------
-The reader is built on a *streaming* parser (:func:`stream_csv`) that
-consumes any iterable of text lines — a file handle, an HTTP request body
-decoded chunk by chunk — and assembles the table in fixed-size column chunks
-(``chunk_rows`` at a time, each chunk coerced to its typed array and
-concatenated at the end).  Registration in the anonymization service feeds
-this parser directly from the socket, so a dataset larger than any single
-request buffer never has to exist as one Python string.  ``read_csv(path)``
-is a thin wrapper over the same code path, which is what makes the chunked
-and in-memory results identical by construction (and property-tested to
-stay that way).
-
-Chunked NumPy fast path
------------------------
-Numeric-heavy CSVs dominate ingest, and for them the per-cell machinery —
-``csv.reader`` tokenization plus up to three regex probes and a ``float()``
-call per cell — is pure overhead.  :func:`stream_csv` therefore parses
-quote-free lines on a *fast path* that never touches lines individually:
-each ``chunk_rows`` block is one joined string, the whole cell grid comes
-from a single ``replace`` + ``split(",")`` pass over it, and every column is
-a strided slice of the flat cell list.  A numeric column chunk that passes a
-charclass + dot-position scan (or fullmatches the full number grammar) is
-converted with one vectorized ``float64`` parse (then narrowed to ``int64``
-exactly when the line-by-line parser would have produced integers); a text
-column chunk that fullmatches the plain-text grammar is kept verbatim; and
-only chunks with special cells (empty, ``*``, intervals, category sets,
-padding) fall back to per-cell :func:`parse_cell`.  The first quote
-character seen hands everything not yet parsed to the historical
-``csv.reader`` path, so quoted delimiters and quoted embedded newlines
-behave exactly as before, and blocks the flat view cannot represent (bare
-``\r`` endings, unterminated lines, blank interior lines, ragged rows) take
-the historical per-line split.  The two paths are property-tested
-equivalent (``fast=False`` forces the line-by-line parser).
+:func:`stream_csv` consumes any iterable of text lines — a file handle, an
+HTTP request body decoded chunk by chunk — so a dataset larger than any
+single request buffer never exists as one Python string. It is one loop:
+``csv.reader`` tokenizes every line (quoted delimiters and quoted line
+breaks included), ``chunk_rows`` non-blank rows at a time are flattened and
+sliced into column chunks, and :func:`_fast_parse_column` types each chunk —
+one vectorized ``float64`` parse for a plain numeric chunk, the cells
+verbatim for a plain text chunk, and :func:`parse_cell` per cell for any
+chunk with special content (empty cells, ``*``, intervals, category sets,
+padding). The typed chunks are concatenated at the end. ``read_csv(path)``
+is a thin wrapper over the same loop, and the result equals the per-cell
+reference parser in ``tests/csv_reference.py`` (property-tested on table,
+fingerprint and dtype). Malformed CSV (for example a field over
+``csv.field_size_limit()``) is a :class:`~repro.exceptions.TableError`
+naming the source and line.
 """
 
 from __future__ import annotations
@@ -48,9 +31,9 @@ import csv
 import io as _io
 import math
 import re
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -74,7 +57,7 @@ _INTERVAL_RE = re.compile(rf"^\[(?P<low>{_NUMBER})-(?P<high>{_NUMBER})\]$")
 _CATEGORY_RE = re.compile(r"^\{(?P<members>.+)\}$")
 _NUMBER_RE = re.compile(rf"^{_NUMBER}$")
 
-#: One cell the numeric fast path may hand to ``astype(float64)`` verbatim:
+#: One cell :func:`_fast_parse_column` may hand to ``float64`` verbatim:
 #: exactly the grammar :data:`_NUMBER_RE` accepts, plus the lowercase special
 #: floats :func:`render_cell` emits.  Anything else (empty cells, ``*``,
 #: intervals, padding spaces, ``+5``-style text) falls back to
@@ -91,14 +74,14 @@ _FAST_NUMERIC_COLUMN_RE = re.compile(rf"(?:{_FAST_NUMBER})(?:\n(?:{_FAST_NUMBER}
 #: empty cells), which then re-parses cell by cell.
 _FAST_PLAIN_CHARS_RE = re.compile(r"[0-9.\-\n]+")
 
-#: One text cell the fast path may keep verbatim: non-empty, no leading or
+#: One text cell a column chunk may keep verbatim: non-empty, no leading or
 #: trailing whitespace, and not opening with generalized syntax — exactly the
 #: cells :func:`parse_cell` returns stripped-and-unchanged.  A column chunk
 #: whose joined cells fullmatch this grammar needs no per-cell work at all.
 _FAST_TEXT_CELL = r"[^\s*\[{](?:[^\n]*[^\s\n])?"
 _FAST_TEXT_COLUMN_RE = re.compile(rf"(?:{_FAST_TEXT_CELL})(?:\n(?:{_FAST_TEXT_CELL}))*")
 
-#: Largest float64 magnitude the fast path narrows to ``int64`` (all integral
+#: Largest float64 magnitude narrowed to ``int64`` (all integral
 #: float64 values below it convert exactly).
 _INT64_LIMIT = float(2**63)
 
@@ -177,74 +160,23 @@ def _schema_from_declarations(
     return Schema(attributes)
 
 
-class _ChunkedColumns:
-    """Assemble columns from streamed rows, ``chunk_rows`` rows at a time.
+def _concatenate_chunks(chunks: list[np.ndarray]) -> np.ndarray:
+    """Join the typed chunks of one column.
 
-    Each full chunk is coerced to its typed storage array immediately, so the
-    per-cell Python values of a large ingest are released as parsing
-    proceeds; :meth:`finish` concatenates the typed chunks (or falls back to
-    an object rebuild when chunk dtypes disagree, which reproduces exactly
-    what a single whole-column coercion would have produced).
+    Numeric chunks concatenate directly; chunks whose dtypes disagree in kind
+    are rebuilt from their Python values, which reproduces exactly what a
+    single whole-column coercion would have produced.
     """
-
-    def __init__(self, names: list[str], chunk_rows: int) -> None:
-        if chunk_rows < 1:
-            raise TableError(f"chunk_rows must be >= 1, got {chunk_rows}")
-        self._names = names
-        self._chunk_rows = chunk_rows
-        self._pending: dict[str, list[object]] = {name: [] for name in names}
-        self._chunks: dict[str, list[np.ndarray]] = {name: [] for name in names}
-        self._pending_rows = 0
-
-    def append_row(self, values: Iterable[object]) -> None:
-        for name, value in zip(self._names, values):
-            self._pending[name].append(value)
-        self._pending_rows += 1
-        if self._pending_rows >= self._chunk_rows:
-            self._flush()
-
-    def _flush(self) -> None:
-        if not self._pending_rows:
-            return
-        for name in self._names:
-            self._chunks[name].append(_as_column_array(self._pending[name]))
-            self._pending[name] = []
-        self._pending_rows = 0
-
-    def append_chunk(self, arrays: Mapping[str, np.ndarray]) -> None:
-        """Append one pre-parsed typed chunk (one equal-length array per column).
-
-        This is the fast-path entry: a whole block of rows arrives as typed
-        arrays, bypassing the per-row pending buffer.  Any rows still pending
-        are flushed first so row order is preserved when fast and slow chunks
-        interleave (e.g. a quoted region in the middle of a numeric file).
-        """
-        self._flush()
-        for name in self._names:
-            self._chunks[name].append(arrays[name])
-
-    def finish(self, schema: Schema) -> Table:
-        self._flush()
-        arrays: dict[str, np.ndarray] = {}
-        num_rows = 0
-        for name in self._names:
-            chunks = self._chunks[name]
-            if not chunks:
-                array = _as_column_array([])
-            elif len(chunks) == 1:
-                array = chunks[0]
-            elif all(chunk.dtype.kind in "iuf" for chunk in chunks):
-                array = np.concatenate(chunks)
-            else:
-                values: list[object] = []
-                for chunk in chunks:
-                    values.extend(
-                        chunk.tolist() if chunk.dtype != object else list(chunk)
-                    )
-                array = _as_column_array(values)
-            arrays[name] = array
-            num_rows = array.shape[0]
-        return Table._from_arrays(schema, arrays, num_rows)
+    if not chunks:
+        return _as_column_array([])
+    if len(chunks) == 1:
+        return chunks[0]
+    if all(chunk.dtype.kind in "iuf" for chunk in chunks):
+        return np.concatenate(chunks)
+    values: list[object] = []
+    for chunk in chunks:
+        values.extend(chunk.tolist() if chunk.dtype != object else list(chunk))
+    return _as_column_array(values)
 
 
 # --------------------------------------------------------------------------
@@ -375,28 +307,6 @@ def _read_csv_header(reader, source: str) -> tuple[list[str], list[str]]:
     return names, declarations
 
 
-def _parse_csv_rows(
-    reader,
-    columns: _ChunkedColumns,
-    names: list[str],
-    kinds: list[AttributeKind],
-    source: str,
-    line_offset: int = 0,
-) -> None:
-    """Consume a ``csv.reader`` into the column assembler (the slow path)."""
-    for row in reader:
-        if not row:  # blank line (e.g. the one implied by a trailing newline)
-            continue
-        if len(row) != len(names):
-            raise TableError(
-                f"line {reader.line_num + line_offset} of {source} has "
-                f"{len(row)} cells, expected {len(names)}"
-            )
-        columns.append_row(
-            parse_cell(cell, kind) for cell, kind in zip(row, kinds)
-        )
-
-
 def _plain_decimal_column(joined: str) -> bool:
     """True when the joined chunk is plain signed decimals, cheaply.
 
@@ -418,27 +328,26 @@ def _plain_decimal_column(joined: str) -> bool:
 
 
 def _fast_parse_column(cells: list[str], kind: AttributeKind) -> np.ndarray:
-    """Parse one column chunk, vectorizing the all-plain-content cases.
+    """Type one column chunk, vectorizing the all-plain-content cases.
 
     The joined chunk must pass the plain-decimal scan or fullmatch the
     number grammar (numeric columns), or fullmatch the plain-text grammar
     (everything else), for the vectorized conversion to be trusted; any
     other content — empty cells, generalized syntax, padding, spellings
-    NumPy and :func:`parse_cell` disagree on — re-parses the chunk cell by
-    cell, which is exactly the line-by-line path.
+    NumPy and :func:`parse_cell` disagree on — re-parses the chunk with
+    :func:`parse_cell` cell by cell.
     """
     if kind is AttributeKind.NUMERIC:
         joined = "\n".join(cells)
         values = None
-        if _plain_decimal_column(joined):
+        if _plain_decimal_column(joined) or _FAST_NUMERIC_COLUMN_RE.fullmatch(joined):
             try:
                 values = np.asarray(cells, dtype=np.float64)
             except ValueError:
                 # NumPy is the arbiter of structure the scans don't check
-                # ("1-2", "1.2.3", empty cells): re-parse cell by cell.
+                # ("1-2", "1.2.3", a quoted cell holding a line break):
+                # re-parse cell by cell.
                 values = None
-        elif _FAST_NUMERIC_COLUMN_RE.fullmatch(joined):
-            values = np.asarray(cells, dtype=np.float64)
         if values is not None:
             if bool(np.isfinite(values).all()) and bool(
                 (values == np.floor(values)).all()
@@ -446,8 +355,8 @@ def _fast_parse_column(cells: list[str], kind: AttributeKind) -> np.ndarray:
                 # parse_cell returns ints for integral numbers ("5", "5.0",
                 # "1e3"); mirror that as an int64 chunk whenever the
                 # conversion is exact.  An all-integral chunk reaching past
-                # int64 becomes an exact-python-int object column on the
-                # line-by-line path, so re-parse it per cell to match dtypes.
+                # int64 becomes an exact-python-int object column under
+                # parse_cell, so re-parse it per cell to match dtypes.
                 if bool((np.abs(values) < _INT64_LIMIT).all()):
                     return values.astype(np.int64)
             else:
@@ -469,212 +378,80 @@ def _fast_parse_column(cells: list[str], kind: AttributeKind) -> np.ndarray:
     return _as_column_array(parsed)
 
 
-def _append_fast_chunk_rows(
-    columns: _ChunkedColumns,
-    chunk_lines: list[str],
-    names: list[str],
-    kinds: list[AttributeKind],
-    source: str,
-    start_line: int,
-) -> None:
-    """Split, transpose and parse a quote-free block line by line.
-
-    This is the exact-error path: it tolerates blank lines, bare ``\\r``
-    endings and lines without terminators, and reports the precise document
-    line of a row with the wrong cell count.
-    """
-    expected = len(names)
-    rows: list[list[str]] = []
-    for offset, raw in enumerate(chunk_lines):
-        text = raw.rstrip("\r\n")
-        if not text:  # blank line (e.g. the one implied by a trailing newline)
-            continue
-        cells = text.split(",")
-        if len(cells) != expected:
+def _data_rows(reader, width: int, source: str) -> Iterator[list[str]]:
+    """The non-blank rows of ``reader``, each checked to hold ``width`` cells."""
+    for row in reader:
+        if len(row) != width:
+            if not row:  # blank line (e.g. the one implied by a trailing newline)
+                continue
             raise TableError(
-                f"line {start_line + offset} of {source} has {len(cells)} cells, "
-                f"expected {expected}"
+                f"line {reader.line_num} of {source} has {len(row)} cells, "
+                f"expected {width}"
             )
-        rows.append(cells)
-    if not rows:
-        return
-    columns.append_chunk(
-        {
-            name: _fast_parse_column(list(column_cells), kind)
-            for name, kind, column_cells in zip(names, kinds, zip(*rows))
-        }
-    )
-
-
-def _append_fast_chunk(
-    columns: _ChunkedColumns,
-    chunk_lines: list[str],
-    names: list[str],
-    kinds: list[AttributeKind],
-    source: str,
-    start_line: int,
-    block: str | None = None,
-) -> None:
-    """Split, transpose and parse one quote-free block of raw lines.
-
-    The common case never touches the lines individually: the block is one
-    joined string, the whole cell grid comes from a single ``replace`` +
-    ``split(",")`` pass over it, and each column is a strided slice of the
-    flat cell list.  Anything the flat view cannot represent bit-identically
-    — a missing line terminator, a bare ``\\r`` ending, a blank interior
-    line, a row with the wrong cell count — falls back to
-    :func:`_append_fast_chunk_rows`, which also owns the exact error
-    messages.
-    """
-    if not chunk_lines:
-        return
-    if block is None:
-        block = "".join(chunk_lines)
-    if not block.endswith("\n"):
-        block += "\n"
-    if "\r" in block:
-        block = block.replace("\r\n", "\n")
-    if (
-        "\r" in block  # a bare \r ending survived CRLF normalization
-        or block.count("\n") != len(chunk_lines)  # unterminated line mid-chunk
-        or block.startswith("\n")  # blank first line
-        or "\n\n" in block  # blank interior/trailing line
-    ):
-        _append_fast_chunk_rows(columns, chunk_lines, names, kinds, source, start_line)
-        return
-    body = block[:-1]
-    expected = len(names)
-    if expected == 1:
-        if "," in body:  # some row has more than one cell: exact error path
-            _append_fast_chunk_rows(
-                columns, chunk_lines, names, kinds, source, start_line
-            )
-            return
-        flat = body.split("\n")
-    else:
-        row_strings = body.split("\n")
-        counts = set(map(str.count, row_strings, repeat(",")))
-        if counts != {expected - 1}:
-            _append_fast_chunk_rows(
-                columns, chunk_lines, names, kinds, source, start_line
-            )
-            return
-        flat = body.replace("\n", ",").split(",")
-    columns.append_chunk(
-        {
-            name: _fast_parse_column(flat[index::expected], kind)
-            for index, (name, kind) in enumerate(zip(names, kinds))
-        }
-    )
+        yield row
 
 
 def stream_csv(
     lines: Iterable[str],
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
     source: str = "<stream>",
-    fast: bool = True,
 ) -> Table:
     """Parse CSV text arriving as an iterable of lines into a table.
 
     ``lines`` may be a file handle (opened with ``newline=""``) or any
-    iterator of decoded text lines — quoted delimiters and quoted embedded
-    newlines are handled by the ``csv`` machinery even when a quoted field
-    spans lines.  Rows are assembled in ``chunk_rows``-sized column chunks;
-    the result is identical to parsing the whole document in memory.
+    iterator of decoded text lines; a quoted field may span lines.  Rows are
+    typed in ``chunk_rows``-sized column chunks; the result is identical to
+    parsing the whole document in memory.
 
-    With ``fast`` set (the default), quote-free lines take the chunked NumPy
-    fast path described in the module docstring; the first quote character
-    hands the rest of the stream to the line-by-line parser.  ``fast=False``
-    forces the line-by-line parser throughout — the two modes are equivalent
-    by property test, so the flag only exists for benchmarking and pinning.
-
-    Raises :class:`~repro.exceptions.TableError` for an empty document or a
-    document whose two header lines are missing or inconsistent; a
-    header-only document yields an empty (zero-row) table, and a trailing
-    newline does not produce a phantom row.
+    Raises :class:`~repro.exceptions.TableError` for an empty document, a
+    document whose two header lines are missing or inconsistent, a row with
+    the wrong number of cells, or text ``csv.reader`` rejects (for example a
+    field longer than ``csv.field_size_limit()``); a header-only document
+    yields an empty (zero-row) table, and blank lines produce no rows.
     """
-    iterator = iter(lines)
-    if not fast:
-        reader = csv.reader(iterator)
+    if chunk_rows < 1:
+        raise TableError(f"chunk_rows must be >= 1, got {chunk_rows}")
+    reader = csv.reader(lines)
+    try:
         names, declarations = _read_csv_header(reader, source)
         schema = _schema_from_declarations(names, declarations, source)
         kinds = [schema[name].kind for name in names]
-        columns = _ChunkedColumns(list(names), chunk_rows)
-        _parse_csv_rows(reader, columns, names, kinds, source)
-        return columns.finish(schema)
-
-    header_lines: list[str] = []
-    for line in iterator:
-        header_lines.append(line)
-        if len(header_lines) == 2:
-            break
-    if any('"' in line for line in header_lines):
-        # A quoted header cell may even span physical lines; restart the whole
-        # parse on the csv machinery.
-        return stream_csv(
-            chain(header_lines, iterator), chunk_rows=chunk_rows, source=source,
-            fast=False,
-        )
-    names, declarations = _read_csv_header(csv.reader(iter(header_lines)), source)
-    schema = _schema_from_declarations(names, declarations, source)
-    kinds = [schema[name].kind for name in names]
-    columns = _ChunkedColumns(list(names), chunk_rows)
-
-    chunk_start = 3  # 1-based line number of the first line in the chunk
-    while True:
-        chunk = list(islice(iterator, chunk_rows))
-        if not chunk:
-            break
-        block = "".join(chunk)
-        if '"' in block:
-            # Quoted content (possibly spanning lines): parse the quote-free
-            # prefix, then hand the rest — starting with the first quoted
-            # line — to the csv machinery.
-            quoted = next(
-                index for index, line in enumerate(chunk) if '"' in line
-            )
-            _append_fast_chunk(
-                columns, chunk[:quoted], names, kinds, source, chunk_start
-            )
-            _parse_csv_rows(
-                csv.reader(chain(chunk[quoted:], iterator)),
-                columns,
-                names,
-                kinds,
-                source,
-                line_offset=chunk_start + quoted - 1,
-            )
-            return columns.finish(schema)
-        _append_fast_chunk(
-            columns, chunk, names, kinds, source, chunk_start, block=block
-        )
-        chunk_start += len(chunk)
-    return columns.finish(schema)
+        width = len(names)
+        chunks: list[list[np.ndarray]] = [[] for _ in names]
+        rows = _data_rows(reader, width, source)
+        num_rows = 0
+        # Flattening drops each row list as soon as it is read, so a chunk
+        # never holds thousands of live lists for the cyclic GC to traverse;
+        # column ``i`` is then the strided slice ``cells[i::width]``.
+        while cells := list(chain.from_iterable(islice(rows, chunk_rows))):
+            num_rows += len(cells) // width
+            for index, (column_chunks, kind) in enumerate(zip(chunks, kinds)):
+                column_chunks.append(_fast_parse_column(cells[index::width], kind))
+    except csv.Error as exc:
+        raise TableError(
+            f"malformed CSV at line {reader.line_num} of {source}: {exc}"
+        ) from exc
+    arrays = {name: _concatenate_chunks(c) for name, c in zip(names, chunks)}
+    return Table._from_arrays(schema, arrays, num_rows)
 
 
-def read_csv(
-    path: str | Path, chunk_rows: int = DEFAULT_CHUNK_ROWS, fast: bool = True
-) -> Table:
+def read_csv(path: str | Path, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> Table:
     """Read a table previously written by :func:`write_csv`."""
     path = Path(path)
     with path.open("r", newline="", encoding="utf-8") as handle:
-        return stream_csv(handle, chunk_rows=chunk_rows, source=str(path), fast=fast)
+        return stream_csv(handle, chunk_rows=chunk_rows, source=str(path))
 
 
 def append_csv(
-    path: str | Path,
-    table: Table,
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    fast: bool = True,
+    path: str | Path, table: Table, chunk_rows: int = DEFAULT_CHUNK_ROWS
 ) -> Table:
     """Append the delta rows of the CSV at ``path`` onto ``table``.
 
     The delta document carries the same two header lines as any other table
-    CSV and must declare the same schema; its rows stream through the chunked
-    NumPy fast path exactly like a cold ingest, so parsing cost is O(delta).
-    The result is :meth:`Table.append` of the two tables — the fingerprint is
-    the *chained* digest of the base and delta fingerprints, making the
-    append identity O(delta) end to end.
+    CSV and must declare the same schema; its rows stream through
+    :func:`stream_csv` exactly like a cold ingest, so parsing cost is
+    O(delta).  The result is :meth:`Table.append` of the two tables — the
+    fingerprint is the *chained* digest of the base and delta fingerprints,
+    making the append identity O(delta) end to end.
     """
-    delta = read_csv(path, chunk_rows=chunk_rows, fast=fast)
-    return table.append(delta)
+    return table.append(read_csv(path, chunk_rows=chunk_rows))

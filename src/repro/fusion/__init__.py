@@ -19,18 +19,9 @@ from repro.fusion.estimators import (
     SensitiveEstimator,
     columns_to_matrix,
 )
-from repro.fusion.linkage import (
-    MatchCandidate,
-    jaro_similarity,
-    jaro_winkler_similarity,
-    levenshtein_distance,
-    levenshtein_similarity,
-    name_similarity,
-    normalize_name,
-    token_set_similarity,
-)
 from repro.fusion.rulegen import monotone_rules, wang_mendel_rules
 from repro.fusion.web import SimulatedWebCorpus, WebPage, name_variant
+from repro.linkage import MatchCandidate, normalize_name
 
 __all__ = [
     "AttackConfig",
@@ -47,12 +38,6 @@ __all__ = [
     "name_variant",
     "MatchCandidate",
     "normalize_name",
-    "levenshtein_distance",
-    "levenshtein_similarity",
-    "jaro_similarity",
-    "jaro_winkler_similarity",
-    "token_set_similarity",
-    "name_similarity",
     "monotone_rules",
     "wang_mendel_rules",
     "MidpointEstimator",

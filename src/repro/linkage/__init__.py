@@ -7,7 +7,7 @@ layers — normalization (:mod:`repro.linkage.normalize`), candidate generation
 (:mod:`repro.linkage.kernels`) — composed by :class:`LinkageIndex`, which is
 built once per corpus and resolves whole batches of queries at a time.
 
-The scalar similarity functions in :mod:`repro.fusion.linkage` remain the
+The scalar similarity functions in ``tests/linkage_reference.py`` remain the
 executable specification: the NumPy kernels, the only kernel implementation,
 reproduce them bit-for-bit.  Callers that match names build a
 :class:`LinkageIndex` and query it directly.

@@ -21,7 +21,7 @@ Construction is vectorized: the corpus's tokens are flattened once into a
 each key family is expressed as a ``(key_id, row)`` pair array, and one
 ``np.unique`` over a combined integer key dedupes and groups the pairs —
 bit-identical postings to the historical per-name ``setdefault``/``append``
-loop (kept as :func:`scalar_postings`, the equivalence reference).
+loop (kept in ``tests/linkage_reference.py`` as the equivalence reference).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "BlockingIndex",
     "TokenStream",
     "tokenize_corpus",
-    "scalar_postings",
 ]
 
 #: Recognized blocking schemes, from highest to lowest recall.
@@ -146,23 +145,6 @@ def _group_rows_by_key(
     boundaries = np.flatnonzero(keys[1:] != keys[:-1]) + 1
     offsets = np.concatenate(([0], boundaries, [keys.shape[0]]))
     return keys[offsets[:-1]], offsets, grouped.astype(np.intp, copy=False)
-
-
-def scalar_postings(
-    normalized_names: Sequence[str], scheme: str = "qgram", qgram_size: int = 2
-) -> dict[str, np.ndarray]:
-    """The historical per-name postings builder.
-
-    Kept as the executable reference the vectorized construction is pinned
-    against (hypothesis equivalence suite, build benchmark).
-    """
-    reference = BlockingIndex([], scheme=scheme, qgram_size=qgram_size)
-    postings: dict[str, list[int]] = {}
-    if scheme != "none":
-        for row, normalized in enumerate(normalized_names):
-            for key in reference.keys(normalized):
-                postings.setdefault(key, []).append(row)
-    return {key: np.asarray(rows, dtype=np.intp) for key, rows in postings.items()}
 
 
 class BlockingIndex:

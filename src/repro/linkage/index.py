@@ -9,7 +9,7 @@ number of approximate-match queries against it:
   candidate row set, then scored against *all* candidates at once with the
   vectorized kernels of :mod:`repro.linkage.kernels`;
 * the composite score is exactly the scalar reference
-  (:func:`repro.fusion.linkage.name_similarity`):
+  (``name_similarity`` in ``tests/linkage_reference.py``):
   ``max(0.6 * jaro_winkler + 0.4 * levenshtein, token_jaccard)`` on
   normalized names — bit-identical, so the engine reproduces a scalar
   scan of the corpus wherever blocking agrees;
@@ -358,8 +358,8 @@ class LinkageIndex:
     def scores(self, query: str, rows: np.ndarray | None = None) -> np.ndarray:
         """Composite similarity of ``query`` against corpus rows (default: all).
 
-        Bit-identical to calling the scalar
-        :func:`repro.fusion.linkage.name_similarity` per pair.
+        Bit-identical to calling the scalar ``name_similarity`` of
+        ``tests/linkage_reference.py`` per pair.
         """
         normalized_query = normalize_name(query)
         if rows is None:

@@ -2,7 +2,7 @@
 
 Each kernel scores query strings against whole candidate sets in vectorized
 NumPy, and is an exact (bit-identical) replica of the scalar reference
-implementation in :mod:`repro.fusion.linkage` — the scalar functions are the
+implementation in ``tests/linkage_reference.py`` — the scalar functions are the
 executable specification, and the hypothesis suite in
 ``tests/test_property_linkage.py`` pins the equivalence on arbitrary strings.
 

@@ -1,7 +1,7 @@
 """Name normalization and blocking-key tokenization.
 
 Normalization is the contract every linkage component shares: the scalar
-similarity references in :mod:`repro.fusion.linkage`, the batched kernels in
+similarity references in ``tests/linkage_reference.py``, the batched kernels in
 :mod:`repro.linkage.kernels` and the blocking index all operate on
 *normalized* names, so they must agree on what normalization means.
 

@@ -1,35 +1,23 @@
-"""Record linkage between release identifiers and web auxiliary records.
+"""Scalar reference implementations of the linkage similarity machinery.
 
-The adversary "uses the customer names present in the release to search for
-additional information about the customers available on the web".  Names found
-on the web rarely match the enterprise database verbatim (initials, swapped
-order, typos, titles), so the attack needs approximate string matching.
-
-This module holds the **scalar reference implementations** of the similarity
-machinery — Levenshtein, Jaro / Jaro-Winkler, token-set Jaccard and the
-composite :func:`name_similarity`.  They are the executable specification for
-the batched engine in :mod:`repro.linkage`, whose vectorized kernels must
-reproduce them bit-for-bit (pinned by ``tests/test_property_linkage.py``).
-Matching a batch of names against a corpus is the job of
-:class:`repro.linkage.LinkageIndex`, which scores with those kernels.
+Levenshtein, Jaro / Jaro-Winkler, token-set Jaccard, the composite
+:func:`name_similarity` and the per-name blocking postings builder
+:func:`scalar_postings`.  They are the executable specification for the
+batched engine in :mod:`repro.linkage`: its vectorized kernels and its
+vectorized ``BlockingIndex`` construction must reproduce them bit for bit
+(pinned by ``tests/test_property_linkage.py``, ``tests/test_linkage_buffers.py``
+and the linkage and index-build benchmarks).  Nothing in ``src/`` calls them.
 """
 
 from __future__ import annotations
 
-from repro.exceptions import LinkageError
-from repro.linkage.index import MatchCandidate
-from repro.linkage.normalize import normalize_name
+from typing import Sequence
 
-__all__ = [
-    "normalize_name",
-    "levenshtein_distance",
-    "levenshtein_similarity",
-    "jaro_similarity",
-    "jaro_winkler_similarity",
-    "token_set_similarity",
-    "name_similarity",
-    "MatchCandidate",
-]
+import numpy as np
+
+from repro.exceptions import LinkageError
+from repro.linkage.blocking import BlockingIndex
+from repro.linkage.normalize import normalize_name
 
 
 def levenshtein_distance(left: str, right: str) -> int:
@@ -143,3 +131,16 @@ def name_similarity(left: str, right: str) -> float:
     levenshtein = levenshtein_similarity(left_norm, right_norm)
     return max(0.6 * jaro_winkler + 0.4 * levenshtein, token_set)
 
+
+def scalar_postings(
+    normalized_names: Sequence[str], scheme: str = "qgram", qgram_size: int = 2
+) -> dict[str, np.ndarray]:
+    """The historical per-name postings builder: one ``setdefault``/``append``
+    per block key of every corpus name, in row order."""
+    reference = BlockingIndex([], scheme=scheme, qgram_size=qgram_size)
+    postings: dict[str, list[int]] = {}
+    if scheme != "none":
+        for row, normalized in enumerate(normalized_names):
+            for key in reference.keys(normalized):
+                postings.setdefault(key, []).append(row)
+    return {key: np.asarray(rows, dtype=np.intp) for key, rows in postings.items()}

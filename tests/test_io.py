@@ -20,6 +20,8 @@ from repro.dataset.schema import Attribute, AttributeKind, AttributeRole, Schema
 from repro.dataset.table import Table
 from repro.exceptions import TableError
 
+from csv_reference import reference_stream_csv
+
 
 class TestCellRendering:
     def test_render_plain_values(self):
@@ -172,6 +174,21 @@ class TestStreamingEdgeCases:
         assert render_cell(float("-inf")) == "-inf"
         assert parse_cell("inf", AttributeKind.TEXT) == "inf"
 
+    @pytest.mark.parametrize("chunk_rows", [1, 2])
+    def test_blank_lines_never_end_the_parse(self, chunk_rows):
+        # Consecutive blank interior lines fill whole chunks with blank rows
+        # at chunk_rows 1 and 2; the rows after them must still be read.
+        body = (
+            _HEADER + "ann,30\n\n\n\nbob,41\n\r\n\n\ncat,52\ndan,63\n\n\n\n"
+        )
+        lines = body.splitlines(keepends=True)
+        table = stream_csv(iter(lines), chunk_rows=chunk_rows)
+        reference = reference_stream_csv(lines)
+        assert table.rows() == reference.rows()
+        assert table.column("name") == ["ann", "bob", "cat", "dan"]
+        assert table == reference
+        assert table.fingerprint == reference.fingerprint
+
     def test_chunk_rows_must_be_positive(self):
         with pytest.raises(TableError):
             stream_csv(io.StringIO(_HEADER), chunk_rows=0)
@@ -202,4 +219,30 @@ class TestReadErrors:
             "a,b\nidentifier:text,sensitive:numeric\nx,1,extra\n", encoding="utf-8"
         )
         with pytest.raises(TableError, match="line 3"):
+            read_csv(path)
+
+
+_LONG = "x" * 200_000  # beyond csv.field_size_limit()'s default of 131,072
+
+
+class TestMalformedCsv:
+    """Text ``csv.reader`` rejects is a ``TableError`` naming source and line."""
+
+    @pytest.mark.parametrize(
+        "row", [f'"{_LONG}",1\n', f"{_LONG},1\n"], ids=["quoted", "unquoted"]
+    )
+    def test_field_over_the_size_limit(self, row):
+        lines = [*_HEADER.splitlines(keepends=True), "ann,30\n", row]
+        with pytest.raises(TableError, match=r"malformed CSV at line 4 of <upload>"):
+            stream_csv(iter(lines), source="<upload>")
+
+    def test_bare_carriage_return_inside_an_unquoted_cell(self, tmp_path):
+        # An HTTP body splits into lines on "\n" only, so the "\r" arrives
+        # inside the cell; a file opened with newline="" ends a line there.
+        lines = [*_HEADER.splitlines(keepends=True), "a\rb,1\n"]
+        with pytest.raises(TableError, match="malformed CSV at line 3"):
+            stream_csv(iter(lines))
+        path = tmp_path / "carriage.csv"
+        path.write_bytes((_HEADER + "a\rb,1\n").encode())
+        with pytest.raises(TableError, match="line 3 .* has 1 cells, expected 2"):
             read_csv(path)

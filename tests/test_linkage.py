@@ -5,17 +5,17 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import LinkageError
-from repro.fusion.linkage import (
+from repro.linkage import LinkageIndex, normalize_name
+from repro.linkage.kernels import active_kernel_backend
+
+from linkage_reference import (
     jaro_similarity,
     jaro_winkler_similarity,
     levenshtein_distance,
     levenshtein_similarity,
     name_similarity,
-    normalize_name,
     token_set_similarity,
 )
-from repro.linkage import LinkageIndex
-from repro.linkage.kernels import active_kernel_backend
 
 
 class TestNormalization:

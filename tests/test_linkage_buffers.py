@@ -27,7 +27,8 @@ from repro.linkage import (
     pad_ragged,
     tokenize_corpus,
 )
-from repro.linkage.blocking import scalar_postings
+
+from linkage_reference import scalar_postings
 
 # Unicode-heavy name material: accents and combining marks (Mn), punctuation,
 # separators — everything the normalization contract has to fold.

@@ -29,9 +29,10 @@ from repro.data.faculty import FacultyConfig, generate_faculty
 from repro.data.webgen import corpus_for_census, corpus_for_faculty
 from repro.fusion.attack import AttackConfig, WebFusionAttack
 from repro.fusion.auxiliary import AuxiliaryRecord, AuxiliarySource, TableAuxiliarySource, auxiliary_table
-from repro.fusion.linkage import name_similarity, normalize_name
 from repro.fusion.web import name_variant
-from repro.linkage import BlockingIndex, LinkageIndex
+from repro.linkage import BlockingIndex, LinkageIndex, normalize_name
+
+from linkage_reference import name_similarity
 
 
 class SeedNameMatcher:

@@ -11,7 +11,8 @@ from repro.dataset.generalization import Interval, cover_values, numeric_represe
 from repro.dataset.hierarchy import NumericHierarchy
 from repro.dataset.io import parse_cell, render_cell
 from repro.dataset.schema import AttributeKind
-from repro.fusion.linkage import (
+
+from linkage_reference import (
     jaro_similarity,
     jaro_winkler_similarity,
     levenshtein_distance,

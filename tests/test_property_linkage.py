@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for the batched linkage engine.
 
-The scalar functions in :mod:`repro.fusion.linkage` are the executable
+The scalar functions in ``tests/linkage_reference.py`` are the executable
 specification; these properties pin that the vectorized kernels in
 :mod:`repro.linkage.kernels` reproduce them **bit for bit** on arbitrary
 strings, and that q-gram blocking never loses a candidate the historical
@@ -12,14 +12,6 @@ from __future__ import annotations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.fusion.linkage import (
-    jaro_similarity,
-    jaro_winkler_similarity,
-    levenshtein_distance,
-    levenshtein_similarity,
-    name_similarity,
-    normalize_name,
-)
 from repro.linkage import (
     BlockingIndex,
     LinkageIndex,
@@ -29,6 +21,15 @@ from repro.linkage import (
     jaro_winkler_similarity_batch,
     levenshtein_distance_batch,
     levenshtein_similarity_batch,
+    normalize_name,
+)
+
+from linkage_reference import (
+    jaro_similarity,
+    jaro_winkler_similarity,
+    levenshtein_distance,
+    levenshtein_similarity,
+    name_similarity,
 )
 
 # Arbitrary text, deliberately wider than names: accents, punctuation and

@@ -1,12 +1,15 @@
 """Property-based tests for the serving tier's substrate.
 
-Two families of invariants back the service:
+Three families of invariants back the service:
 
 * **Streaming ≡ in-memory ingest** — parsing a CSV document through the
   chunked streaming reader (any chunk size, including one row at a time) yields a table identical to parsing the whole document at once,
   including NaN, ``None`` and generalized-interval cells.  The service's
   upload path is exactly this code, so the property pins down registration
   correctness for arbitrarily framed request bodies.
+* **Vectorized ≡ per-cell typing** — ``stream_csv`` equals the per-cell
+  reference parser of ``tests/csv_reference.py`` on table, fingerprint and
+  every column dtype, float bit patterns included.
 * **Fingerprint semantics** — ``Table.fingerprint`` is invariant under
   buffer-sharing operations (full projection, rename round trips, identity
   gathers) and under rebuilding the same content from scratch, while any
@@ -28,6 +31,8 @@ from repro.dataset.generalization import SUPPRESSED, CategorySet, Interval
 from repro.dataset.io import render_cell, render_csv, stream_csv
 from repro.dataset.schema import Attribute, AttributeKind, AttributeRole, Schema
 from repro.dataset.table import Table
+
+from csv_reference import reference_stream_csv
 
 # ---------------------------------------------------------------------------
 # Strategies.
@@ -108,6 +113,14 @@ def tables(draw, shared_cells=False):
     )
 
 
+# Raw cell text over the characters that steer the column typer: digits,
+# number syntax, generalized syntax, padding, quotes and line breaks.
+_raw_cells = st.one_of(
+    st.text(alphabet='0123456789.-+eEnaif*[]{} ,"\n\rx', max_size=8),
+    st.sampled_from(["nan", "-inf", "1e5", "[1-2]", "*", "{a, b}", " 5", "5\n", "\r\n7"]),
+)
+
+
 def _lines_of(text: str) -> list[str]:
     return text.splitlines(keepends=True)
 
@@ -140,24 +153,48 @@ class TestStreamingEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# CSV fast path ≡ line-by-line parser.
+# stream_csv ≡ the per-cell reference parser.
 # ---------------------------------------------------------------------------
 
 
+def _assert_same_parse(parsed: Table, reference: Table) -> None:
+    assert parsed == reference
+    assert parsed.fingerprint == reference.fingerprint
+    assert parsed.schema.names == reference.schema.names
+    for name in reference.schema.names:
+        assert parsed.column_array(name).dtype == reference.column_array(name).dtype, name
+
+
 class TestCsvFastPathEquivalence:
-    """The chunked NumPy fast path must be indistinguishable from the
-    line-by-line parser on arbitrary numeric / quoted / NaN tables (quoted
-    cells exercise the mid-stream fallback to the csv machinery)."""
+    """``stream_csv``'s vectorized column typing must be indistinguishable
+    from the per-cell reference parser (``tests/csv_reference.py``) on
+    arbitrary numeric / quoted / NaN tables, at every chunk size."""
 
     @settings(max_examples=60, deadline=None)
     @given(tables(), st.integers(min_value=1, max_value=7))
     def test_fast_path_equals_line_by_line(self, table, chunk_rows):
-        text = render_csv(table)
-        fast = stream_csv(iter(_lines_of(text)), chunk_rows=chunk_rows)
-        slow = stream_csv(iter(_lines_of(text)), chunk_rows=chunk_rows, fast=False)
-        assert fast == slow
-        assert fast.fingerprint == slow.fingerprint
-        assert fast.schema.names == slow.schema.names
+        lines = _lines_of(render_csv(table))
+        _assert_same_parse(
+            stream_csv(iter(lines), chunk_rows=chunk_rows), reference_stream_csv(lines)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(_raw_cells, _raw_cells), max_size=10),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_quoted_line_breaks_and_padding_equal_reference(self, rows, chunk_rows):
+        # Cells csv.writer must quote (line breaks, quotes, delimiters) and
+        # cells parse_cell must strip reach the column typer inside one chunk.
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(["label", "value"])
+        writer.writerow(["identifier:text", "quasi_identifier:numeric"])
+        writer.writerows(rows)
+        text = buffer.getvalue()
+        parsed = stream_csv(io.StringIO(text, newline=""), chunk_rows=chunk_rows)
+        _assert_same_parse(parsed, reference_stream_csv(io.StringIO(text, newline="")))
+        assert parsed.num_rows == len(rows)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -167,21 +204,19 @@ class TestCsvFastPathEquivalence:
     def test_numeric_column_parse_is_bit_exact(self, values, chunk_rows):
         # Full-range floats (subnormals, huge exponents, NaN, inf): the
         # vectorized string->float64 conversion must agree with float() to
-        # the last bit wherever both paths store a float column.
+        # the last bit wherever both parsers store a float column.
         schema = Schema([Attribute("x", AttributeRole.QUASI_IDENTIFIER)])
-        text = render_csv(Table(schema, {"x": values}))
-        fast = stream_csv(iter(_lines_of(text)), chunk_rows=chunk_rows)
-        slow = stream_csv(iter(_lines_of(text)), chunk_rows=chunk_rows, fast=False)
-        assert fast == slow
-        assert fast.fingerprint == slow.fingerprint
-        fast_column, slow_column = fast.column_array("x"), slow.column_array("x")
-        assert fast_column.dtype.kind == slow_column.dtype.kind, "dtype diverged"
-        if fast_column.dtype.kind == "f":
+        lines = _lines_of(render_csv(Table(schema, {"x": values})))
+        parsed = stream_csv(iter(lines), chunk_rows=chunk_rows)
+        reference = reference_stream_csv(lines)
+        _assert_same_parse(parsed, reference)
+        parsed_column, reference_column = parsed.column_array("x"), reference.column_array("x")
+        if parsed_column.dtype.kind == "f":
             assert (
-                fast_column.view(np.int64) == slow_column.view(np.int64)
+                parsed_column.view(np.int64) == reference_column.view(np.int64)
             ).all(), "float bit patterns diverged"
-        elif fast_column.dtype.kind == "i":
-            assert (fast_column == slow_column).all()
+        elif parsed_column.dtype.kind == "i":
+            assert (parsed_column == reference_column).all()
 
 
 # ---------------------------------------------------------------------------

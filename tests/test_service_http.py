@@ -140,6 +140,13 @@ class TestDatasetEndpoints:
         assert status == 400
         assert "header" in json.loads(body)["error"]
 
+    def test_field_over_the_csv_size_limit_is_a_400(self, service_client):
+        body = f'name,age\nidentifier:text,quasi_identifier:numeric\n"{"x" * 200_000}",1\n'
+        status, _, reply = service_client.post_raw("/datasets", body.encode(), "text/csv")
+        assert status == 400
+        assert "malformed CSV at line 3" in json.loads(reply)["error"]
+        assert service_client.get("/healthz") == (200, {"status": "ok"})
+
     def test_rejected_upload_closes_the_connection(self, service_client, simple_table):
         """An error mid-body must not leave a desynced keep-alive connection."""
         import http.client
