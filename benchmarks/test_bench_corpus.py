@@ -29,6 +29,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.fusion.attack import harvest_auxiliary
 from repro.fusion.web import SimulatedWebCorpus, WebPage, name_variant
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
@@ -175,7 +176,7 @@ def test_corpus_build_speedup_vs_seed_loop(profiles, bench_gate):
 
 
 def test_harvest_block_gathers_from_columns(profiles):
-    """The corpus harvest attaches array-gathered numeric columns."""
+    """The corpus harvest gathers Table IV's fact columns from storage."""
     corpus = SimulatedWebCorpus.from_profiles(
         profiles[:200],
         ATTRIBUTES,
@@ -185,11 +186,11 @@ def test_harvest_block_gathers_from_columns(profiles):
         seed=SEED,
     )
     names = [str(p["name"]) for p in profiles[:50]]
-    harvest = corpus.harvest_records(names)
-    assert len(harvest) == 50
+    records, table = harvest_auxiliary(corpus, names, ATTRIBUTES)
+    assert len(records) == 50
+    matched = [r is not None for r in records]
+    assert table.num_rows == sum(matched)
     for attribute in ATTRIBUTES:
-        column = harvest.numeric_column(attribute)
-        assert column.shape == (50,)
-        matched = [r is not None for r in harvest]
-        finite = np.isfinite(column)
-        assert all(f == m for f, m in zip(finite, matched))
+        column = table.column_array(attribute)
+        assert column.dtype == np.float64
+        assert np.isfinite(column).all()

@@ -211,9 +211,15 @@ class _CountingSource(AuxiliarySource):
         self.search_calls += 1
         return self.inner.search(name)
 
-    def lookup_many(self, names):
+    def match(self, names):
         self.batch_calls += 1
-        return self.inner.lookup_many(names)
+        return self.inner.match(names)
+
+    def cells(self, attribute, rows):
+        return self.inner.cells(attribute, rows)
+
+    def record(self, row, confidence, attributes):
+        return self.inner.record(row, confidence, attributes)
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])

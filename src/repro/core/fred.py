@@ -271,11 +271,13 @@ class _HarvestedSource(AuxiliarySource):
     def __init__(self, attribute_names: Sequence[str]) -> None:
         self.attribute_names = tuple(attribute_names)
 
-    def search(self, name: str):
+    def _detached(self, *_):
         raise AuxiliarySourceError(
             "auxiliary source was detached for the process sweep (its harvest "
-            "is precomputed); per-name queries are not available in workers"
+            "is precomputed); name queries are not available in workers"
         )
+
+    search = match = cells = record = _detached
 
 
 # Per-process state for parallel sweeps: the shared sweep context

@@ -7,12 +7,7 @@ from repro.fusion.attack import (
     build_income_fusion_system,
     harvest_auxiliary,
 )
-from repro.fusion.auxiliary import (
-    AuxiliaryRecord,
-    AuxiliarySource,
-    TableAuxiliarySource,
-    auxiliary_table,
-)
+from repro.fusion.auxiliary import AuxiliaryRecord, AuxiliarySource, TableAuxiliarySource
 from repro.fusion.estimators import (
     MidpointEstimator,
     RankScalingEstimator,
@@ -32,7 +27,6 @@ __all__ = [
     "AuxiliaryRecord",
     "AuxiliarySource",
     "TableAuxiliarySource",
-    "auxiliary_table",
     "SimulatedWebCorpus",
     "WebPage",
     "name_variant",

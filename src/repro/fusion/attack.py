@@ -5,8 +5,9 @@ kept, quasi-identifiers generalized, sensitive column dropped) and an auxiliary
 source (the simulated web), and produces an estimate ``P̂`` of the sensitive
 attribute for every release record:
 
-1. **Harvest** — use the identifiers in the release to query the auxiliary
-   source; keep the best-linked record per person (Table IV of the paper).
+1. **Harvest** — link every identifier in the release to the auxiliary
+   source in one batch; the best-linked row per person gives Table IV of the
+   paper.
 2. **Assemble** — merge the numeric representatives of the release
    quasi-identifiers (interval midpoints) with the harvested auxiliary
    attributes into one crisp input record per person.
@@ -25,11 +26,11 @@ Batch data layout
 The fusion step is fully vectorized.  :meth:`WebFusionAttack.assemble_columns`
 builds one ``(N,)`` float array per fusion input — release quasi-identifiers
 come straight from :meth:`repro.dataset.table.Table.numeric_columns` (interval
-midpoints; NaN for suppressed cells) and auxiliary inputs from the harvest's
-cached :meth:`~repro.fusion.auxiliary.HarvestRecords.numeric_column` arrays
-(NaN when a person has no web match or the attribute is absent).  The fuzzy
-engines fuzzify a NaN cell to full membership in every term.  That column
-block is the only input layout: the built-in engines and a custom
+midpoints; NaN for suppressed cells) and auxiliary inputs from the columns
+of Table IV, scattered to the matched rows (NaN when a person has no web
+match or the fact is absent or text).  The fuzzy engines fuzzify a NaN cell
+to full membership in every term.  That column block is the only input
+layout: the built-in engines and a custom
 :class:`~repro.fusion.estimators.SensitiveEstimator` all get it through
 ``evaluate_batch``, and no per-record dicts are built.
 """
@@ -38,18 +39,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.dataset.schema import Attribute, AttributeKind, AttributeRole, Schema
 from repro.dataset.table import Table
 from repro.exceptions import AttackConfigurationError
-from repro.fusion.auxiliary import (
-    AuxiliaryRecord,
-    AuxiliarySource,
-    HarvestRecords,
-    auxiliary_table,
-)
+from repro.fusion.auxiliary import AuxiliaryRecord, AuxiliarySource
 from repro.fusion.estimators import SensitiveEstimator
 from repro.fusion.rulegen import monotone_rules
 from repro.fuzzy.batch import as_columns
@@ -194,35 +192,58 @@ def harvest_auxiliary(
     names: Sequence[str],
     attribute_names: Sequence[str],
 ) -> tuple[list[AuxiliaryRecord | None], Table]:
-    """Resolve every name against the auxiliary source in one batched pass.
+    """Step 1 of the attack: link every name to the source and build Table IV.
 
-    This is step 1 of the attack (and its linkage-dominated hot path): the
-    whole identifier column goes through
-    :meth:`~repro.fusion.auxiliary.AuxiliarySource.harvest_records`, so a
-    source backed by a :class:`~repro.linkage.LinkageIndex` amortizes
-    blocking and batch scoring across the release, and columnar sources
-    attach array-gathered numeric fact columns that the assemble step reads
-    directly.  Returns the per-name best records
-    (a :class:`~repro.fusion.auxiliary.HarvestRecords` list, ``None`` where
-    nothing linked) plus the harvested auxiliary table (paper Table IV).
-    The harvest depends only on the identifier column and the source — not on
-    the anonymization level — so callers sweeping levels (FRED, the service)
-    compute it once and pass it to :meth:`WebFusionAttack.run`.
+    The whole name batch resolves through one
+    :meth:`~repro.fusion.auxiliary.AuxiliarySource.match` call, so a source
+    backed by a :class:`~repro.linkage.LinkageIndex` pays its linkage cost
+    once.  Table IV (paper) holds the matched names in name order plus one
+    column per attribute, each filled by one
+    :meth:`~repro.fusion.auxiliary.AuxiliarySource.cells` gather (``None``
+    where a fact is absent).  Returns ``(records, table)``: per name, in name
+    order, an :class:`~repro.fusion.auxiliary.AuxiliaryRecord` whose
+    ``attributes`` are its present Table IV cells, or ``None`` where nothing
+    linked; and Table IV.  The harvest depends only on the names and the
+    source — not on the anonymization level — so callers sweeping levels
+    (FRED, the service) compute it once and pass it to
+    :meth:`WebFusionAttack.run`.
     """
     queried = [str(name) for name in names]
-    harvested = source.harvest_records(queried)
-    found = [
-        AuxiliaryRecord(
-            name=name,
-            attributes=record.attributes,
-            confidence=record.confidence,
-            source=record.source,
-        )
-        for name, record in zip(queried, harvested)
-        if record is not None
-    ]
-    table = auxiliary_table(found, list(attribute_names))
-    return harvested, table
+    attribute_names = list(attribute_names)
+    rows, confidence = source.match(queried)
+    hits = np.flatnonzero(rows >= 0)
+    hit_rows = rows[hits]
+    schema = Schema(
+        [Attribute("name", AttributeRole.IDENTIFIER, AttributeKind.TEXT)]
+        + [Attribute(name, AttributeRole.QUASI_IDENTIFIER) for name in attribute_names]
+    )
+    columns = {name: source.cells(name, hit_rows) for name in attribute_names}
+    table = Table(schema, {"name": [queried[i] for i in hits.tolist()], **columns})
+    facts = (
+        zip(*(table.column(name) for name in attribute_names))
+        if attribute_names
+        else repeat(())
+    )
+    records: list[AuxiliaryRecord | None] = [None] * len(queried)
+    for i, row, score, values in zip(
+        hits.tolist(), hit_rows.tolist(), confidence[hits].tolist(), facts
+    ):
+        attributes = {
+            name: value
+            for name, value in zip(attribute_names, values)
+            if value is not None
+        }
+        records[i] = source.record(row, score, attributes)
+    return records, table
+
+
+def _fact_floats(auxiliary: Table, name: str) -> np.ndarray:
+    """Table IV column ``name`` as floats: text and absent facts are NaN."""
+    values = auxiliary.numeric_column(name)
+    cells = auxiliary.column_array(name)
+    if cells.dtype == object:
+        values[[isinstance(cell, str) for cell in cells]] = np.nan
+    return values
 
 
 def build_income_fusion_system(
@@ -268,20 +289,20 @@ class WebFusionAttack:
         """Query the auxiliary source for every name; best record or ``None`` each.
 
         Delegates to :func:`harvest_auxiliary`, which resolves the whole name
-        batch through the source's batched lookup path.
+        batch through one :meth:`~repro.fusion.auxiliary.AuxiliarySource.match`.
         """
         return harvest_auxiliary(self.source, names, self.config.auxiliary_inputs)
 
     def assemble_columns(
-        self, release: Table, harvested: HarvestRecords
+        self, release: Table, matched: np.ndarray, auxiliary: Table
     ) -> dict[str, np.ndarray]:
         """Merge release and harvested inputs column-wise into ``(N,)`` arrays.
 
         Release inputs resolve generalized cells to numeric representatives
-        (NaN when suppressed); auxiliary inputs are NaN wherever the harvest
-        found nothing.  This is the batch layout the fusion engines consume.
-        The harvest hands its auxiliary columns over as cached arrays
-        (gathered once per harvest, shared across every level of a sweep).
+        (NaN when suppressed).  Each auxiliary input is its Table IV column
+        scattered through the boolean ``matched`` mask, one entry per release
+        record: NaN where the harvest found nothing, and where the fact is
+        absent or text.  This is the batch layout the fusion engines consume.
         """
         missing = [
             name for name in self.config.release_inputs if name not in release.schema
@@ -290,9 +311,18 @@ class WebFusionAttack:
             raise AttackConfigurationError(
                 f"release is missing configured input columns: {missing}"
             )
+        unharvested = [
+            name for name in self.config.auxiliary_inputs if name not in auxiliary.schema
+        ]
+        if unharvested:
+            raise AttackConfigurationError(
+                f"the harvested table is missing auxiliary input columns: {unharvested}"
+            )
         columns = release.numeric_columns(self.config.release_inputs)
         for name in self.config.auxiliary_inputs:
-            columns[name] = harvested.numeric_column(name).copy()
+            column = np.full(matched.shape[0], np.nan)
+            column[matched] = _fact_floats(auxiliary, name)
+            columns[name] = column
         return columns
 
     def calibrate_variables(
@@ -372,24 +402,25 @@ class WebFusionAttack:
         names = [str(n) for n in release.identifier_column()]
         if harvest is None:
             harvest = self.harvest(names)
-        harvested, harvested_table = harvest
-        if len(harvested) != len(names):
+        records, auxiliary = harvest
+        if len(records) != len(names):
             raise AttackConfigurationError(
-                f"precomputed harvest covers {len(harvested)} names but the "
+                f"precomputed harvest covers {len(records)} names but the "
                 f"release has {len(names)} records"
             )
-        # The harvested table's identifier column holds the queried names in
-        # match order; it must agree with this release's matched rows, or the
+        # Table IV's identifier column holds the queried names in match
+        # order; it must agree with this release's matched rows, or the
         # harvest was built for a different (e.g. row-reordered) release.
-        matched_names = [n for n, record in zip(names, harvested) if record is not None]
-        if matched_names != [str(n) for n in harvested_table.identifier_column()]:
+        matched = [record is not None for record in records]
+        matched_names = [n for n, hit in zip(names, matched) if hit]
+        if matched_names != [str(n) for n in auxiliary.identifier_column()]:
             raise AttackConfigurationError(
                 "precomputed harvest does not align with the release's "
                 "identifier column (was it harvested for a different row order?)"
             )
-        if not isinstance(harvested, HarvestRecords):
-            harvested = HarvestRecords(harvested)
-        columns = self.assemble_columns(release, harvested)
+        columns = self.assemble_columns(
+            release, np.array(matched, dtype=bool), auxiliary
+        )
 
         if self.config.engine == "custom":
             system: object = self.config.estimator
@@ -414,8 +445,8 @@ class WebFusionAttack:
 
         return AttackResult(
             estimates=estimates,
-            matched=[record is not None for record in harvested],
-            auxiliary=harvested_table,
+            matched=matched,
+            auxiliary=auxiliary,
             system=system,
             config=self.config,
         )

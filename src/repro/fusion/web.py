@@ -24,12 +24,12 @@ draws every coverage, name-variant and noise value up front as arrays
 (``coverage``, ``variant``, ``variant choice``, an ``(n, attrs)`` noise block,
 and the distractor fact block — in that fixed order), and page facts are
 stored as NaN-masked column arrays rather than per-page dicts.
-:class:`WebPage` objects are **lazy views**: the ``pages`` list is only
-materialized when someone actually asks for it (examples, rendering), so
-building and harvesting a million-page corpus never constructs a million fact
-dicts.  Because all draws happen up front, each person's page content depends
-only on the seed, the profile order and the attribute count — not on which
-other people happen to be covered.
+The ``pages`` list of :class:`WebPage` objects is only built when someone
+actually asks for it (examples, rendering): building and harvesting a
+corpus read the fact columns directly and construct no per-page fact dicts.
+Because all draws happen up front, each person's page content depends only
+on the seed, the profile order and the attribute count — not on which other
+people happen to be covered.
 
 .. note::
    The historical implementation drew random values per profile inside a
@@ -46,12 +46,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.exceptions import AuxiliarySourceError
-from repro.fusion.auxiliary import (
-    AuxiliaryRecord,
-    AuxiliarySource,
-    ColumnRowAttributes,
-    HarvestRecords,
-)
+from repro.fusion.auxiliary import AuxiliaryRecord, AuxiliarySource, match_with_index
 from repro.linkage.index import LinkageIndex
 
 __all__ = ["WebPage", "SimulatedWebCorpus", "name_variant"]
@@ -109,7 +104,7 @@ class SimulatedWebCorpus(AuxiliarySource):
 
     Page content lives in column arrays — owner/displayed-name lists, one
     NaN-masked float array per numeric fact, object arrays only for the rare
-    non-numeric facts — and :attr:`pages` is a lazily materialized view.  The
+    non-numeric facts — and :attr:`pages` is built on first access.  The
     linkage index over displayed names is also built lazily, on the first
     search: corpus *construction* is pure data-plane work.
 
@@ -164,7 +159,7 @@ class SimulatedWebCorpus(AuxiliarySource):
         self._fact_objects = fact_objects
         self._extras = extras
 
-    # Lazy views -------------------------------------------------------------------
+    # Page views -------------------------------------------------------------------
 
     def _url(self, index: int) -> str:
         """The page URL, synthesized on demand."""
@@ -207,14 +202,10 @@ class SimulatedWebCorpus(AuxiliarySource):
             key for key in self._extras if key not in self.attribute_names
         )
 
-    def _facts_of(self, index: int) -> Mapping[str, float | str]:
-        """One page's facts as a lazy view over the fact columns.
-
-        Cells are read on access (:class:`ColumnRowAttributes`), so
-        harvesting or listing a million-page corpus builds no fact dicts
-        at all; pickling a record materializes its view to a plain dict.
-        """
-        return ColumnRowAttributes(self._fact_cell, self._fact_names, index)
+    def _facts_of(self, index: int) -> dict[str, float | str]:
+        """One page's present facts (harvestable and extra) as a dict."""
+        cells = ((name, self._fact_cell(name, index)) for name in self._fact_names)
+        return {name: cell for name, cell in cells if cell is not None}
 
     def _page(self, index: int) -> WebPage:
         return WebPage(
@@ -226,7 +217,7 @@ class SimulatedWebCorpus(AuxiliarySource):
 
     @property
     def pages(self) -> list[WebPage]:
-        """The corpus pages as :class:`WebPage` views (materialized lazily)."""
+        """The corpus pages as :class:`WebPage` objects (built on first access)."""
         if self._pages_cache is None:
             self._pages_cache = [self._page(i) for i in range(len(self._owners))]
         return self._pages_cache
@@ -383,53 +374,49 @@ class SimulatedWebCorpus(AuxiliarySource):
 
     # AuxiliarySource interface ------------------------------------------------------
 
-    def _record_for_page(self, page_index: int, score: float) -> AuxiliaryRecord:
+    def match(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Best page per name, resolved through one batched linkage pass."""
+        return match_with_index(self.linkage_index, names)
+
+    def cells(self, attribute: str, rows: np.ndarray) -> Sequence[object]:
+        """Fact ``attribute`` of pages ``rows``: text where a page shows text."""
+        numeric = self._fact_numeric.get(attribute)
+        if numeric is None:
+            extra = self._extras.get(attribute)
+            return [None] * len(rows) if extra is None else extra[rows].tolist()
+        values = numeric[rows]
+        absent = np.isnan(values)
+        text = self._fact_objects.get(attribute)
+        if text is None and not absent.any():
+            return values
+        cells = values.astype(object)
+        cells[absent] = None
+        if text is not None:
+            text = text[rows]
+            shown = np.not_equal(text, None)
+            cells[shown] = text[shown]
+        return cells.tolist()
+
+    def record(
+        self, row: int, confidence: float, attributes: Mapping[str, object]
+    ) -> AuxiliaryRecord:
         return AuxiliaryRecord(
-            name=self._displayed[page_index],
-            attributes=self._facts_of(page_index),
-            confidence=min(score, 1.0),
-            source=self._url(page_index),
+            name=self._displayed[row],
+            attributes=attributes,
+            confidence=confidence,
+            source=self._url(row),
         )
 
     def search(self, name: str) -> list[AuxiliaryRecord]:
         """Pages plausibly belonging to ``name``, best linkage score first."""
         return [
-            self._record_for_page(match.candidate_index, match.score)
+            self.record(
+                match.candidate_index,
+                min(match.score, 1.0),
+                self._facts_of(match.candidate_index),
+            )
             for match in self.linkage_index.candidates(name)
         ]
-
-    def lookup_many(self, names: Sequence[str]) -> list[AuxiliaryRecord | None]:
-        """Best page per name, resolved through one batched linkage pass."""
-        return [
-            None
-            if match is None
-            else self._record_for_page(match.candidate_index, match.score)
-            for match in self.linkage_index.match_many(names)
-        ]
-
-    def harvest_records(self, names: Sequence[str]) -> HarvestRecords:
-        """Bulk harvest with numeric fact columns gathered straight from storage."""
-        queried = [str(name) for name in names]
-        matches = self.linkage_index.match_many(queried)
-        rows = np.fromiter(
-            (-1 if match is None else match.candidate_index for match in matches),
-            dtype=np.intp,
-            count=len(matches),
-        )
-        records = [
-            None
-            if match is None
-            else self._record_for_page(match.candidate_index, match.score)
-            for match in matches
-        ]
-        hit = rows >= 0
-        gather = np.where(hit, rows, 0)
-        numeric = {}
-        for name in self.attribute_names:
-            column = self._fact_numeric[name][gather]
-            column[~hit] = np.nan
-            numeric[name] = column
-        return HarvestRecords(records, numeric)
 
     # Introspection helpers ------------------------------------------------------------
 
@@ -442,8 +429,8 @@ class SimulatedWebCorpus(AuxiliarySource):
         """Fraction of ``names`` for which at least one page links above threshold."""
         if not names:
             return 0.0
-        hits = sum(1 for record in self.lookup_many(list(names)) if record is not None)
-        return hits / len(names)
+        rows, _ = self.match(list(names))
+        return int(np.count_nonzero(rows >= 0)) / len(names)
 
 
 def _fact_column(

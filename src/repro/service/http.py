@@ -54,7 +54,7 @@ become ``500`` without taking the server down.
 
 from __future__ import annotations
 
-import codecs
+import io
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -83,44 +83,56 @@ UPLOAD_CHUNK_BYTES = 64 * 1024
 DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
+class _BoundedBody(io.RawIOBase):
+    """The first ``length`` bytes of a request body, read ``chunk_bytes`` at a time.
+
+    A body shorter than its ``Content-Length`` raises :class:`ServiceError`.
+    """
+
+    def __init__(self, rfile, length: int, chunk_bytes: int) -> None:
+        self._rfile = rfile
+        self._length = length
+        self._remaining = length
+        self._chunk_bytes = chunk_bytes
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        if self._remaining <= 0:
+            return 0
+        chunk = self._rfile.read(min(len(buffer), self._chunk_bytes, self._remaining))
+        if not chunk:
+            raise ServiceError(
+                f"request body truncated: expected {self._length} bytes, "
+                f"received {self._length - self._remaining}"
+            )
+        buffer[: len(chunk)] = chunk
+        self._remaining -= len(chunk)
+        return len(chunk)
+
+
 def _iter_body_lines(rfile, content_length: int, chunk_bytes: int = UPLOAD_CHUNK_BYTES) -> Iterator[str]:
     """Yield decoded text lines from a request body, reading chunk by chunk.
 
-    Lines are yielded with their trailing newline so the CSV machinery can
-    reassemble quoted fields that span physical lines; the final partial line
-    (no trailing newline) is yielded last.  Bodies that are not valid UTF-8
-    are rejected rather than silently mangled — in a content-addressed store
-    a corrupted upload would be cached as canonical forever.
+    Lines end where :func:`~repro.dataset.io.read_csv` ends them: the text
+    layer runs with ``newline=""``, so ``"\n"``, ``"\r\n"`` and a bare
+    ``"\r"`` each end a line and are kept on it, and the CSV machinery can
+    reassemble quoted fields that span physical lines.  Bodies that are not
+    valid UTF-8 are rejected rather than silently mangled — in a
+    content-addressed store a corrupted upload would be cached as canonical
+    forever.
     """
-    decoder = codecs.getincrementaldecoder("utf-8")(errors="strict")
-    # Each decoded chunk is split once on "\n" (not ``str.splitlines``, which
-    # also breaks on \r, \x0b, \u2028, ... and would change the lines a
-    # quoted CSV field spans); the unfinished last piece is carried over.
-    carry: list[str] = []
-    remaining = content_length
+    text = io.TextIOWrapper(
+        io.BufferedReader(_BoundedBody(rfile, content_length, chunk_bytes), chunk_bytes),
+        encoding="utf-8",
+        errors="strict",
+        newline="",
+    )
     try:
-        while remaining > 0:
-            chunk = rfile.read(min(chunk_bytes, remaining))
-            if not chunk:
-                raise ServiceError(
-                    f"request body truncated: expected {content_length} bytes, "
-                    f"received {content_length - remaining}"
-                )
-            remaining -= len(chunk)
-            *complete, tail = decoder.decode(chunk).split("\n")
-            if complete:
-                carry.append(complete[0])
-                complete[0] = "".join(carry)
-                carry.clear()
-                for line in complete:
-                    yield line + "\n"
-            carry.append(tail)
-        carry.append(decoder.decode(b"", final=True))
+        yield from text
     except UnicodeDecodeError as exc:
         raise ServiceError(f"dataset upload is not valid UTF-8: {exc}") from exc
-    last = "".join(carry)
-    if last:
-        yield last
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -295,7 +307,7 @@ class _Handler(BaseHTTPRequestHandler):
         length = self._content_length()
         if length <= 0:
             raise ServiceError(f"{what} requires a non-empty body")
-        return _iter_body_lines(self.rfile, length)
+        return _iter_body_lines(self.rfile, length, UPLOAD_CHUNK_BYTES)
 
     def _post_dataset(self, query: dict[str, list[str]]) -> None:
         label = query.get("label", [""])[0]

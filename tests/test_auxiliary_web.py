@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from repro.dataset.io import write_csv
+from repro.dataset.schema import Attribute, AttributeKind, AttributeRole, Schema
+from repro.dataset.table import Table
 from repro.exceptions import AuxiliarySourceError
-from repro.fusion.auxiliary import AuxiliaryRecord, TableAuxiliarySource, auxiliary_table
+from repro.fusion.attack import harvest_auxiliary
+from repro.fusion.auxiliary import AuxiliaryRecord, TableAuxiliarySource
 from repro.fusion.web import SimulatedWebCorpus, WebPage, name_variant
 
 
@@ -24,6 +27,17 @@ PROFILES = [
 ATTRIBUTES = ("property_holdings", "employment_seniority")
 
 
+def auxiliary_table(rows, attribute_names) -> Table:
+    """A name-keyed auxiliary table from ``{"name": ..., attribute: ...}`` rows."""
+    schema = Schema(
+        [Attribute("name", AttributeRole.IDENTIFIER, AttributeKind.TEXT)]
+        + [Attribute(name, AttributeRole.QUASI_IDENTIFIER) for name in attribute_names]
+    )
+    return Table.from_rows(
+        schema, [{"name": row["name"], **{a: row.get(a) for a in attribute_names}} for row in rows]
+    )
+
+
 class TestAuxiliaryRecord:
     def test_numeric_attribute(self):
         record = AuxiliaryRecord("x", {"a": 5, "b": "text"})
@@ -37,31 +51,55 @@ class TestAuxiliaryRecord:
 
 
 class TestAuxiliaryTable:
+    """The harvest's Table IV: matched names plus one column per attribute."""
+
     def test_builds_paper_table_iv_shape(self):
-        records = [
-            AuxiliaryRecord("Alice", {"property_holdings": 3560.0}),
-            AuxiliaryRecord("Bob", {"property_holdings": 1200.0}),
-        ]
-        table = auxiliary_table(records, ["property_holdings"])
+        source = TableAuxiliarySource(
+            auxiliary_table(
+                [
+                    {"name": "Alice", "property_holdings": 3560.0},
+                    {"name": "Bob", "property_holdings": 1200.0},
+                ],
+                ["property_holdings"],
+            ),
+            name_column="name",
+        )
+        records, table = harvest_auxiliary(
+            source, ["Alice", "Nobody", "Bob"], ["property_holdings"]
+        )
+        assert [record is not None for record in records] == [True, False, True]
         assert table.num_rows == 2
         assert table.schema.identifiers == ("name",)
+        assert table.column("name") == ["Alice", "Bob"]
         assert table.column("property_holdings") == [3560.0, 1200.0]
+        assert records[0] == AuxiliaryRecord(
+            "Alice", {"property_holdings": 3560.0}, source="table"
+        )
 
     def test_missing_attributes_are_none(self):
-        records = [AuxiliaryRecord("Alice", {})]
-        table = auxiliary_table(records, ["property_holdings"])
+        source = TableAuxiliarySource(
+            auxiliary_table([{"name": "Alice"}], ["property_holdings"]),
+            name_column="name",
+            attribute_names=("property_holdings",),
+        )
+        records, table = harvest_auxiliary(
+            source, ["Alice"], ["property_holdings", "not_stored"]
+        )
         assert table.column("property_holdings") == [None]
+        assert table.column("not_stored") == [None]
+        assert records[0].attributes == {}
 
 
 class TestTableAuxiliarySource:
     def test_lookup_by_exact_name(self, tmp_path):
-        records = [AuxiliaryRecord(p["name"], {a: p[a] for a in ATTRIBUTES}) for p in PROFILES]
-        table = auxiliary_table(records, list(ATTRIBUTES))
+        table = auxiliary_table(PROFILES, list(ATTRIBUTES))
         source = TableAuxiliarySource(table=table, name_column="name")
-        hit = source.lookup("Alice Miller")
-        assert hit is not None
+        [hit] = source.search("Alice Miller")
         assert hit.numeric_attribute("property_holdings") == 3_560.0
-        assert source.lookup("Nobody") is None
+        assert source.search("Nobody") == []
+        rows, confidence = source.match(["Nobody", "Alice Miller"])
+        assert rows.tolist() == [-1, 0]
+        assert confidence.tolist() == [0.0, 1.0]
         # attribute names inferred from numeric columns
         assert set(source.attribute_names) == set(ATTRIBUTES)
         # round-trips through CSV
@@ -69,8 +107,9 @@ class TestTableAuxiliarySource:
         assert path.exists()
 
     def test_unknown_name_column_rejected(self):
-        records = [AuxiliaryRecord("Alice", {"property_holdings": 1.0})]
-        table = auxiliary_table(records, ["property_holdings"])
+        table = auxiliary_table(
+            [{"name": "Alice", "property_holdings": 1.0}], ["property_holdings"]
+        )
         with pytest.raises(AuxiliarySourceError):
             TableAuxiliarySource(table=table, name_column="missing")
 

@@ -28,7 +28,9 @@ from repro.data.census import CensusConfig, generate_census
 from repro.data.faculty import FacultyConfig, generate_faculty
 from repro.data.webgen import corpus_for_census, corpus_for_faculty
 from repro.fusion.attack import AttackConfig, WebFusionAttack
-from repro.fusion.auxiliary import AuxiliaryRecord, AuxiliarySource, TableAuxiliarySource, auxiliary_table
+from repro.dataset.schema import Attribute, AttributeKind, AttributeRole, Schema
+from repro.dataset.table import Table
+from repro.fusion.auxiliary import AuxiliarySource, TableAuxiliarySource
 from repro.fusion.web import name_variant
 from repro.linkage import BlockingIndex, LinkageIndex, normalize_name
 
@@ -206,7 +208,7 @@ class TestGoldenMatchEquivalence:
 
 
 class CountingSource(AuxiliarySource):
-    """Wraps a source, counting scalar searches and batched lookups."""
+    """Wraps a source, counting scalar searches and batched matches."""
 
     def __init__(self, inner: AuxiliarySource) -> None:
         self.inner = inner
@@ -218,9 +220,15 @@ class CountingSource(AuxiliarySource):
         self.search_calls += 1
         return self.inner.search(name)
 
-    def lookup_many(self, names):
+    def match(self, names):
         self.batch_calls += 1
-        return self.inner.lookup_many(names)
+        return self.inner.match(names)
+
+    def cells(self, attribute, rows):
+        return self.inner.cells(attribute, rows)
+
+    def record(self, row, confidence, attributes):
+        return self.inner.record(row, confidence, attributes)
 
 
 @pytest.fixture()
@@ -276,6 +284,19 @@ class TestHarvestReuse:
         with pytest.raises(AttackConfigurationError):
             attack.run(release, harvest=short)
 
+    def test_harvest_without_an_auxiliary_input_is_rejected(self, fred_setup):
+        """Table IV must hold every auxiliary input the attack fuses."""
+        population, corpus, attack_config = fred_setup
+        from repro.anonymize.mdav import MDAVAnonymizer
+        from repro.exceptions import AttackConfigurationError
+        from repro.fusion.attack import harvest_auxiliary
+
+        release = MDAVAnonymizer().anonymize(population.private, 4).release
+        names = [str(n) for n in release.identifier_column()]
+        partial = harvest_auxiliary(corpus, names, attack_config.auxiliary_inputs[:1])
+        with pytest.raises(AttackConfigurationError, match="employment_seniority"):
+            WebFusionAttack(corpus, attack_config).run(release, harvest=partial)
+
     def test_row_reordered_release_rejects_stale_harvest(self, fred_setup):
         """Same row count, different row order: the alignment guard fires
         instead of silently pairing people with other people's web records."""
@@ -291,33 +312,42 @@ class TestHarvestReuse:
             attack.run(reordered, harvest=harvest)
 
 
+def _seniority_table(seniority: dict[str, float]) -> Table:
+    schema = Schema(
+        [
+            Attribute("name", AttributeRole.IDENTIFIER, AttributeKind.TEXT),
+            Attribute("seniority", AttributeRole.QUASI_IDENTIFIER),
+        ]
+    )
+    return Table.from_rows(schema, list(seniority.items()))
+
+
 class TestFuzzyTableSource:
     def test_linkage_threshold_enables_approximate_lookup(self):
-        records = [
-            AuxiliaryRecord("Alice Miller", {"seniority": 20.0}),
-            AuxiliaryRecord("Robert Chen", {"seniority": 25.0}),
-        ]
-        table = auxiliary_table(records, ["seniority"])
+        table = _seniority_table({"Alice Miller": 20.0, "Robert Chen": 25.0})
         exact = TableAuxiliarySource(table=table, name_column="name")
         fuzzy = TableAuxiliarySource(
             table=table, name_column="name", linkage_threshold=0.82
         )
-        assert exact.lookup("Miller, Alice") is None
-        best = fuzzy.lookup("Miller, Alice")
-        assert best is not None
+        assert exact.search("Miller, Alice") == []
+        best = fuzzy.search("Miller, Alice")[0]
         assert best.name == "Alice Miller"
         assert best.attributes["seniority"] == 20.0
         assert 0.82 <= best.confidence <= 1.0
 
-    def test_fuzzy_lookup_many_matches_per_name_search(self):
-        records = [
-            AuxiliaryRecord("Alice Miller", {"seniority": 20.0}),
-            AuxiliaryRecord("Robert Chen", {"seniority": 25.0}),
-            AuxiliaryRecord("Christine Olsen", {"seniority": 3.0}),
-        ]
-        table = auxiliary_table(records, ["seniority"])
+    def test_fuzzy_match_matches_per_name_search(self):
+        table = _seniority_table(
+            {"Alice Miller": 20.0, "Robert Chen": 25.0, "Christine Olsen": 3.0}
+        )
         fuzzy = TableAuxiliarySource(
             table=table, name_column="name", linkage_threshold=0.8
         )
         names = ["Chen, Robert", "Alice Miler", "Nobody Atall", "C. Olsen"]
-        assert fuzzy.lookup_many(names) == [fuzzy.lookup(n) for n in names]
+        rows, confidence = fuzzy.match(names)
+        assert (rows >= 0).tolist() == [True, True, False, False]
+        for name, row, score in zip(names, rows.tolist(), confidence.tolist()):
+            found = fuzzy.search(name)
+            if row < 0:
+                assert found == [] and score == 0.0
+            else:
+                assert fuzzy.record(row, score, found[0].attributes) == found[0]

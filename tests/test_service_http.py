@@ -4,19 +4,20 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataset.io import render_csv
+from repro.dataset.io import read_csv, render_csv
 from repro.exceptions import ServiceError
 from repro.service.http import _iter_body_lines
 
-# Upload bodies mixing multi-byte UTF-8, "\r\n" and characters that
-# ``str.splitlines`` breaks on (\r, \u2028, \x85, \x0b, \x1c): only "\n"
-# may end a line.
+# Upload bodies mixing multi-byte UTF-8, "\r\n", bare "\r" and characters
+# that ``str.splitlines`` also breaks on (\u2028, \x85, \x0b, \x1c): only
+# "\n", "\r\n" and "\r" may end a line, as in ``open(newline="")``.
 _body_texts = st.tuples(
     st.lists(
         st.one_of(
@@ -146,6 +147,21 @@ class TestDatasetEndpoints:
         assert status == 400
         assert "malformed CSV at line 3" in json.loads(reply)["error"]
         assert service_client.get("/healthz") == (200, {"status": "ok"})
+
+    def test_bare_carriage_return_lines_register_like_read_csv(
+        self, service_client, tmp_path
+    ):
+        document = (
+            "name,age\ridentifier:text,quasi_identifier:numeric\rAda,36\rBob,41\r"
+        ).encode()
+        path = tmp_path / "classic-mac.csv"
+        path.write_bytes(document)
+        expected = read_csv(path)
+        status, _, body = service_client.post_raw("/datasets", document, "text/csv")
+        assert status == 201, body
+        info = json.loads(body)
+        assert info["rows"] == expected.num_rows == 2
+        assert info["fingerprint"] == expected.fingerprint
 
     def test_rejected_upload_closes_the_connection(self, service_client, simple_table):
         """An error mid-body must not leave a desynced keep-alive connection."""
@@ -624,17 +640,14 @@ class TestAppendEndpoint:
 
 
 class TestUploadLineSplitting:
-    """``_iter_body_lines`` yields the body split on "\n" and nothing else."""
+    """``_iter_body_lines`` splits lines after "\n", "\r\n" and bare "\r" only."""
 
     @given(_body_texts, st.integers(min_value=1, max_value=64))
     @settings(max_examples=300, deadline=None)
     def test_yields_exactly_the_newline_split(self, text, chunk_bytes):
         body = text.encode("utf-8")
         lines = list(_iter_body_lines(io.BytesIO(body), len(body), chunk_bytes))
-        parts = text.split("\n")
-        expected = [part + "\n" for part in parts[:-1]]
-        if parts[-1]:
-            expected.append(parts[-1])
+        expected = re.findall(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z", text)
         assert lines == expected
 
     @given(
