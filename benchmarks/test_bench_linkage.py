@@ -5,21 +5,14 @@ first-letter blocking, then scalar Levenshtein / Jaro-Winkler / token-set
 scoring per candidate — so harvesting N names against a corpus of size C cost
 O(N x C/26) interpreted string comparisons, *per anonymization level*.  The
 batched engine (:mod:`repro.linkage`) encodes the corpus once into padded
-code matrices and scores each query's whole candidate set with vectorized
-kernels.
+code matrices and resolves the whole query batch at once: vectorized filters
+over every (query, row) pair, then vectorized kernels on the survivors.
 
 ``test_batched_harvest_speedup_vs_seed_loop`` is the acceptance gate: on a
 10k-name corpus the batched harvest (index build included) must be **at least
 10x faster** than the seed loop.  Set ``REPRO_BENCH_QUICK=1`` for the reduced
 CI smoke variant (2k-name corpus, gate at 1x — batched must simply never be
 slower).
-
-``test_query_axis_batching_speedup`` gates the *second* vectorized axis:
-``match_many`` buckets queries by normalized length and runs the similarity
-DP across whole ``(n_queries, n_candidates)`` pair blocks, so resolving a 1k
-query batch must be **at least 3x faster** than the per-query
-``best_match`` loop (which vectorizes candidates only), while returning
-bit-identical matches.
 
 ``test_fred_sweep_harvests_exactly_once`` pins the second half of the win:
 a FRED sweep performs exactly one harvest regardless of how many levels it
@@ -57,9 +50,6 @@ QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 CORPUS_SIZE = 2_000 if QUICK else 10_000
 QUERY_COUNT = 200 if QUICK else 1_000
 REQUIRED_SPEEDUP = 1.0 if QUICK else 10.0
-#: Gate for the query-axis batching: match_many vs the per-query best_match
-#: loop (both on the same index, so only the query batching differs).
-REQUIRED_QUERY_AXIS_SPEEDUP = 1.0 if QUICK else 3.0
 #: The seed loop is timed on a query subsample and extrapolated; the batched
 #: path is timed on the full query batch (index build included).
 SCALAR_SAMPLE = 10 if QUICK else 25
@@ -113,8 +103,8 @@ def test_bench_match_many(benchmark, linkage_corpus):
     """Throughput of the batched harvest over the full query batch."""
     corpus_names, queries = linkage_corpus
     index = LinkageIndex(corpus_names, threshold=THRESHOLD)
-    matches = benchmark(index.match_many, queries)
-    assert len(matches) == QUERY_COUNT
+    rows, _ = benchmark(index.match_many, queries)
+    assert rows.shape == (QUERY_COUNT,)
     benchmark.extra_info["queries"] = QUERY_COUNT
     benchmark.extra_info["queries_per_second"] = round(
         QUERY_COUNT / benchmark.stats.stats.mean
@@ -127,7 +117,7 @@ def test_batched_harvest_speedup_vs_seed_loop(linkage_corpus, bench_gate):
 
     start = time.perf_counter()
     index = LinkageIndex(corpus_names, threshold=THRESHOLD)
-    matches = index.match_many(queries)
+    rows, _ = index.match_many(queries)
     batched_seconds = time.perf_counter() - start
 
     sample = queries[:SCALAR_SAMPLE]
@@ -136,9 +126,8 @@ def test_batched_harvest_speedup_vs_seed_loop(linkage_corpus, bench_gate):
     scalar_seconds = (time.perf_counter() - start) * (QUERY_COUNT / len(sample))
 
     # The engines must agree on the sample before their speeds are compared.
-    for query, batched, seed_index in zip(sample, matches, seed_matches):
-        batched_index = None if batched is None else batched.candidate_index
-        assert batched_index == seed_index, query
+    for query, row, seed_index in zip(sample, rows.tolist(), seed_matches):
+        assert row == (-1 if seed_index is None else seed_index), query
 
     speedup = scalar_seconds / batched_seconds
     bench_gate(
@@ -154,47 +143,6 @@ def test_batched_harvest_speedup_vs_seed_loop(linkage_corpus, bench_gate):
         f"batched harvest is only {speedup:.1f}x the seed loop on a "
         f"{CORPUS_SIZE}-name corpus (required {REQUIRED_SPEEDUP:.0f}x): "
         f"batched {batched_seconds:.3f}s vs seed {scalar_seconds:.3f}s (extrapolated)"
-    )
-
-
-def test_query_axis_batching_speedup(linkage_corpus, bench_gate):
-    """Acceptance gate: match_many >= 3x the per-query best_match loop (1x quick).
-
-    Both sides run on the same prebuilt index, so the comparison isolates the
-    query-axis batching (length-bucketed pairwise DP vs one kernel invocation
-    per query); the matches must be bit-identical before speeds are compared.
-    """
-    corpus_names, queries = linkage_corpus
-    index = LinkageIndex(corpus_names, threshold=THRESHOLD)
-
-    # Warm both paths once so allocator/cache effects don't skew the gate.
-    index.match_many(queries[:10])
-    [index.best_match(query) for query in queries[:10]]
-
-    start = time.perf_counter()
-    batched = index.match_many(queries)
-    batched_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    per_query = [index.best_match(query) for query in queries]
-    loop_seconds = time.perf_counter() - start
-
-    assert batched == per_query, "query-axis batching changed a match"
-
-    speedup = loop_seconds / batched_seconds
-    bench_gate(
-        "linkage-query-axis-batching",
-        corpus=CORPUS_SIZE,
-        queries=QUERY_COUNT,
-        batched_seconds=round(batched_seconds, 4),
-        per_query_seconds=round(loop_seconds, 4),
-        speedup=round(speedup, 2),
-        required=REQUIRED_QUERY_AXIS_SPEEDUP,
-    )
-    assert speedup >= REQUIRED_QUERY_AXIS_SPEEDUP, (
-        f"match_many is only {speedup:.1f}x the per-query loop on "
-        f"{QUERY_COUNT} queries (required {REQUIRED_QUERY_AXIS_SPEEDUP:.0f}x): "
-        f"batched {batched_seconds:.3f}s vs loop {loop_seconds:.3f}s"
     )
 
 

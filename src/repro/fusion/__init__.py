@@ -16,7 +16,7 @@ from repro.fusion.estimators import (
 )
 from repro.fusion.rulegen import monotone_rules, wang_mendel_rules
 from repro.fusion.web import SimulatedWebCorpus, WebPage, name_variant
-from repro.linkage import MatchCandidate, normalize_name
+from repro.linkage import normalize_name
 
 __all__ = [
     "AttackConfig",
@@ -30,7 +30,6 @@ __all__ = [
     "SimulatedWebCorpus",
     "WebPage",
     "name_variant",
-    "MatchCandidate",
     "normalize_name",
     "monotone_rules",
     "wang_mendel_rules",

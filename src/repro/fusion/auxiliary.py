@@ -17,6 +17,12 @@ A source keeps one storage row per page or person and answers in rows:
 Those three are all the harvest (:func:`repro.fusion.attack.harvest_auxiliary`)
 asks of a source.  :meth:`AuxiliarySource.search` lists every record
 plausibly describing one name, for interactive use.
+
+A source that links names approximately answers both through its
+:class:`~repro.linkage.LinkageIndex`: ``match`` is
+:meth:`~repro.linkage.LinkageIndex.match_many` and ``search`` lists the rows
+of :meth:`~repro.linkage.LinkageIndex.candidates`.  Both answer in rows and
+scores, and a linkage score (in ``[0, 1]``) is the record's confidence.
 """
 
 from __future__ import annotations
@@ -122,24 +128,6 @@ class AuxiliarySource(abc.ABC):
         """A record for storage ``row``: its stored name and provenance."""
 
 
-def match_with_index(
-    index: LinkageIndex, names: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """:meth:`AuxiliarySource.match` through one batched linkage pass."""
-    matches = index.match_many(names)
-    rows = np.fromiter(
-        (-1 if match is None else match.candidate_index for match in matches),
-        dtype=np.intp,
-        count=len(matches),
-    )
-    confidence = np.fromiter(
-        (0.0 if match is None else min(match.score, 1.0) for match in matches),
-        dtype=np.float64,
-        count=len(matches),
-    )
-    return rows, confidence
-
-
 @dataclass
 class TableAuxiliarySource(AuxiliarySource):
     """An auxiliary source backed by an in-memory table keyed by a name column.
@@ -213,7 +201,7 @@ class TableAuxiliarySource(AuxiliarySource):
 
     def match(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         if self._index is not None:
-            return match_with_index(self._index, names)
+            return self._index.match_many(names)
         by_name = self._by_name
         rows = np.fromiter(
             (by_name.get(str(name), -1) for name in names),
@@ -240,10 +228,8 @@ class TableAuxiliarySource(AuxiliarySource):
             row = self._by_name.get(name)
             found = [] if row is None else [(row, 1.0)]
         else:
-            found = [
-                (match.candidate_index, min(match.score, 1.0))
-                for match in self._index.candidates(name)
-            ]
+            rows, scores = self._index.candidates(name)
+            found = zip(rows.tolist(), scores.tolist())
         return [
             self.record(row, confidence, self._facts(row)) for row, confidence in found
         ]

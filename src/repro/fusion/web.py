@@ -46,7 +46,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.exceptions import AuxiliarySourceError
-from repro.fusion.auxiliary import AuxiliaryRecord, AuxiliarySource, match_with_index
+from repro.fusion.auxiliary import AuxiliaryRecord, AuxiliarySource
 from repro.linkage.index import LinkageIndex
 
 __all__ = ["WebPage", "SimulatedWebCorpus", "name_variant"]
@@ -265,10 +265,18 @@ class SimulatedWebCorpus(AuxiliarySource):
             draw is made up front in one vectorized pass — see the module
             docstring).
         """
+        # Written so that NaN fails every test.
         if not 0.0 <= coverage <= 1.0:
             raise AuxiliarySourceError("coverage must lie in [0, 1]")
-        if noise_level < 0.0:
-            raise AuxiliarySourceError("noise_level must be non-negative")
+        if not 0.0 <= name_variant_probability <= 1.0:
+            raise AuxiliarySourceError("name_variant_probability must lie in [0, 1]")
+        if not 0.0 <= noise_level < np.inf:
+            raise AuxiliarySourceError("noise_level must be finite and non-negative")
+        if not isinstance(distractor_count, (int, np.integer)) or distractor_count < 0:
+            raise AuxiliarySourceError("distractor_count must be a non-negative integer")
+        # An index over no names runs every linkage parameter check (raising
+        # LinkageError); the corpus's own index is built on first use.
+        LinkageIndex([], threshold=linkage_threshold, blocking=blocking, qgram_size=qgram_size)
         attribute_names = tuple(attribute_names)
         try:
             raw_names = [profile["name"] for profile in profiles]
@@ -376,7 +384,7 @@ class SimulatedWebCorpus(AuxiliarySource):
 
     def match(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """Best page per name, resolved through one batched linkage pass."""
-        return match_with_index(self.linkage_index, names)
+        return self.linkage_index.match_many(names)
 
     def cells(self, attribute: str, rows: np.ndarray) -> Sequence[object]:
         """Fact ``attribute`` of pages ``rows``: text where a page shows text."""
@@ -409,13 +417,10 @@ class SimulatedWebCorpus(AuxiliarySource):
 
     def search(self, name: str) -> list[AuxiliaryRecord]:
         """Pages plausibly belonging to ``name``, best linkage score first."""
+        rows, scores = self.linkage_index.candidates(name)
         return [
-            self.record(
-                match.candidate_index,
-                min(match.score, 1.0),
-                self._facts_of(match.candidate_index),
-            )
-            for match in self.linkage_index.candidates(name)
+            self.record(row, score, self._facts_of(row))
+            for row, score in zip(rows.tolist(), scores.tolist())
         ]
 
     # Introspection helpers ------------------------------------------------------------

@@ -10,7 +10,8 @@ built once per corpus and resolves whole batches of queries at a time.
 The scalar similarity functions in ``tests/linkage_reference.py`` remain the
 executable specification: the NumPy kernels, the only kernel implementation,
 reproduce them bit-for-bit.  Callers that match names build a
-:class:`LinkageIndex` and query it directly.
+:class:`LinkageIndex` and query it directly; it answers in corpus rows and
+scores (``match_many`` for a batch, ``candidates`` for one name).
 """
 
 from repro.linkage.blocking import (
@@ -19,17 +20,12 @@ from repro.linkage.blocking import (
     TokenStream,
     tokenize_corpus,
 )
-from repro.linkage.index import LinkageIndex, MatchCandidate
+from repro.linkage.index import LinkageIndex
 from repro.linkage.kernels import (
     encode_query,
     encode_strings,
     encode_strings_flat,
-    jaro_similarity_batch,
-    jaro_winkler_similarity_batch,
-    levenshtein_distance_batch,
-    levenshtein_similarity_batch,
     pad_ragged,
-    token_jaccard_batch,
 )
 from repro.linkage.normalize import (
     name_tokens,
@@ -40,7 +36,6 @@ from repro.linkage.normalize import (
 
 __all__ = [
     "LinkageIndex",
-    "MatchCandidate",
     "BlockingIndex",
     "BLOCKING_SCHEMES",
     "TokenStream",
@@ -53,9 +48,4 @@ __all__ = [
     "encode_strings",
     "encode_strings_flat",
     "pad_ragged",
-    "levenshtein_distance_batch",
-    "levenshtein_similarity_batch",
-    "jaro_similarity_batch",
-    "jaro_winkler_similarity_batch",
-    "token_jaccard_batch",
 ]

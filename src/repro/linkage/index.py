@@ -1,30 +1,31 @@
 """The batched record-linkage engine.
 
 :class:`LinkageIndex` is built once per auxiliary corpus and then answers any
-number of approximate-match queries against it:
+number of approximate-match queries against it, always in storage rows:
+:meth:`~LinkageIndex.match_many` gives the best row and score of every query
+of a batch, :meth:`~LinkageIndex.candidates` every row of one query that
+reaches the threshold.
 
 * corpus names are normalized and pre-encoded into a padded ``int32``
   character-code matrix plus a token-id matrix (built once, at index time);
-* a query is resolved by blocking (:mod:`repro.linkage.blocking`) to a
-  candidate row set, then scored against *all* candidates at once with the
-  vectorized kernels of :mod:`repro.linkage.kernels`;
 * the composite score is exactly the scalar reference
   (``name_similarity`` in ``tests/linkage_reference.py``):
   ``max(0.6 * jaro_winkler + 0.4 * levenshtein, token_jaccard)`` on
   normalized names — bit-identical, so the engine reproduces a scalar
-  scan of the corpus wherever blocking agrees;
-* :meth:`match_many` resolves a whole batch of queries (the release's entire
-  identifier column) in one pass, deduplicating repeated queries and batching
-  the *query* axis too.  Queries that miss the perfect-match table are
-  bucketed by normalized length and filtered against *every* corpus row at
-  once before any (query, row) pair is built: a per-character
+  scan of each query's blocking candidates;
+* both queries run through one scorer, filter then verify.  Queries of one
+  normalized length are taken in chunks and filtered against *every* corpus
+  row at once before any (query, row) pair is built: a per-character
   ``minimum``-and-add over the whole grid gives every pair's exact
   character overlap, which bounds its edit-distance score (count filtering);
   one ``bincount`` over token postings gives every pair's exact shared-token
   count (ScanCount); and the blocking keys' postings are scattered into a
   membership mask.  Only the surviving pairs run through the pairwise DP
-  kernels (:mod:`repro.linkage.kernels`, the ``*_pairs`` kernels) —
-  bit-identical to resolving every query with :meth:`best_match`.
+  kernels (:mod:`repro.linkage.kernels`).  A pruned pair scores below the
+  threshold, so the survivors hold every answer;
+* :meth:`~LinkageIndex.match_many` resolves a whole batch of queries (the
+  release's entire identifier column) in one pass, deduplicating repeated
+  queries and answering perfect matches from a token-set table.
 
 Construction is vectorized end to end and the index *is* a bundle of flat
 NumPy buffers:
@@ -43,7 +44,6 @@ NumPy buffers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -58,16 +58,13 @@ from repro.linkage.kernels import (
     PAD,
     encode_query,
     encode_strings_flat,
-    jaro_winkler_similarity_batch,
     jaro_winkler_similarity_pairs,
-    levenshtein_similarity_batch,
     levenshtein_similarity_pairs,
     pad_ragged,
-    token_jaccard_batch,
 )
 from repro.linkage.normalize import normalize_name, normalize_names
 
-__all__ = ["MatchCandidate", "LinkageIndex"]
+__all__ = ["LinkageIndex"]
 
 
 def _char_counts(
@@ -139,16 +136,6 @@ def _overlap_floor(
         low = np.where(searching & ~passes, common + 1, low)
 
 
-@dataclass(frozen=True)
-class MatchCandidate:
-    """A candidate match of a query name against a corpus entry."""
-
-    query: str
-    candidate: str
-    candidate_index: int
-    score: float
-
-
 class LinkageIndex:
     """Batched approximate name matcher over a fixed corpus.
 
@@ -209,13 +196,8 @@ class LinkageIndex:
         # within each id group — the postings invariant.
         by_id = np.argsort(_compact_ints(pair_ids, vocab_size), kind="stable")
         post_counts = np.bincount(pair_ids, minlength=vocab_size)
-        name_lengths = np.fromiter(
-            (len(name) for name in names), dtype=np.int64, count=n_rows
-        )
         self.threshold = threshold
         self.prefix_scale = prefix_scale
-        self._names_joined = "".join(names)
-        self._name_offsets = np.concatenate(([0], np.cumsum(name_lengths)))
         self._flat_codes = flat_codes
         self._lengths = lengths
         self._codes = pad_ragged(flat_codes, lengths, PAD, np.int32)
@@ -228,7 +210,6 @@ class LinkageIndex:
             normalized, scheme=blocking, qgram_size=qgram_size, tokens=stream
         )
         # Derived state built on first use (see "Lazy derived state").
-        self._names_list: list[str] | None = None
         self._perfect_cache: dict[bytes, int] | None = None
         self._char_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._saturated_cache: np.ndarray | None = None
@@ -242,29 +223,9 @@ class LinkageIndex:
         return int(self._lengths.shape[0])
 
     @property
-    def names(self) -> tuple[str, ...]:
-        """The corpus names, in index order."""
-        return tuple(self._materialized_names())
-
-    @property
     def blocking(self) -> BlockingIndex:
         """The blocking index (scheme, keys, candidate sets)."""
         return self._blocking
-
-    def _materialized_names(self) -> list[str]:
-        if self._names_list is None:
-            joined, offsets = self._names_joined, self._name_offsets
-            self._names_list = [
-                joined[int(offsets[i]) : int(offsets[i + 1])]
-                for i in range(offsets.shape[0] - 1)
-            ]
-        return self._names_list
-
-    def _name_at(self, row: int) -> str:
-        if self._names_list is not None:
-            return self._names_list[row]
-        offsets = self._name_offsets
-        return self._names_joined[int(offsets[row]) : int(offsets[row + 1])]
 
     # Lazy derived state -------------------------------------------------------------
 
@@ -349,162 +310,110 @@ class LinkageIndex:
             self._floor_cache[(length, prefix)] = floors
         return floors
 
-    # Scoring ------------------------------------------------------------------------
+    # Matching -----------------------------------------------------------------------
 
     def candidate_rows(self, query: str) -> np.ndarray:
         """Corpus rows the blocking scheme pairs with ``query`` (ascending)."""
         return self._blocking.candidate_rows(normalize_name(query))
 
-    def scores(self, query: str, rows: np.ndarray | None = None) -> np.ndarray:
-        """Composite similarity of ``query`` against corpus rows (default: all).
+    def candidates(self, query: str) -> tuple[np.ndarray, np.ndarray]:
+        """Every corpus row whose score with ``query`` reaches the threshold.
 
-        Bit-identical to calling the scalar ``name_similarity`` of
-        ``tests/linkage_reference.py`` per pair.
+        Returns ``(rows, scores)``: ``intp`` rows best first, ties in
+        ascending row order, and their ``float64`` scores — exactly a scalar
+        scan of :meth:`candidate_rows` with a stable sort.  The query runs
+        through the scorer :meth:`match_many` uses, as a one-query chunk.
         """
-        normalized_query = normalize_name(query)
-        if rows is None:
-            rows = np.arange(self.size, dtype=np.intp)
-        if not normalized_query:
-            return np.zeros(len(rows))
-        return self._score_rows(normalized_query, rows)
-
-    def _score_rows(self, normalized_query: str, rows: np.ndarray) -> np.ndarray:
-        query_codes = encode_query(normalized_query)
-        codes = self._codes[rows]
-        lengths = self._lengths[rows]
-        jaro_winkler = jaro_winkler_similarity_batch(
-            query_codes, codes, lengths, self.prefix_scale
-        )
-        levenshtein = levenshtein_similarity_batch(query_codes, codes, lengths)
-        query_tokens = set(normalized_query.split())
-        known_ids = np.fromiter(
-            (self._vocabulary[t] for t in query_tokens if t in self._vocabulary),
-            dtype=np.int64,
-        )
-        token_set = token_jaccard_batch(
-            known_ids,
-            self._token_matrix[rows],
-            self._token_counts[rows],
-            len(query_tokens),
-        )
-        return np.maximum(0.6 * jaro_winkler + 0.4 * levenshtein, token_set)
-
-    # Matching -----------------------------------------------------------------------
-
-    def candidates(self, query: str) -> list[MatchCandidate]:
-        """All corpus entries scoring above the threshold, best first.
-
-        Ties keep ascending corpus order, exactly like a scalar scan of the
-        corpus (stable sort over candidates visited in index order).
-        """
-        query = str(query)
-        normalized_query = normalize_name(query)
-        if not normalized_query:
-            return []
-        rows = self._blocking.candidate_rows(normalized_query)
-        if rows.size == 0:
-            return []
-        scores = self._score_rows(normalized_query, rows)
-        keep = scores >= self.threshold
-        rows, scores = rows[keep], scores[keep]
+        normalized = normalize_name(str(query))
+        if not normalized:
+            return np.empty(0, dtype=np.intp), np.empty(0)
+        _, rows, scores = self._score_chunk([normalized])
         order = np.argsort(-scores, kind="stable")
-        return [
-            MatchCandidate(
-                query=query,
-                candidate=self._name_at(int(row)),
-                candidate_index=int(row),
-                score=float(score),
-            )
-            for row, score in zip(rows[order], scores[order])
-        ]
+        order = order[scores[order] >= self.threshold]
+        return rows[order], scores[order]
 
-    def best_match(self, query: str) -> MatchCandidate | None:
-        """The single best match above the threshold, or ``None``.
-
-        Equivalent to ``candidates(query)[0]`` without materializing the list
-        (``argmax`` keeps the lowest corpus row on ties, like the stable sort).
-        """
-        query = str(query)
-        normalized_query = normalize_name(query)
-        if not normalized_query:
-            return None
-        perfect = self._perfect_row(normalized_query)
-        if perfect is not None:
-            # A 1.0-scoring candidate exists; every blocking scheme pairs it
-            # with the query (equal token sets share every token key), and no
-            # lower row can tie it (ties at 1.0 are exactly the equal-set rows,
-            # of which this is the lowest).
-            return MatchCandidate(
-                query=query,
-                candidate=self._name_at(perfect),
-                candidate_index=perfect,
-                score=1.0,
-            )
-        rows = self._blocking.candidate_rows(normalized_query)
-        if rows.size == 0:
-            return None
-        scores = self._score_rows(normalized_query, rows)
-        best = int(np.argmax(scores))
-        if scores[best] < self.threshold:
-            return None
-        return MatchCandidate(
-            query=query,
-            candidate=self._name_at(int(rows[best])),
-            candidate_index=int(rows[best]),
-            score=float(scores[best]),
-        )
-
-    #: Upper bound on the (query, corpus row) cells of one match_many chunk,
-    #: and so on the pairs one pairwise kernel call scores; keeps the filter
-    #: grid and the DP working set a few dozen MB regardless of batch size.
+    #: Upper bound on the (query, corpus row) cells of one scored chunk, and
+    #: so on the pairs one pairwise kernel call scores; keeps the filter grid
+    #: and the DP working set a few dozen MB regardless of batch size.
     _MAX_PAIRS_PER_CHUNK = 262_144
 
-    def match_many(self, queries: Sequence[str]) -> list[MatchCandidate | None]:
-        """The best match for every query, in query order.
+    def match_many(self, queries: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The best corpus row of every query, in query order.
+
+        Returns ``(rows, scores)``, two ``(len(queries),)`` arrays: ``intp``
+        rows with ``-1`` where no row reaches the threshold, and ``float64``
+        scores with ``0.0`` there.  Each answer is the first entry of
+        :meth:`candidates` (the lowest row among equal best scores).
 
         Repeated queries are resolved once, and perfect matches through the
         token-set table.  The other unique queries are bucketed by
-        normalized length and resolved in chunks of at most
+        normalized length and scored in chunks of at most
         :attr:`_MAX_PAIRS_PER_CHUNK` (query, corpus row) cells (one query
-        per chunk when the corpus is larger):
-        :meth:`_viable_pairs` filters each chunk against every corpus row at
-        once, and :meth:`_resolve_pair_chunk` scores the survivors.  The
-        answers are bit-identical to calling :meth:`best_match` per query
-        (same scores, same lowest-row tie-breaking, same threshold test).
+        per chunk when the corpus is larger) by :meth:`_score_chunk`; each
+        query then takes its best pair.
         """
-        resolved: dict[str, MatchCandidate | None] = {}
-        pending: dict[int, list[tuple[str, str]]] = {}
-        seen: set[str] = set()
-        for query in queries:
-            query = str(query)
-            if query in seen:
-                continue
-            seen.add(query)
+        slots: dict[str, int] = {}
+        inverse = np.fromiter(
+            (slots.setdefault(str(query), len(slots)) for query in queries),
+            dtype=np.intp,
+            count=len(queries),
+        )
+        rows = np.full(len(slots), -1, dtype=np.intp)
+        scores = np.zeros(len(slots))
+        pending: dict[int, list[tuple[int, str]]] = {}
+        for slot, query in enumerate(slots):
             normalized = normalize_name(query)
             if not normalized:
-                resolved[query] = None
                 continue
             perfect = self._perfect_row(normalized)
             if perfect is not None:
-                resolved[query] = MatchCandidate(
-                    query=query,
-                    candidate=self._name_at(perfect),
-                    candidate_index=perfect,
-                    score=1.0,
-                )
+                rows[slot], scores[slot] = perfect, 1.0
                 continue
-            pending.setdefault(len(normalized), []).append((query, normalized))
-        if pending and self._char_bounds() is None:
-            # Every corpus name normalizes to "": each pair scores exactly 0,
-            # below any threshold.
-            for entries in pending.values():
-                resolved.update((query, None) for query, _ in entries)
-            pending = {}
+            pending.setdefault(len(normalized), []).append((slot, normalized))
         per_chunk = max(1, self._MAX_PAIRS_PER_CHUNK // max(self.size, 1))
         for entries in pending.values():
             for start in range(0, len(entries), per_chunk):
-                self._resolve_pair_chunk(entries[start : start + per_chunk], resolved)
-        return [resolved[str(query)] for query in queries]
+                chunk_slots, normalized = zip(*entries[start : start + per_chunk])
+                pair_query, pair_rows, pair_scores = self._score_chunk(normalized)
+                # Pairs come grouped by query, rows ascending; a stable sort
+                # by descending score within each group puts the best pair
+                # (lowest row on ties) at the group's head.
+                order = np.lexsort((-pair_scores, pair_query))
+                heads = order[np.flatnonzero(np.diff(pair_query, prepend=-1))]
+                heads = heads[pair_scores[heads] >= self.threshold]
+                chosen = np.asarray(chunk_slots)[pair_query[heads]]
+                rows[chosen], scores[chosen] = pair_rows[heads], pair_scores[heads]
+        return rows[inverse], scores[inverse]
+
+    def _score_chunk(
+        self, normalized: Sequence[str]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Scores of the pairs of one equal-length query chunk that can match.
+
+        :meth:`_viable_pairs` filters the chunk against every corpus row, and
+        the survivors run through the pairwise DP kernels.  Returns
+        ``(pair_query, pair_rows, scores)``, ordered by query position then
+        row.  A pair left out scores strictly below the threshold.  Every
+        term of the composite lies in ``[0, 1]`` and ``0.6 + 0.4`` rounds to
+        exactly ``1.0``, so scores never exceed 1.
+        """
+        if self._char_bounds() is None:
+            # Every corpus name normalizes to "": each pair scores exactly 0.
+            empty = np.empty(0, dtype=np.intp)
+            return empty, empty, np.empty(0)
+        query_codes = np.stack([encode_query(query) for query in normalized])
+        pair_query, pair_rows, token_set = self._viable_pairs(normalized, query_codes)
+        if not pair_rows.size:
+            return pair_query, pair_rows, token_set
+        queries = query_codes[pair_query]
+        codes = self._codes[pair_rows]
+        lengths = self._lengths[pair_rows]
+        jaro_winkler = jaro_winkler_similarity_pairs(
+            queries, codes, lengths, self.prefix_scale
+        )
+        levenshtein = levenshtein_similarity_pairs(queries, codes, lengths)
+        scores = np.maximum(0.6 * jaro_winkler + 0.4 * levenshtein, token_set)
+        return pair_query, pair_rows, scores
 
     #: Slack subtracted from the threshold in the pruning bound comparison so
     #: float rounding in the bound arithmetic can only *keep* extra pairs,
@@ -512,11 +421,11 @@ class LinkageIndex:
     _PRUNE_SLACK = 1e-9
 
     def _viable_pairs(
-        self, entries: Sequence[tuple[str, str]], query_codes: np.ndarray
+        self, normalized: Sequence[str], query_codes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (query, row) pairs of one chunk that can reach the threshold.
 
-        ``entries`` share one normalized length ``m``; ``query_codes`` is
+        The ``normalized`` queries share one length ``m``; ``query_codes`` is
         their ``(n, m)`` code matrix.  Every test runs on the dense
         ``(n, rows)`` grid, so no pair is materialized before it survives:
 
@@ -571,7 +480,7 @@ class LinkageIndex:
             overlap += scratch
         viable = overlap >= self._overlap_floors(length, window)[self._lengths]
 
-        shared, query_tokens = self._shared_tokens(entries)
+        shared, query_tokens = self._shared_tokens(normalized)
         hits = np.flatnonzero(shared)
         hit_query, hit_rows = np.divmod(hits, n_rows)
         jaccard = _jaccard(
@@ -579,7 +488,7 @@ class LinkageIndex:
         )
         viable.ravel()[hits[jaccard >= cutoff]] = True
 
-        blocked = self._blocking.candidate_mask([normalized for _, normalized in entries])
+        blocked = self._blocking.candidate_mask(normalized)
         if blocked is not None:
             viable &= blocked
         pairs = np.flatnonzero(viable)
@@ -596,9 +505,7 @@ class LinkageIndex:
         )
         return pair_query[keep], pair_rows[keep], token_set[keep]
 
-    def _shared_tokens(
-        self, entries: Sequence[tuple[str, str]]
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _shared_tokens(self, normalized: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """Shared-token counts of every (query, row) pair, plus query token counts.
 
         ScanCount: the posting rows of every known query token are gathered
@@ -607,11 +514,11 @@ class LinkageIndex:
         and each query's number of distinct tokens (unknown ones included).
         """
         n_rows = self.size
-        query_tokens = np.empty(len(entries), dtype=np.int64)
+        query_tokens = np.empty(len(normalized), dtype=np.int64)
         owners: list[int] = []
         ids: list[int] = []
-        for row, (_, normalized) in enumerate(entries):
-            tokens = set(normalized.split())
+        for row, query in enumerate(normalized):
+            tokens = set(query.split())
             query_tokens[row] = len(tokens)
             known = [self._vocabulary[t] for t in tokens if t in self._vocabulary]
             owners.extend([row] * len(known))
@@ -625,47 +532,6 @@ class LinkageIndex:
         shared = np.bincount(
             np.repeat(np.asarray(owners, dtype=np.int64), sizes) * n_rows
             + self._token_post_rows[positions],
-            minlength=len(entries) * n_rows,
+            minlength=len(normalized) * n_rows,
         )
         return shared, query_tokens
-
-    def _resolve_pair_chunk(
-        self,
-        entries: Sequence[tuple[str, str]],
-        resolved: dict[str, MatchCandidate | None],
-    ) -> None:
-        """Score one equal-length chunk's viable pairs and record the winners.
-
-        The pairs :meth:`_viable_pairs` keeps run through the pairwise DP
-        kernels; a per-query segment argmax (lowest row on ties) and the
-        threshold test then pick each query's answer.  Pruned pairs score
-        strictly below the threshold, so the survivors' argmax is the global
-        answer, bit-identical to :meth:`best_match` (pinned by the
-        hypothesis suite).
-        """
-        query_codes = np.stack([encode_query(normalized) for _, normalized in entries])
-        pair_query, pair_rows, token_set = self._viable_pairs(entries, query_codes)
-        scores = token_set
-        if pair_rows.size:
-            queries = query_codes[pair_query]
-            codes = self._codes[pair_rows]
-            lengths = self._lengths[pair_rows]
-            jaro_winkler = jaro_winkler_similarity_pairs(
-                queries, codes, lengths, self.prefix_scale
-            )
-            levenshtein = levenshtein_similarity_pairs(queries, codes, lengths)
-            scores = np.maximum(0.6 * jaro_winkler + 0.4 * levenshtein, token_set)
-        bounds = np.searchsorted(pair_query, np.arange(len(entries) + 1))
-        for (query, _), lo, hi in zip(entries, bounds[:-1], bounds[1:]):
-            resolved[query] = None
-            if lo == hi:
-                continue
-            best = int(lo) + int(np.argmax(scores[lo:hi]))
-            if scores[best] >= self.threshold:
-                row = int(pair_rows[best])
-                resolved[query] = MatchCandidate(
-                    query=query,
-                    candidate=self._name_at(row),
-                    candidate_index=row,
-                    score=float(scores[best]),
-                )

@@ -10,17 +10,12 @@ Data layout
 -----------
 Candidate strings are pre-encoded once per corpus into a padded ``int32``
 character-code matrix (``(n, width)``; :data:`PAD` marks cells past a string's
-end) plus a length vector.  Kernels come in two aligned flavours:
-
-* the ``*_batch`` kernels score **one** query (a 1-D code array) against every
-  candidate row;
-* the ``*_pairs`` kernels score **aligned pairs**: row ``i`` of an
-  ``(n, m)`` query-code matrix against row ``i`` of the candidate matrix.
-  This is how :meth:`repro.linkage.index.LinkageIndex.match_many` batches the
-  *query* axis — all queries of one length share a DP, each paired with its
-  own blocked candidates.  The ``*_batch`` kernels are thin wrappers that
-  broadcast their single query across the pair axis, so both flavours are one
-  implementation.
+end) plus a length vector.  Every kernel scores **aligned pairs**: row ``i``
+of an ``(n, m)`` query-code matrix against row ``i`` of the candidate matrix.
+This is how :class:`repro.linkage.index.LinkageIndex` batches the *query*
+axis — all queries of one length share a DP, each paired with the corpus
+rows that survive its filter.  To score one query against many candidates,
+broadcast it across the pair axis (``np.broadcast_to``).
 
 Kernels run one dynamic-programming or matching step per *query character*,
 each step vectorized across every (query, candidate) pair at once:
@@ -34,10 +29,10 @@ each step vectorized across every (query, candidate) pair at once:
   computed as ``(n, width)`` masks; transpositions are counted by gathering
   matched characters in order with a stable boolean argsort.
 * **Token-set Jaccard** — corpus token sets are padded id matrices; one
-  ``np.isin`` per query gives every intersection size.
+  broadcast equality per pair gives every intersection size.
 
-Every similarity wrapper (``*_batch``, ``*_similarity_*``, Winkler) composes
-from the three pairwise primitives — :func:`levenshtein_distance_pairs`,
+Every similarity wrapper (``*_similarity_*``, Winkler) composes from the
+three pairwise primitives — :func:`levenshtein_distance_pairs`,
 :func:`jaro_similarity_pairs` and :func:`token_jaccard_pairs` — so pinning
 those three pins every composite score.
 """
@@ -56,11 +51,6 @@ __all__ = [
     "encode_strings",
     "encode_strings_flat",
     "pad_ragged",
-    "levenshtein_distance_batch",
-    "levenshtein_similarity_batch",
-    "jaro_similarity_batch",
-    "jaro_winkler_similarity_batch",
-    "token_jaccard_batch",
     "levenshtein_distance_pairs",
     "levenshtein_similarity_pairs",
     "jaro_similarity_pairs",
@@ -148,11 +138,6 @@ def pad_ragged(flat: np.ndarray, counts: np.ndarray, pad, dtype) -> np.ndarray:
     return matrix
 
 
-def _broadcast_query(query: np.ndarray, n_rows: int) -> np.ndarray:
-    """View one 1-D query-code array as an ``(n_rows, m)`` pair matrix."""
-    return np.broadcast_to(query, (n_rows, query.shape[0]))
-
-
 def levenshtein_distance_pairs(
     queries: np.ndarray, codes: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
@@ -177,15 +162,6 @@ def levenshtein_distance_pairs(
     return dp[np.arange(n_rows), lengths].astype(np.int64)
 
 
-def levenshtein_distance_batch(
-    query: np.ndarray, codes: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """Edit distance of one ``query`` against every encoded candidate."""
-    return levenshtein_distance_pairs(
-        _broadcast_query(query, codes.shape[0]), codes, lengths
-    )
-
-
 def levenshtein_similarity_pairs(
     queries: np.ndarray, codes: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
@@ -193,15 +169,6 @@ def levenshtein_similarity_pairs(
     distances = levenshtein_distance_pairs(queries, codes, lengths)
     longest = np.maximum(queries.shape[1], lengths).astype(np.int64)
     return np.where(longest > 0, 1.0 - distances / np.maximum(longest, 1), 1.0)
-
-
-def levenshtein_similarity_batch(
-    query: np.ndarray, codes: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """Edit distance normalized into ``[0, 1]`` (1.0 when both strings empty)."""
-    return levenshtein_similarity_pairs(
-        _broadcast_query(query, codes.shape[0]), codes, lengths
-    )
 
 
 def jaro_similarity_pairs(
@@ -253,15 +220,6 @@ def jaro_similarity_pairs(
     return np.where(matches == 0, 0.0, jaro)
 
 
-def jaro_similarity_batch(
-    query: np.ndarray, codes: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """Jaro similarity of one ``query`` against every encoded candidate."""
-    return jaro_similarity_pairs(
-        _broadcast_query(query, codes.shape[0]), codes, lengths
-    )
-
-
 def jaro_winkler_similarity_pairs(
     queries: np.ndarray,
     codes: np.ndarray,
@@ -279,18 +237,6 @@ def jaro_winkler_similarity_pairs(
     equal = codes[:, :limit] == queries[:, :limit]
     prefix = equal.cumprod(axis=1).sum(axis=1)
     return jaro + prefix * prefix_scale * (1.0 - jaro)
-
-
-def jaro_winkler_similarity_batch(
-    query: np.ndarray,
-    codes: np.ndarray,
-    lengths: np.ndarray,
-    prefix_scale: float = 0.1,
-) -> np.ndarray:
-    """Jaro boosted by the common prefix (up to 4 characters), batched."""
-    return jaro_winkler_similarity_pairs(
-        _broadcast_query(query, codes.shape[0]), codes, lengths, prefix_scale
-    )
 
 
 def token_jaccard_pairs(
@@ -314,22 +260,4 @@ def token_jaccard_pairs(
         .sum(axis=1)
     )
     union = query_token_counts + token_counts.astype(np.int64) - intersection
-    return np.where(union > 0, intersection / np.maximum(union, 1), 1.0)
-
-
-def token_jaccard_batch(
-    query_token_ids: np.ndarray,
-    token_matrix: np.ndarray,
-    token_counts: np.ndarray,
-    query_token_count: int,
-) -> np.ndarray:
-    """Jaccard similarity of a query token-id set against every corpus row.
-
-    ``token_matrix`` holds each corpus name's *unique* token ids padded with
-    :data:`PAD`; ``query_token_ids`` are the query tokens known to the corpus
-    vocabulary, while ``query_token_count`` counts all unique query tokens
-    (unknown tokens enlarge the union but can never intersect).
-    """
-    intersection = np.isin(token_matrix, query_token_ids).sum(axis=1)
-    union = query_token_count + token_counts.astype(np.int64) - intersection
     return np.where(union > 0, intersection / np.maximum(union, 1), 1.0)

@@ -1,12 +1,15 @@
 """Scalar reference implementations of the linkage similarity machinery.
 
 Levenshtein, Jaro / Jaro-Winkler, token-set Jaccard, the composite
-:func:`name_similarity` and the per-name blocking postings builder
-:func:`scalar_postings`.  They are the executable specification for the
-batched engine in :mod:`repro.linkage`: its vectorized kernels and its
-vectorized ``BlockingIndex`` construction must reproduce them bit for bit
-(pinned by ``tests/test_property_linkage.py``, ``tests/test_linkage_buffers.py``
-and the linkage and index-build benchmarks).  Nothing in ``src/`` calls them.
+:func:`name_similarity`, the per-name blocking postings builder
+:func:`scalar_postings`, and the two linkage queries answered by a scalar
+scan of a query's blocking candidates: :func:`candidates` and
+:func:`best_match`.  They are the executable specification for the batched
+engine in :mod:`repro.linkage`: its vectorized kernels, its filtered
+``LinkageIndex`` queries and its vectorized ``BlockingIndex`` construction
+must reproduce them bit for bit (pinned by ``tests/test_property_linkage.py``,
+``tests/test_linkage_buffers.py`` and the linkage and index-build
+benchmarks).  Nothing in ``src/`` calls them.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 
 from repro.exceptions import LinkageError
 from repro.linkage.blocking import BlockingIndex
+from repro.linkage.index import LinkageIndex
 from repro.linkage.normalize import normalize_name
 
 
@@ -144,3 +148,44 @@ def scalar_postings(
             for key in reference.keys(normalized):
                 postings.setdefault(key, []).append(row)
     return {key: np.asarray(rows, dtype=np.intp) for key, rows in postings.items()}
+
+
+def candidates(
+    corpus_names: Sequence[str], index: LinkageIndex, query: str
+) -> list[tuple[int, float]]:
+    """``(row, score)`` of every blocking candidate reaching the threshold.
+
+    Scores ``index.candidate_rows(query)`` with the scalar
+    :func:`name_similarity` against ``corpus_names`` (the names ``index`` was
+    built over); best first, ties in ascending row order.
+    """
+    scored = [
+        (row, name_similarity(query, corpus_names[row]))
+        for row in index.candidate_rows(query).tolist()
+    ]
+    kept = [(row, score) for row, score in scored if score >= index.threshold]
+    return sorted(kept, key=lambda pair: -pair[1])
+
+
+def best_match(
+    corpus_names: Sequence[str], index: LinkageIndex, query: str
+) -> tuple[int, float]:
+    """The scalar best ``(row, score)`` of ``query``, or ``(-1, 0.0)``.
+
+    The argmax of :func:`name_similarity` over ``index.candidate_rows(query)``
+    (the lowest row on ties), kept only when it reaches ``index.threshold``.
+    No perfect-match shortcut and no pair filter.
+    """
+    rows = index.candidate_rows(query).tolist()
+    scores = [name_similarity(query, corpus_names[row]) for row in rows]
+    if not rows:
+        return -1, 0.0
+    best = max(range(len(rows)), key=scores.__getitem__)
+    if scores[best] < index.threshold:
+        return -1, 0.0
+    return rows[best], scores[best]
+
+
+def answers(rows: np.ndarray, scores: np.ndarray) -> list[tuple[int, float]]:
+    """An index's ``(rows, scores)`` arrays as a list of ``(row, score)``."""
+    return list(zip(rows.tolist(), scores.tolist()))

@@ -8,7 +8,7 @@ import pytest
 from repro.dataset.io import write_csv
 from repro.dataset.schema import Attribute, AttributeKind, AttributeRole, Schema
 from repro.dataset.table import Table
-from repro.exceptions import AuxiliarySourceError
+from repro.exceptions import AuxiliarySourceError, LinkageError
 from repro.fusion.attack import harvest_auxiliary
 from repro.fusion.auxiliary import AuxiliaryRecord, TableAuxiliarySource
 from repro.fusion.web import SimulatedWebCorpus, WebPage, name_variant
@@ -205,6 +205,26 @@ class TestSimulatedWebCorpus:
             SimulatedWebCorpus.from_profiles(PROFILES, ATTRIBUTES, noise_level=-1.0)
         with pytest.raises(AuxiliarySourceError):
             SimulatedWebCorpus.from_profiles([{"nom": "x"}], ATTRIBUTES)
+
+    @pytest.mark.parametrize(
+        "option, value, error",
+        [
+            ("noise_level", float("nan"), AuxiliarySourceError),
+            ("noise_level", float("inf"), AuxiliarySourceError),
+            ("distractor_count", -1, AuxiliarySourceError),
+            ("name_variant_probability", 2.0, AuxiliarySourceError),
+            ("name_variant_probability", float("nan"), AuxiliarySourceError),
+            ("linkage_threshold", 0.0, LinkageError),
+            ("linkage_threshold", float("nan"), LinkageError),
+            ("blocking", "soundex", LinkageError),
+            ("qgram_size", 1, LinkageError),
+        ],
+    )
+    def test_bad_option_rejected_at_construction(self, option, value, error):
+        """Rejected before any page is built, not at the first search or
+        harvest (a NaN noise level used to make every fact NaN)."""
+        with pytest.raises(error, match=option.removeprefix("linkage_")):
+            SimulatedWebCorpus.from_profiles(PROFILES, ATTRIBUTES, **{option: value})
 
     def test_deterministic_given_seed(self):
         first = SimulatedWebCorpus.from_profiles(PROFILES, ATTRIBUTES, seed=9)

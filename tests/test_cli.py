@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.fred import FREDAnonymizer, FREDConfig
+from repro.core.objective import WeightedObjective
 from repro.dataset.io import read_csv, write_csv
 from repro.dataset.schema import Attribute, AttributeKind, AttributeRole, Schema
 from repro.dataset.table import Table
 from repro.anonymize.kanonymity import is_k_anonymous
+from repro.fusion.attack import AttackConfig, WebFusionAttack
+from repro.fusion.auxiliary import TableAuxiliarySource
+from repro.fusion.web import name_variant
+from repro.linkage import BLOCKING_SCHEMES
 
 
 @pytest.fixture()
@@ -34,6 +41,29 @@ def csv_paths(tmp_path, faculty_population):
     aux_path = tmp_path / "web.csv"
     write_csv(Table.from_rows(aux_schema, aux_rows), aux_path)
     return private_path, aux_path
+
+
+@pytest.fixture()
+def variant_aux_path(csv_paths, tmp_path):
+    """The auxiliary CSV with web-style spellings of the names (initials,
+    reordering, titles), so only approximate linkage finds most people."""
+    _, aux_path = csv_paths
+    table = read_csv(aux_path)
+    rng = np.random.default_rng(17)
+    names = [name_variant(str(name), rng) for name in table.column("name")]
+    columns = {name: table.column(name) for name in table.schema.names}
+    path = tmp_path / "web-variants.csv"
+    write_csv(Table(table.schema, {**columns, "name": names}), path)
+    return path
+
+
+def _linked_source(aux_path, blocking: str) -> TableAuxiliarySource:
+    return TableAuxiliarySource(
+        table=read_csv(aux_path),
+        name_column="name",
+        linkage_threshold=0.82,
+        blocking=blocking,
+    )
 
 
 class TestParser:
@@ -256,6 +286,85 @@ class TestFredCommand:
         assert main(base + ["--parallelism", "4"]) == 0
         parallel_out = capsys.readouterr().out
         assert parallel_out == serial_out
+
+
+class TestApproximateLinkage:
+    """``--linkage-threshold`` / ``--blocking`` reach the auxiliary source:
+    each command prints what the same in-process run computes."""
+
+    LINKAGE = ["--linkage-threshold", "0.82"]
+
+    @pytest.mark.parametrize("blocking", BLOCKING_SCHEMES)
+    def test_attack_equals_in_process_run(
+        self, csv_paths, variant_aux_path, tmp_path, faculty_population, capsys, blocking
+    ):
+        private_path, _ = csv_paths
+        release_path = tmp_path / "release.csv"
+        main(["anonymize", "--input", str(private_path), "--output", str(release_path), "--k", "3"])
+        estimates_path = tmp_path / "estimates.csv"
+        low, high = faculty_population.assumed_salary_range
+        capsys.readouterr()
+        exit_code = main(
+            [
+                "attack", "--release", str(release_path),
+                "--auxiliary", str(variant_aux_path),
+                "--sensitive-low", str(low), "--sensitive-high", str(high),
+                "--output", str(estimates_path), "--blocking", blocking,
+            ]
+            + self.LINKAGE
+        )
+        assert exit_code == 0
+
+        release = read_csv(release_path)
+        source = _linked_source(variant_aux_path, blocking)
+        config = AttackConfig(
+            release_inputs=tuple(release.schema.numeric_quasi_identifiers),
+            auxiliary_inputs=tuple(source.attribute_names),
+            output_name="sensitive_estimate",
+            output_universe=(low, high),
+        )
+        result = WebFusionAttack(source, config).run(release)
+        exact = TableAuxiliarySource(table=read_csv(variant_aux_path), name_column="name")
+        assert WebFusionAttack(exact, config).run(release).match_rate < result.match_rate
+        assert capsys.readouterr().out.startswith(
+            f"matched auxiliary data for {result.match_rate:.0%} of {release.num_rows} records"
+        )
+        np.testing.assert_array_equal(
+            read_csv(estimates_path).numeric_column("sensitive_estimate"), result.estimates
+        )
+
+    @pytest.mark.parametrize("blocking", BLOCKING_SCHEMES)
+    def test_fred_equals_in_process_run(self, csv_paths, variant_aux_path, capsys, blocking):
+        private_path, _ = csv_paths
+        capsys.readouterr()
+        exit_code = main(
+            [
+                "fred", "--input", str(private_path), "--auxiliary", str(variant_aux_path),
+                "--kmin", "2", "--kmax", "5", "--blocking", blocking,
+            ]
+            + self.LINKAGE
+        )
+        assert exit_code == 0
+
+        private = read_csv(private_path)
+        sensitive = private.sensitive_vector()
+        source = _linked_source(variant_aux_path, blocking)
+        config = AttackConfig(
+            release_inputs=tuple(private.release_view().schema.numeric_quasi_identifiers),
+            auxiliary_inputs=tuple(source.attribute_names),
+            output_name=private.schema.sensitive_attribute,
+            output_universe=(float(np.floor(sensitive.min())), float(np.ceil(sensitive.max()))),
+        )
+        fred = FREDAnonymizer(
+            source,
+            config,
+            FREDConfig(
+                levels=(2, 3, 4, 5),
+                objective=WeightedObjective(0.5, 0.5),
+                stop_below_utility=False,
+            ),
+        )
+        assert capsys.readouterr().out == fred.run(private).summary() + "\n"
 
 
 def _start_serve(tmp_path, preexec_fn=None):

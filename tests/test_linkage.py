@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import LinkageError
@@ -9,6 +10,8 @@ from repro.linkage import LinkageIndex, normalize_name
 from repro.linkage.kernels import active_kernel_backend
 
 from linkage_reference import (
+    answers,
+    candidates,
     jaro_similarity,
     jaro_winkler_similarity,
     levenshtein_distance,
@@ -106,43 +109,42 @@ class TestCompositeSimilarity:
 class TestNameMatcher:
     """Name matching through :class:`LinkageIndex`."""
 
+    CORPUS = ["Alice Miller", "Robert Chen", "Christine Olsen", "A. Patel"]
+
     @pytest.fixture()
     def matcher(self):
-        return LinkageIndex(
-            ["Alice Miller", "Robert Chen", "Christine Olsen", "A. Patel"], threshold=0.8
-        )
+        return LinkageIndex(self.CORPUS, threshold=0.8)
 
     def test_exact_query(self, matcher):
-        best = matcher.best_match("Alice Miller")
-        assert best is not None
-        assert best.candidate == "Alice Miller"
-        assert best.score == 1.0
+        rows, scores = matcher.match_many(["Alice Miller"])
+        assert rows.tolist() == [0]
+        assert scores.tolist() == [1.0]
 
     def test_variant_query(self, matcher):
-        best = matcher.best_match("Miller, Alice")
-        assert best is not None
-        assert best.candidate == "Alice Miller"
+        rows, _ = matcher.match_many(["Miller, Alice"])
+        assert rows.tolist() == [0]
 
     def test_unknown_query(self, matcher):
-        assert matcher.best_match("Zachary Quinto") is None
-        assert matcher.candidates("Zachary Quinto") == []
+        rows, scores = matcher.match_many(["Zachary Quinto"])
+        assert rows.tolist() == [-1] and scores.tolist() == [0.0]
+        assert answers(*matcher.candidates("Zachary Quinto")) == []
 
     def test_empty_query(self, matcher):
-        assert matcher.best_match("!!!") is None
+        assert matcher.match_many(["!!!"])[0].tolist() == [-1]
+        assert answers(*matcher.candidates("!!!")) == []
 
     def test_candidates_sorted_by_score(self, matcher):
-        candidates = matcher.candidates("Alice Millar")
-        scores = [c.score for c in candidates]
-        assert scores == sorted(scores, reverse=True)
+        rows, scores = matcher.candidates("Alice Millar")
+        assert rows.dtype == np.intp and scores.dtype == np.float64
+        assert rows.size and scores.tolist() == sorted(scores.tolist(), reverse=True)
+        assert answers(rows, scores) == candidates(self.CORPUS, matcher, "Alice Millar")
 
     def test_blocking_matches_full_scan(self):
         corpus = ["Alice Miller", "Robert Chen", "Christine Olsen", "Albert Chen"]
         blocked = LinkageIndex(corpus, threshold=0.75)
         full = LinkageIndex(corpus, threshold=0.75, blocking="none")
         for query in ("Alice Miller", "Chen, Robert", "C. Olsen"):
-            assert {c.candidate for c in blocked.candidates(query)} == {
-                c.candidate for c in full.candidates(query)
-            }
+            assert answers(*blocked.candidates(query)) == answers(*full.candidates(query))
 
     def test_threshold_validation(self):
         with pytest.raises(LinkageError):

@@ -34,7 +34,7 @@ from repro.fusion.auxiliary import AuxiliarySource, TableAuxiliarySource
 from repro.fusion.web import name_variant
 from repro.linkage import BlockingIndex, LinkageIndex, normalize_name
 
-from linkage_reference import name_similarity
+from linkage_reference import answers, best_match, name_similarity
 
 
 class SeedNameMatcher:
@@ -55,22 +55,22 @@ class SeedNameMatcher:
             indices.update(self._blocks.get(token[0], []))
         return sorted(indices)
 
-    def candidates(self, query: str) -> list[tuple[str, int, float]]:
+    def candidates(self, query: str) -> list[tuple[int, float]]:
         normalized_query = normalize_name(query)
         if not normalized_query:
             return []
         results = [
-            (self._names[index], index, score)
+            (index, score)
             for index in self._candidate_indices(normalized_query)
             if (score := name_similarity(normalized_query, self._normalized[index]))
             >= self.threshold
         ]
-        results.sort(key=lambda entry: entry[2], reverse=True)
+        results.sort(key=lambda entry: entry[1], reverse=True)
         return results
 
-    def best_match(self, query: str) -> tuple[str, int, float] | None:
+    def best_match(self, query: str) -> tuple[int, float]:
         matches = self.candidates(query)
-        return matches[0] if matches else None
+        return matches[0] if matches else (-1, 0.0)
 
 
 class TestUnicodeNormalization:
@@ -95,10 +95,7 @@ class TestUnicodeNormalization:
 
     def test_accented_variants_now_link(self):
         index = LinkageIndex(["José Müller", "Robert Chen"], threshold=0.82)
-        best = index.best_match("Jose Muller")
-        assert best is not None
-        assert best.candidate == "José Müller"
-        assert best.score == 1.0
+        assert answers(*index.match_many(["Jose Muller"])) == [(0, 1.0)]
 
 
 class TestBlockingRecall:
@@ -109,17 +106,17 @@ class TestBlockingRecall:
         # shared block key, q-grams still overlap heavily.
         legacy = LinkageIndex(self.CORPUS, threshold=0.82, blocking="first-letter")
         engine = LinkageIndex(self.CORPUS, threshold=0.82, blocking="qgram")
-        for query in ("Blice Niller", "Yohansson"):
-            assert legacy.best_match(query) is None, "legacy scheme should miss"
-            best = engine.best_match(query)
-            assert best is not None
-            full = LinkageIndex(self.CORPUS, threshold=0.82, blocking="none")
-            assert best == full.best_match(query)
+        full = LinkageIndex(self.CORPUS, threshold=0.82, blocking="none")
+        queries = ["Blice Niller", "Yohansson"]
+        assert legacy.match_many(queries)[0].tolist() == [-1, -1], "legacy should miss"
+        best = answers(*engine.match_many(queries))
+        assert all(row >= 0 for row, _ in best)
+        assert best == answers(*full.match_many(queries))
 
     def test_swapped_token_order_still_matches(self):
         engine = LinkageIndex(self.CORPUS, threshold=0.82)
-        best = engine.best_match("Miller, Alice")
-        assert best is not None and best.candidate == "Alice Miller"
+        rows, _ = engine.match_many(["Miller, Alice"])
+        assert [self.CORPUS[row] for row in rows.tolist()] == ["Alice Miller"]
 
     def test_qgram_candidates_superset_of_first_letter(self):
         normalized = [normalize_name(name) for name in self.CORPUS]
@@ -155,18 +152,9 @@ class TestGoldenMatchEquivalence:
         corpus_names, queries = request.getfixturevalue(fixture)
         seed = SeedNameMatcher(corpus_names, threshold=0.82)
         engine = LinkageIndex(corpus_names, threshold=0.82)
-        matched = 0
-        for query in queries:
-            expected = seed.best_match(query)
-            actual = engine.best_match(query)
-            if expected is None:
-                assert actual is None, query
-                continue
-            matched += 1
-            assert actual is not None, query
-            assert (actual.candidate, actual.candidate_index) == expected[:2], query
-            assert actual.score == expected[2], query
-        assert matched > 0, "the golden corpora must actually link"
+        expected = [seed.best_match(query) for query in queries]
+        assert answers(*engine.match_many(queries)) == expected
+        assert any(row >= 0 for row, _ in expected), "the golden corpora must link"
 
     @pytest.mark.parametrize("fixture", ["faculty_linkage", "census_linkage"])
     def test_first_letter_mode_reproduces_full_candidate_lists(self, fixture, request):
@@ -176,19 +164,16 @@ class TestGoldenMatchEquivalence:
         seed = SeedNameMatcher(corpus_names, threshold=0.82)
         engine = LinkageIndex(corpus_names, threshold=0.82, blocking="first-letter")
         for query in queries:
-            expected = seed.candidates(query)
-            actual = [
-                (c.candidate, c.candidate_index, c.score)
-                for c in engine.candidates(query)
-            ]
-            assert actual == expected, query
+            assert answers(*engine.candidates(query)) == seed.candidates(query), query
 
     def test_match_many_equals_per_query_best(self, faculty_linkage):
         corpus_names, queries = faculty_linkage
         engine = LinkageIndex(corpus_names, threshold=0.82)
         # duplicate some queries to exercise deduplication
         batch = queries + queries[:10]
-        assert engine.match_many(batch) == [engine.best_match(q) for q in batch]
+        assert answers(*engine.match_many(batch)) == [
+            best_match(corpus_names, engine, q) for q in batch
+        ]
 
     def test_variant_queries_also_agree(self, faculty_linkage):
         corpus_names, _ = faculty_linkage
@@ -196,15 +181,9 @@ class TestGoldenMatchEquivalence:
         variants = [name_variant(name, rng) for name in corpus_names[:40]]
         seed = SeedNameMatcher(corpus_names, threshold=0.82)
         engine = LinkageIndex(corpus_names, threshold=0.82)
-        for query in variants:
-            expected = seed.best_match(query)
-            actual = engine.best_match(query)
-            if expected is None:
-                assert actual is None, query
-            else:
-                assert actual is not None, query
-                assert actual.candidate_index == expected[1], query
-                assert actual.score == expected[2], query
+        assert answers(*engine.match_many(variants)) == [
+            seed.best_match(query) for query in variants
+        ]
 
 
 class CountingSource(AuxiliarySource):

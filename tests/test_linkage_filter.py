@@ -4,9 +4,9 @@
 pair is built: a character-overlap floor ``T(m, len, p)``, the token-set
 Jaccard from shared-token counts, and the blocking membership mask.  These
 tests pin each piece against a brute-force reference, and pin that the whole
-harvest stays equal to ``best_match`` on the inputs that stress the filter's
-memory and chunking: very long names, corpora wider than one chunk, and
-corpora with no characters at all.
+harvest stays equal to the scalar ``best_match`` reference on the inputs that
+stress the filter's memory and chunking: very long names, corpora wider than
+one chunk, and corpora with no characters at all.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from repro.linkage import BlockingIndex, LinkageIndex
 from repro.linkage.index import _jaccard, _overlap_floor
 from repro.linkage.kernels import QUERY_PAD, token_jaccard_pairs
 from repro.linkage.normalize import normalize_name
+
+from linkage_reference import answers, best_match, candidates
 
 NAMES = [
     "maria lopez", "mario lopes", "xu wei", "wei xu", "nils moller",
@@ -86,14 +88,14 @@ class TestSharedTokenJaccard:
             for _ in range(25)
         ]
         index = LinkageIndex(corpus)
-        entries = [(query, normalize_name(query)) for query in queries]
-        shared, query_counts = index._shared_tokens(entries)
+        normalized_queries = [normalize_name(query) for query in queries]
+        shared, query_counts = index._shared_tokens(normalized_queries)
 
         known = [
             sorted({index._vocabulary[t] for t in normalized.split() if t in index._vocabulary})
-            for _, normalized in entries
+            for normalized in normalized_queries
         ]
-        query_tokens = np.full((len(entries), 6), QUERY_PAD, dtype=np.int64)
+        query_tokens = np.full((len(queries), 6), QUERY_PAD, dtype=np.int64)
         for row, ids in enumerate(known):
             query_tokens[row, : len(ids)] = ids
         pair_query, pair_rows = np.divmod(np.arange(shared.size), index.size)
@@ -114,14 +116,16 @@ class TestHarvestPath:
         self, monkeypatch, blocking
     ):
         index = LinkageIndex(NAMES, blocking=blocking)
-        expected = [index.best_match(query) for query in FUZZY_QUERIES]
-        assert any(match is not None and match.score < 1.0 for match in expected)
+        expected = [best_match(NAMES, index, query) for query in FUZZY_QUERIES]
+        assert any(row >= 0 and score < 1.0 for row, score in expected)
+        listed = [candidates(NAMES, index, query) for query in FUZZY_QUERIES]
 
         def no_union(self, normalized_query):
-            raise AssertionError("match_many built a per-query candidate union")
+            raise AssertionError("a query built a per-query candidate union")
 
         monkeypatch.setattr(BlockingIndex, "candidate_rows", no_union)
-        assert index.match_many(FUZZY_QUERIES) == expected
+        assert answers(*index.match_many(FUZZY_QUERIES)) == expected
+        assert [answers(*index.candidates(query)) for query in FUZZY_QUERIES] == listed
 
     def test_candidate_mask_rows_equal_candidate_rows(self):
         index = LinkageIndex(NAMES)
@@ -140,9 +144,9 @@ class TestBoundedWork:
         # Short fuzzy queries, plus queries over 255 characters, which take
         # the wide-count path against the saturated 5,000-character row.
         queries = FUZZY_QUERIES + ["ab" * 140, "ab" * 139 + "ba"]
-        expected = [index.best_match(query) for query in queries]
-        assert expected[-2] is not None and expected[-2].score < 1.0
-        assert index.match_many(queries) == expected
+        expected = [best_match(corpus, index, query) for query in queries]
+        assert expected[-2][0] >= 0 and expected[-2][1] < 1.0
+        assert answers(*index.match_many(queries)) == expected
         alphabet, _ = index._char_bounds()
         saturated = index._saturated_counts()
         assert alphabet.size <= 27
@@ -155,7 +159,9 @@ class TestBoundedWork:
         monkeypatch.setattr(LinkageIndex, "_MAX_PAIRS_PER_CHUNK", cap)
         index = LinkageIndex(NAMES)
         queries = FUZZY_QUERIES + FUZZY_QUERIES[:3] + NAMES[:2]
-        assert index.match_many(queries) == [index.best_match(q) for q in queries]
+        assert answers(*index.match_many(queries)) == [
+            best_match(NAMES, index, q) for q in queries
+        ]
 
     @pytest.mark.parametrize("corpus", [[], ["", "   ", "!!", "--"]])
     @pytest.mark.parametrize("blocking", ["qgram", "first-letter", "none"])
@@ -163,5 +169,7 @@ class TestBoundedWork:
         index = LinkageIndex(corpus, blocking=blocking)
         assert index._char_bounds() is None
         queries = ["maria lopez", "x", ""]
-        assert index.match_many(queries) == [None, None, None]
-        assert [index.best_match(query) for query in queries] == [None, None, None]
+        miss = [(-1, 0.0)] * 3
+        assert answers(*index.match_many(queries)) == miss
+        assert [best_match(corpus, index, query) for query in queries] == miss
+        assert [answers(*index.candidates(query)) for query in queries] == [[]] * 3

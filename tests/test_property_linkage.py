@@ -2,13 +2,14 @@
 
 The scalar functions in ``tests/linkage_reference.py`` are the executable
 specification; these properties pin that the vectorized kernels in
-:mod:`repro.linkage.kernels` reproduce them **bit for bit** on arbitrary
-strings, and that q-gram blocking never loses a candidate the historical
-first-letter scheme would have produced.
+:mod:`repro.linkage.kernels` and both ``LinkageIndex`` queries reproduce them
+**bit for bit** on arbitrary strings, and that q-gram blocking never loses a
+candidate the historical first-letter scheme would have produced.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,19 +18,23 @@ from repro.linkage import (
     LinkageIndex,
     encode_query,
     encode_strings,
-    jaro_similarity_batch,
-    jaro_winkler_similarity_batch,
-    levenshtein_distance_batch,
-    levenshtein_similarity_batch,
     normalize_name,
 )
+from repro.linkage.kernels import (
+    jaro_similarity_pairs,
+    jaro_winkler_similarity_pairs,
+    levenshtein_distance_pairs,
+    levenshtein_similarity_pairs,
+)
 
+import linkage_reference
 from linkage_reference import (
+    answers,
+    best_match,
     jaro_similarity,
     jaro_winkler_similarity,
     levenshtein_distance,
     levenshtein_similarity,
-    name_similarity,
 )
 
 # Arbitrary text, deliberately wider than names: accents, punctuation and
@@ -87,13 +92,20 @@ def near_miss_batches(draw):
     return corpus, queries
 
 
+def _broadcast(query: str, codes: np.ndarray) -> np.ndarray:
+    """One query's codes as the query side of a pair batch over ``codes``."""
+    encoded = encode_query(query)
+    return np.broadcast_to(encoded, (codes.shape[0], encoded.shape[0]))
+
+
 class TestKernelEquivalence:
     @given(text_strategy, corpus_strategy)
     @settings(max_examples=150)
     def test_levenshtein_batch_equals_scalar(self, query, corpus):
         codes, lengths = encode_strings(corpus)
-        distances = levenshtein_distance_batch(encode_query(query), codes, lengths)
-        similarities = levenshtein_similarity_batch(encode_query(query), codes, lengths)
+        queries = _broadcast(query, codes)
+        distances = levenshtein_distance_pairs(queries, codes, lengths)
+        similarities = levenshtein_similarity_pairs(queries, codes, lengths)
         for i, candidate in enumerate(corpus):
             assert distances[i] == levenshtein_distance(query, candidate)
             if query or candidate:
@@ -105,7 +117,7 @@ class TestKernelEquivalence:
     @settings(max_examples=150)
     def test_jaro_batch_equals_scalar(self, query, corpus):
         codes, lengths = encode_strings(corpus)
-        batch = jaro_similarity_batch(encode_query(query), codes, lengths)
+        batch = jaro_similarity_pairs(_broadcast(query, codes), codes, lengths)
         for i, candidate in enumerate(corpus):
             assert batch[i] == jaro_similarity(query, candidate), candidate
 
@@ -113,17 +125,22 @@ class TestKernelEquivalence:
     @settings(max_examples=150)
     def test_jaro_winkler_batch_equals_scalar(self, query, corpus):
         codes, lengths = encode_strings(corpus)
-        batch = jaro_winkler_similarity_batch(encode_query(query), codes, lengths)
+        batch = jaro_winkler_similarity_pairs(_broadcast(query, codes), codes, lengths)
         for i, candidate in enumerate(corpus):
             assert batch[i] == jaro_winkler_similarity(query, candidate), candidate
 
     @given(name_strategy, st.lists(name_strategy, min_size=1, max_size=6))
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=None)
     def test_composite_scores_equal_scalar_name_similarity(self, query, corpus):
-        index = LinkageIndex(corpus, threshold=0.5, blocking="none")
-        scores = index.scores(query)
-        for i, candidate in enumerate(corpus):
-            assert scores[i] == name_similarity(query, candidate), candidate
+        """``candidates`` equals the scalar scan of the query's blocking
+        candidates: same rows, same order, scores bit for bit.  At 0.05
+        almost every row with a shared character is listed."""
+        for threshold in (0.05, 0.5, 0.82):
+            for blocking in ("qgram", "first-letter", "none"):
+                index = LinkageIndex(corpus, threshold=threshold, blocking=blocking)
+                assert answers(*index.candidates(query)) == linkage_reference.candidates(
+                    corpus, index, query
+                ), (threshold, blocking)
 
 
 class TestBlockingProperties:
@@ -145,20 +162,18 @@ class TestBlockingProperties:
     ):
         blocked = LinkageIndex(corpus, threshold=0.5, blocking="qgram")
         full = LinkageIndex(corpus, threshold=0.5, blocking="none")
-        blocked_by_index = {
-            c.candidate_index: c.score for c in blocked.candidates(query)
-        }
-        full_by_index = {c.candidate_index: c.score for c in full.candidates(query)}
+        blocked_by_index = dict(answers(*blocked.candidates(query)))
+        full_by_index = dict(answers(*full.candidates(query)))
         assert set(blocked_by_index) <= set(full_by_index)
         for index, score in blocked_by_index.items():
             assert score == full_by_index[index]
 
 
 class TestMatchManyQueryBatching:
-    """The query-axis-batched ``match_many`` must reproduce the per-query
-    ``best_match`` loop bit for bit on arbitrary name sets — same winners,
-    same lowest-row tie-breaking, same scores, including duplicates and
-    queries that hit the perfect-match short-circuit."""
+    """The query-axis-batched ``match_many`` must reproduce the scalar
+    ``best_match`` reference bit for bit on arbitrary name sets — same
+    winners, same lowest-row tie-breaking, same scores, including duplicates
+    and queries that hit the perfect-match short-circuit."""
 
     @given(
         st.lists(name_strategy, min_size=1, max_size=10),
@@ -169,7 +184,9 @@ class TestMatchManyQueryBatching:
         batch = queries + queries[: len(queries) // 2]  # exercise deduplication
         for blocking in ("qgram", "none"):
             index = LinkageIndex(corpus, threshold=0.5, blocking=blocking)
-            assert index.match_many(batch) == [index.best_match(q) for q in batch]
+            assert answers(*index.match_many(batch)) == [
+                best_match(corpus, index, q) for q in batch
+            ]
 
     @given(near_miss_batches())
     # A Jaccard-only win: 5 of 6 tokens shared (0.83) while the reordered,
@@ -184,8 +201,8 @@ class TestMatchManyQueryBatching:
         for threshold in (0.5, 0.82, 0.95):
             for blocking in ("qgram", "first-letter", "none"):
                 index = LinkageIndex(corpus, threshold=threshold, blocking=blocking)
-                assert index.match_many(queries) == [
-                    index.best_match(q) for q in queries
+                assert answers(*index.match_many(queries)) == [
+                    best_match(corpus, index, q) for q in queries
                 ], (threshold, blocking)
 
     @given(st.lists(name_strategy, min_size=1, max_size=8), name_strategy)
@@ -193,7 +210,9 @@ class TestMatchManyQueryBatching:
     def test_corpus_names_match_themselves_through_the_batch(self, corpus, extra):
         index = LinkageIndex(corpus, threshold=0.5)
         batch = list(corpus) + [extra]
-        assert index.match_many(batch) == [index.best_match(q) for q in batch]
+        assert answers(*index.match_many(batch)) == [
+            best_match(corpus, index, q) for q in batch
+        ]
 
 
 class TestNormalizationProperties:
