@@ -174,22 +174,16 @@ def test_ablation_rule_sources(benchmark, paper_setup, ablation_release):
         "salary", base.output_universe, terms
     )
     leaked_indices = list(range(0, private.num_rows, max(private.num_rows // 10, 1)))[:10]
-    leaked_records = []
-    for index in leaked_indices:
-        row = private.row(index)
-        profile = population.profiles[index]
-        leaked_records.append(
-            {
-                "research_score": float(row["research_score"]),
-                "teaching_score": float(row["teaching_score"]),
-                "service_score": float(row["service_score"]),
-                "years_of_service": float(row["years_of_service"]),
-                "property_holdings": float(profile["property_holdings"]),
-                "employment_seniority": float(profile["employment_seniority"]),
-            }
+    leaked = private.numeric_columns(
+        ("research_score", "teaching_score", "service_score", "years_of_service")
+    )
+    leaked = {name: column[leaked_indices] for name, column in leaked.items()}
+    for name in ("property_holdings", "employment_seniority"):
+        leaked[name] = np.array(
+            [float(population.profiles[index][name]) for index in leaked_indices]
         )
-    leaked_targets = [float(private.cell(i, "salary")) for i in leaked_indices]
-    induced = wang_mendel_rules(leaked_records, leaked_targets, inputs, output)
+    leaked_targets = private.numeric_columns(("salary",))["salary"][leaked_indices]
+    induced = wang_mendel_rules(leaked, leaked_targets, inputs, output)
 
     variants = {
         "auto_monotone": _config_variant(base),

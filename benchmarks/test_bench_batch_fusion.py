@@ -12,24 +12,29 @@ missing cells) the batch path must be **at least 10× faster** than the seed
 loop.  Set ``REPRO_BENCH_QUICK=1`` to run the reduced CI smoke variant (1k
 records, gate at 1× — batch must simply never be slower than the loop).
 
-The seed loop is re-implemented here from the public primitives (the original
-code no longer exists in the tree) so the baseline stays honest as the
-engines evolve.
+The seed loop is the per-record reference in ``tests/fuzzy_reference.py``
+(the original code no longer exists in the tree), so the baseline stays
+honest as the engines evolve.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.fusion.rulegen import monotone_rules
-from repro.fuzzy.defuzzify import defuzzify
 from repro.fuzzy.inference import MamdaniSystem
 from repro.fuzzy.tsk import SugenoSystem
 from repro.fuzzy.variables import LinguisticVariable
+
+# The per-record reference engines live in tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from fuzzy_reference import reference_mamdani, reference_sugeno  # noqa: E402
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 RECORD_COUNT = 1_000 if QUICK else 10_000
@@ -86,43 +91,12 @@ def attack_inputs():
 
 def _seed_mamdani_loop(system: MamdaniSystem, records) -> np.ndarray:
     """The seed's per-record Mamdani evaluation, record by record."""
-    outputs = np.empty(len(records), dtype=float)
-    universe = system.output.grid(system.resolution)
-    for i, record in enumerate(records):
-        fuzzified = system.fuzzify(record)
-        aggregated = np.zeros_like(universe)
-        for rule in system.rules:
-            strength = rule.firing_strength(fuzzified)
-            if strength <= 0.0:
-                continue
-            curve = np.asarray(
-                system.output.term(rule.consequent_term).membership(universe),
-                dtype=float,
-            )
-            aggregated = np.maximum(aggregated, np.minimum(curve, strength))
-        if float(aggregated.max(initial=0.0)) <= 0.0:
-            outputs[i] = (system.output.universe[0] + system.output.universe[1]) / 2.0
-        else:
-            outputs[i] = defuzzify(universe, aggregated, system.defuzzification)
-    return outputs
+    return np.array([reference_mamdani(system, record) for record in records])
 
 
 def _seed_sugeno_loop(system: SugenoSystem, records) -> np.ndarray:
     """The seed's per-record Sugeno evaluation, record by record."""
-    outputs = np.empty(len(records), dtype=float)
-    for i, record in enumerate(records):
-        fuzzified = system.fuzzify(record)
-        numerator = 0.0
-        denominator = 0.0
-        for rule in system.rules:
-            strength = rule.firing_strength(fuzzified)
-            numerator += strength * system.consequents[rule.consequent_term]
-            denominator += strength
-        if denominator <= 0.0:
-            outputs[i] = (system.output.universe[0] + system.output.universe[1]) / 2.0
-        else:
-            outputs[i] = numerator / denominator
-    return outputs
+    return np.array([reference_sugeno(system, record) for record in records])
 
 
 def _best_of(repeats: int, fn, *args):

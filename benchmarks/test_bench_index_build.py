@@ -31,12 +31,12 @@ from repro.data.faculty import FacultyConfig, generate_faculty
 from repro.data.names import generate_names
 from repro.data.webgen import corpus_for_faculty
 from repro.fusion.attack import AttackConfig
-from repro.linkage import LinkageIndex, encode_strings, normalize_name
+from repro.linkage import LinkageIndex, normalize_name
 from repro.linkage.kernels import PAD
 
-# The scalar postings reference lives in tests/.
+# The scalar postings reference and the padded encoder live in tests/.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from linkage_reference import scalar_postings  # noqa: E402
+from linkage_reference import encode_strings, scalar_postings  # noqa: E402
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 BUILD_CORPUS = 10_000 if QUICK else 100_000

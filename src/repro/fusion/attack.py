@@ -331,7 +331,7 @@ class WebFusionAttack:
         """Build input variables from observed marginals and the output variable.
 
         ``columns`` is the column block of :meth:`assemble_columns`; inputs
-        without a fixed range are quantile-calibrated from the non-NaN
+        without a fixed range are quantile-calibrated from the finite
         entries of their column.
         """
         _, columns = as_columns(columns, self.config.all_inputs)
@@ -349,7 +349,7 @@ class WebFusionAttack:
                 )
                 continue
             column = columns[name]
-            values = column[~np.isnan(column)]
+            values = column[np.isfinite(column)]
             if values.size >= 2:
                 inputs[name] = LinguisticVariable.from_values(name, values, term_names)
             else:

@@ -11,18 +11,23 @@ is to the quality of the rule base — two automatic rule sources are provided:
   per linguistic term, mapping the i-th input term to the corresponding output
   term.  This encodes exactly the kind of coarse ordinal knowledge the paper's
   example uses.
-* :func:`wang_mendel_rules` — Wang-Mendel rule learning from a (small) sample
-  of records whose sensitive value the adversary happens to know (public
-  salaries of a few colleagues, say).  Each labeled example generates the rule
-  formed by its maximum-membership terms; conflicting rules (same antecedent,
-  different consequent) are resolved by keeping the highest-degree one.
+* :func:`wang_mendel_rules` — Wang-Mendel rule learning (Wang & Mendel,
+  IEEE Trans. SMC 1992) from a (small) sample of records whose sensitive
+  value the adversary happens to know (public salaries of a few colleagues,
+  say), given as a column block.  Each labeled example generates the rule
+  formed by its maximum-membership terms; conflicting rules (same
+  antecedent, different consequent) are resolved by keeping the
+  highest-degree one.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.exceptions import FuzzyDefinitionError
+from repro.fuzzy.batch import as_columns
 from repro.fuzzy.rules import Condition, FuzzyRule
 from repro.fuzzy.variables import LinguisticVariable
 
@@ -81,55 +86,75 @@ def monotone_rules(
 
 
 def wang_mendel_rules(
-    records: Sequence[Mapping[str, float | None]],
+    columns: Mapping[str, np.ndarray],
     targets: Sequence[float],
     inputs: Mapping[str, LinguisticVariable],
     output: LinguisticVariable,
 ) -> list[FuzzyRule]:
     """Wang-Mendel rule induction from labeled examples.
 
-    Each ``(record, target)`` pair produces one candidate rule whose antecedent
-    is the maximum-membership term of every *available* input and whose
-    consequent is the maximum-membership term of the target.  The candidate's
-    degree is the product of those memberships; among candidates with the same
-    antecedent, only the highest-degree rule is kept.
+    ``columns`` is a column block (see :mod:`repro.fuzzy.batch`) aligned
+    with ``targets``; ``NaN`` marks a missing cell.  Each example produces one
+    candidate rule whose antecedent is the (first) maximum-membership term of
+    every *available* input and whose consequent is the maximum-membership
+    term of the target.  The candidate's degree is the product of those
+    memberships, inputs first; examples with no available input, a missing
+    target or degree 0 produce none.  Among candidates with the same
+    antecedent only the highest-degree one is kept (the earliest on a tie),
+    and the rules come in the order their antecedents first appear.
     """
-    if len(records) != len(targets):
+    n, block = as_columns(columns, list(inputs))
+    targets = np.asarray(targets, dtype=float)
+    if targets.shape != (n,):
         raise FuzzyDefinitionError(
-            f"records and targets lengths differ: {len(records)} vs {len(targets)}"
+            f"columns and targets lengths differ: {n} vs {targets.size}"
         )
-    if not records:
+    if n == 0:
         raise FuzzyDefinitionError("Wang-Mendel induction needs at least one labeled example")
 
-    best: dict[tuple[tuple[str, str], ...], tuple[float, FuzzyRule]] = {}
-    for record, target in zip(records, targets):
-        conditions: list[Condition] = []
-        degree = 1.0
-        for name, variable in inputs.items():
-            value = record.get(name)
-            if value is None:
-                continue
-            memberships = variable.fuzzify(float(value))
-            term = max(memberships, key=memberships.get)
-            conditions.append(Condition(name, term))
-            degree *= memberships[term]
-        if not conditions:
-            continue
-        output_memberships = output.fuzzify(float(target))
-        output_term = max(output_memberships, key=output_memberships.get)
-        degree *= output_memberships[output_term]
-        if degree <= 0.0:
-            continue
-        rule = FuzzyRule(
-            conditions=tuple(conditions), consequent_term=output_term, operator="and"
-        )
-        key = tuple(sorted((c.variable, c.term) for c in conditions))
-        existing = best.get(key)
-        if existing is None or degree > existing[0]:
-            best[key] = (degree, rule)
-
-    if not best:
+    # terms[i, j]: the antecedent term index of input j for example i (-1 if missing).
+    terms = np.full((n, len(inputs)), -1, dtype=np.intp)
+    degrees = np.ones(n)
+    for j, (name, variable) in enumerate(inputs.items()):
+        present = ~np.isnan(block[name])
+        best, degree = _max_membership(variable, block[name])
+        terms[present, j] = best[present]
+        degrees *= degree  # a missing cell has degree 1 in every term
+    consequents, degree = _max_membership(output, targets)
+    degrees *= degree
+    kept = np.flatnonzero(
+        (terms >= 0).any(axis=1) & ~np.isnan(targets) & (degrees > 0.0)
+    )
+    if kept.size == 0:
         raise FuzzyDefinitionError(
             "Wang-Mendel induction produced no rules (all examples were empty or zero-degree)"
         )
-    return [rule for _, rule in best.values()]
+
+    _, first, group = np.unique(
+        terms[kept], axis=0, return_index=True, return_inverse=True
+    )
+    # One winner per antecedent: the highest degree, then the earliest
+    # example (lexsort is stable).
+    order = np.lexsort((-degrees[kept], group))
+    winners = kept[order[np.r_[True, np.diff(group[order]) != 0]]]
+    names = list(inputs)
+    term_names = [inputs[name].term_names for name in names]
+    return [
+        FuzzyRule(
+            conditions=tuple(
+                Condition(names[j], term_names[j][terms[row, j]])
+                for j in np.flatnonzero(terms[row] >= 0)
+            ),
+            consequent_term=output.term_names[consequents[row]],
+            operator="and",
+        )
+        for row in winners[np.argsort(first)]
+    ]
+
+
+def _max_membership(
+    variable: LinguisticVariable, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per value, the index of the first maximum-membership term and its degree."""
+    memberships = np.column_stack(list(variable.fuzzify_batch(values).values()))
+    return memberships.argmax(axis=1), memberships.max(axis=1)

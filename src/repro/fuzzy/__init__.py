@@ -1,16 +1,19 @@
-"""Fuzzy inference substrate (the paper's information-fusion engine)."""
+"""Fuzzy inference substrate (the paper's information-fusion engine).
+
+Every operation has one implementation, over a column block (one ``(N,)``
+float array per input, ``NaN`` for a missing cell; see
+:mod:`repro.fuzzy.batch`): fuzzification, the ``(N, n_rules)`` firing
+matrix, Mamdani and Sugeno evaluation and defuzzification.  One record is a
+one-row block.  The per-record forms these were derived from live in
+``tests/fuzzy_reference.py`` as the executable specification.
+"""
 
 from repro.fuzzy.batch import as_columns
 from repro.fuzzy.defuzzify import (
     BATCH_STRATEGIES,
-    STRATEGIES,
-    bisector,
     bisector_batch,
-    centroid,
     centroid_batch,
-    defuzzify,
     defuzzify_batch,
-    mean_of_maxima,
     mean_of_maxima_batch,
 )
 from repro.fuzzy.inference import InferenceTrace, MamdaniSystem
@@ -41,11 +44,6 @@ __all__ = [
     "InferenceTrace",
     "SugenoSystem",
     "term_centroids",
-    "defuzzify",
-    "centroid",
-    "bisector",
-    "mean_of_maxima",
-    "STRATEGIES",
     "defuzzify_batch",
     "centroid_batch",
     "bisector_batch",

@@ -11,10 +11,10 @@ straight from the release table and the harvest.
 :func:`as_columns` validates a caller's block and fills absent inputs with
 ``NaN``; anything other than a mapping (a list of per-record dicts, say) is
 rejected with a :class:`~repro.exceptions.FuzzyEvaluationError` that names the
-layout.  The one-record APIs (``evaluate``/``trace``) wrap their record as a
-one-row block with :func:`record_columns`.  Downstream the fuzzifier masks
-``NaN`` inputs by assigning full membership to every term (the input
-contributes no information).
+layout, and a cell that is not a number is rejected with one that names the
+column.  There is no one-record form: one record is a one-row block.
+Downstream the fuzzifier masks ``NaN`` inputs by assigning full membership to
+every term (the input contributes no information).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.exceptions import FuzzyEvaluationError
 
-__all__ = ["as_columns", "record_columns"]
+__all__ = ["as_columns"]
 
 
 def _column_array(values: object, name: str) -> np.ndarray:
@@ -33,10 +33,15 @@ def _column_array(values: object, name: str) -> np.ndarray:
     try:
         column = np.asarray(values, dtype=float)
     except (TypeError, ValueError):
-        column = np.array(
-            [np.nan if v is None else float(v) for v in values],  # type: ignore[union-attr]
-            dtype=float,
-        )
+        try:
+            column = np.array(
+                [np.nan if v is None else float(v) for v in values],  # type: ignore[union-attr]
+                dtype=float,
+            )
+        except (TypeError, ValueError) as error:
+            raise FuzzyEvaluationError(
+                f"column {name!r} must hold numbers or None: {error}"
+            ) from None
     if column.ndim == 0:
         column = column.reshape(1)
     if column.ndim != 1:
@@ -89,12 +94,3 @@ def as_columns(
         if name not in arrays:
             arrays[name] = np.full(n, np.nan)
     return n, arrays
-
-
-def record_columns(
-    record: Mapping[str, float | None], variable_names: Sequence[str]
-) -> dict[str, list[float | None]]:
-    """One record as a one-row column block; absent variables get ``None``."""
-    block: dict[str, list[float | None]] = {name: [None] for name in variable_names}
-    block.update((name, [value]) for name, value in record.items())
-    return block

@@ -1,14 +1,21 @@
 """Defuzzification strategies.
 
-The Mamdani engine produces an aggregated output membership curve over the
-output universe (the "D E - F U Z Z I F I E R" stage of the paper's Figure 2);
-defuzzification collapses it to a single crisp estimate of the sensitive
-attribute.  The three standard strategies are provided:
+The Mamdani engine produces one aggregated output membership curve per
+record over the output universe (the "D E - F U Z Z I F I E R" stage of the
+paper's Figure 2); defuzzification collapses each curve to a single crisp
+estimate of the sensitive attribute.  Every strategy takes the shared
+``(R,)`` output universe and an ``(N, R)`` block of curves, one row per
+record, and returns the ``(N,)`` crisp outputs:
 
 * ``centroid`` — centre of gravity of the aggregated curve (Matlab default,
   used as this library's default);
 * ``bisector`` — the abscissa splitting the area under the curve in half;
 * ``mom`` — mean of maxima.
+
+The one-curve versions in ``tests/fuzzy_reference.py`` are the executable
+specification: row ``i`` of a batch result agrees with them on
+``membership[i]`` to 1e-9 (the row-wise reductions may reassociate
+floating-point sums), pinned by ``tests/test_batch_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -18,75 +25,12 @@ import numpy as np
 from repro.exceptions import FuzzyEvaluationError
 
 __all__ = [
-    "centroid",
-    "bisector",
-    "mean_of_maxima",
-    "defuzzify",
-    "STRATEGIES",
     "centroid_batch",
     "bisector_batch",
     "mean_of_maxima_batch",
     "defuzzify_batch",
     "BATCH_STRATEGIES",
 ]
-
-
-def centroid(universe: np.ndarray, membership: np.ndarray) -> float:
-    """Centre of gravity of the membership curve."""
-    _validate(universe, membership)
-    total = float(np.trapezoid(membership, universe))
-    if total <= 0.0:
-        raise FuzzyEvaluationError("cannot defuzzify an all-zero membership curve")
-    return float(np.trapezoid(membership * universe, universe) / total)
-
-
-def bisector(universe: np.ndarray, membership: np.ndarray) -> float:
-    """Abscissa that splits the area under the membership curve into equal halves."""
-    _validate(universe, membership)
-    cumulative = np.concatenate(
-        [[0.0], np.cumsum((membership[1:] + membership[:-1]) / 2.0 * np.diff(universe))]
-    )
-    total = cumulative[-1]
-    if total <= 0.0:
-        raise FuzzyEvaluationError("cannot defuzzify an all-zero membership curve")
-    index = int(np.searchsorted(cumulative, total / 2.0))
-    index = min(max(index, 0), len(universe) - 1)
-    return float(universe[index])
-
-
-def mean_of_maxima(universe: np.ndarray, membership: np.ndarray) -> float:
-    """Mean of the abscissas where the membership curve attains its maximum."""
-    _validate(universe, membership)
-    peak = float(membership.max())
-    if peak <= 0.0:
-        raise FuzzyEvaluationError("cannot defuzzify an all-zero membership curve")
-    return float(universe[np.isclose(membership, peak)].mean())
-
-
-STRATEGIES = {
-    "centroid": centroid,
-    "bisector": bisector,
-    "mom": mean_of_maxima,
-}
-
-
-def defuzzify(universe: np.ndarray, membership: np.ndarray, strategy: str = "centroid") -> float:
-    """Dispatch to one of the registered defuzzification strategies."""
-    if strategy not in STRATEGIES:
-        raise FuzzyEvaluationError(
-            f"unknown defuzzification strategy {strategy!r}; options: {sorted(STRATEGIES)}"
-        )
-    return STRATEGIES[strategy](universe, membership)
-
-
-# Batch strategies -----------------------------------------------------------------
-#
-# Each batch function takes the shared ``(R,)`` output universe and an
-# ``(N, R)`` block of aggregated membership curves (one row per record) and
-# returns the ``(N,)`` crisp outputs.  Row ``i`` mirrors the scalar strategy
-# applied to ``membership[i]``; the row-wise reductions may reassociate
-# floating-point sums, so batch and scalar agree to tight tolerance (1e-9,
-# enforced by tests/test_batch_equivalence.py) rather than bitwise.
 
 
 def centroid_batch(universe: np.ndarray, membership: np.ndarray) -> np.ndarray:
@@ -108,8 +52,8 @@ def bisector_batch(universe: np.ndarray, membership: np.ndarray) -> np.ndarray:
     totals = cumulative[:, -1]
     if np.any(totals <= 0.0):
         raise FuzzyEvaluationError("cannot defuzzify an all-zero membership curve")
-    # Count of entries strictly below the half-area target == searchsorted
-    # (side='left'), the scalar formulation, vectorized over rows.
+    # Count of entries strictly below the half-area target: a row-wise
+    # searchsorted (side='left').
     indices = (cumulative < (totals / 2.0)[:, None]).sum(axis=1)
     indices = np.clip(indices, 0, len(universe) - 1)
     return universe[indices].astype(float)
@@ -135,21 +79,12 @@ BATCH_STRATEGIES = {
 def defuzzify_batch(
     universe: np.ndarray, membership: np.ndarray, strategy: str = "centroid"
 ) -> np.ndarray:
-    """Batch counterpart of :func:`defuzzify` over an ``(N, R)`` curve block."""
+    """Dispatch an ``(N, R)`` curve block to a registered strategy."""
     if strategy not in BATCH_STRATEGIES:
         raise FuzzyEvaluationError(
             f"unknown defuzzification strategy {strategy!r}; options: {sorted(BATCH_STRATEGIES)}"
         )
     return BATCH_STRATEGIES[strategy](universe, membership)
-
-
-def _validate(universe: np.ndarray, membership: np.ndarray) -> None:
-    if universe.shape != membership.shape:
-        raise FuzzyEvaluationError(
-            f"universe and membership shapes differ: {universe.shape} vs {membership.shape}"
-        )
-    if universe.ndim != 1 or universe.size < 3:
-        raise FuzzyEvaluationError("defuzzification needs a 1-D universe with >= 3 samples")
 
 
 def _validate_batch(universe: np.ndarray, membership: np.ndarray) -> None:

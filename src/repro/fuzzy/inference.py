@@ -17,31 +17,29 @@ with no web presence) are handled by treating every term of that variable as
 fully possible (membership 1), i.e. the input contributes no information,
 which is the conservative choice for an adversary.
 
-The pipeline is implemented as a **batch kernel**: :meth:`evaluate_batch`
-takes a column block (one ``(N,)`` float array per input, see
+The pipeline is one **batch kernel**, :meth:`MamdaniSystem.trace`: it takes a
+column block (one ``(N,)`` float array per input, see
 :mod:`repro.fuzzy.batch`), fuzzifies whole columns at once, forms the
 ``(N, n_rules)`` firing-strength matrix, aggregates implied curves into an
 ``(N, resolution)`` block (grouping rules by consequent term, since
 ``max_j min(curve, s_j) == min(curve, max_j s_j)`` exactly), and defuzzifies
-all rows together.  The one-record :meth:`evaluate` / :meth:`trace` API runs
-the same kernel on a one-row block, so explanations stay available and
-one-record and batch outputs agree to within 1e-9 (the property suite in
-``tests/test_batch_equivalence.py`` enforces this, including against a
-reference implementation of the original per-record loop).  Records whose
+all rows together.  :meth:`MamdaniSystem.evaluate_batch` returns the trace's
+outputs; one record is a one-row block.  The outputs agree to within 1e-9
+with the per-record Mamdani loop of ``tests/fuzzy_reference.py`` (enforced by
+the property suite in ``tests/test_batch_equivalence.py``).  Records whose
 aggregated curve is identically zero (no rule fired) fall back to the
 midpoint of the output universe.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.exceptions import FuzzyDefinitionError, FuzzyEvaluationError
-from repro.fuzzy.batch import as_columns, record_columns
+from repro.fuzzy.batch import as_columns
 from repro.fuzzy.defuzzify import defuzzify_batch
 from repro.fuzzy.rules import FuzzyRule, firing_strength_matrix
 from repro.fuzzy.variables import LinguisticVariable
@@ -51,12 +49,18 @@ __all__ = ["MamdaniSystem", "InferenceTrace"]
 
 @dataclass
 class InferenceTrace:
-    """Intermediate quantities of one Mamdani evaluation (for explanations/tests)."""
+    """Every intermediate quantity of a Mamdani evaluation over ``N`` records.
 
-    fuzzified: dict[str, dict[str, float]]
-    firing_strengths: list[float]
+    ``fuzzified`` maps variable -> term -> ``(N,)`` degrees,
+    ``firing_strengths`` is the ``(N, n_rules)`` firing matrix,
+    ``aggregated`` the ``(N, resolution)`` aggregated output curves and
+    ``output`` the ``(N,)`` crisp estimates.
+    """
+
+    fuzzified: dict[str, dict[str, np.ndarray]]
+    firing_strengths: np.ndarray
     aggregated: np.ndarray
-    output: float
+    output: np.ndarray
 
 
 @dataclass
@@ -110,17 +114,6 @@ class MamdaniSystem:
 
     # Evaluation -------------------------------------------------------------------
 
-    def fuzzify(self, inputs: Mapping[str, float | None]) -> dict[str, dict[str, float]]:
-        """Fuzzify the crisp inputs; unknown/missing inputs map every term to 1."""
-        fuzzified: dict[str, dict[str, float]] = {}
-        for name, variable in self.inputs.items():
-            value = inputs.get(name)
-            if value is None or (isinstance(value, float) and math.isnan(value)):
-                fuzzified[name] = {term: 1.0 for term in variable.term_names}
-            else:
-                fuzzified[name] = variable.fuzzify(float(value))
-        return fuzzified
-
     def fuzzify_batch(
         self, columns: Mapping[str, np.ndarray]
     ) -> dict[str, dict[str, np.ndarray]]:
@@ -130,50 +123,23 @@ class MamdaniSystem:
             for name, variable in self.inputs.items()
         }
 
-    def evaluate(self, inputs: Mapping[str, float | None]) -> float:
-        """Crisp output for the given crisp inputs."""
-        return self.trace(inputs).output
-
-    def trace(self, inputs: Mapping[str, float | None]) -> InferenceTrace:
-        """Evaluate one record through the batch kernel and return every
-        intermediate quantity (for explanations and tests)."""
-        fuzzified_batch, strengths, aggregated, outputs = self._batch_kernel(
-            record_columns(inputs, self.inputs)
-        )
-        return InferenceTrace(
-            fuzzified={
-                name: {term: float(degrees[0]) for term, degrees in terms.items()}
-                for name, terms in fuzzified_batch.items()
-            },
-            firing_strengths=[float(s) for s in strengths[0]],
-            aggregated=aggregated[0],
-            output=float(outputs[0]),
-        )
-
     def evaluate_batch(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         """Crisp outputs for a column block of ``(N,)`` input arrays.
 
         NaN (or ``None``) marks a missing cell; this is the layout produced
         by :meth:`repro.fusion.attack.WebFusionAttack.assemble_columns`.
         """
-        return self._batch_kernel(columns)[3]
+        return self.trace(columns).output
 
-    # Batch kernel ---------------------------------------------------------------
-
-    def _batch_kernel(
-        self, block: Mapping[str, np.ndarray]
-    ) -> tuple[dict[str, dict[str, np.ndarray]], np.ndarray, np.ndarray, np.ndarray]:
+    def trace(self, columns: Mapping[str, np.ndarray]) -> InferenceTrace:
         """Run the full Mamdani pipeline over a column block.
 
-        Returns ``(fuzzified, strengths, aggregated, outputs)`` where
-        ``fuzzified`` maps variable -> term -> ``(N,)`` degrees, ``strengths``
-        is the ``(N, n_rules)`` firing matrix, ``aggregated`` the
-        ``(N, resolution)`` aggregated output curves and ``outputs`` the
-        ``(N,)`` crisp estimates.
+        Returns every intermediate quantity (see :class:`InferenceTrace`),
+        for explanations and tests.
         """
         if not self.rules:
             raise FuzzyEvaluationError("the rule base is empty; add rules before evaluating")
-        n, columns = as_columns(block, list(self.inputs), strict=True)
+        n, columns = as_columns(columns, list(self.inputs), strict=True)
         fuzzified = self.fuzzify_batch(columns)
         strengths = firing_strength_matrix(self.rules, fuzzified)
 
@@ -206,7 +172,7 @@ class MamdaniSystem:
             outputs[fired] = defuzzify_batch(
                 universe, aggregated[fired], self.defuzzification
             )
-        return fuzzified, strengths, aggregated, outputs
+        return InferenceTrace(fuzzified, strengths, aggregated, outputs)
 
     def describe(self) -> str:
         """Human-readable summary of the system (variables, terms, rules)."""

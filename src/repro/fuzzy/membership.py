@@ -10,8 +10,11 @@ fuzzy toolbox, which the paper's experiments were implemented with:
 * trapezoidal (``trapmf``), including half-open shoulders
 * Gaussian (``gaussmf``)
 
-All functions are vectorized over numpy arrays and clamp their output to
-``[0, 1]``.
+All functions are vectorized over numpy arrays and return degrees in
+``[0, 1]`` (the piecewise-linear shapes clamp, the Gaussian never leaves the
+interval).  :meth:`~repro.fuzzy.variables.LinguisticVariable.fuzzify_batch`
+calls them on whole input columns and relies on that range; a custom
+subclass must keep it.
 """
 
 from __future__ import annotations
@@ -36,25 +39,11 @@ class MembershipFunction(abc.ABC):
 
     @abc.abstractmethod
     def __call__(self, values: np.ndarray | float) -> np.ndarray | float:
-        """Membership degree of ``values``."""
+        """Membership degrees of ``values``, elementwise, in ``[0, 1]``."""
 
     @abc.abstractmethod
     def support(self) -> tuple[float, float]:
         """An interval outside of which the membership is (essentially) zero."""
-
-    def degree(self, value: float) -> float:
-        """Scalar membership degree of a single crisp value."""
-        return float(np.clip(self(np.asarray(value, dtype=float)), 0.0, 1.0))
-
-    def degrees(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized membership degrees of an ``(N,)`` array of crisp values.
-
-        Applies exactly the same clamp to ``[0, 1]`` as :meth:`degree`, so the
-        batch fusion kernels match the scalar path element for element.
-        """
-        return np.clip(
-            np.asarray(self(np.asarray(values, dtype=float)), dtype=float), 0.0, 1.0
-        )
 
 
 @dataclass(frozen=True)

@@ -39,18 +39,6 @@ class Condition:
     term: str
     negated: bool = False
 
-    def evaluate(self, fuzzified: Mapping[str, Mapping[str, float]]) -> float:
-        """Truth degree of the condition given per-variable fuzzified inputs."""
-        if self.variable not in fuzzified:
-            raise FuzzyEvaluationError(f"no input provided for variable {self.variable!r}")
-        memberships = fuzzified[self.variable]
-        if self.term not in memberships:
-            raise FuzzyEvaluationError(
-                f"variable {self.variable!r} has no term {self.term!r}"
-            )
-        degree = memberships[self.term]
-        return 1.0 - degree if self.negated else degree
-
     def evaluate_batch(
         self, fuzzified: Mapping[str, Mapping[str, np.ndarray]]
     ) -> np.ndarray:
@@ -104,20 +92,13 @@ class FuzzyRule:
         if not 0.0 < self.weight <= 1.0:
             raise FuzzyDefinitionError(f"rule weight must be in (0, 1], got {self.weight}")
 
-    def firing_strength(self, fuzzified: Mapping[str, Mapping[str, float]]) -> float:
-        """Degree to which the rule fires for the fuzzified inputs."""
-        degrees = [condition.evaluate(fuzzified) for condition in self.conditions]
-        combined = min(degrees) if self.operator == "and" else max(degrees)
-        return self.weight * combined
-
     def firing_strength_batch(
         self, fuzzified: Mapping[str, Mapping[str, np.ndarray]]
     ) -> np.ndarray:
         """Per-record firing strengths as an ``(N,)`` array.
 
-        Elementwise ``min`` / ``max`` over the condition degree arrays is
-        numerically identical to the scalar :meth:`firing_strength` applied to
-        each record, so the batch and scalar engines agree exactly.
+        The condition degrees are combined elementwise with ``min`` (AND) or
+        ``max`` (OR), then scaled by the rule weight.
         """
         degrees = [condition.evaluate_batch(fuzzified) for condition in self.conditions]
         reduce = np.minimum if self.operator == "and" else np.maximum

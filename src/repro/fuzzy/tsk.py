@@ -12,11 +12,10 @@ Consequent values can be given explicitly, or derived from an output
 :class:`~repro.fuzzy.variables.LinguisticVariable` by taking each term's
 centroid — this makes it a drop-in replacement for a Mamdani rule base.
 
-Like the Mamdani engine, evaluation is implemented as a batch kernel over a
-column block (see :mod:`repro.fuzzy.batch`): the ``(N, n_rules)`` firing
-matrix is built from whole input columns and the weighted average is one
-matrix-vector product; the one-record :meth:`evaluate` wraps the kernel on a
-one-row block.  Records for which no rule fires
+Like the Mamdani engine, evaluation is one batch kernel over a column block
+(see :mod:`repro.fuzzy.batch`): the ``(N, n_rules)`` firing matrix is built
+from whole input columns and the weighted average is one matrix-vector
+product; one record is a one-row block.  Records for which no rule fires
 fall back to the midpoint of the output universe.
 """
 
@@ -28,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.exceptions import FuzzyDefinitionError, FuzzyEvaluationError
-from repro.fuzzy.batch import as_columns, record_columns
+from repro.fuzzy.batch import as_columns
 from repro.fuzzy.rules import FuzzyRule, firing_strength_matrix
 from repro.fuzzy.variables import LinguisticVariable
 
@@ -99,17 +98,6 @@ class SugenoSystem:
             self.add_rule(rule)
         return self
 
-    def fuzzify(self, inputs: Mapping[str, float | None]) -> dict[str, dict[str, float]]:
-        """Fuzzify crisp inputs, treating missing inputs as uninformative."""
-        fuzzified: dict[str, dict[str, float]] = {}
-        for name, variable in self.inputs.items():
-            value = inputs.get(name)
-            if value is None or (isinstance(value, float) and np.isnan(value)):
-                fuzzified[name] = {term: 1.0 for term in variable.term_names}
-            else:
-                fuzzified[name] = variable.fuzzify(float(value))
-        return fuzzified
-
     def fuzzify_batch(
         self, columns: Mapping[str, np.ndarray]
     ) -> dict[str, dict[str, np.ndarray]]:
@@ -118,10 +106,6 @@ class SugenoSystem:
             name: variable.fuzzify_batch(columns[name])
             for name, variable in self.inputs.items()
         }
-
-    def evaluate(self, inputs: Mapping[str, float | None]) -> float:
-        """Weighted-average crisp output for the given inputs."""
-        return float(self.evaluate_batch(record_columns(inputs, self.inputs))[0])
 
     def evaluate_batch(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         """Crisp outputs for a column block of ``(N,)`` input arrays.

@@ -33,14 +33,6 @@ class FuzzySet:
     name: str
     membership: MembershipFunction
 
-    def degree(self, value: float) -> float:
-        """Membership degree of a crisp value in this set."""
-        return self.membership.degree(value)
-
-    def degrees(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized membership degrees of an ``(N,)`` array of crisp values."""
-        return self.membership.degrees(values)
-
 
 @dataclass
 class LinguisticVariable:
@@ -81,32 +73,23 @@ class LinguisticVariable:
 
     # Evaluation -----------------------------------------------------------------
 
-    def fuzzify(self, value: float) -> dict[str, float]:
-        """Membership degree of ``value`` in every term."""
-        if not self.terms:
-            raise FuzzyDefinitionError(f"variable {self.name!r} has no terms defined")
-        return {name: fuzzy_set.degree(value) for name, fuzzy_set in self.terms.items()}
-
     def fuzzify_batch(self, values: np.ndarray) -> dict[str, np.ndarray]:
         """Membership degrees of an ``(N,)`` value array in every term.
 
         ``NaN`` entries mark missing inputs and fuzzify to full membership
-        (degree 1) in every term — the input contributes no information —
-        matching the scalar engines' ``None`` handling.
+        (degree 1) in every term: the input contributes no information.
         """
         if not self.terms:
             raise FuzzyDefinitionError(f"variable {self.name!r} has no terms defined")
         values = np.asarray(values, dtype=float)
         missing = np.isnan(values)
         # Evaluate the membership functions at a harmless stand-in so NaN does
-        # not propagate, then overwrite the masked rows.
+        # not propagate, then mask the missing rows.
         safe = np.where(missing, self.universe[0], values)
-        fuzzified: dict[str, np.ndarray] = {}
-        for name, fuzzy_set in self.terms.items():
-            degrees = fuzzy_set.degrees(safe)
-            degrees[missing] = 1.0
-            fuzzified[name] = degrees
-        return fuzzified
+        return {
+            name: np.where(missing, 1.0, fuzzy_set.membership(safe))
+            for name, fuzzy_set in self.terms.items()
+        }
 
     def grid(self, resolution: int = 201) -> np.ndarray:
         """A uniform sampling of the universe, used by Mamdani defuzzification."""
@@ -157,10 +140,11 @@ class LinguisticVariable:
 
         The adversary uses this constructor when calibrating input fuzzy sets
         from the released (or harvested) marginal distributions rather than
-        from a known domain range.
+        from a known domain range.  Only finite values calibrate: ``NaN``
+        (missing) and ``±inf`` cells are ignored.
         """
         data = np.asarray(list(values), dtype=float)
-        data = data[~np.isnan(data)]
+        data = data[np.isfinite(data)]
         if data.size < 2:
             raise FuzzyDefinitionError(
                 f"variable {name!r}: need at least 2 finite values to calibrate terms"

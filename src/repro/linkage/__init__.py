@@ -21,12 +21,7 @@ from repro.linkage.blocking import (
     tokenize_corpus,
 )
 from repro.linkage.index import LinkageIndex
-from repro.linkage.kernels import (
-    encode_query,
-    encode_strings,
-    encode_strings_flat,
-    pad_ragged,
-)
+from repro.linkage.kernels import encode_query, encode_strings_flat, pad_ragged
 from repro.linkage.normalize import (
     name_tokens,
     normalize_name,
@@ -45,7 +40,6 @@ __all__ = [
     "name_tokens",
     "token_qgrams",
     "encode_query",
-    "encode_strings",
     "encode_strings_flat",
     "pad_ragged",
 ]

@@ -94,9 +94,9 @@ def _jaccard(
 ) -> np.ndarray:
     """Token-set Jaccard from shared-token counts and both sides' set sizes.
 
-    The integer operands and the division of
-    :func:`~repro.linkage.kernels.token_jaccard_pairs`, so the result is
-    bit-identical to it; the union is never 0 (a query holds a token).
+    The integer operands and the division of ``token_jaccard_pairs`` in
+    ``tests/linkage_reference.py``, so the result is bit-identical to it; the
+    union is never 0 (a query holds a token).
     """
     return shared / (query_counts + row_counts - shared)
 
@@ -442,8 +442,8 @@ class LinkageIndex:
         2. **Token branch.**  One ``bincount`` over the query tokens'
            postings counts every pair's shared tokens (ScanCount), giving
            the exact token-set Jaccard with the integer operands and division
-           of :func:`~repro.linkage.kernels.token_jaccard_pairs`; a pair also
-           survives when that reaches the threshold.
+           of ``token_jaccard_pairs`` in ``tests/linkage_reference.py``; a
+           pair also survives when that reaches the threshold.
         3. **Blocking.**  Survivors must lie in the query's candidate set
            (:meth:`~repro.linkage.blocking.BlockingIndex.candidate_mask`).
         4. **Exact prefix.**  Survivors are tested again with their exact

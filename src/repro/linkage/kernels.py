@@ -28,13 +28,12 @@ each step vectorized across every (query, candidate) pair at once:
   character with the window, availability and first-free-slot selection
   computed as ``(n, width)`` masks; transpositions are counted by gathering
   matched characters in order with a stable boolean argsort.
-* **Token-set Jaccard** — corpus token sets are padded id matrices; one
-  broadcast equality per pair gives every intersection size.
 
-Every similarity wrapper (``*_similarity_*``, Winkler) composes from the
-three pairwise primitives — :func:`levenshtein_distance_pairs`,
-:func:`jaro_similarity_pairs` and :func:`token_jaccard_pairs` — so pinning
-those three pins every composite score.
+Every similarity wrapper (``*_similarity_*``, Winkler) composes from the two
+pairwise primitives — :func:`levenshtein_distance_pairs` and
+:func:`jaro_similarity_pairs` — so pinning those two pins every string score.
+Token-set Jaccard is computed inside the index's pair filter
+(:func:`repro.linkage.index._jaccard`, by ScanCount).
 """
 
 from __future__ import annotations
@@ -45,25 +44,18 @@ import numpy as np
 
 __all__ = [
     "PAD",
-    "QUERY_PAD",
     "active_kernel_backend",
     "encode_query",
-    "encode_strings",
     "encode_strings_flat",
     "pad_ragged",
     "levenshtein_distance_pairs",
     "levenshtein_similarity_pairs",
     "jaro_similarity_pairs",
     "jaro_winkler_similarity_pairs",
-    "token_jaccard_pairs",
 ]
 
 #: Padding code for cells past a string's end; never equals a real character.
 PAD = np.int32(-1)
-
-#: Padding id for query token-id matrices; distinct from :data:`PAD` so a
-#: padded query token never equals a padded corpus token.
-QUERY_PAD = np.int64(-2)
 
 
 def active_kernel_backend() -> str:
@@ -76,19 +68,6 @@ def encode_query(text: str) -> np.ndarray:
     return np.fromiter(map(ord, text), dtype=np.int32, count=len(text))
 
 
-def encode_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Encode strings into a padded ``(n, width)`` code matrix plus lengths."""
-    lengths = np.fromiter(
-        (len(s) for s in strings), dtype=np.int32, count=len(strings)
-    )
-    width = max(int(lengths.max(initial=0)), 1)
-    codes = np.full((len(strings), width), PAD, dtype=np.int32)
-    for row, text in enumerate(strings):
-        if text:
-            codes[row, : len(text)] = encode_query(text)
-    return codes, lengths
-
-
 def encode_strings_flat(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Encode strings into one flat ``int32`` code buffer plus a length vector.
 
@@ -99,7 +78,7 @@ def encode_strings_flat(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]
     case a string itself contains NUL) and the separator positions diffed.
     Together with ``lengths`` (and its cumulative sum) the flat buffer is the
     canonical serialized form of a corpus; :func:`pad_ragged` rebuilds the
-    padded ``(n, width)`` matrix :func:`encode_strings` returns.
+    padded ``(n, width)`` code matrix the kernels score.
     """
     n_strings = len(strings)
     if n_strings == 0:
@@ -237,27 +216,3 @@ def jaro_winkler_similarity_pairs(
     equal = codes[:, :limit] == queries[:, :limit]
     prefix = equal.cumprod(axis=1).sum(axis=1)
     return jaro + prefix * prefix_scale * (1.0 - jaro)
-
-
-def token_jaccard_pairs(
-    query_token_matrix: np.ndarray,
-    query_token_counts: np.ndarray,
-    token_matrix: np.ndarray,
-    token_counts: np.ndarray,
-) -> np.ndarray:
-    """Pairwise Jaccard of query token-id sets against corpus token-id rows.
-
-    ``query_token_matrix`` holds each query's *known* (in-vocabulary) unique
-    token ids padded with :data:`QUERY_PAD`, aligned row-for-row with
-    ``token_matrix`` (each corpus name's unique ids padded with :data:`PAD`);
-    ``query_token_counts`` counts all unique query tokens, known or not
-    (unknown tokens enlarge the union but can never intersect).  The two pad
-    values are distinct, so padding never fakes an intersection.
-    """
-    intersection = (
-        (token_matrix[:, :, None] == query_token_matrix[:, None, :])
-        .any(axis=2)
-        .sum(axis=1)
-    )
-    union = query_token_counts + token_counts.astype(np.int64) - intersection
-    return np.where(union > 0, intersection / np.maximum(union, 1), 1.0)

@@ -10,6 +10,11 @@ engine in :mod:`repro.linkage`: its vectorized kernels, its filtered
 must reproduce them bit for bit (pinned by ``tests/test_property_linkage.py``,
 ``tests/test_linkage_buffers.py`` and the linkage and index-build
 benchmarks).  Nothing in ``src/`` calls them.
+
+Also here: the padded-matrix forms the index replaced, :func:`encode_strings`
+(a corpus as a padded code matrix) and :func:`token_jaccard_pairs` (pairwise
+Jaccard of padded token-id rows), which the flat code buffer and the
+ScanCount Jaccard of the pair filter must reproduce.
 """
 
 from __future__ import annotations
@@ -21,7 +26,12 @@ import numpy as np
 from repro.exceptions import LinkageError
 from repro.linkage.blocking import BlockingIndex
 from repro.linkage.index import LinkageIndex
+from repro.linkage.kernels import PAD, encode_query
 from repro.linkage.normalize import normalize_name
+
+#: Padding id for query token-id matrices; distinct from :data:`PAD` so a
+#: padded query token never equals a padded corpus token.
+QUERY_PAD = np.int64(-2)
 
 
 def levenshtein_distance(left: str, right: str) -> int:
@@ -189,3 +199,40 @@ def best_match(
 def answers(rows: np.ndarray, scores: np.ndarray) -> list[tuple[int, float]]:
     """An index's ``(rows, scores)`` arrays as a list of ``(row, score)``."""
     return list(zip(rows.tolist(), scores.tolist()))
+
+
+def encode_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Encode strings into a padded ``(n, width)`` code matrix plus lengths."""
+    lengths = np.fromiter(
+        (len(s) for s in strings), dtype=np.int32, count=len(strings)
+    )
+    width = max(int(lengths.max(initial=0)), 1)
+    codes = np.full((len(strings), width), PAD, dtype=np.int32)
+    for row, text in enumerate(strings):
+        if text:
+            codes[row, : len(text)] = encode_query(text)
+    return codes, lengths
+
+
+def token_jaccard_pairs(
+    query_token_matrix: np.ndarray,
+    query_token_counts: np.ndarray,
+    token_matrix: np.ndarray,
+    token_counts: np.ndarray,
+) -> np.ndarray:
+    """Pairwise Jaccard of query token-id sets against corpus token-id rows.
+
+    ``query_token_matrix`` holds each query's *known* (in-vocabulary) unique
+    token ids padded with :data:`QUERY_PAD`, aligned row-for-row with
+    ``token_matrix`` (each corpus name's unique ids padded with :data:`PAD`);
+    ``query_token_counts`` counts all unique query tokens, known or not
+    (unknown tokens enlarge the union but can never intersect).  The two pad
+    values are distinct, so padding never fakes an intersection.
+    """
+    intersection = (
+        (token_matrix[:, :, None] == query_token_matrix[:, None, :])
+        .any(axis=2)
+        .sum(axis=1)
+    )
+    union = query_token_counts + token_counts.astype(np.int64) - intersection
+    return np.where(union > 0, intersection / np.maximum(union, 1), 1.0)

@@ -1,18 +1,18 @@
-"""Batch-vs-scalar equivalence for the vectorized fusion engines.
+"""Batch-vs-reference equivalence for the vectorized fusion engines.
 
-The vectorized kernels (``evaluate_batch`` over a column block of ``(N,)``
-input arrays, the ``(N, n_rules)`` firing matrix, blockwise
+The column kernels (``evaluate_batch``/``trace`` over a column block of
+``(N,)`` input arrays, the ``(N, n_rules)`` firing matrix, blockwise
 aggregation/defuzzification) must be numerically indistinguishable from the
 seed's per-record loop.  Two layers of protection:
 
 * **property tests** (hypothesis) over random linguistic variables, rule
   bases and records — including ``None`` cells, NaN cells and absent keys —
-  asserting the batch output over the records' column block == one-record
-  ``evaluate()`` within 1e-9;
-* **reference implementations** of the seed's scalar Mamdani/Sugeno loops,
-  written here from the public primitives (``fuzzify``, ``firing_strength``,
-  ``defuzzify``), so the batch kernel is pinned against the original
-  semantics rather than against itself.
+  asserting the batch output over the records' column block == each record
+  evaluated alone as a one-row block, within 1e-9;
+* **reference implementations** of the seed's per-record Mamdani/Sugeno
+  loops in ``tests/fuzzy_reference.py`` (per-record fuzzification, firing
+  strength and defuzzification), so the batch kernel is pinned against the
+  original semantics rather than against itself.
 
 The all-zero-firing fallback (no rule fired -> midpoint of the output
 universe, per record) gets its own explicit tests at the bottom.
@@ -26,51 +26,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import FuzzyEvaluationError
-from repro.fuzzy.defuzzify import defuzzify
 from repro.fuzzy.inference import MamdaniSystem
 from repro.fuzzy.membership import GaussianMF
 from repro.fuzzy.rules import Condition, FuzzyRule, firing_strength_matrix
 from repro.fuzzy.tsk import SugenoSystem
 from repro.fuzzy.variables import LinguisticVariable
 
+from fuzzy_reference import (
+    evaluate_record,
+    firing_strength,
+    fuzzify_record,
+    record_block,
+    reference_mamdani,
+    reference_sugeno,
+)
+
 TOLERANCE = 1e-9
 
 INPUT_NAMES = ("a", "b", "c")
-
-
-# Reference scalar engines (the seed's per-record loops) ---------------------------
-
-
-def reference_mamdani(system: MamdaniSystem, record: dict) -> float:
-    """The seed's scalar Mamdani loop, re-implemented from public primitives."""
-    fuzzified = system.fuzzify(record)
-    universe = system.output.grid(system.resolution)
-    aggregated = np.zeros_like(universe)
-    for rule in system.rules:
-        strength = rule.firing_strength(fuzzified)
-        if strength <= 0.0:
-            continue
-        term_curve = np.asarray(
-            system.output.term(rule.consequent_term).membership(universe), dtype=float
-        )
-        aggregated = np.maximum(aggregated, np.minimum(term_curve, strength))
-    if float(aggregated.max(initial=0.0)) <= 0.0:
-        return float((system.output.universe[0] + system.output.universe[1]) / 2.0)
-    return defuzzify(universe, aggregated, system.defuzzification)
-
-
-def reference_sugeno(system: SugenoSystem, record: dict) -> float:
-    """The seed's scalar Sugeno loop, re-implemented from public primitives."""
-    fuzzified = system.fuzzify(record)
-    numerator = 0.0
-    denominator = 0.0
-    for rule in system.rules:
-        strength = rule.firing_strength(fuzzified)
-        numerator += strength * system.consequents[rule.consequent_term]
-        denominator += strength
-    if denominator <= 0.0:
-        return float((system.output.universe[0] + system.output.universe[1]) / 2.0)
-    return numerator / denominator
 
 
 # Strategies -----------------------------------------------------------------------
@@ -150,21 +123,6 @@ def fusion_setup(draw):
     return inputs, output, rules, records
 
 
-def _as_column_block(records, names):
-    return {
-        name: np.array(
-            [
-                np.nan
-                if record.get(name) is None
-                else float(record[name])  # NaN cells pass through float()
-                for record in records
-            ],
-            dtype=float,
-        )
-        for name in names
-    }
-
-
 # Property tests -------------------------------------------------------------------
 
 
@@ -176,11 +134,11 @@ class TestMamdaniEquivalence:
         system = MamdaniSystem(
             inputs=inputs, output=output, rules=rules, defuzzification=strategy
         )
-        batch = system.evaluate_batch(_as_column_block(records, INPUT_NAMES))
+        batch = system.evaluate_batch(record_block(records, INPUT_NAMES))
         assert batch.shape == (len(records),)
         for i, record in enumerate(records):
-            scalar = system.evaluate(record)
-            assert batch[i] == pytest.approx(scalar, abs=TOLERANCE)
+            one_row = evaluate_record(system, record)
+            assert batch[i] == pytest.approx(one_row, abs=TOLERANCE)
             assert batch[i] == pytest.approx(
                 reference_mamdani(system, record), abs=TOLERANCE
             )
@@ -191,14 +149,25 @@ class TestMamdaniEquivalence:
         inputs, output, rules, records = setup
         system = MamdaniSystem(inputs=inputs, output=output, rules=rules)
         record = records[0]
-        trace = system.trace(record)
-        assert trace.fuzzified == system.fuzzify(record)
-        fuzzified = system.fuzzify(record)
-        for strength, rule in zip(trace.firing_strengths, system.rules):
+        trace = system.trace(record_block([record], INPUT_NAMES))
+        fuzzified = fuzzify_record(inputs, record)
+        # A one-row block fuzzifies bit for bit like the per-record path (a
+        # longer block may round a Gaussian degree differently by an ulp).
+        assert {
+            name: {term: float(degrees[0]) for term, degrees in terms.items()}
+            for name, terms in trace.fuzzified.items()
+        } == fuzzified
+        for strength, rule in zip(trace.firing_strengths[0], system.rules):
             assert strength == pytest.approx(
-                rule.firing_strength(fuzzified), abs=TOLERANCE
+                firing_strength(rule, fuzzified), abs=TOLERANCE
             )
-        assert trace.output == pytest.approx(system.evaluate(record), abs=TOLERANCE)
+        assert trace.output[0] == pytest.approx(evaluate_record(system, record), abs=TOLERANCE)
+
+        block = record_block(records, INPUT_NAMES)
+        trace = system.trace(block)
+        assert trace.firing_strengths.shape == (len(records), len(rules))
+        assert trace.aggregated.shape == (len(records), system.resolution)
+        np.testing.assert_array_equal(trace.output, system.evaluate_batch(block))
 
 
 class TestSugenoEquivalence:
@@ -207,11 +176,11 @@ class TestSugenoEquivalence:
     def test_batch_matches_scalar_and_reference(self, setup):
         inputs, output, rules, records = setup
         system = SugenoSystem(inputs=inputs, output=output, rules=rules)
-        batch = system.evaluate_batch(_as_column_block(records, INPUT_NAMES))
+        batch = system.evaluate_batch(record_block(records, INPUT_NAMES))
         assert batch.shape == (len(records),)
         for i, record in enumerate(records):
-            scalar = system.evaluate(record)
-            assert batch[i] == pytest.approx(scalar, abs=TOLERANCE)
+            one_row = evaluate_record(system, record)
+            assert batch[i] == pytest.approx(one_row, abs=TOLERANCE)
             assert batch[i] == pytest.approx(
                 reference_sugeno(system, record), abs=TOLERANCE
             )
@@ -222,17 +191,16 @@ class TestFiringMatrix:
     @settings(max_examples=25, deadline=None)
     def test_matrix_matches_per_record_firing_strengths(self, setup):
         inputs, output, rules, records = setup
-        system = MamdaniSystem(inputs=inputs, output=output, rules=rules)
-        columns = _as_column_block(records, INPUT_NAMES)
+        columns = record_block(records, INPUT_NAMES)
         matrix = firing_strength_matrix(
             rules, {name: inputs[name].fuzzify_batch(columns[name]) for name in inputs}
         )
         assert matrix.shape == (len(records), len(rules))
         for i, record in enumerate(records):
-            fuzzified = system.fuzzify(record)
+            fuzzified = fuzzify_record(inputs, record)
             for j, rule in enumerate(rules):
                 assert matrix[i, j] == pytest.approx(
-                    rule.firing_strength(fuzzified), abs=TOLERANCE
+                    firing_strength(rule, fuzzified), abs=TOLERANCE
                 )
 
 
@@ -269,7 +237,7 @@ class TestNoRuleFiredFallback:
     def test_mixed_batch_applies_fallback_per_record(self, engine):
         system = _dead_zone_system(engine)
         records = [{"a": 1.0}, {"a": 9.0}, {"a": 2.0}, {"a": 10.0}]
-        outputs = system.evaluate_batch(_as_column_block(records, ("a",)))
+        outputs = system.evaluate_batch(record_block(records, ("a",)))
         # Fired records defuzzify the t0 consequent (low end of the output
         # universe); dead-zone records get exactly the midpoint.
         assert outputs[1] == self.MIDPOINT
@@ -277,20 +245,22 @@ class TestNoRuleFiredFallback:
         assert outputs[0] < self.MIDPOINT
         assert outputs[2] < self.MIDPOINT
         for record, expected in zip(records, outputs):
-            assert system.evaluate(record) == pytest.approx(expected, abs=TOLERANCE)
+            assert evaluate_record(system, record) == pytest.approx(expected, abs=TOLERANCE)
 
     def test_scalar_fallback_matches_batch_fallback(self):
         mamdani = _dead_zone_system("mamdani")
         sugeno = _dead_zone_system("sugeno")
-        assert mamdani.evaluate({"a": 9.5}) == self.MIDPOINT
-        assert sugeno.evaluate({"a": 9.5}) == self.MIDPOINT
+        assert evaluate_record(mamdani, {"a": 9.5}) == self.MIDPOINT
+        assert evaluate_record(sugeno, {"a": 9.5}) == self.MIDPOINT
+        assert reference_mamdani(mamdani, {"a": 9.5}) == self.MIDPOINT
+        assert reference_sugeno(sugeno, {"a": 9.5}) == self.MIDPOINT
 
     def test_trace_of_unfired_record_reports_zero_strengths_and_midpoint(self):
         system = _dead_zone_system("mamdani")
-        trace = system.trace({"a": 9.5})
-        assert trace.firing_strengths == [0.0]
+        trace = system.trace({"a": np.array([9.5])})
+        np.testing.assert_array_equal(trace.firing_strengths, [[0.0]])
         assert float(np.max(trace.aggregated)) == 0.0
-        assert trace.output == self.MIDPOINT
+        np.testing.assert_array_equal(trace.output, [self.MIDPOINT])
 
     def test_unknown_only_column_mapping_keeps_batch_length(self):
         # A column mapping with no recognized variable must still yield one
@@ -303,8 +273,8 @@ class TestNoRuleFiredFallback:
         all_missing = system.evaluate_batch({"a": np.full(3, np.nan)})
         assert from_columns.shape == (3,)
         np.testing.assert_allclose(from_columns, all_missing, rtol=0.0, atol=TOLERANCE)
-        scalar = system.evaluate({"z": 1.0})
-        assert from_columns[0] == pytest.approx(scalar, abs=TOLERANCE)
+        one_row = evaluate_record(system, {"z": 1.0})
+        assert from_columns[0] == pytest.approx(one_row, abs=TOLERANCE)
 
     def test_empty_rule_base_still_raises(self):
         inputs = {
@@ -320,3 +290,12 @@ class TestNoRuleFiredFallback:
         system = _dead_zone_system(engine)
         with pytest.raises(FuzzyEvaluationError, match="column block"):
             system.evaluate_batch([{"a": 1.0}, {"a": 9.0}])
+
+    @pytest.mark.parametrize("engine", ["mamdani", "sugeno"])
+    def test_text_cell_is_rejected_with_the_column_named(self, engine):
+        # A text cell used to escape as a bare ValueError from float().
+        system = _dead_zone_system(engine)
+        with pytest.raises(FuzzyEvaluationError, match="column 'a' must hold numbers"):
+            system.evaluate_batch({"a": [1.0, "high"]})
+        with pytest.raises(FuzzyEvaluationError, match="column 'a' must hold numbers"):
+            system.evaluate_batch({"a": [None, "high"]})

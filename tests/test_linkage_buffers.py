@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.linkage import (
     BlockingIndex,
     LinkageIndex,
-    encode_strings,
     encode_strings_flat,
     normalize_name,
     normalize_names,
@@ -28,7 +27,7 @@ from repro.linkage import (
     tokenize_corpus,
 )
 
-from linkage_reference import answers, best_match, scalar_postings
+from linkage_reference import answers, best_match, encode_strings, scalar_postings
 
 # Unicode-heavy name material: accents and combining marks (Mn), punctuation,
 # separators — everything the normalization contract has to fold.

@@ -16,10 +16,15 @@ import pytest
 
 from repro.linkage import BlockingIndex, LinkageIndex
 from repro.linkage.index import _jaccard, _overlap_floor
-from repro.linkage.kernels import QUERY_PAD, token_jaccard_pairs
 from repro.linkage.normalize import normalize_name
 
-from linkage_reference import answers, best_match, candidates
+from linkage_reference import (
+    QUERY_PAD,
+    answers,
+    best_match,
+    candidates,
+    token_jaccard_pairs,
+)
 
 NAMES = [
     "maria lopez", "mario lopes", "xu wei", "wei xu", "nils moller",

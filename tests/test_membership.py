@@ -1,4 +1,4 @@
-"""Unit tests for fuzzy membership functions."""
+"""Unit tests for fuzzy membership functions (called on scalars and arrays)."""
 
 from __future__ import annotations
 
@@ -12,21 +12,21 @@ from repro.fuzzy.membership import GaussianMF, TrapezoidalMF, TriangularMF
 class TestTriangular:
     def test_peak_and_feet(self):
         mf = TriangularMF(0, 5, 10)
-        assert mf.degree(5) == pytest.approx(1.0)
-        assert mf.degree(0) == pytest.approx(0.0)
-        assert mf.degree(10) == pytest.approx(0.0)
-        assert mf.degree(2.5) == pytest.approx(0.5)
-        assert mf.degree(7.5) == pytest.approx(0.5)
+        assert mf(5) == pytest.approx(1.0)
+        assert mf(0) == pytest.approx(0.0)
+        assert mf(10) == pytest.approx(0.0)
+        assert mf(2.5) == pytest.approx(0.5)
+        assert mf(7.5) == pytest.approx(0.5)
 
     def test_outside_support_is_zero(self):
         mf = TriangularMF(0, 5, 10)
-        assert mf.degree(-1) == 0.0
-        assert mf.degree(11) == 0.0
+        assert mf(-1) == 0.0
+        assert mf(11) == 0.0
 
     def test_degenerate_left_edge(self):
         mf = TriangularMF(0, 0, 10)
-        assert mf.degree(0) == pytest.approx(1.0)
-        assert mf.degree(5) == pytest.approx(0.5)
+        assert mf(0) == pytest.approx(1.0)
+        assert mf(5) == pytest.approx(0.5)
 
     def test_vectorized(self):
         mf = TriangularMF(0, 1, 2)
@@ -46,21 +46,21 @@ class TestTriangular:
 class TestTrapezoidal:
     def test_plateau(self):
         mf = TrapezoidalMF(0, 2, 4, 6)
-        assert mf.degree(2) == pytest.approx(1.0)
-        assert mf.degree(3) == pytest.approx(1.0)
-        assert mf.degree(4) == pytest.approx(1.0)
-        assert mf.degree(1) == pytest.approx(0.5)
-        assert mf.degree(5) == pytest.approx(0.5)
+        assert mf(2) == pytest.approx(1.0)
+        assert mf(3) == pytest.approx(1.0)
+        assert mf(4) == pytest.approx(1.0)
+        assert mf(1) == pytest.approx(0.5)
+        assert mf(5) == pytest.approx(0.5)
 
     def test_left_shoulder(self):
         mf = TrapezoidalMF(0, 0, 3, 6)
-        assert mf.degree(0) == pytest.approx(1.0)
-        assert mf.degree(4.5) == pytest.approx(0.5)
+        assert mf(0) == pytest.approx(1.0)
+        assert mf(4.5) == pytest.approx(0.5)
 
     def test_right_shoulder(self):
         mf = TrapezoidalMF(0, 3, 6, 6)
-        assert mf.degree(6) == pytest.approx(1.0)
-        assert mf.degree(1.5) == pytest.approx(0.5)
+        assert mf(6) == pytest.approx(1.0)
+        assert mf(1.5) == pytest.approx(0.5)
 
     def test_validation(self):
         with pytest.raises(FuzzyDefinitionError):
@@ -77,12 +77,12 @@ class TestTrapezoidal:
 class TestGaussian:
     def test_peak_at_mean(self):
         mf = GaussianMF(mean=5, sigma=1)
-        assert mf.degree(5) == pytest.approx(1.0)
-        assert mf.degree(6) == pytest.approx(np.exp(-0.5))
+        assert mf(5) == pytest.approx(1.0)
+        assert mf(6) == pytest.approx(np.exp(-0.5))
 
     def test_symmetric(self):
         mf = GaussianMF(mean=0, sigma=2)
-        assert mf.degree(-3) == pytest.approx(mf.degree(3))
+        assert mf(-3) == pytest.approx(mf(3))
 
     def test_support_spans_four_sigma(self):
         assert GaussianMF(0, 1).support() == (-4, 4)

@@ -17,7 +17,6 @@ from repro.linkage import (
     BlockingIndex,
     LinkageIndex,
     encode_query,
-    encode_strings,
     normalize_name,
 )
 from repro.linkage.kernels import (
@@ -31,6 +30,7 @@ import linkage_reference
 from linkage_reference import (
     answers,
     best_match,
+    encode_strings,
     jaro_similarity,
     jaro_winkler_similarity,
     levenshtein_distance,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import FuzzyDefinitionError, FuzzyEvaluationError
@@ -11,25 +12,31 @@ from repro.fuzzy.variables import LinguisticVariable
 
 @pytest.fixture()
 def fuzzified():
-    return {
+    """One record's fuzzified inputs, as one-row degree columns."""
+    degrees = {
         "valuation": {"low": 0.1, "medium": 0.3, "high": 0.9},
         "property": {"low": 0.7, "medium": 0.2, "high": 0.05},
+    }
+    return {
+        name: {term: np.array([value]) for term, value in terms.items()}
+        for name, terms in degrees.items()
     }
 
 
 class TestCondition:
     def test_evaluate(self, fuzzified):
-        assert Condition("valuation", "high").evaluate(fuzzified) == 0.9
-        assert Condition("property", "low").evaluate(fuzzified) == 0.7
+        assert Condition("valuation", "high").evaluate_batch(fuzzified) == [0.9]
+        assert Condition("property", "low").evaluate_batch(fuzzified) == [0.7]
 
     def test_negation(self, fuzzified):
-        assert Condition("valuation", "high", negated=True).evaluate(fuzzified) == pytest.approx(0.1)
+        negated = Condition("valuation", "high", negated=True)
+        assert negated.evaluate_batch(fuzzified) == pytest.approx([0.1])
 
     def test_unknown_variable_or_term(self, fuzzified):
         with pytest.raises(FuzzyEvaluationError):
-            Condition("missing", "high").evaluate(fuzzified)
+            Condition("missing", "high").evaluate_batch(fuzzified)
         with pytest.raises(FuzzyEvaluationError):
-            Condition("valuation", "missing").evaluate(fuzzified)
+            Condition("valuation", "missing").evaluate_batch(fuzzified)
 
     def test_str(self):
         assert str(Condition("x", "low")) == "x IS low"
@@ -43,7 +50,7 @@ class TestFuzzyRule:
             consequent_term="medium",
             operator="and",
         )
-        assert rule.firing_strength(fuzzified) == pytest.approx(0.7)
+        assert rule.firing_strength_batch(fuzzified) == pytest.approx([0.7])
 
     def test_or_uses_max(self, fuzzified):
         rule = FuzzyRule(
@@ -51,7 +58,7 @@ class TestFuzzyRule:
             consequent_term="high",
             operator="or",
         )
-        assert rule.firing_strength(fuzzified) == pytest.approx(0.9)
+        assert rule.firing_strength_batch(fuzzified) == pytest.approx([0.9])
 
     def test_weight_scales_strength(self, fuzzified):
         rule = FuzzyRule(
@@ -59,7 +66,7 @@ class TestFuzzyRule:
             consequent_term="high",
             weight=0.5,
         )
-        assert rule.firing_strength(fuzzified) == pytest.approx(0.45)
+        assert rule.firing_strength_batch(fuzzified) == pytest.approx([0.45])
 
     def test_validation(self):
         with pytest.raises(FuzzyDefinitionError):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.anonymize.kanonymity import is_k_anonymous
@@ -164,6 +165,26 @@ class TestAttack:
         assert _identifier_fingerprint(["a", "b"]) == _identifier_fingerprint(
             ("a", "b")
         )
+
+    def test_infinite_auxiliary_cell_leaves_other_estimates_unchanged(
+        self, service, faculty_population, faculty_auxiliary_table
+    ):
+        # One inf cell in a registered auxiliary table used to fail every
+        # attack: calibrating that input's terms gave a NaN triangle foot.
+        fingerprint = service.register(faculty_population.private)["fingerprint"]
+        cells = faculty_auxiliary_table.column("property_holdings")
+        estimates = {}
+        for label, cell in (("inf", float("inf")), ("blank", None)):
+            table = faculty_auxiliary_table.replace_column(
+                "property_holdings", [cell] + cells[1:]
+            )
+            auxiliary = service.register(table)["fingerprint"]
+            estimates[label] = np.array(service.attack(fingerprint, auxiliary, k=3)["estimates"])
+        assert np.isfinite(estimates["inf"]).all()
+        # The inf row is the first web profile; whichever release row it
+        # matched, every other row's estimate is bit-identical to the blank cell's.
+        differing = np.flatnonzero(estimates["inf"] != estimates["blank"])
+        assert differing.size <= 1
 
     def test_attack_rejects_empty_range(
         self, service, faculty_population, faculty_auxiliary_table

@@ -10,6 +10,8 @@ from repro.fuzzy.rules import parse_rules
 from repro.fuzzy.tsk import SugenoSystem, term_centroids
 from repro.fuzzy.variables import LinguisticVariable
 
+from fuzzy_reference import evaluate_record
+
 
 @pytest.fixture()
 def variables():
@@ -45,15 +47,15 @@ class TestTermCentroids:
 
 class TestSugenoSystem:
     def test_monotone_output(self, system):
-        estimates = [system.evaluate({"valuation": v}) for v in (1, 3, 5, 7, 9, 10)]
+        estimates = [evaluate_record(system, {"valuation": v}) for v in (1, 3, 5, 7, 9, 10)]
         assert all(b >= a - 1e-9 for a, b in zip(estimates, estimates[1:]))
 
     def test_extremes(self, system):
-        assert system.evaluate({"valuation": 1}) < 35
-        assert system.evaluate({"valuation": 10}) > 65
+        assert evaluate_record(system, {"valuation": 1}) < 35
+        assert evaluate_record(system, {"valuation": 10}) > 65
 
     def test_missing_input_gives_central_estimate(self, system):
-        estimate = system.evaluate({"valuation": None})
+        estimate = evaluate_record(system, {"valuation": None})
         assert 30 < estimate < 70
 
     def test_explicit_consequents(self, variables):
@@ -67,7 +69,7 @@ class TestSugenoSystem:
             rules=rules,
             consequents={"low": 10.0, "high": 90.0},
         )
-        assert system.evaluate({"valuation": 1}) == pytest.approx(10.0, abs=5.0)
+        assert evaluate_record(system, {"valuation": 1}) == pytest.approx(10.0, abs=5.0)
 
     def test_unregistered_consequent_rejected(self, variables):
         valuation, income = variables
@@ -84,7 +86,7 @@ class TestSugenoSystem:
         valuation, income = variables
         system = SugenoSystem(inputs={"valuation": valuation}, output=income, rules=[])
         with pytest.raises(FuzzyEvaluationError):
-            system.evaluate({"valuation": 5})
+            system.evaluate_batch({"valuation": [5.0]})
 
     def test_evaluate_batch(self, system):
         estimates = system.evaluate_batch({"valuation": np.array([1.0, 10.0])})

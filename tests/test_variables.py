@@ -13,7 +13,7 @@ from repro.fuzzy.variables import FuzzySet, LinguisticVariable
 class TestFuzzySet:
     def test_degree_delegates_to_membership(self):
         fuzzy_set = FuzzySet("mid", TriangularMF(0, 5, 10))
-        assert fuzzy_set.degree(5) == pytest.approx(1.0)
+        assert fuzzy_set.membership(5) == pytest.approx(1.0)
 
 
 class TestLinguisticVariable:
@@ -33,14 +33,14 @@ class TestLinguisticVariable:
 
     def test_fuzzify_returns_all_terms(self):
         variable = LinguisticVariable.with_uniform_terms("x", (0, 10), ("low", "medium", "high"))
-        memberships = variable.fuzzify(5.0)
+        memberships = variable.fuzzify_batch(np.array([5.0]))
         assert set(memberships) == {"low", "medium", "high"}
-        assert memberships["medium"] == pytest.approx(1.0)
-        assert all(0.0 <= degree <= 1.0 for degree in memberships.values())
+        assert memberships["medium"][0] == pytest.approx(1.0)
+        assert all(0.0 <= degrees[0] <= 1.0 for degrees in memberships.values())
 
     def test_fuzzify_requires_terms(self):
         with pytest.raises(FuzzyDefinitionError):
-            LinguisticVariable("x", (0, 1)).fuzzify(0.5)
+            LinguisticVariable("x", (0, 1)).fuzzify_batch(np.array([0.5]))
 
     def test_grid(self):
         variable = LinguisticVariable("x", (0, 10))
@@ -53,13 +53,13 @@ class TestLinguisticVariable:
 class TestUniformTerms:
     def test_extremes_are_shoulders(self):
         variable = LinguisticVariable.with_uniform_terms("x", (0, 10), ("low", "medium", "high"))
-        assert variable.term("low").degree(0) == pytest.approx(1.0)
-        assert variable.term("high").degree(10) == pytest.approx(1.0)
+        assert variable.term("low").membership(0) == pytest.approx(1.0)
+        assert variable.term("high").membership(10) == pytest.approx(1.0)
 
     def test_every_point_has_some_membership(self):
         variable = LinguisticVariable.with_uniform_terms("x", (0, 10), ("a", "b", "c", "d"))
-        for value in np.linspace(0, 10, 50):
-            assert max(variable.fuzzify(float(value)).values()) > 0.0
+        memberships = variable.fuzzify_batch(np.linspace(0, 10, 50))
+        assert (np.max(list(memberships.values()), axis=0) > 0.0).all()
 
     def test_requires_two_terms(self):
         with pytest.raises(FuzzyDefinitionError):
@@ -77,8 +77,8 @@ class TestFromValues:
     def test_median_value_is_mostly_medium(self, rng):
         data = rng.normal(0, 1, size=500)
         variable = LinguisticVariable.from_values("x", data, ("low", "medium", "high"))
-        memberships = variable.fuzzify(float(np.median(data)))
-        assert memberships["medium"] == max(memberships.values())
+        memberships = variable.fuzzify_batch(np.array([np.median(data)]))
+        assert memberships["medium"][0] == max(degrees[0] for degrees in memberships.values())
 
     def test_handles_constant_data(self):
         variable = LinguisticVariable.from_values("x", [5.0, 5.0, 5.0], ("low", "high"))
@@ -93,6 +93,21 @@ class TestFromValues:
     def test_needs_two_finite_values(self):
         with pytest.raises(FuzzyDefinitionError):
             LinguisticVariable.from_values("x", [float("nan")], ("low", "high"))
+        with pytest.raises(FuzzyDefinitionError):
+            LinguisticVariable.from_values("x", [1.0, float("inf")], ("low", "high"))
+
+    def test_infinite_values_ignored(self):
+        # An inf cell (a stray overflow in a registered table) used to turn
+        # the universe and the top term's foot into NaN.
+        finite = [1.0, 2.0, 4.0, 8.0]
+        terms = ("low", "medium", "high")
+        with_inf = LinguisticVariable.from_values(
+            "x", finite + [float("inf"), -float("inf")], terms
+        )
+        expected = LinguisticVariable.from_values("x", finite + [float("nan")], terms)
+        assert with_inf == expected
+        degrees = with_inf.fuzzify_batch(np.array([3.0, float("inf"), -float("inf")]))
+        assert all(np.isfinite(column).all() for column in degrees.values())
 
 
 class TestFromRanges:
@@ -106,10 +121,10 @@ class TestFromRanges:
             },
         )
         assert variable.universe == (40_000, 100_000)
-        assert variable.term("low").degree(50_000) == pytest.approx(1.0)
-        assert variable.term("high").degree(95_000) == pytest.approx(1.0)
+        assert variable.term("low").membership(50_000) == pytest.approx(1.0)
+        assert variable.term("high").membership(95_000) == pytest.approx(1.0)
         # overlap: the boundary value belongs partially to both neighbours
-        assert variable.term("medium").degree(61_000) > 0.0
+        assert variable.term("medium").membership(61_000) > 0.0
 
     def test_empty_and_invalid_ranges(self):
         with pytest.raises(FuzzyDefinitionError):
