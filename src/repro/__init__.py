@@ -48,11 +48,9 @@ from repro.anonymize import (
     MondrianAnonymizer,
     anonymity_level,
     is_k_anonymous,
-    naive_release,
 )
 from repro.core import FREDAnonymizer, FREDConfig, FREDResult, WeightedObjective
 from repro.data import (
-    corpus_for_census,
     corpus_for_customers,
     corpus_for_faculty,
     enterprise_customers_example,
@@ -101,7 +99,6 @@ __all__ = [
     "GreedyClusterAnonymizer",
     "anonymity_level",
     "is_k_anonymous",
-    "naive_release",
     # fuzzy
     "LinguisticVariable",
     "FuzzyRule",
@@ -134,7 +131,6 @@ __all__ = [
     "enterprise_customers_example",
     "corpus_for_faculty",
     "corpus_for_customers",
-    "corpus_for_census",
     # service
     "AnonymizationService",
     "TwoTierCache",

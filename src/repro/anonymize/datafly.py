@@ -2,11 +2,12 @@
 
 Datafly (Sweeney) is the classic generalization/suppression scheme behind the
 original k-anonymity papers ([2] in the paper's bibliography).  The algorithm
-keeps a per-attribute generalization level (over the hierarchies of
-:mod:`repro.dataset.hierarchy`) and repeatedly generalizes the quasi-identifier
-with the largest number of distinct values until the number of records whose
-generalized signature occurs fewer than ``k`` times is small enough to be
-suppressed (at most ``max_suppression_fraction`` of the table).
+keeps a per-attribute generalization level (over the numeric hierarchies of
+:mod:`repro.dataset.hierarchy`, one per numeric quasi-identifier) and
+repeatedly generalizes the quasi-identifier with the largest number of
+distinct values until the number of records whose generalized signature
+occurs fewer than ``k`` times is small enough to be suppressed (at most
+``max_suppression_fraction`` of the table, by :func:`suppress_cells`).
 
 Unlike MDAV and Mondrian, Datafly's equivalence classes are induced by the
 generalized *values* rather than by an explicit grouping, so the partition's
@@ -18,28 +19,28 @@ via ``AnonymizationResult.suppressed``.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.anonymize.base import AnonymizationResult, BaseAnonymizer, validate_k
 from repro.anonymize.kanonymity import release_class_labels, release_signature_codes
-from repro.anonymize.suppression import suppress_cells
-from repro.dataset.hierarchy import GeneralizationHierarchy, NumericHierarchy
+from repro.dataset.generalization import SUPPRESSED
+from repro.dataset.hierarchy import NumericHierarchy
 from repro.dataset.table import Table
 from repro.exceptions import AnonymizationError, InfeasibleAnonymizationError
 
-__all__ = ["DataflyAnonymizer", "default_hierarchies"]
+__all__ = ["DataflyAnonymizer", "default_hierarchies", "suppress_cells"]
 
 
-def default_hierarchies(table: Table, levels: int = 6) -> dict[str, GeneralizationHierarchy]:
+def default_hierarchies(table: Table, levels: int = 6) -> dict[str, NumericHierarchy]:
     """Build default numeric hierarchies for every numeric quasi-identifier.
 
     The level-1 bin width is 1/16 of the column range, doubling per level, so
     the hierarchy offers a reasonable spread of granularities for Datafly to
     walk through.
     """
-    hierarchies: dict[str, GeneralizationHierarchy] = {}
+    hierarchies: dict[str, NumericHierarchy] = {}
     for name in table.schema.numeric_quasi_identifiers:
         values = table.numeric_column(name)
         low, high = float(values.min()), float(values.max())
@@ -52,20 +53,34 @@ def default_hierarchies(table: Table, levels: int = 6) -> dict[str, Generalizati
     return hierarchies
 
 
+def suppress_cells(table: Table, rows: Sequence[int], columns: Sequence[str]) -> Table:
+    """Suppress (replace with ``*``) the given cells of ``table``."""
+    result = table
+    row_list = sorted(set(rows))
+    for i in row_list:
+        if not 0 <= i < table.num_rows:
+            raise AnonymizationError(f"row index {i} out of range")
+    for name in columns:
+        column = np.empty(table.num_rows, dtype=object)
+        column[:] = result.column(name)
+        column[row_list] = SUPPRESSED
+        result = result.replace_column(name, column)
+    return result
+
+
 class DataflyAnonymizer(BaseAnonymizer):
-    """Greedy full-domain generalization with record suppression."""
+    """Greedy full-domain generalization with record suppression.
+
+    Every numeric quasi-identifier is generalized along its
+    :func:`default_hierarchies` hierarchy.
+    """
 
     name = "datafly"
 
-    def __init__(
-        self,
-        hierarchies: Mapping[str, GeneralizationHierarchy] | None = None,
-        max_suppression_fraction: float = 0.05,
-    ) -> None:
+    def __init__(self, max_suppression_fraction: float = 0.05) -> None:
         super().__init__(release_style="interval")
         if not 0.0 <= max_suppression_fraction <= 1.0:
             raise AnonymizationError("max_suppression_fraction must lie in [0, 1]")
-        self.hierarchies = dict(hierarchies) if hierarchies else None
         self.max_suppression_fraction = max_suppression_fraction
 
     # The partition interface is satisfied by deriving labels from the final
@@ -75,7 +90,7 @@ class DataflyAnonymizer(BaseAnonymizer):
 
     def anonymize(self, table: Table, k: int) -> AnonymizationResult:
         validate_k(table, k)
-        hierarchies = self.hierarchies or default_hierarchies(table)
+        hierarchies = default_hierarchies(table)
         qi_names = [n for n in table.schema.quasi_identifiers if n in hierarchies]
         if not qi_names:
             raise AnonymizationError("Datafly requires a hierarchy for at least one quasi-identifier")
@@ -113,7 +128,7 @@ class DataflyAnonymizer(BaseAnonymizer):
     def _generalize(
         self,
         table: Table,
-        hierarchies: Mapping[str, GeneralizationHierarchy],
+        hierarchies: Mapping[str, NumericHierarchy],
         levels: Mapping[str, int],
     ) -> Table:
         release = table.release_view()
@@ -138,7 +153,7 @@ class DataflyAnonymizer(BaseAnonymizer):
         release: Table,
         qi_names: list[str],
         levels: Mapping[str, int],
-        hierarchies: Mapping[str, GeneralizationHierarchy],
+        hierarchies: Mapping[str, NumericHierarchy],
     ) -> str | None:
         candidates = [
             name for name in qi_names if levels[name] < hierarchies[name].levels - 1

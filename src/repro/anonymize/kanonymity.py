@@ -123,11 +123,3 @@ def is_k_anonymous(release: Table, k: int) -> bool:
     if k <= 1:
         return release.num_rows > 0 or k <= 0
     return anonymity_level(release) >= k
-
-
-def class_size_histogram(release: Table) -> dict[int, int]:
-    """Histogram ``{class size: number of classes}`` of a release."""
-    sizes, counts = np.unique(
-        np.bincount(release_signature_codes(release)), return_counts=True
-    )
-    return dict(zip(sizes.tolist(), counts.tolist()))

@@ -7,11 +7,12 @@ as both halves retain at least ``k`` records; leaves of the recursion become
 the equivalence classes, each leaf's rows labelled with one class id in
 recursion (left-first) order.
 
-The recursion carries ``np.intp`` index arrays instead of Python lists: the
-median comes from ``np.median`` (introselect partition under the hood), strict
-splits are boolean-mask gathers on the index array, and relaxed splits use a
-stable argsort of the candidate dimension — every partitioning step is a
-vectorized numpy operation over the recursion's own index array.
+Splits are strict: every record whose value is at most the median goes left,
+so no value is split across partitions.  The recursion carries ``np.intp``
+index arrays instead of Python lists: the median comes from ``np.median``
+(introselect partition under the hood) and a split is a boolean-mask gather
+on the index array — every partitioning step is a vectorized numpy operation
+over the recursion's own index array.
 
 Compared with MDAV (the scheme used by the paper's experiments) Mondrian tends
 to produce classes of more uneven size, which is precisely why it is useful as
@@ -36,11 +37,6 @@ class MondrianAnonymizer(BaseAnonymizer):
     """Greedy median-split multidimensional partitioning."""
 
     name = "mondrian"
-
-    def __init__(self, release_style: str = "interval", strict: bool = True) -> None:
-        """``strict`` partitioning forbids splitting a value across partitions."""
-        super().__init__(release_style=release_style)
-        self.strict = strict
 
     def partition(self, table: Table, k: int) -> np.ndarray:
         matrix = table.quasi_identifier_matrix()
@@ -86,16 +82,9 @@ class MondrianAnonymizer(BaseAnonymizer):
         self, values: np.ndarray, indices: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Split ``indices`` at the median of ``values``; empty arrays when invalid."""
-        median = float(np.median(values))
-        if self.strict:
-            below = values <= median
-            left = indices[below]
-            right = indices[~below]
-        else:
-            order = np.argsort(values, kind="stable")
-            half = indices.size // 2
-            left = indices[order[:half]]
-            right = indices[order[half:]]
+        below = values <= float(np.median(values))
+        left = indices[below]
+        right = indices[~below]
         if left.size < k or right.size < k:
             return _EMPTY, _EMPTY
         return left, right

@@ -14,7 +14,6 @@ from repro.data.faculty import FacultyConfig, FacultyPopulation, faculty_schema,
 from repro.data.names import generate_names
 from repro.data.webgen import (
     build_corpus,
-    corpus_for_census,
     corpus_for_customers,
     corpus_for_faculty,
 )
@@ -38,5 +37,4 @@ __all__ = [
     "build_corpus",
     "corpus_for_faculty",
     "corpus_for_customers",
-    "corpus_for_census",
 ]

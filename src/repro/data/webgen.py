@@ -3,15 +3,14 @@
 The generators in this package produce a private table plus per-person web
 profile ground truth; this module turns those profiles into a
 :class:`~repro.fusion.web.SimulatedWebCorpus` with the noise/coverage knobs the
-experiments sweep, and exposes one-call builders for the faculty, customer and
-census populations.
+experiments sweep, and exposes one-call builders for the faculty and customer
+populations.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.data.census import CensusPopulation
 from repro.data.customers import CustomerPopulation
 from repro.data.faculty import FacultyPopulation
 from repro.fusion.web import SimulatedWebCorpus
@@ -20,7 +19,6 @@ __all__ = [
     "build_corpus",
     "corpus_for_faculty",
     "corpus_for_customers",
-    "corpus_for_census",
 ]
 
 
@@ -74,26 +72,6 @@ def corpus_for_customers(
     seed: int | None = None,
 ) -> SimulatedWebCorpus:
     """The default web corpus for a customer population (social/professional pages)."""
-    return build_corpus(
-        population.profiles,
-        population.auxiliary_attributes,
-        noise_level=noise_level,
-        coverage=coverage,
-        name_variant_probability=name_variant_probability,
-        distractor_count=distractor_count,
-        seed=population.config.seed if seed is None else seed,
-    )
-
-
-def corpus_for_census(
-    population: CensusPopulation,
-    noise_level: float = 0.1,
-    coverage: float = 0.7,
-    name_variant_probability: float = 0.5,
-    distractor_count: int = 50,
-    seed: int | None = None,
-) -> SimulatedWebCorpus:
-    """The default web corpus for a census-like population (property/registry pages)."""
     return build_corpus(
         population.profiles,
         population.auxiliary_attributes,

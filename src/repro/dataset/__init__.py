@@ -6,18 +6,12 @@ from repro.dataset.generalization import (
     Interval,
     Suppressed,
     cover_values,
-    is_generalized,
     numeric_representative,
 )
-from repro.dataset.hierarchy import GeneralizationHierarchy, NumericHierarchy, TaxonomyHierarchy
+from repro.dataset.hierarchy import NumericHierarchy
 from repro.dataset.io import append_csv, read_csv, write_csv
 from repro.dataset.schema import Attribute, AttributeKind, AttributeRole, Schema
-from repro.dataset.statistics import (
-    ColumnSummary,
-    standardize_matrix,
-    summarize_column,
-    summarize_table,
-)
+from repro.dataset.statistics import standardize_matrix
 from repro.dataset.table import Table
 
 __all__ = [
@@ -31,16 +25,10 @@ __all__ = [
     "Suppressed",
     "SUPPRESSED",
     "cover_values",
-    "is_generalized",
     "numeric_representative",
-    "GeneralizationHierarchy",
     "NumericHierarchy",
-    "TaxonomyHierarchy",
     "read_csv",
     "write_csv",
     "append_csv",
-    "ColumnSummary",
-    "summarize_column",
-    "summarize_table",
     "standardize_matrix",
 ]

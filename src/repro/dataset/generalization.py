@@ -24,7 +24,6 @@ __all__ = [
     "CategorySet",
     "Suppressed",
     "SUPPRESSED",
-    "is_generalized",
     "numeric_representative",
     "value_to_text",
 ]
@@ -142,11 +141,6 @@ class Suppressed:
 
 #: The canonical suppressed-cell marker.
 SUPPRESSED = Suppressed()
-
-
-def is_generalized(value: object) -> bool:
-    """Whether ``value`` is a generalized cell (interval, category set or ``*``)."""
-    return isinstance(value, (Interval, CategorySet, Suppressed))
 
 
 def numeric_representative(value: object) -> float:

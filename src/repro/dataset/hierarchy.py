@@ -1,91 +1,33 @@
-"""Generalization hierarchies (value generalization taxonomies).
+"""Numeric generalization hierarchies (value generalization taxonomies).
 
 Full-domain generalization schemes in the k-anonymity literature (Samarati &
 Sweeney; Datafly) generalize each quasi-identifier along a *domain
-generalization hierarchy*: numeric attributes are binned into progressively
-wider ranges, categorical attributes are rolled up a taxonomy tree, and the
-top level of every hierarchy is total suppression (``*``).
-
-Two hierarchy types are provided:
-
-* :class:`NumericHierarchy` — level ``0`` is the exact value, level ``i`` bins
-  the domain into intervals of width ``base_width * branching**(i-1)``, and the
-  final level suppresses the value entirely.
-* :class:`TaxonomyHierarchy` — an explicit tree over categorical values; level
-  ``i`` maps a leaf to its ancestor ``i`` steps up (clamped at the root).
+generalization hierarchy*.  :class:`NumericHierarchy` bins a numeric attribute
+into progressively wider ranges: level ``0`` is the exact value, level ``i``
+bins the domain into intervals of width ``base_width * branching**(i-1)``, and
+the final level suppresses the value entirely (``*``).
 
 These hierarchies power the :class:`repro.anonymize.datafly.DataflyAnonymizer`
-baseline; the paper's own experiments use microaggregation (MDAV), which does
-not need hierarchies.
+baseline, which builds one per numeric quasi-identifier; the paper's own
+experiments use microaggregation (MDAV), which does not need hierarchies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.dataset.generalization import SUPPRESSED, CategorySet, Interval
+from repro.dataset.generalization import SUPPRESSED, Interval
 from repro.exceptions import HierarchyError
 
-__all__ = [
-    "GeneralizationHierarchy",
-    "NumericHierarchy",
-    "TaxonomyHierarchy",
-]
-
-
-class GeneralizationHierarchy:
-    """Interface of a per-attribute generalization hierarchy."""
-
-    #: Number of generalization levels, including level 0 (exact value) and the
-    #: top suppression level.
-    levels: int
-
-    def generalize(self, value: object, level: int) -> object:
-        """Generalize ``value`` to ``level``.
-
-        Level ``0`` returns the value unchanged; the maximum level returns
-        :data:`~repro.dataset.generalization.SUPPRESSED`.
-        """
-        raise NotImplementedError
-
-    def generalize_column(self, values: Sequence[object] | np.ndarray, level: int) -> np.ndarray:
-        """Generalize a whole column to ``level``; returns an object array.
-
-        The generic implementation memoizes :meth:`generalize` per distinct
-        value, so equal cells share one generalized object; numeric
-        hierarchies override this with a fully vectorized binning.
-        """
-        self._check_level(level)
-        out = np.empty(len(values), dtype=object)
-        memo: dict[object, object] = {}
-        for i, value in enumerate(values):
-            try:
-                generalized = memo.get(value, _MISS)
-            except TypeError:  # unhashable cell: generalize directly
-                out[i] = self.generalize(value, level)
-                continue
-            if generalized is _MISS:
-                generalized = self.generalize(value, level)
-                memo[value] = generalized
-            out[i] = generalized
-        return out
-
-    def _check_level(self, level: int) -> None:
-        if not 0 <= level < self.levels:
-            raise HierarchyError(
-                f"generalization level {level} out of range [0, {self.levels - 1}]"
-            )
-
-
-_MISS = object()
+__all__ = ["NumericHierarchy"]
 
 
 @dataclass
-class NumericHierarchy(GeneralizationHierarchy):
+class NumericHierarchy:
     """Interval-binning hierarchy for numeric attributes.
 
     Parameters
@@ -118,6 +60,12 @@ class NumericHierarchy(GeneralizationHierarchy):
         if self.levels < 2:
             raise HierarchyError("a hierarchy needs at least 2 levels (exact + suppressed)")
 
+    def _check_level(self, level: int) -> None:
+        if not 0 <= level < self.levels:
+            raise HierarchyError(
+                f"generalization level {level} out of range [0, {self.levels - 1}]"
+            )
+
     def width_at(self, level: int) -> float:
         """Bin width used at ``level`` (level >= 1)."""
         self._check_level(level)
@@ -126,6 +74,11 @@ class NumericHierarchy(GeneralizationHierarchy):
         return self.base_width * (self.branching ** (level - 1))
 
     def generalize(self, value: object, level: int) -> object:
+        """Generalize ``value`` to ``level``.
+
+        Level ``0`` returns the value unchanged; the maximum level returns
+        :data:`~repro.dataset.generalization.SUPPRESSED`.
+        """
         self._check_level(level)
         if level == 0:
             return value
@@ -152,13 +105,11 @@ class NumericHierarchy(GeneralizationHierarchy):
         Bin indices are computed for every cell at once; one
         :class:`~repro.dataset.generalization.Interval` is built per occupied
         bin (with the same bounds the scalar :meth:`generalize` produces) and
-        fanned out to its rows.  Non-numeric storage falls back to the
-        memoized scalar path.
+        fanned out to its rows.  Object storage is read through ``float``,
+        as the scalar path reads each cell.
         """
         self._check_level(level)
         array = np.asarray(values)
-        if array.dtype.kind not in "if":
-            return super().generalize_column(array, level)
         if level == 0:
             out = np.empty(array.shape[0], dtype=object)
             out[:] = array.tolist()
@@ -176,93 +127,3 @@ class NumericHierarchy(GeneralizationHierarchy):
         for bin_index in np.unique(bins):
             out[bins == bin_index] = self._bin_interval(int(bin_index), width)
         return out
-
-
-@dataclass
-class TaxonomyHierarchy(GeneralizationHierarchy):
-    """Tree-based hierarchy for categorical attributes.
-
-    The taxonomy is given as a ``child -> parent`` mapping; the (single) root
-    is the value that never appears as a key or whose parent is itself.  Level
-    ``i`` maps a value to its ancestor ``i`` steps up the tree; the maximum
-    level suppresses the value.
-
-    Generalized values are rendered as :class:`CategorySet` instances whose
-    label is the ancestor's name and whose members are the leaves under it.
-    """
-
-    parents: Mapping[str, str]
-    levels: int = 0
-    _depths: dict[str, int] = field(init=False, default_factory=dict, repr=False)
-    _leaves_under: dict[str, tuple[str, ...]] = field(init=False, default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.parents:
-            raise HierarchyError("taxonomy hierarchy requires a non-empty parent map")
-        self._validate_acyclic()
-        max_depth = max(self._depth(node) for node in self.parents)
-        # levels: 0 = exact ... max_depth = root, +1 = suppressed
-        if self.levels <= 0:
-            self.levels = max_depth + 2
-        self._index_leaves()
-
-    # Internal helpers ---------------------------------------------------------
-
-    def _validate_acyclic(self) -> None:
-        for start in self.parents:
-            seen = {start}
-            node = start
-            while node in self.parents and self.parents[node] != node:
-                node = self.parents[node]
-                if node in seen:
-                    raise HierarchyError(f"taxonomy contains a cycle through {node!r}")
-                seen.add(node)
-
-    def _depth(self, node: str) -> int:
-        depth = 0
-        while node in self.parents and self.parents[node] != node:
-            node = self.parents[node]
-            depth += 1
-        return depth
-
-    def _ancestor(self, node: str, steps: int) -> str:
-        for _ in range(steps):
-            if node not in self.parents or self.parents[node] == node:
-                break
-            node = self.parents[node]
-        return node
-
-    def _index_leaves(self) -> None:
-        children: dict[str, list[str]] = {}
-        for child, parent in self.parents.items():
-            children.setdefault(parent, []).append(child)
-        all_nodes = set(self.parents) | set(self.parents.values())
-        leaves = [n for n in all_nodes if n not in children]
-
-        def leaves_under(node: str) -> tuple[str, ...]:
-            if node in leaves:
-                return (node,)
-            collected: list[str] = []
-            for child in children.get(node, []):
-                collected.extend(leaves_under(child))
-            return tuple(sorted(collected))
-
-        for node in all_nodes:
-            self._leaves_under[node] = leaves_under(node)
-
-    # Public API ----------------------------------------------------------------
-
-    def generalize(self, value: object, level: int) -> object:
-        self._check_level(level)
-        text = str(value)
-        if level == 0:
-            return value
-        if level == self.levels - 1:
-            return SUPPRESSED
-        if text not in self.parents and text not in self._leaves_under:
-            raise HierarchyError(f"value {text!r} is not part of the taxonomy")
-        ancestor = self._ancestor(text, level)
-        if ancestor == text:
-            return value
-        members: Sequence[str] = self._leaves_under.get(ancestor, (ancestor,))
-        return CategorySet(members, label=ancestor)

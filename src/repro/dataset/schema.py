@@ -136,9 +136,9 @@ def _normalize_attribute(spec: Attribute | tuple | dict) -> Attribute:
 class Schema:
     """An ordered collection of :class:`Attribute` declarations.
 
-    The schema is immutable; derived schemas (projections, role changes) are
-    produced by the ``project`` / ``with_roles`` methods, mirroring how the
-    anonymizers derive release schemas from the private schema.
+    The schema is immutable; derived schemas are produced by the ``project``,
+    ``drop`` and ``release_schema`` methods, mirroring how the anonymizers
+    derive release schemas from the private schema.
 
     Examples
     --------
@@ -224,15 +224,6 @@ class Schema:
             a.name for a in self.attributes if a.is_quasi_identifier and a.is_numeric
         )
 
-    @property
-    def categorical_quasi_identifiers(self) -> tuple[str, ...]:
-        """Quasi-identifiers with a categorical domain."""
-        return tuple(
-            a.name
-            for a in self.attributes
-            if a.is_quasi_identifier and a.kind is AttributeKind.CATEGORICAL
-        )
-
     # Derivations --------------------------------------------------------------
 
     def project(self, names: Sequence[str]) -> "Schema":
@@ -250,16 +241,6 @@ class Schema:
         keep = [a for a in self.attributes if a.name not in set(names)]
         return Schema(keep)
 
-    def with_role(self, name: str, role: AttributeRole) -> "Schema":
-        """Return a schema identical to this one except for one attribute's role."""
-        if name not in self:
-            raise SchemaError(f"unknown attribute: {name!r}")
-        replaced = [
-            Attribute(a.name, role, a.kind, a.description) if a.name == name else a
-            for a in self.attributes
-        ]
-        return Schema(replaced)
-
     def release_schema(self, keep_sensitive: bool = False) -> "Schema":
         """Schema of an enterprise release.
 
@@ -270,12 +251,3 @@ class Schema:
         if keep_sensitive:
             return self
         return self.drop(list(self.sensitive_attributes))
-
-    def describe(self) -> str:
-        """A human-readable, multi-line description of the schema."""
-        lines = []
-        for attribute in self.attributes:
-            lines.append(
-                f"{attribute.name:<20} role={attribute.role.value:<16} kind={attribute.kind.value}"
-            )
-        return "\n".join(lines)

@@ -1,77 +1,17 @@
-"""Per-column and per-table descriptive statistics.
+"""Column standardization for distance-based anonymization.
 
-These statistics back three pieces of the reproduction:
-
-* the quantile-based fuzzy-set and rule induction of
-  :mod:`repro.fusion.rulegen` (an adversary calibrates "Low/Medium/High"
-  linguistic terms from the marginal distribution of each input);
-* the normalization used by MDAV microaggregation (columns are standardized
-  before distances are computed, as is standard in the microaggregation
-  literature);
-* dataset summaries printed by the experiment harness.
+MDAV microaggregation and greedy clustering standardize the quasi-identifier
+columns before computing distances, as is standard in the microaggregation
+literature, so no attribute dominates the metric by its scale alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.dataset.table import Table
 from repro.exceptions import MetricError
 
-__all__ = ["ColumnSummary", "summarize_column", "summarize_table", "standardize_matrix"]
-
-
-@dataclass(frozen=True)
-class ColumnSummary:
-    """Summary statistics of a numeric column."""
-
-    name: str
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-    quartiles: tuple[float, float, float]
-
-    def describe(self) -> str:
-        """One-line textual rendering used by experiment reports."""
-        q1, q2, q3 = self.quartiles
-        return (
-            f"{self.name}: n={self.count} mean={self.mean:.2f} std={self.std:.2f} "
-            f"min={self.minimum:.2f} q1={q1:.2f} median={q2:.2f} q3={q3:.2f} max={self.maximum:.2f}"
-        )
-
-
-def summarize_column(table: Table, name: str) -> ColumnSummary:
-    """Summary statistics of numeric column ``name`` (NaN cells are dropped)."""
-    values = table.numeric_column(name)
-    values = values[~np.isnan(values)]
-    if values.size == 0:
-        raise MetricError(f"column {name!r} has no numeric values to summarize")
-    quartiles = np.quantile(values, [0.25, 0.5, 0.75])
-    return ColumnSummary(
-        name=name,
-        count=int(values.size),
-        mean=float(np.mean(values)),
-        std=float(np.std(values)),
-        minimum=float(np.min(values)),
-        maximum=float(np.max(values)),
-        quartiles=(float(quartiles[0]), float(quartiles[1]), float(quartiles[2])),
-    )
-
-
-def summarize_table(table: Table) -> dict[str, ColumnSummary]:
-    """Summaries of every numeric quasi-identifier and sensitive column."""
-    names = list(table.schema.numeric_quasi_identifiers) + list(
-        table.schema.sensitive_attributes
-    )
-    summaries: dict[str, ColumnSummary] = {}
-    for name in names:
-        if table.schema[name].is_numeric:
-            summaries[name] = summarize_column(table, name)
-    return summaries
+__all__ = ["standardize_matrix"]
 
 
 def standardize_matrix(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -5,7 +5,7 @@ small, well-tested, column-oriented :class:`Table` with exactly the operations
 the paper's pipeline needs:
 
 * schema-aware construction (identifier / quasi-identifier / sensitive roles);
-* row and column access, projection, row selection, joins on a key column;
+* row and column access, projection, row gathers and appends;
 * extraction of the numeric quasi-identifier block as a ``numpy`` matrix
   (generalized cells are resolved to their numeric representative — interval
   midpoints — which is exactly the information an adversary has);
@@ -18,10 +18,10 @@ Each column is a typed ``numpy`` array: ``int64`` when every cell is a plain
 integer, ``float64`` when every cell is numeric (``nan`` marking missing
 values), and ``object`` for identifiers, categoricals and generalized cells
 (:class:`~repro.dataset.generalization.Interval`, ``CategorySet``, ``*``).
-Relational operations (``take``, ``project``, ``join``, ``concat``) move whole
-arrays — projections and renames share the underlying arrays outright, row
-gathers are single fancy-index calls — instead of rebuilding ``list[object]``
-columns cell by cell.  Numeric views (``numeric_column`` and friends) are
+Relational operations (``take``, ``project``, ``concat``) move whole arrays —
+projections share the underlying arrays outright, row gathers are single
+fancy-index calls — instead of rebuilding ``list[object]`` columns cell by
+cell.  Numeric views (``numeric_column`` and friends) are
 computed once per column and cached, so the anonymizers, metrics and the
 fusion attack all read from the same float buffers.
 
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from repro.dataset.generalization import (
     numeric_representative,
     value_to_text,
 )
-from repro.dataset.schema import Attribute, Schema
+from repro.dataset.schema import Schema
 from repro.exceptions import SchemaError, TableError
 
 __all__ = ["Table", "chain_fingerprints"]
@@ -199,7 +199,7 @@ class Table:
         """Internal zero-copy constructor: ``arrays`` are adopted, not copied.
 
         Callers must hand over storage arrays that are never mutated again —
-        this is how projections, gathers and joins share column buffers.
+        this is how projections and gathers share column buffers.
         """
         table = cls.__new__(cls)
         table._schema = schema
@@ -232,11 +232,6 @@ class Table:
                     columns[name].append(value)
         return cls(schema, columns)
 
-    @classmethod
-    def from_records(cls, schema: Schema, records: Iterable[Mapping[str, object]]) -> "Table":
-        """Alias of :meth:`from_rows` restricted to mapping rows."""
-        return cls.from_rows(schema, records)
-
     # Basic protocol ------------------------------------------------------------
 
     @property
@@ -248,11 +243,6 @@ class Table:
     def num_rows(self) -> int:
         """Number of rows."""
         return self._num_rows
-
-    @property
-    def num_columns(self) -> int:
-        """Number of columns."""
-        return len(self._schema)
 
     def __len__(self) -> int:
         return self._num_rows
@@ -281,11 +271,10 @@ class Table:
 
         The fingerprint hashes the schema (column names, roles, kinds, in
         order) together with the *values* of every column buffer.  It is a
-        pure function of content: buffer-sharing operations (a full
-        :meth:`project`, a :meth:`rename` round trip) and independently
-        constructed tables with equal cells produce the same fingerprint,
-        while any cell edit, row reorder, or schema change produces a
-        different one.  Numeric cells are canonicalized before hashing —
+        pure function of content: a buffer-sharing full :meth:`project` and
+        independently constructed tables with equal cells produce the same
+        fingerprint, while any cell edit, row reorder, or schema change
+        produces a different one.  Numeric cells are canonicalized before hashing —
         ``5`` and ``5.0`` hash identically (matching ``__eq__`` and the CSV
         round trip), every NaN hashes the same, and ``-0.0`` hashes as
         ``0.0`` — so the digest does not depend on whether a column happens
@@ -417,11 +406,6 @@ class Table:
         arrays = {name: self._columns[name] for name in schema.names}
         return Table._from_arrays(schema, arrays, self._num_rows)
 
-    def select(self, predicate: Callable[[dict[str, object]], bool]) -> "Table":
-        """Rows for which ``predicate(row_dict)`` is truthy."""
-        keep = [i for i, row in enumerate(self.rows()) if predicate(row)]
-        return self.take(keep)
-
     def take(self, indices: Sequence[int]) -> "Table":
         """Rows at ``indices`` in the given order (one fancy-index per column)."""
         index_array = np.asarray(indices, dtype=np.intp)
@@ -437,43 +421,6 @@ class Table:
         arrays = {name: array[index_array] for name, array in self._columns.items()}
         return Table._from_arrays(self._schema, arrays, int(index_array.size))
 
-    def sort_by(self, name: str, reverse: bool = False) -> "Table":
-        """Rows stably sorted by column ``name``.
-
-        Columns whose cells do not admit a direct total order (``None``,
-        generalized cells, mixed types) fall back to sorting by the numeric
-        representative of each cell; cells with no numeric representative
-        (suppressed / categorical) sort after all resolvable cells regardless
-        of ``reverse``.
-        """
-        values = self.column(name)
-        try:
-            order = sorted(range(self._num_rows), key=values.__getitem__, reverse=reverse)
-        except TypeError:
-            keys: list[tuple[int, float]] = []
-            for value in values:
-                representative = numeric_representative(value)
-                if math.isnan(representative):
-                    keys.append((1, 0.0))
-                else:
-                    keys.append((0, -representative if reverse else representative))
-            order = sorted(range(self._num_rows), key=keys.__getitem__)
-        return self.take(order)
-
-    def with_column(self, attribute: Attribute, values: Sequence[object]) -> "Table":
-        """A new table with an extra column appended."""
-        if attribute.name in self._schema:
-            raise TableError(f"column {attribute.name!r} already exists")
-        array = _as_column_array(values)
-        if array.shape[0] != self._num_rows:
-            raise TableError(
-                f"new column has {array.shape[0]} values, table has {self._num_rows} rows"
-            )
-        schema = Schema(list(self._schema.attributes) + [attribute])
-        arrays = dict(self._columns)
-        arrays[attribute.name] = array
-        return Table._from_arrays(schema, arrays, self._num_rows)
-
     def replace_column(self, name: str, values: Sequence[object]) -> "Table":
         """A new table with column ``name`` replaced by ``values``."""
         if name not in self._schema:
@@ -486,84 +433,6 @@ class Table:
         arrays = dict(self._columns)
         arrays[name] = array
         return Table._from_arrays(self._schema, arrays, self._num_rows)
-
-    def rename(self, mapping: Mapping[str, str]) -> "Table":
-        """A new table with columns renamed according to ``mapping``."""
-        attributes = []
-        arrays: dict[str, np.ndarray] = {}
-        for attribute in self._schema.attributes:
-            new_name = mapping.get(attribute.name, attribute.name)
-            attributes.append(
-                Attribute(new_name, attribute.role, attribute.kind, attribute.description)
-            )
-            arrays[new_name] = self._columns[attribute.name]
-        return Table._from_arrays(Schema(attributes), arrays, self._num_rows)
-
-    def join(self, other: "Table", on: str, how: str = "inner") -> "Table":
-        """Join two tables on equality of column ``on``.
-
-        Only ``inner`` and ``left`` joins are supported; the right table must
-        have unique join keys (this is how the adversary attaches auxiliary web
-        attributes to release records).  Missing right-side values in a left
-        join are ``None``.
-
-        The join is a hash join: right keys are indexed once, left keys are
-        mapped to right positions in a single pass, and the output columns are
-        gathered with one fancy-index per column instead of per-row appends.
-        """
-        if how not in ("inner", "left"):
-            raise TableError(f"unsupported join type: {how!r}")
-        if on not in self._schema or on not in other._schema:
-            raise TableError(f"join column {on!r} must exist in both tables")
-
-        right_keys = other.column(on)
-        if len(set(right_keys)) != len(right_keys):
-            raise TableError(f"right table join keys on {on!r} are not unique")
-        right_index = {key: i for i, key in enumerate(right_keys)}
-
-        right_only = [a for a in other._schema.attributes if a.name != on]
-        clashing = [a.name for a in right_only if a.name in self._schema]
-        if clashing:
-            raise TableError(f"join would duplicate columns: {clashing}")
-
-        left_keys = self.column(on)
-        positions = np.fromiter(
-            (right_index.get(key, -1) for key in left_keys),
-            dtype=np.intp,
-            count=self._num_rows,
-        )
-        joined_schema = Schema(list(self._schema.attributes) + right_only)
-
-        if how == "inner":
-            left_rows = np.nonzero(positions >= 0)[0]
-            right_rows = positions[left_rows]
-            arrays = {
-                name: array[left_rows] for name, array in self._columns.items()
-            }
-            for attribute in right_only:
-                arrays[attribute.name] = other._columns[attribute.name][right_rows]
-            return Table._from_arrays(joined_schema, arrays, int(left_rows.size))
-
-        matched = positions >= 0
-        arrays = dict(self._columns)
-        if bool(matched.all()) and other._num_rows:
-            for attribute in right_only:
-                arrays[attribute.name] = other._columns[attribute.name][positions]
-        elif other._num_rows == 0:
-            for attribute in right_only:
-                arrays[attribute.name] = np.full(self._num_rows, None, dtype=object)
-        else:
-            gather = np.where(matched, positions, 0)
-            matched_list = matched.tolist()
-            for attribute in right_only:
-                taken = _column_to_list(other._columns[attribute.name][gather])
-                arrays[attribute.name] = _as_column_array(
-                    [
-                        value if hit else None
-                        for value, hit in zip(taken, matched_list)
-                    ]
-                )
-        return Table._from_arrays(joined_schema, arrays, self._num_rows)
 
     def concat(self, other: "Table") -> "Table":
         """Vertical concatenation of two tables with identical schemas."""
@@ -669,10 +538,6 @@ class Table:
         if limit < self._num_rows:
             lines.append(f"... ({self._num_rows - limit} more rows)")
         return "\n".join(lines)
-
-    def to_records(self) -> list[dict[str, object]]:
-        """All rows as dicts; alias of :meth:`rows` for IO symmetry."""
-        return self.rows()
 
 
 def _canonical_float_bytes(array: np.ndarray) -> bytes:
@@ -795,4 +660,3 @@ def _column_digest(array: np.ndarray) -> bytes:
                 hasher.update(len(token).to_bytes(4, "big"))
                 hasher.update(token)
     return hasher.digest()
-

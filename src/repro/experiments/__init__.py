@@ -6,7 +6,6 @@ from repro.experiments.figures import (
     SweepData,
     default_setup,
     derive_thresholds,
-    run_all_figures,
     run_figure4,
     run_figure5,
     run_figure6,
@@ -43,7 +42,6 @@ __all__ = [
     "run_figure6",
     "run_figure7",
     "run_figure8",
-    "run_all_figures",
     "TableResult",
     "run_table1",
     "run_table2",

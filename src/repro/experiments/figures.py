@@ -42,7 +42,6 @@ __all__ = [
     "run_figure6",
     "run_figure7",
     "run_figure8",
-    "run_all_figures",
 ]
 
 
@@ -307,15 +306,3 @@ def run_figure8(
             f"optimal k={sweep.levels[optimal_index]}"
         ),
     )
-
-
-def run_all_figures(setup: ExperimentSetup | None = None) -> dict[str, FigureResult]:
-    """Run the sweep once and produce every figure."""
-    sweep = run_sweep(setup)
-    return {
-        "figure4": run_figure4(sweep),
-        "figure5": run_figure5(sweep),
-        "figure6": run_figure6(sweep),
-        "figure7": run_figure7(sweep),
-        "figure8": run_figure8(sweep),
-    }

@@ -66,13 +66,6 @@ class WebPage:
     url: str
     facts: Mapping[str, float | str]
 
-    def render(self) -> str:
-        """A small pseudo-HTML rendering (used by examples to show what the adversary sees)."""
-        lines = [f"<title>{self.displayed_name}</title>"]
-        for key, value in self.facts.items():
-            lines.append(f"<p>{key.replace('_', ' ')}: {value}</p>")
-        return "\n".join(lines)
-
 
 def _apply_variant(name: str, choice: int) -> str:
     """The deterministic variant of ``name`` selected by ``choice`` (0..4)."""

@@ -17,7 +17,7 @@ from repro.fuzzy.defuzzify import (
     mean_of_maxima_batch,
 )
 from repro.fuzzy.inference import InferenceTrace, MamdaniSystem
-from repro.fuzzy.membership import GaussianMF, MembershipFunction, TrapezoidalMF, TriangularMF
+from repro.fuzzy.membership import MembershipFunction, TrapezoidalMF, TriangularMF
 from repro.fuzzy.rules import (
     Condition,
     FuzzyRule,
@@ -32,7 +32,6 @@ __all__ = [
     "MembershipFunction",
     "TriangularMF",
     "TrapezoidalMF",
-    "GaussianMF",
     "FuzzySet",
     "LinguisticVariable",
     "Condition",

@@ -60,8 +60,10 @@ def as_columns(
 
     Every name in ``variable_names`` gets a column; cells that are ``None``
     or NaN, and columns that are absent, become ``NaN``.  With
-    ``strict=True`` any key not in ``variable_names`` raises (the Mamdani
-    engine's validation); otherwise extra keys are ignored.
+    ``strict=True`` any key not in ``variable_names`` raises (the engines'
+    validation, :func:`~repro.fuzzy.rules.fire_rules`); otherwise extra keys
+    are ignored (the estimators, rule induction and the attack's
+    calibration).
     """
     if not isinstance(columns, Mapping):
         raise FuzzyEvaluationError(

@@ -34,14 +34,13 @@ midpoint of the output universe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from repro.exceptions import FuzzyDefinitionError, FuzzyEvaluationError
-from repro.fuzzy.batch import as_columns
+from repro.exceptions import FuzzyDefinitionError
 from repro.fuzzy.defuzzify import defuzzify_batch
-from repro.fuzzy.rules import FuzzyRule, firing_strength_matrix
+from repro.fuzzy.rules import FuzzyRule, fire_rules
 from repro.fuzzy.variables import LinguisticVariable
 
 __all__ = ["MamdaniSystem", "InferenceTrace"]
@@ -98,30 +97,7 @@ class MamdaniSystem:
         for rule in self.rules:
             rule.validate_against(self.inputs, self.output)
 
-    # Rule management ------------------------------------------------------------
-
-    def add_rule(self, rule: FuzzyRule) -> "MamdaniSystem":
-        """Validate and append a rule (returns ``self`` for chaining)."""
-        rule.validate_against(self.inputs, self.output)
-        self.rules.append(rule)
-        return self
-
-    def add_rules(self, rules: Sequence[FuzzyRule]) -> "MamdaniSystem":
-        """Validate and append several rules."""
-        for rule in rules:
-            self.add_rule(rule)
-        return self
-
     # Evaluation -------------------------------------------------------------------
-
-    def fuzzify_batch(
-        self, columns: Mapping[str, np.ndarray]
-    ) -> dict[str, dict[str, np.ndarray]]:
-        """Fuzzify whole input columns; NaN cells map every term to 1."""
-        return {
-            name: variable.fuzzify_batch(columns[name])
-            for name, variable in self.inputs.items()
-        }
 
     def evaluate_batch(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         """Crisp outputs for a column block of ``(N,)`` input arrays.
@@ -137,11 +113,7 @@ class MamdaniSystem:
         Returns every intermediate quantity (see :class:`InferenceTrace`),
         for explanations and tests.
         """
-        if not self.rules:
-            raise FuzzyEvaluationError("the rule base is empty; add rules before evaluating")
-        n, columns = as_columns(columns, list(self.inputs), strict=True)
-        fuzzified = self.fuzzify_batch(columns)
-        strengths = firing_strength_matrix(self.rules, fuzzified)
+        n, fuzzified, strengths = fire_rules(self.rules, self.inputs, columns)
 
         universe = self.output.grid(self.resolution)
         aggregated = np.zeros((n, universe.size))

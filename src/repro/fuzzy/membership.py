@@ -3,18 +3,16 @@
 The fuzzy inference system the adversary builds (Figure 2 of the paper) maps
 crisp inputs — investment volume index, customer valuation, property holdings,
 ... — to degrees of membership in linguistic terms ("Low", "Medium", "High").
-This module provides the standard membership function shapes used by Matlab's
-fuzzy toolbox, which the paper's experiments were implemented with:
+This module provides the piecewise-linear membership function shapes of
+Matlab's fuzzy toolbox, which the paper's experiments were implemented with:
 
 * triangular (``trimf``)
 * trapezoidal (``trapmf``), including half-open shoulders
-* Gaussian (``gaussmf``)
 
-All functions are vectorized over numpy arrays and return degrees in
-``[0, 1]`` (the piecewise-linear shapes clamp, the Gaussian never leaves the
-interval).  :meth:`~repro.fuzzy.variables.LinguisticVariable.fuzzify_batch`
-calls them on whole input columns and relies on that range; a custom
-subclass must keep it.
+Both are vectorized over numpy arrays and clamp their degrees to ``[0, 1]``.
+:meth:`~repro.fuzzy.variables.LinguisticVariable.fuzzify_batch` calls them on
+whole input columns and relies on that range; a custom subclass (the tests
+add a Gaussian) must keep it.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ __all__ = [
     "MembershipFunction",
     "TriangularMF",
     "TrapezoidalMF",
-    "GaussianMF",
 ]
 
 
@@ -120,22 +117,3 @@ class TrapezoidalMF(MembershipFunction):
 
     def support(self) -> tuple[float, float]:
         return (self.a, self.d)
-
-
-@dataclass(frozen=True)
-class GaussianMF(MembershipFunction):
-    """Gaussian membership function centred at ``mean`` with width ``sigma``."""
-
-    mean: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise FuzzyDefinitionError(f"gaussian MF requires sigma > 0, got {self.sigma}")
-
-    def __call__(self, values: np.ndarray | float) -> np.ndarray | float:
-        values = np.asarray(values, dtype=float)
-        return np.exp(-0.5 * ((values - self.mean) / self.sigma) ** 2)
-
-    def support(self) -> tuple[float, float]:
-        return (self.mean - 4.0 * self.sigma, self.mean + 4.0 * self.sigma)

@@ -20,12 +20,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.exceptions import FuzzyDefinitionError, FuzzyEvaluationError
+from repro.fuzzy.batch import as_columns
 from repro.fuzzy.variables import LinguisticVariable
 
 __all__ = [
     "Condition",
     "FuzzyRule",
     "firing_strength_matrix",
+    "fire_rules",
     "parse_rule",
     "parse_rules",
 ]
@@ -139,6 +141,27 @@ def firing_strength_matrix(
     if not rules:
         raise FuzzyEvaluationError("cannot build a firing matrix from an empty rule base")
     return np.column_stack([rule.firing_strength_batch(fuzzified) for rule in rules])
+
+
+def fire_rules(
+    rules: Sequence[FuzzyRule],
+    inputs: Mapping[str, LinguisticVariable],
+    columns: Mapping[str, object],
+) -> tuple[int, dict[str, dict[str, np.ndarray]], np.ndarray]:
+    """Fuzzify a column block and fire a rule base over it: ``(N, fuzzified, strengths)``.
+
+    The shared front half of the Mamdani and Sugeno engines.  ``columns``
+    goes through :func:`~repro.fuzzy.batch.as_columns`: an input the block
+    lacks is all-missing, and a key that names no input raises
+    :class:`~repro.exceptions.FuzzyEvaluationError`, as does an empty rule
+    base.  ``fuzzified`` maps input -> term -> ``(N,)`` degrees and
+    ``strengths`` is the ``(N, n_rules)`` firing matrix.
+    """
+    if not rules:
+        raise FuzzyEvaluationError("the rule base is empty; nothing to evaluate")
+    n, block = as_columns(columns, list(inputs), strict=True)
+    fuzzified = {name: variable.fuzzify_batch(block[name]) for name, variable in inputs.items()}
+    return n, fuzzified, firing_strength_matrix(rules, fuzzified)
 
 
 _RULE_RE = re.compile(

@@ -22,13 +22,12 @@ fall back to the midpoint of the output universe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from repro.exceptions import FuzzyDefinitionError, FuzzyEvaluationError
-from repro.fuzzy.batch import as_columns
-from repro.fuzzy.rules import FuzzyRule, firing_strength_matrix
+from repro.exceptions import FuzzyDefinitionError
+from repro.fuzzy.rules import FuzzyRule, fire_rules
 from repro.fuzzy.variables import LinguisticVariable
 
 __all__ = ["SugenoSystem", "term_centroids"]
@@ -77,49 +76,22 @@ class SugenoSystem:
         if self.consequents is None:
             self.consequents = term_centroids(self.output)
         for rule in self.rules:
-            self._validate_rule(rule)
-
-    def _validate_rule(self, rule: FuzzyRule) -> None:
-        rule.validate_against(self.inputs, self.output)
-        if rule.consequent_term not in self.consequents:
-            raise FuzzyDefinitionError(
-                f"no crisp consequent registered for term {rule.consequent_term!r}"
-            )
-
-    def add_rule(self, rule: FuzzyRule) -> "SugenoSystem":
-        """Validate and append a rule."""
-        self._validate_rule(rule)
-        self.rules.append(rule)
-        return self
-
-    def add_rules(self, rules: Sequence[FuzzyRule]) -> "SugenoSystem":
-        """Validate and append several rules."""
-        for rule in rules:
-            self.add_rule(rule)
-        return self
-
-    def fuzzify_batch(
-        self, columns: Mapping[str, np.ndarray]
-    ) -> dict[str, dict[str, np.ndarray]]:
-        """Fuzzify whole input columns; NaN cells map every term to 1."""
-        return {
-            name: variable.fuzzify_batch(columns[name])
-            for name, variable in self.inputs.items()
-        }
+            rule.validate_against(self.inputs, self.output)
+            if rule.consequent_term not in self.consequents:
+                raise FuzzyDefinitionError(
+                    f"no crisp consequent registered for term {rule.consequent_term!r}"
+                )
 
     def evaluate_batch(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         """Crisp outputs for a column block of ``(N,)`` input arrays.
 
-        NaN (or ``None``) marks a missing cell.  The ``(N, n_rules)`` firing
-        matrix is contracted against the consequent value vector;
-        zero-denominator records (no rule fired) fall back to the
-        output-universe midpoint.
+        NaN (or ``None``) marks a missing cell; a key that names no input
+        raises :class:`~repro.exceptions.FuzzyEvaluationError`, as in the
+        Mamdani engine.  The ``(N, n_rules)`` firing matrix is contracted
+        against the consequent value vector; zero-denominator records (no
+        rule fired) fall back to the output-universe midpoint.
         """
-        if not self.rules:
-            raise FuzzyEvaluationError("the rule base is empty; add rules before evaluating")
-        n, columns = as_columns(columns, list(self.inputs), strict=False)
-        fuzzified = self.fuzzify_batch(columns)
-        strengths = firing_strength_matrix(self.rules, fuzzified)
+        n, _, strengths = fire_rules(self.rules, self.inputs, columns)
         values = np.array(
             [self.consequents[rule.consequent_term] for rule in self.rules], dtype=float
         )

@@ -76,13 +76,14 @@ class LinguisticVariable:
     def fuzzify_batch(self, values: np.ndarray) -> dict[str, np.ndarray]:
         """Membership degrees of an ``(N,)`` value array in every term.
 
-        ``NaN`` entries mark missing inputs and fuzzify to full membership
-        (degree 1) in every term: the input contributes no information.
+        Non-finite entries (``NaN``, ``±inf``) mark missing inputs and fuzzify
+        to full membership (degree 1) in every term: the input contributes no
+        information, just as calibration (:meth:`from_values`) ignores them.
         """
         if not self.terms:
             raise FuzzyDefinitionError(f"variable {self.name!r} has no terms defined")
         values = np.asarray(values, dtype=float)
-        missing = np.isnan(values)
+        missing = ~np.isfinite(values)
         # Evaluate the membership functions at a harmless stand-in so NaN does
         # not propagate, then mask the missing rows.
         safe = np.where(missing, self.universe[0], values)
@@ -151,19 +152,44 @@ class LinguisticVariable:
             )
         low, high = float(data.min()), float(data.max())
         if high <= low:
-            high = low + 1.0
+            # One ulp where adding 1 rounds away (magnitudes above 2**53).
+            high = max(low + 1.0, float(np.nextafter(low, np.inf)))
         span = high - low
         low -= padding * span
         high += padding * span
 
         quantiles = np.linspace(0.0, 1.0, len(term_names))
-        centers = np.quantile(data, quantiles)
-        centers = np.clip(centers, low, high)
+        quantile_centers = np.clip(np.quantile(data, quantiles), low, high)
         # Enforce strictly increasing centres so the triangles are well formed.
+        centers = quantile_centers.copy()
         for i in range(1, len(centers)):
             if centers[i] <= centers[i - 1]:
                 centers[i] = centers[i - 1] + 1e-9 * max(1.0, abs(span))
+        try:
+            return cls._from_centers(name, term_names, centers, low, high)
+        except FuzzyDefinitionError:
+            # The absolute step overshoots a universe narrower than about
+            # 1e-9, or rounds away next to a large magnitude: separate tied
+            # centres by a step relative to the span (at least one ulp) and
+            # stretch the universe over the last centre if it needs to.
+            centers = quantile_centers
+            for i in range(1, len(centers)):
+                if centers[i] <= centers[i - 1]:
+                    centers[i] = max(
+                        centers[i - 1] + 1e-9 * span, np.nextafter(centers[i - 1], np.inf)
+                    )
+            return cls._from_centers(name, term_names, centers, low, max(high, float(centers[-1])))
 
+    @classmethod
+    def _from_centers(
+        cls,
+        name: str,
+        term_names: Sequence[str],
+        centers: np.ndarray,
+        low: float,
+        high: float,
+    ) -> "LinguisticVariable":
+        """Shoulder trapezoids at the ends and triangles between, peaking at ``centers``."""
         variable = cls(name=name, universe=(low, high))
         for i, term_name in enumerate(term_names):
             center = float(centers[i])

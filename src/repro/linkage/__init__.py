@@ -23,7 +23,6 @@ from repro.linkage.blocking import (
 from repro.linkage.index import LinkageIndex
 from repro.linkage.kernels import encode_query, encode_strings_flat, pad_ragged
 from repro.linkage.normalize import (
-    name_tokens,
     normalize_name,
     normalize_names,
     token_qgrams,
@@ -37,7 +36,6 @@ __all__ = [
     "tokenize_corpus",
     "normalize_name",
     "normalize_names",
-    "name_tokens",
     "token_qgrams",
     "encode_query",
     "encode_strings_flat",

@@ -25,7 +25,6 @@ from typing import Sequence
 __all__ = [
     "normalize_name",
     "normalize_names",
-    "name_tokens",
     "token_qgrams",
     "TITLES",
 ]
@@ -172,12 +171,6 @@ def normalize_names(names: Sequence[str]) -> list[str]:
             for piece in pieces
         ]
     return pieces
-
-
-def name_tokens(name: str) -> tuple[str, ...]:
-    """The normalized tokens of a name (empty tuple when nothing survives)."""
-    normalized = normalize_name(name)
-    return tuple(normalized.split()) if normalized else ()
 
 
 def token_qgrams(token: str, q: int = 2) -> tuple[str, ...]:

@@ -7,7 +7,7 @@ from repro.metrics.dissimilarity import (
     mean_square_dissimilarity,
     private_matrix,
 )
-from repro.metrics.information_gain import information_gain, information_gain_curve
+from repro.metrics.information_gain import information_gain
 from repro.metrics.privacy import (
     breach_rate,
     mean_absolute_error,
@@ -17,12 +17,9 @@ from repro.metrics.privacy import (
     root_mean_square_error,
 )
 from repro.metrics.utility import (
-    average_class_size,
     discernibility_cost,
     discernibility_utility,
     generalized_information_loss,
-    per_record_costs,
-    per_record_utility,
     utility_of_result,
 )
 
@@ -33,12 +30,8 @@ __all__ = [
     "dissimilarity_before_fusion",
     "dissimilarity_after_fusion",
     "information_gain",
-    "information_gain_curve",
     "discernibility_cost",
     "discernibility_utility",
-    "per_record_costs",
-    "per_record_utility",
-    "average_class_size",
     "generalized_information_loss",
     "utility_of_result",
     "relative_errors",

@@ -22,7 +22,7 @@ from repro.metrics.dissimilarity import (
     dissimilarity_before_fusion,
 )
 
-__all__ = ["information_gain", "information_gain_curve"]
+__all__ = ["information_gain"]
 
 
 def information_gain(
@@ -34,13 +34,4 @@ def information_gain(
     """``G = (P ∘ P') − (P ∘ P̂)`` for one release and one attack outcome."""
     before = dissimilarity_before_fusion(private, release, assumed_sensitive_range)
     after = dissimilarity_after_fusion(private, release, sensitive_estimates)
-    return before - after
-
-
-def information_gain_curve(
-    before_values: np.ndarray | list[float], after_values: np.ndarray | list[float]
-) -> np.ndarray:
-    """Element-wise gain over a sweep of anonymization levels."""
-    before = np.asarray(before_values, dtype=float)
-    after = np.asarray(after_values, dtype=float)
     return before - after

@@ -7,12 +7,10 @@ Bayardo & Agrawal ([22])::
 
 (each record costs the size of its equivalence class, or ``|D|`` times that
 when the class violates k-anonymity), and defines the utility of a release as
-``U_k = 1 / C_DM(k)`` (Figure 7).  The per-record cost vector ``u_i = 1/C_i``
-from Section VI.C is also provided, together with two auxiliary utility
-measures frequently used in this literature (average equivalence class size
-and the normalized-certainty-penalty style generalized loss), which the
-ablation benchmarks use to confirm the FRED optimum is not an artifact of the
-particular utility metric.
+``U_k = 1 / C_DM(k)`` (Figure 7).  The normalized-certainty-penalty style
+generalized loss frequently used in this literature is also provided, which
+the ablation benchmarks use to confirm the FRED optimum is not an artifact of
+the particular utility metric.
 """
 
 from __future__ import annotations
@@ -29,9 +27,6 @@ from repro.exceptions import MetricError
 __all__ = [
     "discernibility_cost",
     "discernibility_utility",
-    "per_record_costs",
-    "per_record_utility",
-    "average_class_size",
     "generalized_information_loss",
     "utility_of_result",
 ]
@@ -56,37 +51,6 @@ def discernibility_cost(class_sizes: Sequence[int], total_records: int, k: int) 
 def discernibility_utility(class_sizes: Sequence[int], total_records: int, k: int) -> float:
     """``U = 1 / C_DM`` (Figure 7)."""
     return 1.0 / discernibility_cost(class_sizes, total_records, k)
-
-
-def per_record_costs(labels: np.ndarray, total_records: int, k: int) -> np.ndarray:
-    """Per-record discernibility cost ``C_i`` (Section VI.C).
-
-    ``labels`` is the partition's ``(n,)`` row→class label array.  One cost is
-    computed per class from the class sizes and gathered to the rows with
-    ``class_costs[labels]``.
-    """
-    labels = np.asarray(labels)
-    if labels.shape != (total_records,):
-        raise MetricError(
-            f"labels must cover every record: shape {labels.shape}, expected ({total_records},)"
-        )
-    if labels.size and int(labels.min()) < 0:
-        raise MetricError(f"class label {int(labels.min())} is negative")
-    sizes = np.bincount(labels).astype(float)
-    class_costs = np.where(sizes >= k, sizes**2, float(total_records) * sizes)
-    return class_costs[labels]
-
-
-def per_record_utility(labels: np.ndarray, total_records: int, k: int) -> np.ndarray:
-    """Per-record utility ``u_i = 1 / C_i`` (the column matrix U of Section VI.C)."""
-    return 1.0 / per_record_costs(labels, total_records, k)
-
-
-def average_class_size(class_sizes: Sequence[int]) -> float:
-    """Average equivalence-class size (the ``C_avg`` style metric)."""
-    if not class_sizes:
-        raise MetricError("no equivalence classes supplied")
-    return float(np.mean(class_sizes))
 
 
 def _cell_loss(cell: object, column_range: float) -> float:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.anonymize.mdav import MDAVAnonymizer
-from repro.anonymize.suppression import naive_release
 from repro.data.customers import adversary_auxiliary_example, enterprise_customers_example
 from repro.exceptions import AttackConfigurationError
 from repro.fusion.attack import AttackConfig, WebFusionAttack, build_income_fusion_system
@@ -16,6 +15,8 @@ from repro.fuzzy.inference import MamdaniSystem
 from repro.fuzzy.tsk import SugenoSystem
 from repro.fuzzy.variables import LinguisticVariable
 from repro.metrics.privacy import rank_correlation
+
+from builders import naive_release
 
 
 @pytest.fixture()

@@ -11,7 +11,7 @@ from repro.dataset.table import Table
 from repro.exceptions import AuxiliarySourceError, LinkageError
 from repro.fusion.attack import harvest_auxiliary
 from repro.fusion.auxiliary import AuxiliaryRecord, TableAuxiliarySource
-from repro.fusion.web import SimulatedWebCorpus, WebPage, name_variant
+from repro.fusion.web import SimulatedWebCorpus, name_variant
 
 
 PROFILES = [
@@ -188,13 +188,6 @@ class TestSimulatedWebCorpus:
         )
         best = with_distractors.search("Alice Miller")[0]
         assert best.numeric_attribute("property_holdings") == pytest.approx(3_560.0)
-
-    def test_page_rendering(self, corpus):
-        page = corpus.pages[0]
-        assert isinstance(page, WebPage)
-        text = page.render()
-        assert "<title>" in text
-        assert "property holdings" in text
 
     def test_validation_errors(self):
         with pytest.raises(AuxiliarySourceError):

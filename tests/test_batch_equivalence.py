@@ -27,11 +27,11 @@ from hypothesis import strategies as st
 
 from repro.exceptions import FuzzyEvaluationError
 from repro.fuzzy.inference import MamdaniSystem
-from repro.fuzzy.membership import GaussianMF
 from repro.fuzzy.rules import Condition, FuzzyRule, firing_strength_matrix
 from repro.fuzzy.tsk import SugenoSystem
 from repro.fuzzy.variables import LinguisticVariable
 
+from builders import GaussianMF
 from fuzzy_reference import (
     evaluate_record,
     firing_strength,
@@ -263,18 +263,17 @@ class TestNoRuleFiredFallback:
         np.testing.assert_array_equal(trace.output, [self.MIDPOINT])
 
     def test_unknown_only_column_mapping_keeps_batch_length(self):
-        # A column mapping with no recognized variable must still yield one
-        # output per record (all inputs NaN -> every rule fires fully for
-        # Sugeno, so no fallback, but the length contract is the point),
-        # matching a block whose recognized column is all NaN.
-        system = _dead_zone_system("sugeno")
-        unknown = {"z": np.array([1.0, 2.0, 3.0])}
-        from_columns = system.evaluate_batch(unknown)
-        all_missing = system.evaluate_batch({"a": np.full(3, np.nan)})
-        assert from_columns.shape == (3,)
-        np.testing.assert_allclose(from_columns, all_missing, rtol=0.0, atol=TOLERANCE)
-        one_row = evaluate_record(system, {"z": 1.0})
-        assert from_columns[0] == pytest.approx(one_row, abs=TOLERANCE)
+        # Both engines reject a key that names no input, even when it is the
+        # only key, instead of answering an all-missing batch of its length.
+        for engine in ("mamdani", "sugeno"):
+            system = _dead_zone_system(engine)
+            with pytest.raises(FuzzyEvaluationError, match="unknown variables"):
+                system.evaluate_batch({"z": np.array([1.0, 2.0, 3.0])})
+            with pytest.raises(FuzzyEvaluationError, match="unknown variables"):
+                evaluate_record(system, {"z": 1.0})
+        # An input the block lacks is still all-missing, batch length kept.
+        all_missing = _dead_zone_system("sugeno").evaluate_batch({"a": np.full(3, np.nan)})
+        assert all_missing.shape == (3,)
 
     def test_empty_rule_base_still_raises(self):
         inputs = {

@@ -15,9 +15,11 @@ from repro.data.customers import (
 )
 from repro.data.faculty import FacultyConfig, generate_faculty
 from repro.data.names import generate_names
-from repro.data.webgen import corpus_for_census, corpus_for_customers
+from repro.data.webgen import corpus_for_customers
 from repro.exceptions import ReproError
 from repro.metrics.privacy import rank_correlation
+
+from builders import corpus_for_census
 
 
 class TestNames:

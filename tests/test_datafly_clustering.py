@@ -63,9 +63,10 @@ class TestDatafly:
             DataflyAnonymizer(max_suppression_fraction=1.5)
 
     def test_requires_hierarchy_for_some_qi(self, simple_table):
-        anonymizer = DataflyAnonymizer(hierarchies={"missing": NumericHierarchy(0, 1, 0.1)})
-        with pytest.raises(AnonymizationError):
-            anonymizer.anonymize(simple_table, 2)
+        # Hierarchies are built for numeric quasi-identifiers only.
+        no_numeric_qi = simple_table.project(["name", "city", "salary"])
+        with pytest.raises(AnonymizationError, match="requires a hierarchy"):
+            DataflyAnonymizer().anonymize(no_numeric_qi, 2)
 
     def test_sensitive_column_removed(self, faculty_population):
         result = DataflyAnonymizer().anonymize(faculty_population.private, 2)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.anonymize.mdav import MDAVAnonymizer
-from repro.anonymize.suppression import naive_release
 from repro.exceptions import MetricError
 from repro.metrics.dissimilarity import (
     adversary_estimate_matrix,
@@ -15,6 +14,8 @@ from repro.metrics.dissimilarity import (
     mean_square_dissimilarity,
     private_matrix,
 )
+
+from builders import naive_release
 
 
 class TestMeanSquareDissimilarity:

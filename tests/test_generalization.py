@@ -12,7 +12,6 @@ from repro.dataset.generalization import (
     Interval,
     Suppressed,
     cover_values,
-    is_generalized,
     numeric_representative,
     value_to_text,
 )
@@ -85,13 +84,6 @@ class TestSuppressed:
 
 
 class TestHelpers:
-    def test_is_generalized(self):
-        assert is_generalized(Interval(1, 2))
-        assert is_generalized(CategorySet(["a"]))
-        assert is_generalized(SUPPRESSED)
-        assert not is_generalized(5)
-        assert not is_generalized("text")
-
     def test_numeric_representative_plain_values(self):
         assert numeric_representative(5) == 5.0
         assert numeric_representative(2.5) == 2.5

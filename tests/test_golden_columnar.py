@@ -52,7 +52,7 @@ def seed_mdav_partition(table: Table, k: int) -> list[tuple[int, ...]]:
     return [tuple(sorted(group)) for group in seed_mdav_groups(standardized, k)]
 
 
-def seed_mondrian_partition(table: Table, k: int, strict: bool = True) -> list[tuple[int, ...]]:
+def seed_mondrian_partition(table: Table, k: int) -> list[tuple[int, ...]]:
     matrix = table.quasi_identifier_matrix()
     spans = matrix.max(axis=0) - matrix.min(axis=0)
     spans = np.where(spans <= 0, 1.0, spans)
@@ -70,14 +70,8 @@ def seed_mondrian_partition(table: Table, k: int, strict: bool = True) -> list[t
                 break
             values = subset[:, dimension]
             median = float(np.median(values))
-            if strict:
-                left = [i for i, v in zip(indices, values) if v <= median]
-                right = [i for i, v in zip(indices, values) if v > median]
-            else:
-                order = np.argsort(values, kind="stable")
-                half = len(indices) // 2
-                left = [indices[int(i)] for i in order[:half]]
-                right = [indices[int(i)] for i in order[half:]]
+            left = [i for i, v in zip(indices, values) if v <= median]
+            right = [i for i, v in zip(indices, values) if v > median]
             if len(left) >= k and len(right) >= k:
                 split(left)
                 split(right)
@@ -248,11 +242,10 @@ class TestMDAVGolden:
 
 
 class TestMondrianGolden:
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_faculty_partition_and_release(self, faculty_population, strict):
+    def test_faculty_partition_and_release(self, faculty_population):
         table = faculty_population.private
-        result = MondrianAnonymizer(strict=strict).anonymize(table, 3)
-        expected_classes = seed_mondrian_partition(table, 3, strict=strict)
+        result = MondrianAnonymizer().anonymize(table, 3)
+        expected_classes = seed_mondrian_partition(table, 3)
         assert classes_of(result.labels) == expected_classes
         _assert_release_identical(
             result.release, seed_build_release(table, expected_classes, 3)

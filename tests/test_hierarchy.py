@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dataset.generalization import SUPPRESSED, CategorySet, Interval
-from repro.dataset.hierarchy import NumericHierarchy, TaxonomyHierarchy
+from repro.dataset.generalization import SUPPRESSED, Interval
+from repro.dataset.hierarchy import NumericHierarchy
 from repro.exceptions import HierarchyError
 
 
@@ -63,53 +63,3 @@ class TestNumericHierarchy:
             NumericHierarchy(low=0, high=10, base_width=1, branching=1)
         with pytest.raises(HierarchyError):
             NumericHierarchy(low=0, high=10, base_width=1, levels=1)
-
-
-@pytest.fixture()
-def department_taxonomy() -> TaxonomyHierarchy:
-    return TaxonomyHierarchy(
-        parents={
-            "CSE": "Engineering",
-            "ECE": "Engineering",
-            "Math": "Science",
-            "Physics": "Science",
-            "Engineering": "University",
-            "Science": "University",
-        }
-    )
-
-
-class TestTaxonomyHierarchy:
-    def test_level_zero_is_identity(self, department_taxonomy):
-        assert department_taxonomy.generalize("CSE", 0) == "CSE"
-
-    def test_one_level_up(self, department_taxonomy):
-        cell = department_taxonomy.generalize("CSE", 1)
-        assert isinstance(cell, CategorySet)
-        assert cell.label == "Engineering"
-        assert cell.members == ("CSE", "ECE")
-
-    def test_two_levels_up_reaches_root(self, department_taxonomy):
-        cell = department_taxonomy.generalize("CSE", 2)
-        assert isinstance(cell, CategorySet)
-        assert cell.label == "University"
-        assert set(cell.members) == {"CSE", "ECE", "Math", "Physics"}
-
-    def test_top_level_is_suppression(self, department_taxonomy):
-        assert department_taxonomy.generalize("CSE", department_taxonomy.levels - 1) is SUPPRESSED
-
-    def test_levels_inferred_from_depth(self, department_taxonomy):
-        # depth 2 (leaf -> mid -> root) => levels = 4 (exact, mid, root, suppressed)
-        assert department_taxonomy.levels == 4
-
-    def test_unknown_value_rejected(self, department_taxonomy):
-        with pytest.raises(HierarchyError):
-            department_taxonomy.generalize("History", 1)
-
-    def test_cycle_detection(self):
-        with pytest.raises(HierarchyError, match="cycle"):
-            TaxonomyHierarchy(parents={"a": "b", "b": "a"})
-
-    def test_empty_rejected(self):
-        with pytest.raises(HierarchyError):
-            TaxonomyHierarchy(parents={})

@@ -159,11 +159,15 @@ class TestMamdaniSystem:
         assert estimates.shape == (2,)
         assert estimates[1] > estimates[0]
 
-    def test_add_rule_validates(self, income_system):
+    def test_constructor_validates_rules(self, income_system):
         from repro.fuzzy.rules import parse_rule
 
         with pytest.raises(FuzzyDefinitionError):
-            income_system.add_rule(parse_rule("IF bogus IS high THEN income IS high"))
+            MamdaniSystem(
+                inputs=income_system.inputs,
+                output=income_system.output,
+                rules=[parse_rule("IF bogus IS high THEN income IS high")],
+            )
 
     def test_input_key_must_match_variable_name(self):
         variable = LinguisticVariable.with_uniform_terms("x", (0, 1), ("low", "high"))

@@ -8,7 +8,6 @@ import pytest
 from repro.anonymize.base import build_release
 from repro.anonymize.kanonymity import (
     anonymity_level,
-    class_size_histogram,
     is_k_anonymous,
     release_class_labels,
     release_signature_codes,
@@ -61,11 +60,6 @@ class TestReleaseClasses:
         assert is_k_anonymous(release, 2)
         assert not is_k_anonymous(release, 4)
         assert is_k_anonymous(release, 1)
-
-    def test_class_size_histogram(self, simple_table):
-        classes = np.array([0, 0, 0, 1, 1, 1])
-        release = build_release(simple_table, classes, k=3)
-        assert class_size_histogram(release) == {3: 2}
 
 
 class TestAgainstAnonymizers:

@@ -26,7 +26,7 @@ import pytest
 from repro.core.fred import FREDAnonymizer, FREDConfig
 from repro.data.census import CensusConfig, generate_census
 from repro.data.faculty import FacultyConfig, generate_faculty
-from repro.data.webgen import corpus_for_census, corpus_for_faculty
+from repro.data.webgen import corpus_for_faculty
 from repro.fusion.attack import AttackConfig, WebFusionAttack
 from repro.dataset.schema import Attribute, AttributeKind, AttributeRole, Schema
 from repro.dataset.table import Table
@@ -34,6 +34,7 @@ from repro.fusion.auxiliary import AuxiliarySource, TableAuxiliarySource
 from repro.fusion.web import name_variant
 from repro.linkage import BlockingIndex, LinkageIndex, normalize_name
 
+from builders import corpus_for_census
 from linkage_reference import answers, best_match, name_similarity
 
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.exceptions import FuzzyDefinitionError
-from repro.fuzzy.membership import GaussianMF, TrapezoidalMF, TriangularMF
+from repro.fuzzy.membership import TrapezoidalMF, TriangularMF
+
+from builders import GaussianMF
 
 
 class TestTriangular:

@@ -26,12 +26,12 @@ class TestMondrian:
         result = MondrianAnonymizer().anonymize(faculty_population.private, 2)
         assert len(result.class_sizes) > 1
 
-    def test_relaxed_mode_splits_ties(self, simple_table):
+    def test_constant_column_is_not_split(self, simple_table):
+        # Splits are strict: a value never straddles two partitions, so a
+        # constant quasi-identifier leaves the records in one class.
         constant = simple_table.replace_column("age", [30] * 6)
-        strict = MondrianAnonymizer(strict=True).anonymize(constant, 2)
-        relaxed = MondrianAnonymizer(strict=False).anonymize(constant, 2)
-        # Strict partitioning cannot split a constant column; relaxed can.
-        assert len(relaxed.class_sizes) >= len(strict.class_sizes)
+        result = MondrianAnonymizer().anonymize(constant, 2)
+        assert result.class_sizes == [6]
 
     def test_k_above_population_rejected(self, simple_table):
         with pytest.raises(InfeasibleAnonymizationError):

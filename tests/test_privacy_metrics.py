@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import MetricError
-from repro.metrics.information_gain import information_gain, information_gain_curve
+from repro.metrics.information_gain import information_gain
 from repro.metrics.privacy import (
     breach_rate,
     mean_absolute_error,
@@ -34,10 +34,6 @@ class TestInformationGain:
         bad_estimates = np.full(6, 1_000_000.0)
         gain = information_gain(simple_table, release, bad_estimates, (40_000.0, 110_000.0))
         assert gain < 0
-
-    def test_curve_is_elementwise_difference(self):
-        gains = information_gain_curve([5.0, 4.0, 3.0], [1.0, 2.0, 3.0])
-        assert gains.tolist() == [4.0, 2.0, 0.0]
 
 
 class TestRelativeErrors:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -72,3 +75,43 @@ class TestErrorHierarchy:
 
         with pytest.raises(ReproError):
             MDAVAnonymizer().anonymize(simple_table, 100)
+
+
+def _referenced_names() -> set[str]:
+    """Every identifier that program code outside ``tests/`` refers to.
+
+    Collects imported names, bare names and attribute names from the AST of
+    each non-``__init__`` module under ``src/``, ``examples/``,
+    ``benchmarks/`` and ``perfbench/``, plus every word of the CI workflow.
+    Definitions (``def``/``class``) and ``__all__`` strings are not
+    references, so an exported name that only tests use is not in the set.
+    """
+    root = Path(__file__).resolve().parent.parent
+    names: set[str] = set()
+    for directory in ("src", "examples", "benchmarks", "perfbench"):
+        for path in (root / directory).rglob("*.py"):
+            if path.name == "__init__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    workflow = root / ".github" / "workflows" / "ci.yml"
+    names.update(re.findall(r"\w+", workflow.read_text(encoding="utf-8")))
+    return names
+
+
+class TestReachability:
+    def test_every_export_has_a_caller_outside_tests(self):
+        """An exported name that only tests reach belongs in ``tests/``."""
+        referenced = _referenced_names()
+        unreached = [
+            f"{module_name}.{name}"
+            for module_name in SUBPACKAGES
+            for name in importlib.import_module(module_name).__all__
+            if name not in referenced
+        ]
+        assert unreached == []

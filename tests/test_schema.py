@@ -84,7 +84,6 @@ class TestSchemaLookups:
 
     def test_numeric_and_categorical_quasi_identifiers(self, simple_schema):
         assert simple_schema.numeric_quasi_identifiers == ("age",)
-        assert simple_schema.categorical_quasi_identifiers == ("city",)
 
     def test_sensitive_attribute_requires_exactly_one(self):
         schema = Schema([("a", "quasi_identifier")])
@@ -112,14 +111,6 @@ class TestSchemaDerivations:
         with pytest.raises(SchemaError):
             simple_schema.drop(["missing"])
 
-    def test_with_role(self, simple_schema):
-        changed = simple_schema.with_role("age", AttributeRole.INSENSITIVE)
-        assert changed["age"].role is AttributeRole.INSENSITIVE
-        # original is unchanged (immutability)
-        assert simple_schema["age"].role is AttributeRole.QUASI_IDENTIFIER
-        with pytest.raises(SchemaError):
-            simple_schema.with_role("missing", AttributeRole.SENSITIVE)
-
     def test_release_schema_drops_sensitive(self, simple_schema):
         release = simple_schema.release_schema()
         assert "salary" not in release
@@ -127,8 +118,3 @@ class TestSchemaDerivations:
 
     def test_release_schema_keep_sensitive(self, simple_schema):
         assert simple_schema.release_schema(keep_sensitive=True) == simple_schema
-
-    def test_describe_mentions_every_attribute(self, simple_schema):
-        text = simple_schema.describe()
-        for name in simple_schema.names:
-            assert name in text

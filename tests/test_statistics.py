@@ -5,43 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dataset.statistics import standardize_matrix, summarize_column, summarize_table
+from repro.dataset.statistics import standardize_matrix
 from repro.exceptions import MetricError
-
-
-class TestSummaries:
-    def test_summarize_column_values(self, simple_table):
-        summary = summarize_column(simple_table, "age")
-        assert summary.count == 6
-        assert summary.minimum == 25
-        assert summary.maximum == 58
-        assert summary.quartiles[1] == pytest.approx(np.median([25, 31, 37, 44, 52, 58]))
-
-    def test_summarize_column_drops_nan(self, simple_table):
-        from repro.dataset.generalization import SUPPRESSED
-
-        partially_suppressed = simple_table.replace_column(
-            "age", [SUPPRESSED, 31, 37, 44, 52, 58]
-        )
-        summary = summarize_column(partially_suppressed, "age")
-        assert summary.count == 5
-        assert summary.minimum == 31
-
-    def test_summarize_column_empty_raises(self, simple_table):
-        from repro.dataset.generalization import SUPPRESSED
-
-        all_suppressed = simple_table.replace_column("age", [SUPPRESSED] * 6)
-        with pytest.raises(MetricError):
-            summarize_column(all_suppressed, "age")
-
-    def test_summarize_table_covers_numeric_roles(self, simple_table):
-        summaries = summarize_table(simple_table)
-        assert set(summaries) == {"age", "salary"}
-
-    def test_describe_renders(self, simple_table):
-        text = summarize_column(simple_table, "salary").describe()
-        assert "salary" in text
-        assert "mean" in text
 
 
 class TestStandardize:

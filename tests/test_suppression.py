@@ -1,17 +1,14 @@
-"""Unit tests for the naive release / suppression strategies."""
+"""Unit tests for cell suppression and the naive release baseline."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.anonymize.suppression import (
-    drop_identifiers,
-    drop_sensitive,
-    naive_release,
-    suppress_cells,
-)
+from repro.anonymize.datafly import suppress_cells
 from repro.dataset.generalization import SUPPRESSED
 from repro.exceptions import AnonymizationError
+
+from builders import drop_sensitive, naive_release
 
 
 class TestDropStrategies:
@@ -20,16 +17,6 @@ class TestDropStrategies:
         assert "salary" not in release.schema
         assert "name" in release.schema
         assert release.column("age") == simple_table.column("age")
-
-    def test_drop_identifiers(self, simple_table):
-        release = drop_identifiers(simple_table)
-        assert "name" not in release.schema
-        assert "salary" in release.schema
-
-    def test_drop_identifiers_requires_identifiers(self, simple_table):
-        without = simple_table.project(["age", "salary"])
-        with pytest.raises(AnonymizationError):
-            drop_identifiers(without)
 
 
 class TestSuppressCells:

@@ -9,12 +9,9 @@ from repro.anonymize.base import build_release
 from repro.anonymize.mdav import MDAVAnonymizer
 from repro.exceptions import MetricError
 from repro.metrics.utility import (
-    average_class_size,
     discernibility_cost,
     discernibility_utility,
     generalized_information_loss,
-    per_record_costs,
-    per_record_utility,
     utility_of_result,
 )
 
@@ -56,29 +53,7 @@ class TestDiscernibility:
         assert utilities[0] > utilities[1] > utilities[2]
 
 
-class TestPerRecordCosts:
-    def test_each_record_inherits_its_class_cost(self):
-        labels = np.array([0, 0, 1, 1, 1])
-        costs = per_record_costs(labels, total_records=5, k=2)
-        assert costs.tolist() == [4.0, 4.0, 9.0, 9.0, 9.0]
-        utility = per_record_utility(labels, total_records=5, k=2)
-        assert np.allclose(utility, 1.0 / costs)
-
-    def test_uncovered_records_rejected(self):
-        with pytest.raises(MetricError, match="cover every record"):
-            per_record_costs(np.array([0, 0]), total_records=3, k=2)
-
-    def test_out_of_range_index_rejected(self):
-        with pytest.raises(MetricError, match="negative"):
-            per_record_costs(np.array([0, -1]), total_records=2, k=1)
-
-
 class TestOtherUtilityMetrics:
-    def test_average_class_size(self):
-        assert average_class_size([2, 4, 6]) == 4.0
-        with pytest.raises(MetricError):
-            average_class_size([])
-
     def test_generalized_information_loss_bounds(self, simple_table):
         release_exact = simple_table.release_view()
         assert generalized_information_loss(simple_table, release_exact) == 0.0

@@ -109,6 +109,34 @@ class TestFromValues:
         degrees = with_inf.fuzzify_batch(np.array([3.0, float("inf"), -float("inf")]))
         assert all(np.isfinite(column).all() for column in degrees.values())
 
+    def test_tied_low_end_of_a_tiny_span_builds(self):
+        # The tie fix-up used to add an absolute 1e-9 to each tied centre,
+        # past the padded top of a 1e-12 universe: "trapezoidal MF requires
+        # a <= b <= c <= d, got (1e-09, 2e-09, 1.05e-12, 1.05e-12)".
+        variable = LinguisticVariable.from_values(
+            "x", [0.0, 0.0, 1e-12], ("low", "medium", "high")
+        )
+        low, high = variable.universe
+        assert low <= 0.0 and 1e-12 <= high
+        peaks = [variable.term(name).membership.b for name in ("medium", "high")]
+        assert 0.0 < peaks[0] < peaks[1] <= high
+
+
+class TestFuzzifyNonFinite:
+    def test_infinities_count_as_missing(self):
+        # ±inf is missing, like NaN: degree 1 in every term, so the input
+        # says nothing instead of silencing every rule on it.
+        variable = LinguisticVariable.with_uniform_terms(
+            "x", (0.0, 10.0), ("low", "medium", "high")
+        )
+        degrees = variable.fuzzify_batch(
+            np.array([float("inf"), -float("inf"), float("nan"), 5.0])
+        )
+        for column in degrees.values():
+            np.testing.assert_array_equal(column[:3], [1.0, 1.0, 1.0])
+        assert degrees["medium"][3] == 1.0
+        assert degrees["low"][3] == degrees["high"][3] == 0.0
+
 
 class TestFromRanges:
     def test_paper_income_classes(self):
