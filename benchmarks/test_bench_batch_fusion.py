@@ -4,7 +4,8 @@ The seed evaluated the fusion system once per release record in interpreted
 Python (``evaluate_batch`` was ``[evaluate(r) for r in records]``), making the
 attack — and therefore every level of the FRED sweep — O(records × rules) in
 Python.  The batch engine fuzzifies whole ``(N,)`` columns, forms the
-``(N, n_rules)`` firing matrix and defuzzifies the whole block at once.
+``(N, n_rules)`` firing matrix, and aggregates and defuzzifies the rows in
+fixed 256-row blocks.
 
 ``test_batch_speedup_vs_seed_loop`` is the acceptance gate: on the standard
 10k-record attack scenario (six fusion inputs, monotone rule base, 10%

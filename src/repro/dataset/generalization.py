@@ -58,14 +58,6 @@ class Interval:
         """Width ``high - low`` of the interval."""
         return self.high - self.low
 
-    def contains(self, value: float) -> bool:
-        """Whether ``value`` falls inside the closed interval."""
-        return self.low <= value <= self.high
-
-    def merge(self, other: "Interval") -> "Interval":
-        """Smallest interval covering both ``self`` and ``other``."""
-        return Interval(min(self.low, other.low), max(self.high, other.high))
-
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "Interval":
         """Tightest interval covering ``values``.
@@ -103,15 +95,6 @@ class CategorySet:
             raise HierarchyError("a CategorySet must contain at least one member")
         object.__setattr__(self, "members", member_tuple)
         object.__setattr__(self, "label", label or "{" + ", ".join(member_tuple) + "}")
-
-    def contains(self, value: str) -> bool:
-        """Whether ``value`` is one of the generalized members."""
-        return str(value) in self.members
-
-    def merge(self, other: "CategorySet") -> "CategorySet":
-        """Union of the two member sets (label recomputed unless equal)."""
-        label = self.label if self.label == other.label else ""
-        return CategorySet(self.members + other.members, label=label)
 
     @property
     def size(self) -> int:

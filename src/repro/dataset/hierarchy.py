@@ -14,7 +14,6 @@ experiments use microaggregation (MDAV), which does not need hierarchies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,23 +72,6 @@ class NumericHierarchy:
             return 0.0
         return self.base_width * (self.branching ** (level - 1))
 
-    def generalize(self, value: object, level: int) -> object:
-        """Generalize ``value`` to ``level``.
-
-        Level ``0`` returns the value unchanged; the maximum level returns
-        :data:`~repro.dataset.generalization.SUPPRESSED`.
-        """
-        self._check_level(level)
-        if level == 0:
-            return value
-        if level == self.levels - 1:
-            return SUPPRESSED
-        numeric = float(value)  # type: ignore[arg-type]
-        numeric = min(max(numeric, self.low), self.high)
-        width = self.width_at(level)
-        bin_index = math.floor((numeric - self.low) / width)
-        return self._bin_interval(bin_index, width)
-
     def _bin_interval(self, bin_index: int, width: float) -> Interval:
         """The interval of one bin (the top edge folds into the last bin)."""
         bin_low = self.low + bin_index * width
@@ -104,9 +86,10 @@ class NumericHierarchy:
 
         Bin indices are computed for every cell at once; one
         :class:`~repro.dataset.generalization.Interval` is built per occupied
-        bin (with the same bounds the scalar :meth:`generalize` produces) and
-        fanned out to its rows.  Object storage is read through ``float``,
-        as the scalar path reads each cell.
+        bin and fanned out to its rows.  Values outside ``[low, high]`` are
+        clamped first; object storage is read through ``float``.  Level ``0``
+        returns the values unchanged and the top level
+        :data:`~repro.dataset.generalization.SUPPRESSED`.
         """
         self._check_level(level)
         array = np.asarray(values)

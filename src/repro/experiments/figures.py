@@ -123,15 +123,6 @@ class SweepData:
     utility: list[float]
     setup: ExperimentSetup
 
-    def as_dict(self) -> dict[str, list[float]]:
-        """All series keyed by name (for reports and serialization)."""
-        return {
-            "before": list(self.before),
-            "after": list(self.after),
-            "gain": list(self.gain),
-            "utility": list(self.utility),
-        }
-
 
 def run_sweep(setup: ExperimentSetup | None = None, parallelism: int = 1) -> SweepData:
     """Run the k-sweep with the fusion attack simulated at every level.

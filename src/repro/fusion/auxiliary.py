@@ -73,13 +73,6 @@ class AuxiliaryRecord:
                 f"confidence must lie in [0, 1], got {self.confidence}"
             )
 
-    def numeric_attribute(self, name: str) -> float | None:
-        """A numeric attribute value, or ``None`` if absent / non-numeric."""
-        value = self.attributes.get(name)
-        if value is None or isinstance(value, str):
-            return None
-        return float(value)
-
 
 class AuxiliarySource(abc.ABC):
     """A channel from which the adversary can harvest auxiliary records."""

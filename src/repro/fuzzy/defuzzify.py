@@ -5,7 +5,9 @@ record over the output universe (the "D E - F U Z Z I F I E R" stage of the
 paper's Figure 2); defuzzification collapses each curve to a single crisp
 estimate of the sensitive attribute.  Every strategy takes the shared
 ``(R,)`` output universe and an ``(N, R)`` block of curves, one row per
-record, and returns the ``(N,)`` crisp outputs:
+record, and returns the ``(N,)`` crisp outputs.  Each row is reduced on its
+own, so a row's output does not depend on the other rows of its block; the
+Mamdani engine relies on this when it defuzzifies 256-row blocks:
 
 * ``centroid`` — centre of gravity of the aggregated curve (Matlab default,
   used as this library's default);

@@ -38,10 +38,6 @@ class MembershipFunction(abc.ABC):
     def __call__(self, values: np.ndarray | float) -> np.ndarray | float:
         """Membership degrees of ``values``, elementwise, in ``[0, 1]``."""
 
-    @abc.abstractmethod
-    def support(self) -> tuple[float, float]:
-        """An interval outside of which the membership is (essentially) zero."""
-
 
 @dataclass(frozen=True)
 class TriangularMF(MembershipFunction):
@@ -72,9 +68,6 @@ class TriangularMF(MembershipFunction):
         else:
             falling = np.where(values <= self.b, 1.0, 0.0)
         return np.clip(np.minimum(rising, falling), 0.0, 1.0)
-
-    def support(self) -> tuple[float, float]:
-        return (self.a, self.c)
 
 
 @dataclass(frozen=True)
@@ -114,6 +107,3 @@ class TrapezoidalMF(MembershipFunction):
             falling = np.where(values <= self.c, 1.0, 0.0)
         plateau = np.ones_like(values)
         return np.clip(np.minimum(np.minimum(rising, plateau), falling), 0.0, 1.0)
-
-    def support(self) -> tuple[float, float]:
-        return (self.a, self.d)

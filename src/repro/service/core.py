@@ -657,10 +657,6 @@ class AnonymizationService:
             for snapshot in self._jobs.jobs()
         ]
 
-    def wait_for_job(self, job_id: str, timeout: float | None = None) -> dict[str, object]:
-        """Block until a job finishes and return its snapshot (for tests/CLI)."""
-        return self._jobs.wait(job_id, timeout=timeout)
-
     # Lifecycle / introspection -------------------------------------------------
 
     def stats(self) -> dict[str, object]:

@@ -4,11 +4,14 @@ None of these is on a FRED, attack or service path: the naive release is a
 comparison baseline for the attack and dissimilarity tests, the census
 corpus feeds the census linkage golden test and the generator tests, and the
 Gaussian shape gives the fuzzy property suites a smooth membership function
-next to the piecewise-linear ones the library builds.
+next to the piecewise-linear ones the library builds.  The one-cell helpers
+below (``contains``, ``generalize_value``, ``numeric_attribute``) are the scalar
+forms the tests assert with; the library only works on whole columns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +19,11 @@ import numpy as np
 from repro.anonymize.base import AnonymizationResult
 from repro.data.census import CensusPopulation
 from repro.data.webgen import build_corpus
+from repro.dataset.generalization import SUPPRESSED, CategorySet, Interval
+from repro.dataset.hierarchy import NumericHierarchy
 from repro.dataset.table import Table
 from repro.exceptions import FuzzyDefinitionError
+from repro.fusion.auxiliary import AuxiliaryRecord
 from repro.fusion.web import SimulatedWebCorpus
 from repro.fuzzy.membership import MembershipFunction
 
@@ -78,5 +84,36 @@ class GaussianMF(MembershipFunction):
         values = np.asarray(values, dtype=float)
         return np.exp(-0.5 * ((values - self.mean) / self.sigma) ** 2)
 
-    def support(self) -> tuple[float, float]:
-        return (self.mean - 4.0 * self.sigma, self.mean + 4.0 * self.sigma)
+
+def contains(cell: Interval | CategorySet, value: object) -> bool:
+    """Whether a generalized cell covers ``value``: a closed interval or a member set."""
+    if isinstance(cell, CategorySet):
+        return str(value) in cell.members
+    return cell.low <= value <= cell.high
+
+
+def generalize_value(hierarchy: NumericHierarchy, value: object, level: int) -> object:
+    """One value through ``hierarchy`` at ``level``: the scalar reference of
+    :meth:`~repro.dataset.hierarchy.NumericHierarchy.generalize_column`.
+
+    Level ``0`` returns the value unchanged; the maximum level returns
+    :data:`~repro.dataset.generalization.SUPPRESSED`; values outside the
+    domain are clamped into it before binning.
+    """
+    hierarchy._check_level(level)
+    if level == 0:
+        return value
+    if level == hierarchy.levels - 1:
+        return SUPPRESSED
+    numeric = min(max(float(value), hierarchy.low), hierarchy.high)
+    width = hierarchy.width_at(level)
+    bin_index = math.floor((numeric - hierarchy.low) / width)
+    return hierarchy._bin_interval(bin_index, width)
+
+
+def numeric_attribute(record: AuxiliaryRecord, name: str) -> float | None:
+    """A record's numeric attribute, or ``None`` if absent or text."""
+    value = record.attributes.get(name)
+    if value is None or isinstance(value, str):
+        return None
+    return float(value)

@@ -13,6 +13,8 @@ from repro.fusion.attack import harvest_auxiliary
 from repro.fusion.auxiliary import AuxiliaryRecord, TableAuxiliarySource
 from repro.fusion.web import SimulatedWebCorpus, name_variant
 
+from builders import numeric_attribute
+
 
 PROFILES = [
     {"name": "Alice Miller", "property_holdings": 3_560.0, "employment_seniority": 20.0,
@@ -41,9 +43,9 @@ def auxiliary_table(rows, attribute_names) -> Table:
 class TestAuxiliaryRecord:
     def test_numeric_attribute(self):
         record = AuxiliaryRecord("x", {"a": 5, "b": "text"})
-        assert record.numeric_attribute("a") == 5.0
-        assert record.numeric_attribute("b") is None
-        assert record.numeric_attribute("missing") is None
+        assert numeric_attribute(record, "a") == 5.0
+        assert numeric_attribute(record, "b") is None
+        assert numeric_attribute(record, "missing") is None
 
     def test_confidence_validation(self):
         with pytest.raises(AuxiliarySourceError):
@@ -95,7 +97,7 @@ class TestTableAuxiliarySource:
         table = auxiliary_table(PROFILES, list(ATTRIBUTES))
         source = TableAuxiliarySource(table=table, name_column="name")
         [hit] = source.search("Alice Miller")
-        assert hit.numeric_attribute("property_holdings") == 3_560.0
+        assert numeric_attribute(hit, "property_holdings") == 3_560.0
         assert source.search("Nobody") == []
         rows, confidence = source.match(["Nobody", "Alice Miller"])
         assert rows.tolist() == [-1, 0]
@@ -144,7 +146,7 @@ class TestSimulatedWebCorpus:
     def test_search_returns_exact_facts_without_noise(self, corpus):
         records = corpus.search("Alice Miller")
         assert records
-        assert records[0].numeric_attribute("property_holdings") == pytest.approx(3_560.0)
+        assert numeric_attribute(records[0], "property_holdings") == pytest.approx(3_560.0)
         assert records[0].confidence == 1.0
 
     def test_search_unknown_person(self, corpus):
@@ -161,7 +163,7 @@ class TestSimulatedWebCorpus:
             name_variant_probability=0.0, seed=7,
         )
         values = [
-            noisy.search(p["name"])[0].numeric_attribute("property_holdings")
+            numeric_attribute(noisy.search(p["name"])[0], "property_holdings")
             for p in PROFILES
         ]
         exact = [p["property_holdings"] for p in PROFILES]
@@ -187,7 +189,7 @@ class TestSimulatedWebCorpus:
             name_variant_probability=0.0, distractor_count=30, seed=3,
         )
         best = with_distractors.search("Alice Miller")[0]
-        assert best.numeric_attribute("property_holdings") == pytest.approx(3_560.0)
+        assert numeric_attribute(best, "property_holdings") == pytest.approx(3_560.0)
 
     def test_validation_errors(self):
         with pytest.raises(AuxiliarySourceError):

@@ -15,7 +15,9 @@ seed's per-record loop.  Two layers of protection:
   original semantics rather than against itself.
 
 The all-zero-firing fallback (no rule fired -> midpoint of the output
-universe, per record) gets its own explicit tests at the bottom.
+universe, per record) gets its own explicit tests near the bottom, and a last
+property pins the Mamdani kernel's row blocks: outputs and aggregate are bit
+for bit the same whatever block or slice a row lands in.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import FuzzyEvaluationError
+from repro.fuzzy.inference import _BLOCK_ROWS as BLOCK_ROWS
 from repro.fuzzy.inference import MamdaniSystem
 from repro.fuzzy.rules import Condition, FuzzyRule, firing_strength_matrix
 from repro.fuzzy.tsk import SugenoSystem
@@ -298,3 +301,108 @@ class TestNoRuleFiredFallback:
             system.evaluate_batch({"a": [1.0, "high"]})
         with pytest.raises(FuzzyEvaluationError, match="column 'a' must hold numbers"):
             system.evaluate_batch({"a": [None, "high"]})
+
+    @pytest.mark.parametrize("strategy", ["centroid", "bisector"])
+    def test_zero_area_record_falls_back_without_failing_the_batch(self, strategy):
+        # x = 5e-324 fires "medium" at a subnormal strength: the record's
+        # curve is positive, but its trapezoid area underflows to 0, which
+        # the defuzzifier rejects.  That record alone gets the midpoint.
+        x = LinguisticVariable.with_uniform_terms("x", (0.0, 1.0), ("low", "medium", "high"))
+        y = LinguisticVariable.with_uniform_terms("y", (0.0, 1.0), ("low", "medium", "high"))
+        system = MamdaniSystem(
+            inputs={"x": x},
+            output=y,
+            rules=[FuzzyRule(conditions=(Condition("x", "medium"),), consequent_term="medium")],
+            defuzzification=strategy,
+        )
+        values = np.array([0.3, 5e-324, 0.6, 0.45])
+        trace = system.trace({"x": values})
+        assert trace.aggregated[1].max() > 0.0
+        assert trace.output[1] == 0.5
+        for i in (0, 2, 3):
+            alone = system.evaluate_batch({"x": values[i : i + 1]})
+            assert trace.output[i] == alone[0]
+            assert trace.output[i] != 0.5
+        np.testing.assert_array_equal(system.evaluate_batch({"x": values}), trace.output)
+
+
+# Row blocks -----------------------------------------------------------------------
+
+
+@st.composite
+def blocked_setup(draw):
+    """A gated uniform-term system and an N-row block around the row-block size.
+
+    Every rule is ANDed with ``g IS t0``, so a row with ``g = 10`` fires
+    nothing; such rows land anywhere, block edges included.  The terms are
+    the library's piecewise-linear ones: a Gaussian degree may round by an
+    ulp differently with the length of the column it is computed in, which
+    would make row slices incomparable bit for bit.
+    """
+    inputs = {}
+    for name in INPUT_NAMES:
+        low = draw(st.floats(min_value=-100.0, max_value=100.0))
+        width = draw(st.floats(min_value=1.0, max_value=200.0))
+        terms = tuple(f"t{i}" for i in range(draw(st.integers(2, 4))))
+        inputs[name] = LinguisticVariable.with_uniform_terms(name, (low, low + width), terms)
+    low = draw(st.floats(min_value=-100.0, max_value=100.0))
+    width = draw(st.floats(min_value=1.0, max_value=200.0))
+    terms = tuple(f"t{i}" for i in range(draw(st.integers(2, 4))))
+    output = LinguisticVariable.with_uniform_terms("y", (low, low + width), terms)
+    gate = Condition("g", "t0")
+    rules = [
+        FuzzyRule(
+            conditions=rule.conditions + (gate,),
+            consequent_term=rule.consequent_term,
+            weight=rule.weight,
+        )
+        for rule in draw(rule_base(inputs, output))
+    ]
+    inputs["g"] = LinguisticVariable.with_uniform_terms("g", (0.0, 10.0), ("t0", "t1"))
+
+    n = draw(st.sampled_from([BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {}
+    for name in INPUT_NAMES:
+        var_low, var_high = inputs[name].universe
+        column = rng.uniform(var_low - 10.0, var_high + 10.0, n)
+        column[rng.random(n) < 0.1] = np.nan
+        columns[name] = column
+    gated = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    columns["g"] = np.where(gated, 10.0, 0.0)
+    cuts = sorted(set(draw(st.lists(st.integers(1, n - 1), max_size=4))))
+    return inputs, output, rules, columns, gated, [0, *cuts, n]
+
+
+class TestRowBlocks:
+    @given(blocked_setup(), st.sampled_from(["centroid", "bisector", "mom"]))
+    @settings(max_examples=40, deadline=None)
+    def test_outputs_do_not_depend_on_block_boundaries(self, setup, strategy):
+        inputs, output, rules, columns, gated, bounds = setup
+        system = MamdaniSystem(
+            inputs=inputs, output=output, rules=rules, defuzzification=strategy
+        )
+        outputs = system.evaluate_batch(columns)
+        trace = system.trace(columns)
+        np.testing.assert_array_equal(outputs, trace.output)
+        sliced = np.concatenate(
+            [
+                system.evaluate_batch({name: column[a:b] for name, column in columns.items()})
+                for a, b in zip(bounds, bounds[1:])
+            ]
+        )
+        np.testing.assert_array_equal(outputs, sliced)
+
+        # The aggregate equals the unblocked max over rules of the clipped curves.
+        universe = output.grid(system.resolution)
+        expected = np.zeros((len(outputs), universe.size))
+        for j, rule in enumerate(rules):
+            curve = output.term(rule.consequent_term).membership(universe)
+            expected = np.maximum(
+                expected, np.minimum(curve, trace.firing_strengths[:, j, None])
+            )
+        np.testing.assert_array_equal(trace.aggregated, expected)
+
+        assert not trace.firing_strengths[gated].any()
+        midpoint = (output.universe[0] + output.universe[1]) / 2.0
+        np.testing.assert_array_equal(outputs[gated], midpoint)

@@ -79,8 +79,6 @@ class TestSweepAndFigures:
         assert small_sweep.levels == [2, 4, 6, 8]
         for series in (small_sweep.before, small_sweep.after, small_sweep.gain, small_sweep.utility):
             assert len(series) == 4
-        as_dict = small_sweep.as_dict()
-        assert set(as_dict) == {"before", "after", "gain", "utility"}
 
     def test_fusion_always_helps(self, small_sweep):
         assert all(a < b for a, b in zip(small_sweep.after, small_sweep.before))

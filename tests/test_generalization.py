@@ -17,6 +17,8 @@ from repro.dataset.generalization import (
 )
 from repro.exceptions import HierarchyError
 
+from builders import contains
+
 
 class TestInterval:
     def test_midpoint_and_width(self):
@@ -26,14 +28,10 @@ class TestInterval:
 
     def test_contains(self):
         interval = Interval(1.0, 3.0)
-        assert interval.contains(1.0)
-        assert interval.contains(3.0)
-        assert interval.contains(2.0)
-        assert not interval.contains(3.1)
-
-    def test_merge(self):
-        merged = Interval(1, 4).merge(Interval(3, 9))
-        assert merged == Interval(1, 9)
+        assert contains(interval, 1.0)
+        assert contains(interval, 3.0)
+        assert contains(interval, 2.0)
+        assert not contains(interval, 3.1)
 
     def test_from_values(self):
         assert Interval.from_values([3, 1, 2]) == Interval(1.0, 3.0)
@@ -65,12 +63,8 @@ class TestCategorySet:
 
     def test_contains(self):
         cells = CategorySet(["a", "b"])
-        assert cells.contains("a")
-        assert not cells.contains("c")
-
-    def test_merge(self):
-        merged = CategorySet(["a"]).merge(CategorySet(["b"]))
-        assert merged.members == ("a", "b")
+        assert contains(cells, "a")
+        assert not contains(cells, "c")
 
     def test_empty_rejected(self):
         with pytest.raises(HierarchyError):

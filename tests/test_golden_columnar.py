@@ -33,6 +33,7 @@ from repro.dataset.generalization import (
 from repro.dataset.statistics import standardize_matrix
 from repro.dataset.table import Table
 
+from builders import generalize_value
 from mdav_reference import seed_mdav_groups
 from partitions import classes_of
 
@@ -164,7 +165,7 @@ def seed_datafly(table: Table, k: int, max_suppression_fraction: float):
         for name, level in levels.items():
             hierarchy = hierarchies[name]
             capped = min(level, hierarchy.levels - 1)
-            generalized = [hierarchy.generalize(v, capped) for v in table.column(name)]
+            generalized = [generalize_value(hierarchy, v, capped) for v in table.column(name)]
             release = release.replace_column(name, generalized)
         return release
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -169,6 +173,15 @@ class TestMamdaniSystem:
                 rules=[parse_rule("IF bogus IS high THEN income IS high")],
             )
 
+    def test_unknown_defuzzification_rejected_at_construction(self, income_system):
+        with pytest.raises(FuzzyDefinitionError, match="unknown defuzzification"):
+            MamdaniSystem(
+                inputs=income_system.inputs,
+                output=income_system.output,
+                rules=list(income_system.rules),
+                defuzzification="median",
+            )
+
     def test_input_key_must_match_variable_name(self):
         variable = LinguisticVariable.with_uniform_terms("x", (0, 1), ("low", "high"))
         output = LinguisticVariable.with_uniform_terms("y", (0, 1), ("low", "high"))
@@ -192,3 +205,27 @@ class TestMamdaniSystem:
         low_mom = evaluate_record(mom_system, {"valuation": 1.5, "property": 200})
         assert high_mom > low_mom
         assert abs(high_mom - high_centroid) < 60_000
+
+
+def test_evaluate_batch_memory_is_bounded_by_the_row_block():
+    """The kernel never holds an ``(N, resolution)`` array: at 20k rows the
+    aggregate alone would be 32 MB; the row blocks keep the peak near 8 MB,
+    mostly the fuzzified columns and the firing matrix."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "test_bench_batch_fusion.py"
+    spec = importlib.util.spec_from_file_location("bench_batch_fusion", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    system = bench._build_system("mamdani")
+    assert (len(system.inputs), len(system.rules)) == (6, 18)
+    rows = 20_000
+    rng = np.random.default_rng(3)
+    columns = {
+        name: rng.uniform(low, high, rows) for name, (low, high) in bench.INPUT_UNIVERSES.items()
+    }
+    tracemalloc.start()
+    try:
+        system.evaluate_batch(columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"evaluate_batch peaked at {peak / 2**20:.1f} MB"

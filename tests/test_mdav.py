@@ -9,6 +9,7 @@ from repro.anonymize.mdav import MDAVAnonymizer, _mdav_groups
 from repro.dataset.generalization import SUPPRESSED, Interval
 from repro.exceptions import AnonymizationError, InfeasibleAnonymizationError
 
+from builders import contains
 from partitions import classes_of
 
 
@@ -70,7 +71,7 @@ class TestAnonymizer:
                 cell = result.release.cell(index, "age")
                 original = simple_table.cell(index, "age")
                 if isinstance(cell, Interval):
-                    assert cell.contains(float(original))
+                    assert contains(cell, float(original))
                 else:
                     assert cell == original
 

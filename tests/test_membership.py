@@ -35,9 +35,6 @@ class TestTriangular:
         values = mf(np.array([0.0, 0.5, 1.0, 1.5, 2.0]))
         assert np.allclose(values, [0.0, 0.5, 1.0, 0.5, 0.0])
 
-    def test_support(self):
-        assert TriangularMF(1, 2, 3).support() == (1, 3)
-
     def test_validation(self):
         with pytest.raises(FuzzyDefinitionError):
             TriangularMF(5, 4, 6)
@@ -85,9 +82,6 @@ class TestGaussian:
     def test_symmetric(self):
         mf = GaussianMF(mean=0, sigma=2)
         assert mf(-3) == pytest.approx(mf(3))
-
-    def test_support_spans_four_sigma(self):
-        assert GaussianMF(0, 1).support() == (-4, 4)
 
     def test_validation(self):
         with pytest.raises(FuzzyDefinitionError):

@@ -6,7 +6,7 @@ fills Table IV with one :meth:`~repro.fusion.auxiliary.AuxiliarySource.cells`
 gather per attribute.  The executable specification is the per-name path:
 ``search(name)[0]`` for every name, Table IV built cell by cell from those
 records, and the attack's auxiliary inputs read with
-:meth:`~repro.fusion.auxiliary.AuxiliaryRecord.numeric_attribute`.  These
+``builders.numeric_attribute``.  These
 properties pin the batched harvest to that reference — records, Table IV
 (``==`` and rendered bytes) and the assembled fusion columns, bit for bit —
 for the simulated web corpus and for both modes of the table source, over
@@ -26,6 +26,8 @@ from repro.dataset.table import Table
 from repro.fusion.attack import AttackConfig, WebFusionAttack, harvest_auxiliary
 from repro.fusion.auxiliary import AuxiliaryRecord, TableAuxiliarySource
 from repro.fusion.web import SimulatedWebCorpus, _apply_variant
+
+from builders import numeric_attribute
 
 FACTS = ("property_holdings", "employment_seniority")
 #: Harvested attributes: the stored facts, a non-harvestable page fact and
@@ -162,8 +164,8 @@ def test_harvest_equals_per_name_search(scenario):
         reference = np.array(
             [
                 np.nan
-                if record is None or record.numeric_attribute(attribute) is None
-                else record.numeric_attribute(attribute)
+                if record is None or numeric_attribute(record, attribute) is None
+                else numeric_attribute(record, attribute)
                 for record in best
             ],
             dtype=np.float64,

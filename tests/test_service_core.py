@@ -258,7 +258,7 @@ class TestFredJobs:
         fingerprint = service.register(faculty_population.private)["fingerprint"]
         auxiliary = service.register(faculty_auxiliary_table)["fingerprint"]
         job = service.start_fred(fingerprint, auxiliary, kmin=2, kmax=3)
-        snapshot = service.wait_for_job(job, timeout=120)
+        snapshot = service._jobs.wait(job, timeout=120)
         assert snapshot["status"] == "done"
         result = snapshot["result"]
         assert result["optimal_level"] in (2, 3)
@@ -267,7 +267,7 @@ class TestFredJobs:
 
         fred_computations = service.stats()["cache"]["computations"]
         repeat = service.start_fred(fingerprint, auxiliary, kmin=2, kmax=3)
-        repeat_snapshot = service.wait_for_job(repeat, timeout=120)
+        repeat_snapshot = service._jobs.wait(repeat, timeout=120)
         assert repeat_snapshot["result"] == result
         assert service.stats()["cache"]["computations"] == fred_computations
 

@@ -71,7 +71,7 @@ def _session(service: AnonymizationService, private: Table, auxiliary: Table) ->
         answers[algorithm, style] = bytes(csv)
     answers["attack"] = service.attack(fingerprint, aux, k=3)
     job = service.start_fred(fingerprint, aux, kmin=2, kmax=3)
-    snapshot = service.wait_for_job(job, timeout=120)
+    snapshot = service._jobs.wait(job, timeout=120)
     assert snapshot["status"] == "done", snapshot
     answers["fred"] = snapshot["result"]
     return answers
